@@ -1,8 +1,8 @@
 """Convex-optimization substrate built from scratch on numpy.
 
 This package provides every numerical building block the paper's
-distributed 4-block ADM-G algorithm needs, plus a centralized
-interior-point reference solver:
+distributed 4-block ADM-G algorithm (:mod:`repro.admg`) needs, plus
+the centralized interior-point solvers it is checked against:
 
 - :mod:`repro.optim.simplex` — exact Euclidean projection onto the
   (scaled) simplex, and quadratic programs over a simplex solved with
@@ -15,24 +15,25 @@ interior-point reference solver:
   closed forms for quadratics, exact breakpoint prox for
   piecewise-linear convex functions (stepped carbon taxes), and a
   golden-section fallback; this is the paper's ``nu``-minimization (19).
-- :mod:`repro.optim.ipqp` — a dense Mehrotra predictor-corrector
-  primal-dual interior-point solver for convex QPs, used as the
-  centralized reference the distributed algorithm is checked against.
-- :mod:`repro.optim.admm` — a generic m-block ADMM engine.
-- :mod:`repro.optim.admg` — the generic ADM-G engine (ADMM with
-  Gaussian back substitution, He-Tao-Yuan 2012).
-- :mod:`repro.optim.batch` — batched cross-slot kernels: a masked
-  batched interior-point method over stacked ``(T, n, n)`` QPs, plus
-  row-wise simplex projection and batched rank-one QP solves.
+- :mod:`repro.optim.ipqp` — the interior-point core: the one Mehrotra
+  predictor-corrector loop every QP route runs, the dense Newton
+  system, and the dense reference solver :func:`solve_qp`.
+- :mod:`repro.optim.warm` — :func:`solve_qp_warm`, the cross-slot
+  warm ladder (active-set reuse, then the interior-point loop from a
+  shifted previous iterate on cached Ruiz scalings, then a cold
+  solve).
+- :mod:`repro.optim.batch` — :func:`solve_qp_batch`, the
+  interior-point loop over a batch of QPs sharing one constraint
+  structure (the shared-structure Schur Newton system), plus row-wise
+  simplex projection and batched rank-one QP solves.
 - :mod:`repro.optim.kkt` — the block-sparse representation of the UFC
-  QP (:class:`StructuredSlotQP`) and a Mehrotra solver whose Newton
-  systems are solved by block elimination into a small dense Schur
-  complement, making hyperscale instances (hundreds of datacenters,
-  thousands of front-ends) tractable.
+  QP (:class:`StructuredSlotQP`) and :func:`solve_structured_qp`, the
+  interior-point loop over the block-arrowhead Newton system (block
+  elimination into a small dense Schur complement), which makes
+  hyperscale instances (hundreds of datacenters, thousands of
+  front-ends) tractable.
 """
 
-from repro.optim.admg import ADMGEngine, ADMGResult
-from repro.optim.admm import ADMMBlock, ADMMEngine, ADMMResult
 from repro.optim.batch import (
     BatchIPQPResult,
     project_simplex_batch,
@@ -59,11 +60,6 @@ from repro.optim.simplex import minimize_qp_simplex, project_box, project_simple
 from repro.optim.warm import WarmSolve, WarmSolveInfo, WarmState, solve_qp_warm
 
 __all__ = [
-    "ADMGEngine",
-    "ADMGResult",
-    "ADMMBlock",
-    "ADMMEngine",
-    "ADMMResult",
     "BatchIPQPResult",
     "IPQPResult",
     "PiecewiseLinearConvex",

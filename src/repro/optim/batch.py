@@ -3,33 +3,31 @@
 The horizon's T slot QPs are independent and share one compiled
 structure — only the parameter vectors differ hour to hour.  Solving
 them one by one pays the Python/numpy dispatch overhead of every small
-linear-algebra call T times per iteration; stacking them into
-``(T, n, n)`` arrays and driving one *masked* Mehrotra iteration over
-the whole batch pays it once.  This module provides
+linear-algebra call T times per iteration; driving one *masked*
+Mehrotra iteration over the whole batch pays it once.  This module
+provides
 
-- :func:`solve_qp_batch` — a batched Mehrotra predictor-corrector
-  interior-point method on stacked KKT systems (batched
-  ``numpy.linalg.solve``), with per-instance step lengths, per-instance
-  convergence masking (converged instances are frozen and the active
-  set shrinks as the batch drains), batched Ruiz equilibration, and a
-  per-instance fallback to the scalar :func:`~repro.optim.ipqp.solve_qp`
-  for instances that fail to converge;
+- :func:`solve_qp_batch` — the interior-point loop of
+  :mod:`repro.optim.ipqp` over a batch sharing one constraint
+  structure, with per-instance step lengths, per-instance convergence
+  masking (converged instances are frozen and the active set shrinks as
+  the batch drains), per-instance Ruiz scalings, and a per-instance
+  fallback to the scalar :func:`~repro.optim.ipqp.solve_qp` for
+  instances that fail to converge;
 - :func:`project_simplex_batch` — row-wise simplex projection over
   ``(T, M)`` matrices (each row bit-identical to the scalar call);
 - :func:`solve_capped_rank_one_qp_batch` — the ADM-G per-datacenter
   ``a``-minimization solved for T slots at once with a vectorized
   sort-based support sweep (bit-identical to the scalar solver per row).
 
-Every batched kernel replicates the scalar kernel's arithmetic
-*per instance* where the operation order allows it (projections and the
-rank-one sweep are bit-identical per row); the interior-point iteration
-itself uses batched matmuls and — when all instances share one
-constraint structure, the compiled-horizon case — a Schur-complement
-Newton solve and coordinate-form equilibration sweeps whose BLAS paths
-round differently from the scalar matvecs, so batched IPQP solutions
-agree with the scalar path to solver tolerance rather than bit-for-bit.
+The projections and the rank-one sweep replicate the scalar kernels'
+arithmetic per row.  The interior-point route does not: its Newton
+solves and coordinate-form equilibration sweeps go through batched
+BLAS calls that round differently from the scalar matvecs, so batched
+IPQP solutions agree with the scalar path to solver tolerance rather
+than bit-for-bit.
 
-The shared-structure fast path exploits three facts about compiled
+The shared-structure Newton system exploits three facts about compiled
 horizon batches: the constraint matrices are literally the same arrays
 for every slot (so residuals collapse to single dgemms against the
 shared matrix, with per-instance Ruiz scalings carried as factored
@@ -49,7 +47,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.optim.ipqp import IPQPResult, solve_qp
+from repro.optim.ipqp import (
+    IPQPResult,
+    _closed_form,
+    _constraint_block,
+    _mehrotra,
+    _NewtonSystem,
+    solve_qp,
+)
 from repro.optim.simplex import project_simplex
 
 __all__ = [
@@ -190,112 +195,6 @@ def solve_capped_rank_one_qp_batch(
     return a
 
 
-def _stack_constraints(
-    M: np.ndarray | None,
-    r: np.ndarray | None,
-    batch: int,
-    n: int,
-    name: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a constraint block to stacked ``(T, rows, n)``/``(T, rows)``.
-
-    The matrix may be shared (2-D, broadcast across the batch) or
-    per-instance (3-D); the right-hand side likewise 1-D or 2-D.
-    """
-    if M is None or np.size(M) == 0:
-        return np.zeros((batch, 0, n)), np.zeros((batch, 0))
-    M = np.asarray(M, dtype=float)
-    if M.ndim == 2:
-        M = np.broadcast_to(M, (batch,) + M.shape)
-    if M.ndim != 3 or M.shape[0] != batch or M.shape[2] != n:
-        raise ValueError(
-            f"{name} shape {M.shape} incompatible with batch {batch} "
-            f"and n {n}"
-        )
-    rows = M.shape[1]
-    if r is None:
-        raise ValueError(f"{name} given without its right-hand side")
-    r = np.asarray(r, dtype=float)
-    if r.ndim == 1:
-        r = np.broadcast_to(r, (batch, len(r)))
-    if r.shape != (batch, rows):
-        raise ValueError(
-            f"rhs shape {r.shape} incompatible with {name} rows {rows}"
-        )
-    return M, r
-
-
-def _ruiz_equilibrate_batch(
-    P: np.ndarray,
-    q: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    G: np.ndarray,
-    h: np.ndarray,
-    iterations: int = 15,
-) -> tuple[np.ndarray, ...]:
-    """Batched Ruiz equilibration, instance-for-instance identical to
-    the scalar :func:`~repro.optim.ipqp._ruiz_equilibrate` (same sweep
-    count, same row/column scaling order, same objective
-    normalization)."""
-    batch, n = q.shape
-    p_rows, m_rows = A.shape[1], G.shape[1]
-    d = np.ones((batch, n))
-    r_a = np.ones((batch, p_rows))
-    r_g = np.ones((batch, m_rows))
-    P = np.array(P, dtype=float, copy=True)
-    A = np.array(A, dtype=float, copy=True)
-    G = np.array(G, dtype=float, copy=True)
-    for _ in range(iterations):
-        col_norm = np.abs(P).max(axis=1)
-        if p_rows:
-            np.maximum(col_norm, np.abs(A).max(axis=1), out=col_norm)
-        if m_rows:
-            np.maximum(col_norm, np.abs(G).max(axis=1), out=col_norm)
-        col_scale = 1.0 / np.sqrt(np.maximum(col_norm, 1e-12))
-        # Exactly-zero columns/rows keep scale 1, matching the scalar
-        # equilibration: the clamp would compound 1e6 per sweep and
-        # blow up the scaled data (see _ruiz_equilibrate).
-        col_scale[col_norm == 0.0] = 1.0
-        P *= col_scale[:, :, None]
-        P *= col_scale[:, None, :]
-        A *= col_scale[:, None, :]
-        G *= col_scale[:, None, :]
-        d *= col_scale
-        if p_rows:
-            row_norm = np.abs(A).max(axis=2)
-            row_scale = 1.0 / np.sqrt(np.maximum(row_norm, 1e-12))
-            row_scale[row_norm == 0.0] = 1.0
-            A *= row_scale[:, :, None]
-            r_a *= row_scale
-        if m_rows:
-            row_norm = np.abs(G).max(axis=2)
-            row_scale = 1.0 / np.sqrt(np.maximum(row_norm, 1e-12))
-            row_scale[row_norm == 0.0] = 1.0
-            G *= row_scale[:, :, None]
-            r_g *= row_scale
-    q_scaled = d * q
-    gamma = np.maximum(
-        1e-12,
-        np.maximum(
-            np.abs(q_scaled).max(axis=1, initial=0.0),
-            np.abs(P).max(axis=(1, 2), initial=0.0),
-        ),
-    )
-    return (
-        P / gamma[:, None, None],
-        q_scaled / gamma[:, None],
-        A,
-        r_a * b,
-        G,
-        r_g * h,
-        d,
-        r_a,
-        r_g,
-        gamma,
-    )
-
-
 def _bmv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Batched matrix-vector product: ``(T, r, c) @ (T, c) -> (T, r)``."""
     return np.matmul(M, v[:, :, None])[:, :, 0]
@@ -332,23 +231,6 @@ def _solve_checked(M: np.ndarray, rhs: np.ndarray, reg: np.ndarray) -> np.ndarra
         except np.linalg.LinAlgError:
             pass  # keep the least-bad unregularized blocks
     return sol
-
-
-def _step_length_batch(
-    v: np.ndarray, dv: np.ndarray, fraction: float = 0.99
-) -> np.ndarray:
-    """Per-instance largest alpha in (0, 1] keeping ``v + alpha dv > 0``.
-
-    Row-wise equivalent of the scalar ``_step_length``: the max of
-    ``v/dv`` over the negative-direction entries is the negated min of
-    ``-v/dv``, both exact in IEEE arithmetic.
-    """
-    ratio = np.full_like(v, -np.inf)
-    np.divide(v, dv, out=ratio, where=dv < 0.0)
-    worst = ratio.max(axis=1)
-    return np.where(
-        np.isneginf(worst), 1.0, np.minimum(1.0, fraction * -worst)
-    )
 
 
 class _GroupMax:
@@ -515,74 +397,77 @@ class _SharedSplit:
         return core
 
 
-def _ip_iterate_shared(
-    Pw: np.ndarray,
-    qw: np.ndarray,
-    A0: np.ndarray,
-    bw: np.ndarray,
-    G0: np.ndarray,
-    hw: np.ndarray,
-    d: np.ndarray,
-    r_a: np.ndarray,
-    r_g: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, ...]:
-    """Masked Mehrotra iteration for batches sharing one structure.
+class _SharedBatchSystem(_NewtonSystem):
+    """The shared-structure batched Newton system.
 
-    Same iteration, convergence test and freeze-drain masking as
-    :func:`_ip_iterate_batch`, restructured around the shared
-    constraint matrices: the per-instance Ruiz scalings stay factored
-    (``A_t = diag(r_a[t]) A0 diag(d[t])`` and likewise for ``G``), so
-    constraint products are single dgemms against the shared matrix,
-    and each Newton system is solved by eliminating the equality block
-    — factor the condensed n-by-n matrix, then a p-by-p Schur
-    complement — instead of factoring the (n+p) KKT.  A primal warm
-    start (the equality-regularized ``W = I`` solve) replaces the cold
-    ``x = 0`` start; it typically removes a few interior-point
-    iterations and never changes what convergence means.
+    Every instance has its own Hessian and right-hand sides but the same
+    constraint matrices ``A0``/``G0``.  The per-instance Ruiz scalings
+    stay factored (``A_t = diag(r_a[t]) A0 diag(d[t])`` and likewise for
+    ``G``), so constraint products are single dgemms against the shared
+    matrix, and each Newton system is solved by eliminating the
+    equality block — factor the condensed n-by-n matrix, then a p-by-p
+    Schur complement — instead of factoring the (n+p) KKT.  The Schur
+    complement built for the predictor is reused by the corrector.
+    :meth:`drop` removes converged instances as the batch drains.
     """
-    batch, n = qw.shape
-    p = A0.shape[0]
-    m = G0.shape[0]
-    split = _SharedSplit(G0)
-    A0T = A0.T.copy()
-    G0T = G0.T.copy()
-    reg_n = 1e-10 * np.eye(n)
 
-    x_out = np.zeros((batch, n))
-    y_out = np.zeros((batch, p))
-    z_out = np.zeros((batch, m))
-    iters = np.full(batch, max_iter, dtype=int)
-    conv = np.zeros(batch, dtype=bool)
-    gap_out = np.zeros(batch)
+    def __init__(self, Pw, qw, A0, bw, G0, hw, d, r_a, r_g) -> None:
+        self.Pw, self.qw, self.bw, self.hw = Pw, qw, bw, hw
+        self.d, self.r_a, self.r_g = d, r_a, r_g
+        self.A0, self.G0 = A0, G0
+        self.A0T, self.G0T = A0.T.copy(), G0.T.copy()
+        self.p = A0.shape[0]
+        self.split = _SharedSplit(G0)
+        self.reg_n = 1e-10 * np.eye(qw.shape[1])
+        self.scale = 1.0 + np.maximum(
+            np.abs(qw).max(axis=1, initial=0.0),
+            np.maximum(
+                np.abs(hw).max(axis=1, initial=0.0),
+                np.abs(bw).max(axis=1, initial=0.0),
+            ),
+        )
 
-    idx = np.arange(batch)
-    scale = 1.0 + np.maximum(
-        np.abs(qw).max(axis=1, initial=0.0),
-        np.maximum(
-            np.abs(hw).max(axis=1, initial=0.0),
-            np.abs(bw).max(axis=1, initial=0.0),
-        ),
-    )
+    def drop(self, keep: np.ndarray) -> None:
+        for name in ("Pw", "qw", "bw", "hw", "d", "r_a", "r_g", "scale"):
+            setattr(self, name, getattr(self, name)[keep])
 
-    def hsolve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return _solve_checked(H, rhs, reg_n)
+    def residuals(self, x, y, s, z):
+        d, r_a, r_g = self.d, self.r_a, self.r_g
+        dx_ = d * x
+        Ax = r_a * (dx_ @ self.A0T) if self.p else np.zeros((len(x), 0))
+        r_dual = _bmv(self.Pw, x) + self.qw + d * ((r_g * z) @ self.G0)
+        if self.p:
+            r_dual += d * ((r_a * y) @ self.A0)
+        return r_dual, Ax - self.bw, r_g * (dx_ @ self.G0T) + s - self.hw
 
-    def newton_core(
-        H: np.ndarray, rhs_x: np.ndarray, r_eq: np.ndarray,
-        At_scaled: np.ndarray | None, A_scaled: np.ndarray | None,
-    ) -> tuple[np.ndarray, ...]:
+    def g_mul(self, v):
+        return self.r_g * ((self.d * v) @ self.G0T)
+
+    def gt_mul(self, v):
+        return self.d * ((self.r_g * v) @ self.G0)
+
+    def _scaled_a(self):
+        """``A_t^T`` and ``A_t`` stacked per instance (None when p = 0)."""
+        if not self.p:
+            return None, None
+        d, r_a = self.d, self.r_a
+        return (
+            d[:, :, None] * (self.A0T[None] * r_a[:, None, :]),
+            (self.A0[None] * d[:, None, :]) * r_a[:, :, None],
+        )
+
+    def _schur_solve(self, H, rhs_x, r_eq, At_scaled, A_scaled):
         """Solve the condensed KKT via the equality Schur complement.
 
-        Returns ``(dx, dy, X, Sinv)``; pass ``X``/``Sinv`` back in (via
-        the closure below) to reuse the complement within an iteration.
+        Returns ``(dx, dy, X, Sinv)``; ``X``/``Sinv`` let the corrector
+        reuse the complement.
         """
+        p = self.p
         if not p:
-            dx = hsolve(H, rhs_x[:, :, None])[:, :, 0]
+            dx = _solve_checked(H, rhs_x[:, :, None], self.reg_n)[:, :, 0]
             return dx, np.zeros((len(H), 0)), None, None
-        sol = hsolve(
-            H, np.concatenate([At_scaled, rhs_x[:, :, None]], axis=2)
+        sol = _solve_checked(
+            H, np.concatenate([At_scaled, rhs_x[:, :, None]], axis=2), self.reg_n
         )
         X, u = sol[:, :, :p], sol[:, :, p]
         S = np.matmul(A_scaled, X)
@@ -592,281 +477,60 @@ def _ip_iterate_shared(
             Sinv = np.linalg.inv(S)
         except np.linalg.LinAlgError:
             Sinv = np.linalg.inv(S + 1e-10 * np.eye(p))
-        dy = np.matmul(
-            Sinv, (_bmv(A_scaled, u) + r_eq)[:, :, None]
-        )[:, :, 0]
-        dx = u - _bmv(X, dy)
-        return dx, dy, X, Sinv
+        dy = np.matmul(Sinv, (_bmv(A_scaled, u) + r_eq)[:, :, None])[:, :, 0]
+        return u - _bmv(X, dy), dy, X, Sinv
 
-    # Warm start: the W = I equality-regularized solve gives a primal
-    # iterate near the central path's analytic region; slacks are
-    # clamped exactly like the cold start clamps h.
-    x = np.zeros((batch, n))
-    y = np.zeros((batch, p))
-    s = np.maximum(hw, 1.0)
-    z = np.ones((batch, m))
-    try:
-        wt0 = r_g * r_g
-        H0 = split.assemble(Pw, wt0, d)
-        At0 = d[:, :, None] * (A0T[None] * r_a[:, None, :]) if p else None
-        A0s = (A0[None] * d[:, None, :]) * r_a[:, :, None] if p else None
-        x0, y0, _, _ = newton_core(
-            H0,
-            -qw + d * ((r_g * hw) @ G0),
-            -bw if p else np.zeros((batch, 0)),
-            At0,
-            A0s,
-        )
-        finite = np.isfinite(x0).all(axis=1)
-        good = finite & (np.abs(x0).max(axis=1, initial=0.0) < 1e6)
+    def start(self) -> tuple[np.ndarray, ...]:
+        """The starting iterate: the generic cold start with its primal
+        part replaced, where finite and moderate, by the ``W = I``
+        equality-regularized solve.  That point lies near the central
+        path's analytic region; it typically removes a few
+        interior-point iterations and never changes what convergence
+        means.  Slacks are clamped exactly like the cold start clamps
+        ``h``."""
+        Pw, qw, bw, hw, d, r_g = self.Pw, self.qw, self.bw, self.hw, self.d, self.r_g
+        batch, n = qw.shape
+        x = np.zeros((batch, n))
+        y = np.zeros((batch, self.p))
+        s = np.maximum(hw, 1.0)
+        z = np.ones((batch, self.G0.shape[0]))
+        try:
+            x0, y0, _, _ = self._schur_solve(
+                self.split.assemble(Pw, r_g * r_g, d),
+                -qw + d * ((r_g * hw) @ self.G0),
+                -bw if self.p else np.zeros((batch, 0)),
+                *self._scaled_a(),
+            )
+        except np.linalg.LinAlgError:
+            return x, y, s, z
+        good = np.isfinite(x0).all(axis=1) & (np.abs(x0).max(axis=1, initial=0.0) < 1e6)
         if good.any():
             x[good] = x0[good]
-            if p:
-                y[good] = np.where(
-                    np.isfinite(y0[good]), y0[good], 0.0
-                )
-            slack = hw[good] - r_g[good] * ((d[good] * x0[good]) @ G0T)
+            if self.p:
+                y[good] = np.where(np.isfinite(y0[good]), y0[good], 0.0)
+            slack = hw[good] - r_g[good] * ((d[good] * x0[good]) @ self.G0T)
             s[good] = np.maximum(slack, 1.0)
-    except np.linalg.LinAlgError:
-        pass
+        return x, y, s, z
 
-    for it in range(1, max_iter + 1):
-        dx_ = d * x
-        Ax = r_a * (dx_ @ A0T) if p else np.zeros((len(x), 0))
-        Gx = r_g * (dx_ @ G0T)
-        r_dual = (
-            _bmv(Pw, x) + qw + d * (((r_g * z) @ G0))
+    def factor(self, it, s, z) -> None:
+        self.H = self.split.assemble(self.Pw, (z / s) * (self.r_g * self.r_g), self.d)
+        self.At_scaled, self.A_scaled = self._scaled_a()
+        self.X = self.Sinv = None
+
+    def solve(self, r1, r2):
+        r_eq = -r2
+        if self.X is not None:
+            # Reuse the iteration's Schur complement: only the
+            # right-hand side changed between predictor and corrector.
+            u = _solve_checked(self.H, r1[:, :, None], self.reg_n)[:, :, 0]
+            dy = np.matmul(
+                self.Sinv, (_bmv(self.A_scaled, u) + r_eq)[:, :, None]
+            )[:, :, 0]
+            return u - _bmv(self.X, dy), dy
+        dx, dy, self.X, self.Sinv = self._schur_solve(
+            self.H, r1, r_eq, self.At_scaled, self.A_scaled
         )
-        if p:
-            r_dual += d * ((r_a * y) @ A0)
-        r_eq = Ax - bw
-        r_ineq = Gx + s - hw
-        mu = (s * z).sum(axis=1) / m
-
-        done = (
-            (np.abs(r_dual).max(axis=1) < tol * scale)
-            & (np.abs(r_ineq).max(axis=1) < tol * scale)
-            & (mu < tol * scale)
-        )
-        if p:
-            done &= np.abs(r_eq).max(axis=1) < tol * scale
-        if done.any():
-            fin = idx[done]
-            x_out[fin] = x[done]
-            y_out[fin] = y[done]
-            z_out[fin] = z[done]
-            iters[fin] = it
-            conv[fin] = True
-            gap_out[fin] = mu[done]
-            keep = ~done
-            if not keep.any():
-                idx = idx[:0]
-                break
-            idx = idx[keep]
-            Pw, qw, bw, hw = Pw[keep], qw[keep], bw[keep], hw[keep]
-            d, r_a, r_g, scale = d[keep], r_a[keep], r_g[keep], scale[keep]
-            x, y, s, z = x[keep], y[keep], s[keep], z[keep]
-            r_dual, r_eq, r_ineq = r_dual[keep], r_eq[keep], r_ineq[keep]
-            mu = mu[keep]
-
-        w = z / s
-        H = split.assemble(Pw, w * (r_g * r_g), d)
-        At_scaled = (
-            d[:, :, None] * (A0T[None] * r_a[:, None, :]) if p else None
-        )
-        A_scaled = (
-            (A0[None] * d[:, None, :]) * r_a[:, :, None] if p else None
-        )
-        X = Sinv = None
-
-        def solve_newton(r_comp: np.ndarray) -> tuple[np.ndarray, ...]:
-            nonlocal X, Sinv
-            rhs_x = -r_dual - d * (
-                ((r_g * ((r_comp + z * r_ineq) / s)) @ G0)
-            )
-            if p and X is not None:
-                # Reuse the iteration's Schur complement: only the
-                # right-hand side changed between predictor/corrector.
-                u = hsolve(H, rhs_x[:, :, None])[:, :, 0]
-                dy = np.matmul(
-                    Sinv, (_bmv(A_scaled, u) + r_eq)[:, :, None]
-                )[:, :, 0]
-                dx = u - _bmv(X, dy)
-            else:
-                dx, dy, X, Sinv = newton_core(
-                    H, rhs_x, r_eq, At_scaled, A_scaled
-                )
-            ds = -r_ineq - r_g * ((d * dx) @ G0T)
-            dz = (r_comp - z * ds) / s
-            return dx, dy, ds, dz
-
-        dx_a, dy_a, ds_a, dz_a = solve_newton(-s * z)
-        alpha_p = _step_length_batch(s, ds_a, fraction=1.0)
-        alpha_d = _step_length_batch(z, dz_a, fraction=1.0)
-        mu_aff = (
-            (s + alpha_p[:, None] * ds_a) * (z + alpha_d[:, None] * dz_a)
-        ).sum(axis=1) / m
-        sigma = np.zeros(len(mu))
-        pos = mu > 0
-        np.divide(mu_aff, mu, out=sigma, where=pos)
-        sigma = np.where(pos, sigma**3, 0.0)
-
-        r_comp = -s * z + sigma[:, None] * mu[:, None] - ds_a * dz_a
-        dx, dy, ds, dz = solve_newton(r_comp)
-        alpha = np.minimum(
-            _step_length_batch(s, ds), _step_length_batch(z, dz)
-        )
-
-        x = x + alpha[:, None] * dx
-        s = s + alpha[:, None] * ds
-        y = y + alpha[:, None] * dy
-        z = z + alpha[:, None] * dz
-
-    if idx.size:
-        x_out[idx] = x
-        y_out[idx] = y
-        z_out[idx] = z
-        gap_out[idx] = (s * z).sum(axis=1) / m
-    return x_out, y_out, z_out, iters, conv, gap_out
-
-
-def _ip_iterate_batch(
-    P: np.ndarray,
-    q: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    G: np.ndarray,
-    h: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, ...]:
-    """Masked Mehrotra predictor-corrector over the stacked instances.
-
-    Instances that meet the scalar solver's convergence test are frozen
-    (their state copied out, their rows dropped from every working
-    array) so the per-iteration cost tracks the *active* set, not the
-    batch size.  Requires ``m >= 1`` inequality rows (the callers
-    handle the equality-only and unconstrained cases in closed form).
-
-    Returns:
-        ``(x, y, z, iterations, converged, gap)`` stacked over the full
-        batch.
-    """
-    batch, n = q.shape
-    p = A.shape[1]
-    m = G.shape[1]
-
-    x_out = np.zeros((batch, n))
-    y_out = np.zeros((batch, p))
-    z_out = np.zeros((batch, m))
-    iters = np.full(batch, max_iter, dtype=int)
-    conv = np.zeros(batch, dtype=bool)
-    gap_out = np.zeros(batch)
-
-    idx = np.arange(batch)
-    x = np.zeros((batch, n))
-    y = np.zeros((batch, p))
-    s = np.maximum(h, 1.0)  # h - G @ 0, exactly as the scalar init
-    z = np.ones((batch, m))
-    scale = 1.0 + np.maximum(
-        np.abs(q).max(axis=1, initial=0.0),
-        np.maximum(
-            np.abs(h).max(axis=1, initial=0.0),
-            np.abs(b).max(axis=1, initial=0.0),
-        ),
-    )
-    Pw, qw, Aw, bw, Gw, hw = P, q, A, b, G, h
-    At = np.swapaxes(Aw, 1, 2)
-    Gt = np.swapaxes(Gw, 1, 2)
-    reg = 1e-10 * np.eye(n + p)
-
-    for it in range(1, max_iter + 1):
-        r_dual = _bmv(Pw, x) + qw + _bmv(At, y) + _bmv(Gt, z)
-        r_eq = _bmv(Aw, x) - bw
-        r_ineq = _bmv(Gw, x) + s - hw
-        mu = (s * z).sum(axis=1) / m
-
-        done = (
-            (np.abs(r_dual).max(axis=1) < tol * scale)
-            & (np.abs(r_ineq).max(axis=1) < tol * scale)
-            & (mu < tol * scale)
-        )
-        if p:
-            done &= np.abs(r_eq).max(axis=1) < tol * scale
-        if done.any():
-            fin = idx[done]
-            x_out[fin] = x[done]
-            y_out[fin] = y[done]
-            z_out[fin] = z[done]
-            iters[fin] = it
-            conv[fin] = True
-            gap_out[fin] = mu[done]
-            keep = ~done
-            if not keep.any():
-                idx = idx[:0]
-                break
-            idx = idx[keep]
-            Pw, qw, Aw, bw = Pw[keep], qw[keep], Aw[keep], bw[keep]
-            Gw, hw, scale = Gw[keep], hw[keep], scale[keep]
-            At = np.swapaxes(Aw, 1, 2)
-            Gt = np.swapaxes(Gw, 1, 2)
-            x, y, s, z = x[keep], y[keep], s[keep], z[keep]
-            r_dual, r_eq, r_ineq = r_dual[keep], r_eq[keep], r_ineq[keep]
-            mu = mu[keep]
-
-        k = idx.size
-        w = z / s
-        kkt = np.zeros((k, n + p, n + p))
-        kkt[:, :n, :n] = Pw + Gt @ (w[:, :, None] * Gw)
-        if p:
-            kkt[:, :n, n:] = At
-            kkt[:, n:, :n] = Aw
-            diag = np.einsum("kii->ki", kkt[:, n:, n:])
-            diag[...] = -1e-12
-
-        def solve_newton(r_comp: np.ndarray) -> tuple[np.ndarray, ...]:
-            rhs_x = -r_dual - _bmv(Gt, (r_comp + z * r_ineq) / s)
-            rhs = np.concatenate([rhs_x, -r_eq], axis=1)
-            sol = _solve_checked(kkt, rhs[:, :, None], reg)[:, :, 0]
-            dx = sol[:, :n]
-            dy = sol[:, n:]
-            ds = -r_ineq - _bmv(Gw, dx)
-            dz = (r_comp - z * ds) / s
-            return dx, dy, ds, dz
-
-        # Affine (predictor) direction, per-instance step lengths.
-        dx_a, dy_a, ds_a, dz_a = solve_newton(-s * z)
-        alpha_p = _step_length_batch(s, ds_a, fraction=1.0)
-        alpha_d = _step_length_batch(z, dz_a, fraction=1.0)
-        mu_aff = (
-            (s + alpha_p[:, None] * ds_a) * (z + alpha_d[:, None] * dz_a)
-        ).sum(axis=1) / m
-        sigma = np.zeros(k)
-        pos = mu > 0
-        np.divide(mu_aff, mu, out=sigma, where=pos)
-        sigma = np.where(pos, sigma**3, 0.0)
-
-        # Corrector direction, one common primal/dual step per instance
-        # (same cycling-avoidance rationale as the scalar solver).
-        r_comp = -s * z + sigma[:, None] * mu[:, None] - ds_a * dz_a
-        dx, dy, ds, dz = solve_newton(r_comp)
-        alpha = np.minimum(
-            _step_length_batch(s, ds), _step_length_batch(z, dz)
-        )
-
-        x = x + alpha[:, None] * dx
-        s = s + alpha[:, None] * ds
-        y = y + alpha[:, None] * dy
-        z = z + alpha[:, None] * dz
-
-    if idx.size:
-        # Instances still active at the cap: report the final iterate,
-        # unconverged, exactly like the scalar solver.
-        x_out[idx] = x
-        y_out[idx] = y
-        z_out[idx] = z
-        gap_out[idx] = (s * z).sum(axis=1) / m
-    return x_out, y_out, z_out, iters, conv, gap_out
+        return dx, dy
 
 
 def solve_qp_batch(
@@ -878,42 +542,38 @@ def solve_qp_batch(
     h: np.ndarray | None = None,
     tol: float = 1e-9,
     max_iter: int = 100,
-    equilibrate: bool = True,
-    fallback_scalar: bool = True,
 ) -> BatchIPQPResult:
-    """Solve T independent convex QPs in one masked batched iteration.
+    """Solve T independent convex QPs sharing one constraint structure.
 
     Instance ``t`` solves ``min 0.5 x^T P_t x + q_t^T x`` subject to
-    ``A_t x = b_t`` and ``G_t x <= h_t``.  All instances must share one
-    shape ``(n, p, m)``; constraint matrices may be passed once (2-D,
-    shared by the whole batch — the compiled-structure case) or stacked
-    per instance (3-D).  The convergence test, initialization,
-    equilibration and step rules mirror the scalar
-    :func:`~repro.optim.ipqp.solve_qp` per instance; converged
-    instances are frozen mid-flight so stragglers don't pay for the
-    drained majority.
+    ``A x = b_t`` and ``G x <= h_t``: the constraint matrices are one
+    2-D matrix each, shared by the whole batch (the compiled-horizon
+    case), while Hessians, linear terms and right-hand sides may differ
+    per instance.  The batch is Ruiz-equilibrated per instance and
+    driven through one masked Mehrotra iteration (the scalar
+    :func:`~repro.optim.ipqp.solve_qp` convergence test, per instance);
+    converged instances are frozen mid-flight so stragglers don't pay
+    for the drained majority.  Without inequalities every instance is
+    solved in closed form.
 
     Instances the batched iteration fails to converge are re-solved by
-    the scalar solver (``fallback_scalar=True``, default), inheriting
-    its full semantics — including the raw-data retry after a failed
-    equilibrated solve — and flagged in the result's ``fallback`` mask.
+    the scalar solver, inheriting its full semantics — including the
+    raw-data retry after a failed equilibrated solve — and flagged in
+    the result's ``fallback`` mask.
 
     Args:
         P: (T, n, n) stacked Hessians, or (n, n) shared.
         q: (T, n) stacked linear terms (defines T and n).
-        A: optional equality matrix, (p, n) shared or (T, p, n).
+        A: optional (p, n) equality matrix.
         b: equality rhs, (p,) shared or (T, p); required with ``A``.
-        G: optional inequality matrix, (m, n) shared or (T, m, n).
+        G: optional (m, n) inequality matrix.
         h: inequality rhs, (m,) shared or (T, m); required with ``G``.
         tol: per-instance convergence tolerance (scalar semantics).
         max_iter: per-instance iteration cap.
-        equilibrate: batched Ruiz equilibration (default, matching the
-            scalar solver's default).
-        fallback_scalar: re-solve non-converged instances with the
-            scalar solver (default True).
 
     Raises:
-        ValueError: on inconsistent shapes.
+        ValueError: on inconsistent shapes, a constraint matrix that is
+            not 2-D, or one given without its right-hand side.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2:
@@ -926,188 +586,45 @@ def solve_qp_batch(
         raise ValueError(
             f"P shape {P.shape} incompatible with stacked q {q.shape}"
         )
-    # Shared-structure fast path: 2-D constraint matrices (the compiled
-    # horizon case) keep their Ruiz scalings factored and go through
-    # the Schur-complement iteration; per-instance 3-D stacks take the
-    # general dense path below.
-    shared = (
-        batch > 0
-        and G is not None
-        and np.ndim(G) == 2
-        and np.size(G) > 0
-        and (A is None or np.ndim(A) == 2)
-    )
-    if shared:
-        return _solve_shared(
-            P, q, A, b, G, h, tol, max_iter, equilibrate, fallback_scalar
-        )
-    A, b = _stack_constraints(A, b, batch, n, "A")
-    G, h = _stack_constraints(G, h, batch, n, "G")
-    p, m = A.shape[1], G.shape[1]
+    A0, b2 = _constraint_block(A, b, n, "A", batch)
+    G0, h2 = _constraint_block(G, h, n, "G", batch)
+    p, m = A0.shape[0], G0.shape[0]
 
-    if batch == 0:
-        empty = np.zeros(0)
-        return BatchIPQPResult(
-            x=np.zeros((0, n)), eq_dual=np.zeros((0, p)),
-            ineq_dual=np.zeros((0, m)), value=empty,
-            iterations=np.zeros(0, dtype=int),
-            converged=np.zeros(0, dtype=bool), gap=empty,
-            fallback=np.zeros(0, dtype=bool),
-        )
-
-    if m == 0 and p == 0:
-        x = np.linalg.solve(
-            P + 1e-12 * np.eye(n), -q[:, :, None]
-        )[:, :, 0]
-        return _finalize(P, q, x, np.zeros((batch, 0)), np.zeros((batch, 0)))
+    x = np.zeros((batch, n))
+    y = np.zeros((batch, p))
+    z = np.zeros((batch, m))
+    iters = np.zeros(batch, dtype=int)
+    conv = np.zeros(batch, dtype=bool)
+    gap = np.zeros(batch)
+    fallback = np.zeros(batch, dtype=bool)
     if m == 0:
-        # Pure equality-constrained instances: one batched KKT solve.
-        kkt = np.zeros((batch, n + p, n + p))
-        kkt[:, :n, :n] = P
-        kkt[:, :n, n:] = np.swapaxes(A, 1, 2)
-        kkt[:, n:, :n] = A
-        reg = 1e-12 * np.eye(n + p)
-        reg[n:, n:] *= -1.0
-        rhs = np.concatenate([-q, b], axis=1)
-        sol = np.linalg.solve(kkt + reg, rhs[:, :, None])[:, :, 0]
-        return _finalize(P, q, sol[:, :n], sol[:, n:], np.zeros((batch, 0)))
-
-    try:
-        if equilibrate:
-            (
-                P_s, q_s, A_s, b_s, G_s, h_s, d, r_a, r_g, gamma
-            ) = _ruiz_equilibrate_batch(P, q, A, b, G, h)
-            x_h, y_h, z_h, iters, conv, gap = _ip_iterate_batch(
-                P_s, q_s, A_s, b_s, G_s, h_s, tol, max_iter
+        for t in range(batch):
+            res = _closed_form(P[t], q[t], A0, b2[t])
+            x[t], y[t] = res.x, res.eq_dual
+        conv[:] = True
+    elif batch:
+        try:
+            d, r_a, r_g, gamma = _ruiz_scales_shared(P, q, A0, G0)
+            P_s = P * d[:, :, None]
+            P_s *= d[:, None, :]
+            P_s /= gamma[:, None, None]
+            system = _SharedBatchSystem(
+                P_s, d * q / gamma[:, None], A0, r_a * b2, G0, r_g * h2, d, r_a, r_g
+            )
+            x_h, y_h, _, z_h, iters, conv, gap = _mehrotra(
+                system, *system.start(), tol, max_iter
             )
             x = d * x_h
             y = gamma[:, None] * r_a * y_h
             z = gamma[:, None] * r_g * z_h
             gap = gap * gamma
-        else:
-            x, y, z, iters, conv, gap = _ip_iterate_batch(
-                P, q, A, b, G, h, tol, max_iter
-            )
-    except np.linalg.LinAlgError:
-        if not fallback_scalar:
-            raise
-        x = np.zeros((batch, n))
-        y = np.zeros((batch, p))
-        z = np.zeros((batch, m))
-        iters = np.zeros(batch, dtype=int)
-        conv = np.zeros(batch, dtype=bool)
-        gap = np.zeros(batch)
-
-    fallback = np.zeros(batch, dtype=bool)
-    if fallback_scalar and not conv.all():
-        for t in np.nonzero(~conv)[0]:
-            res = solve_qp(
-                P[t], q[t],
-                A=A[t] if p else None, b=b[t] if p else None,
-                G=G[t] if m else None, h=h[t] if m else None,
-                tol=tol, max_iter=max_iter, equilibrate=equilibrate,
-            )
-            x[t], y[t], z[t] = res.x, res.eq_dual, res.ineq_dual
-            iters[t] = res.iterations
-            conv[t] = res.converged
-            gap[t] = res.gap
-            fallback[t] = True
-
-    result = _finalize(P, q, x, y, z)
-    return BatchIPQPResult(
-        x=result.x, eq_dual=result.eq_dual, ineq_dual=result.ineq_dual,
-        value=result.value, iterations=iters, converged=conv, gap=gap,
-        fallback=fallback,
-    )
-
-
-def _solve_shared(
-    P: np.ndarray,
-    q: np.ndarray,
-    A: np.ndarray | None,
-    b: np.ndarray | None,
-    G: np.ndarray,
-    h: np.ndarray,
-    tol: float,
-    max_iter: int,
-    equilibrate: bool,
-    fallback_scalar: bool,
-) -> BatchIPQPResult:
-    """The shared-constraint-structure lane of :func:`solve_qp_batch`."""
-    batch, n = q.shape
-    G0 = np.asarray(G, dtype=float)
-    m = G0.shape[0]
-    if G0.shape[1] != n:
-        raise ValueError(
-            f"G shape {G0.shape} incompatible with stacked q {q.shape}"
-        )
-    if h is None:
-        raise ValueError("G given without its right-hand side")
-    h2 = np.asarray(h, dtype=float)
-    if h2.ndim == 1:
-        h2 = np.broadcast_to(h2, (batch, m))
-    if h2.shape != (batch, m):
-        raise ValueError(f"rhs shape {h2.shape} incompatible with G rows {m}")
-    if A is None or np.size(A) == 0:
-        A0 = np.zeros((0, n))
-        b2 = np.zeros((batch, 0))
-    else:
-        A0 = np.asarray(A, dtype=float)
-        if A0.shape[1] != n:
-            raise ValueError(
-                f"A shape {A0.shape} incompatible with stacked q {q.shape}"
-            )
-        if b is None:
-            raise ValueError("A given without its right-hand side")
-        b2 = np.asarray(b, dtype=float)
-        if b2.ndim == 1:
-            b2 = np.broadcast_to(b2, (batch, A0.shape[0]))
-        if b2.shape != (batch, A0.shape[0]):
-            raise ValueError(
-                f"rhs shape {b2.shape} incompatible with A rows {A0.shape[0]}"
-            )
-    p = A0.shape[0]
-
-    try:
-        if equilibrate:
-            d, r_a, r_g, gamma = _ruiz_scales_shared(P, q, A0, G0)
-            P_s = P * d[:, :, None]
-            P_s *= d[:, None, :]
-            P_s /= gamma[:, None, None]
-            q_s = d * q / gamma[:, None]
-            b_s = r_a * b2
-            h_s = r_g * h2
-        else:
-            d = np.ones((batch, n))
-            r_a = np.ones((batch, p))
-            r_g = np.ones((batch, m))
-            gamma = np.ones(batch)
-            P_s, q_s, b_s, h_s = P, q, b2, h2
-        x_h, y_h, z_h, iters, conv, gap = _ip_iterate_shared(
-            P_s, q_s, A0, b_s, G0, h_s, d, r_a, r_g, tol, max_iter
-        )
-        x = d * x_h
-        y = gamma[:, None] * r_a * y_h
-        z = gamma[:, None] * r_g * z_h
-        gap = gap * gamma
-    except np.linalg.LinAlgError:
-        if not fallback_scalar:
-            raise
-        x = np.zeros((batch, n))
-        y = np.zeros((batch, p))
-        z = np.zeros((batch, m))
-        iters = np.zeros(batch, dtype=int)
-        conv = np.zeros(batch, dtype=bool)
-        gap = np.zeros(batch)
-
-    fallback = np.zeros(batch, dtype=bool)
-    if fallback_scalar and not conv.all():
+        except np.linalg.LinAlgError:
+            pass
         for t in np.nonzero(~conv)[0]:
             res = solve_qp(
                 P[t], q[t],
                 A=A0 if p else None, b=b2[t] if p else None,
-                G=G0, h=h2[t],
-                tol=tol, max_iter=max_iter, equilibrate=equilibrate,
+                G=G0, h=h2[t], tol=tol, max_iter=max_iter,
             )
             x[t], y[t], z[t] = res.x, res.eq_dual, res.ineq_dual
             iters[t] = res.iterations
@@ -1115,29 +632,8 @@ def _solve_shared(
             gap[t] = res.gap
             fallback[t] = True
 
-    result = _finalize(P, q, x, y, z)
-    return BatchIPQPResult(
-        x=result.x, eq_dual=result.eq_dual, ineq_dual=result.ineq_dual,
-        value=result.value, iterations=iters, converged=conv, gap=gap,
-        fallback=fallback,
-    )
-
-
-def _finalize(
-    P: np.ndarray,
-    q: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    z: np.ndarray,
-) -> BatchIPQPResult:
-    """Assemble a result shell with objective values (closed-form paths
-    report 0 iterations, converged, zero gap)."""
-    batch = len(q)
     value = 0.5 * np.einsum("ti,tij,tj->t", x, P, x) + (q * x).sum(axis=1)
     return BatchIPQPResult(
-        x=x, eq_dual=y, ineq_dual=z, value=value,
-        iterations=np.zeros(batch, dtype=int),
-        converged=np.ones(batch, dtype=bool),
-        gap=np.zeros(batch),
-        fallback=np.zeros(batch, dtype=bool),
+        x=x, eq_dual=y, ineq_dual=z, value=value, iterations=iters,
+        converged=conv, gap=gap, fallback=fallback,
     )

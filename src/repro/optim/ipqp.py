@@ -1,4 +1,4 @@
-"""Dense primal-dual interior-point solver for convex QPs.
+"""The interior-point core, and the dense QP solver built on it.
 
 Solves problems of the form
 
@@ -6,14 +6,28 @@ Solves problems of the form
     s.t.  A x  = b        (p equality rows, optional)
           G x <= h        (m inequality rows, optional)
 
-with a Mehrotra predictor-corrector method.  This is the *centralized
-reference solver* the paper's distributed ADM-G algorithm is verified
-against (and, with ``mu``/``nu`` eliminated or boxed, it also solves
-the Grid / Fuel-cell baseline strategies directly).
+with a Mehrotra predictor-corrector method.  :func:`_mehrotra` is the
+one predictor-corrector loop in :mod:`repro.optim`: residuals and
+convergence test, predictor, centring, corrector, fraction-to-boundary
+step and update.  It runs over a *Newton system* that solves the
+condensed KKT system of one route:
 
-The implementation is dense and sized for the paper's scale
-(``M*N + 2N`` ~ tens of variables per time slot), trading sparsity for
-robustness and simplicity.
+- :class:`_DenseSystem` here — the full condensed KKT matrix, for
+  :func:`solve_qp` and :func:`~repro.optim.warm.solve_qp_warm`;
+- ``_SharedBatchSystem`` in :mod:`repro.optim.batch` — a batch sharing
+  one constraint structure, for
+  :func:`~repro.optim.batch.solve_qp_batch`;
+- ``_BlockArrowheadSystem`` in :mod:`repro.optim.kkt` — block
+  elimination of the reach-sparse UFC QP, for
+  :func:`~repro.optim.kkt.solve_structured_qp`.
+
+A warm start is a starting point for the same loop
+(:func:`_warm_point`), not a loop of its own.
+
+:func:`solve_qp` is the *centralized reference solver* the paper's
+distributed ADM-G algorithm is verified against.  It is dense and sized
+for the paper's scale (``M*N + 2N`` ~ tens of variables per time
+slot), trading sparsity for robustness and simplicity.
 """
 
 from __future__ import annotations
@@ -162,20 +176,35 @@ class IPQPResult:
     trace: IPQPTrace | None = None
 
 
+def _dot(a: np.ndarray, b: np.ndarray):
+    """``a . b`` per instance: a float for 1-D iterates, (T,) for 2-D."""
+    if a.ndim == 1:
+        return float(a @ b)
+    return (a * b).sum(axis=1)
+
+
+def _norm(r: np.ndarray):
+    """Infinity norm per instance (0 for an empty block)."""
+    if r.ndim == 1:
+        return float(np.abs(r).max(initial=0.0))
+    return np.abs(r).max(axis=1, initial=0.0)
+
+
 def _step_length(
     v: np.ndarray,
     dv: np.ndarray,
     fraction: float = 0.99,
     work: np.ndarray | None = None,
     mask: np.ndarray | None = None,
-) -> float:
-    """Largest alpha in (0, 1] keeping ``v + alpha dv > 0``.
+):
+    """Largest alpha in (0, 1] keeping ``v + alpha dv > 0``, per instance.
 
     ``work`` (float) and ``mask`` (bool) are optional scratch buffers of
     ``v``'s shape; the hot loop passes them so the call allocates
     nothing.  The fused form is bit-identical to the masked-indexing
     one it replaced: ``-(v/dv)`` equals ``(-v)/dv`` exactly in IEEE
-    arithmetic, and the min of negations is the negated max.
+    arithmetic, and the min of negations is the negated max.  Returns a
+    float for 1-D ``v`` and a (T,) array for a 2-D batch.
     """
     if work is None:
         work = np.empty_like(v)
@@ -184,10 +213,22 @@ def _step_length(
     np.less(dv, 0.0, out=mask)
     work.fill(-np.inf)
     np.divide(v, dv, out=work, where=mask)
-    worst = work.max(initial=-np.inf)
+    worst = work.max(axis=-1, initial=-np.inf)
+    if v.ndim == 2:
+        return np.where(np.isneginf(worst), 1.0, np.minimum(1.0, fraction * -worst))
     if worst == -np.inf:
         return 1.0
     return float(min(1.0, fraction * -worst))
+
+
+def _centering(mu_aff, mu):
+    """Mehrotra's centring parameter ``sigma = (mu_aff / mu)^3``."""
+    if not isinstance(mu, np.ndarray):
+        return (mu_aff / mu) ** 3 if mu > 0 else 0.0
+    sigma = np.zeros(len(mu))
+    pos = mu > 0
+    np.divide(mu_aff, mu, out=sigma, where=pos)
+    return np.where(pos, sigma**3, 0.0)
 
 
 #: Matches repro.obs.metrics.DEFAULT_ITERATION_BUCKETS; kept literal so
@@ -265,6 +306,329 @@ def _record_metrics(metrics, iterations: int, converged: bool) -> None:
     ).observe(iterations)
 
 
+def _constraint_block(
+    M, r, n: int, name: str, batch: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """One constraint block ``M x (=|<=) r`` as float arrays.
+
+    A missing or row-less matrix is an empty block.  A matrix without
+    its right-hand side is an error, not NaN data.  With ``batch`` the
+    right-hand side may be shared (1-D) or per instance (``(batch,
+    rows)``) and is returned as ``(batch, rows)``; the matrix is always
+    one 2-D matrix shared by every instance.
+
+    Raises:
+        ValueError: on a missing right-hand side or inconsistent shapes.
+    """
+    rows_shape = (0,) if batch is None else (batch, 0)
+    if M is None or np.size(M) == 0:
+        return np.zeros((0, n)), np.zeros(rows_shape)
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if M.ndim != 2 or M.shape[1] != n:
+        raise ValueError(f"{name} shape {M.shape} incompatible with n {n}")
+    if r is None:
+        raise ValueError(f"{name} given without its right-hand side")
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    rows = M.shape[0]
+    if batch is not None and r.ndim == 1:
+        r = np.broadcast_to(r, (batch, len(r)))
+    want = (rows,) if batch is None else (batch, rows)
+    if r.shape != want:
+        raise ValueError(f"rhs shape {r.shape} incompatible with {name} rows {rows}")
+    return M, r
+
+
+def _normalize_qp(P, q, A, b, G, h) -> tuple[np.ndarray, ...]:
+    """The dense entry points' shared input normalization."""
+    P = np.asarray(P, dtype=float)
+    q = np.asarray(q, dtype=float)
+    n = len(q)
+    if P.shape != (n, n):
+        raise ValueError(f"P shape {P.shape} incompatible with q length {n}")
+    A, b = _constraint_block(A, b, n, "A")
+    G, h = _constraint_block(G, h, n, "G")
+    return P, q, A, b, G, h
+
+
+class _NewtonSystem:
+    """What :func:`_mehrotra` asks of a route's Newton system.
+
+    A route supplies ``scale`` (the convergence test's reference
+    magnitude), ``residuals(x, y, s, z)`` returning ``(r_dual, r_eq,
+    r_ineq)``, ``slack(x) = h - G x`` (for warm points), the products
+    ``g_mul(v) = G v`` and ``gt_mul(v) = G' v``, and a factor/solve
+    pair for the condensed system ``[[P + G' W G, A'], [A, -delta]]
+    (dx, dy) = (r1, r2)`` with ``W = diag(z / s)``: ``factor(it, s,
+    z)`` once per iteration, then ``solve(r1, r2)`` for the predictor
+    and the corrector.  The loop does everything else.  The hooks
+    below are no-ops here; a route whose accuracy floors before the
+    convergence test can fire overrides them with its own safeguards.
+    """
+
+    def stalled(self, residuals, mu, x, y, s, z) -> bool:
+        """Whether to stop early (called on every unconverged iteration
+        with ``(r_dual, r_eq, r_ineq)``)."""
+        return False
+
+    def cut_step(self, alpha, s, ds, z, dz, mu):
+        """The step actually taken along ``(ds, dz)``."""
+        return alpha
+
+    def finish(self, x, y, s, z, converged):
+        """The iterate to report when the loop ends."""
+        return x, y, s, z
+
+
+class _DenseSystem(_NewtonSystem):
+    """The dense route: the condensed KKT matrix assembled in full and
+    solved by LU under :func:`_solve_kkt`'s residual-checked
+    regularization ladder."""
+
+    def __init__(self, P, q, A, b, G, h) -> None:
+        self.P, self.q, self.A, self.b, self.G, self.h = P, q, A, b, G, h
+        n, p = len(q), A.shape[0]
+        self.n = n
+        self.scale = 1.0 + max(np.abs(q).max(initial=0.0), np.abs(h).max(initial=0.0),
+                               np.abs(b).max(initial=0.0))
+        # Workspaces allocated once: refilling them each iteration is
+        # bit-identical to reallocating (and to the np.block expression),
+        # without the per-iteration list/concatenate overhead.
+        self.kkt = np.zeros((n + p, n + p))
+        self.rhs = np.empty(n + p)
+
+    def residuals(self, x, y, s, z):
+        r_dual = self.P @ x + self.q + self.A.T @ y + self.G.T @ z
+        return r_dual, self.A @ x - self.b, self.G @ x + s - self.h
+
+    def slack(self, x):
+        return self.h - self.G @ x
+
+    def g_mul(self, v):
+        return self.G @ v
+
+    def gt_mul(self, v):
+        return self.G.T @ v
+
+    def factor(self, it, s, z) -> None:
+        n, G, kkt = self.n, self.G, self.kkt
+        w = z / s
+        kkt.fill(0.0)
+        kkt[:n, :n] = self.P + G.T @ (w[:, None] * G)
+        kkt[:n, n:] = self.A.T
+        kkt[n:, :n] = self.A
+        kkt[n:, n:].flat[:: self.A.shape[0] + 1] = -1e-12
+
+    def solve(self, r1, r2):
+        n = self.n
+        self.rhs[:n] = r1
+        self.rhs[n:] = r2
+        sol = _solve_kkt(self.kkt, self.rhs)
+        return sol[:n], sol[n:]
+
+
+def _newton(system, r_dual, r_eq, r_ineq, s, z, r_comp) -> tuple[np.ndarray, ...]:
+    """One Newton direction: eliminate ``ds = -r_ineq - G dx`` and
+    ``dz = (r_comp - z ds) / s``, solve the condensed system for
+    ``(dx, dy)``, then recover ``ds`` and ``dz``."""
+    dx, dy = system.solve(
+        -r_dual - system.gt_mul((r_comp + z * r_ineq) / s), -r_eq
+    )
+    ds = -r_ineq - system.g_mul(dx)
+    return dx, dy, ds, (r_comp - z * ds) / s
+
+
+def _mehrotra(
+    system,
+    x: np.ndarray,
+    y: np.ndarray,
+    s: np.ndarray,
+    z: np.ndarray,
+    tol: float,
+    max_iter: int,
+    trace: IPQPTrace | None = None,
+    trace_every: int = 1,
+) -> tuple:
+    """The Mehrotra predictor-corrector loop every route of
+    :mod:`repro.optim` runs, from the given (strictly interior) iterate.
+
+    Each iteration forms the residuals, tests convergence against
+    ``tol * system.scale`` (dual, equality and inequality residuals and
+    the average complementarity ``mu`` all below it), solves the
+    predictor, sets ``sigma = (mu_aff / mu)^3``, solves the corrector
+    and takes one fraction-to-boundary step common to primal and dual.
+    Separate primal/dual steps are marginally faster on easy problems
+    but can cycle between vertices on degenerate QPs (observed on small
+    equality+nonnegativity instances), while the common step is
+    provably monotone in the merit sense.
+
+    Iterates are 1-D for one QP or 2-D ``(T, .)`` for a batch sharing
+    one Newton system; in a batch each instance has its own step
+    lengths, and an instance that converges is frozen (its state copied
+    out, its rows dropped through ``system.drop``) so the cost of an
+    iteration tracks the instances still running.
+
+    Returns:
+        ``(x, y, s, z, iterations, converged, gap)`` — scalars for the
+        last three on a single QP, ``(T,)`` arrays on a batch (an
+        instance still running at the cap reports ``max_iter``).
+    """
+    m = s.shape[-1]
+    batched = s.ndim == 2
+    if batched:
+        idx = np.arange(len(s))
+        out = [np.zeros_like(v) for v in (x, y, s, z)]
+        iters = np.full(len(s), max_iter, dtype=int)
+        conv = np.zeros(len(s), dtype=bool)
+        gaps = np.zeros(len(s))
+    converged = False
+    work = np.empty_like(s)
+    mask = np.empty(s.shape, dtype=bool)
+
+    def col(v):
+        # A per-instance scalar shaped to broadcast against iterates.
+        return v[:, None] if batched else v
+
+    it = 0
+    for it in range(1, max_iter + 1):
+        r_dual, r_eq, r_ineq = system.residuals(x, y, s, z)
+        mu = _dot(s, z) / m
+        if trace is not None and (it - 1) % trace_every == 0:
+            trace.gap.append(mu)
+            trace.residual.append(max(_norm(r_dual), _norm(r_eq), _norm(r_ineq)))
+
+        thr = tol * system.scale
+        if not batched:
+            if (_norm(r_dual) < thr and _norm(r_eq) < thr and _norm(r_ineq) < thr
+                    and mu < thr):
+                converged = True
+                break
+        else:
+            done = ((_norm(r_dual) < thr) & (_norm(r_eq) < thr)
+                    & (_norm(r_ineq) < thr) & (mu < thr))
+            if done.any():
+                fin = idx[done]
+                for o, v in zip(out, (x, y, s, z)):
+                    o[fin] = v[done]
+                iters[fin] = it
+                conv[fin] = True
+                gaps[fin] = mu[done]
+                keep = ~done
+                idx = idx[keep]
+                if not idx.size:
+                    break
+                system.drop(keep)
+                x, y, s, z = x[keep], y[keep], s[keep], z[keep]
+                r_dual, r_eq, r_ineq = r_dual[keep], r_eq[keep], r_ineq[keep]
+                mu = mu[keep]
+                work = np.empty_like(s)
+                mask = np.empty(s.shape, dtype=bool)
+        if system.stalled((r_dual, r_eq, r_ineq), mu, x, y, s, z):
+            break
+
+        system.factor(it, s, z)
+        # Affine (predictor) direction.
+        _, _, ds_a, dz_a = _newton(system, r_dual, r_eq, r_ineq, s, z, -s * z)
+        alpha_p = _step_length(s, ds_a, 1.0, work, mask)
+        alpha_d = _step_length(z, dz_a, 1.0, work, mask)
+        mu_aff = _dot(s + col(alpha_p) * ds_a, z + col(alpha_d) * dz_a) / m
+        sigma = _centering(mu_aff, mu)
+
+        # Corrector direction and the common step.
+        r_comp = -s * z + col(sigma * mu) - ds_a * dz_a
+        dx, dy, ds, dz = _newton(system, r_dual, r_eq, r_ineq, s, z, r_comp)
+        step_s = _step_length(s, ds, work=work, mask=mask)
+        step_z = _step_length(z, dz, work=work, mask=mask)
+        alpha = np.minimum(step_s, step_z) if batched else min(step_s, step_z)
+        alpha = system.cut_step(alpha, s, ds, z, dz, mu)
+        if trace is not None and (it - 1) % trace_every == 0:
+            trace.alpha_affine.append(min(alpha_p, alpha_d))
+            trace.alpha.append(alpha)
+
+        step = col(alpha)
+        x = x + step * dx
+        s = s + step * ds
+        y = y + step * dy
+        z = z + step * dz
+
+    if batched:
+        if idx.size:
+            for o, v in zip(out, (x, y, s, z)):
+                o[idx] = v
+            gaps[idx] = _dot(s, z) / m
+        return (*out, iters, conv, gaps)
+    x, y, s, z = system.finish(x, y, s, z, converged)
+    return x, y, s, z, it, converged, _dot(s, z) / m
+
+
+#: Floor applied to carried inequality duals before a warm point is
+#: measured (previously inactive duals underflow toward zero).
+_DUAL_FLOOR = 1e-10
+
+#: Smallest centring shift: even a perfectly coherent warm point is
+#: pushed this far off the boundary so the first Mehrotra step is not
+#: crushed by zero slacks.
+_SHIFT_FLOOR = 1e-7
+
+
+def _warm_point(system, x, y, z, cap: float):
+    """A carried iterate made into a starting point for :func:`_mehrotra`.
+
+    Floors the duals, measures the point's relative KKT residual on the
+    system's current data (dual and equality residuals, and how far the
+    slacks ``h - G x`` go negative, over ``system.scale``) and rejects
+    it above ``cap`` — at that distance a cold start converges as fast
+    and more robustly.  An accepted point gets a centring shift: slacks
+    and duals are pushed at least ``delta`` off the boundary, with
+    ``delta`` proportional to the residual, so a tiny drift starts
+    almost converged and a larger one with a commensurate barrier.
+
+    Returns:
+        ``((x, y, s, z) or None, relative residual)``.
+    """
+    z = np.maximum(z, _DUAL_FLOOR)
+    slack = system.slack(x)
+    r_dual, r_eq, _ = system.residuals(x, y, slack, z)
+    viol = max(_norm(r_dual), _norm(r_eq), max(0.0, -float(slack.min(initial=0.0))))
+    rel = viol / system.scale
+    if not rel <= cap:
+        return None, rel
+    delta = min(1.0, max(_SHIFT_FLOOR, rel))
+    return (x, y, np.maximum(slack, delta), np.maximum(z, delta)), rel
+
+
+def _closed_form(P, q, A, b, trace: bool = False) -> IPQPResult:
+    """A QP without inequalities: one (regularized) linear solve."""
+    n, p = len(q), A.shape[0]
+    if p == 0:
+        x = np.linalg.solve(P + 1e-12 * np.eye(n), -q)
+        y = np.zeros(0)
+    else:
+        kkt = np.block([[P, A.T], [A, np.zeros((p, p))]])
+        reg = 1e-12 * np.eye(n + p)
+        reg[n:, n:] *= -1.0
+        sol = np.linalg.solve(kkt + reg, np.concatenate([-q, b]))
+        x, y = sol[:n], sol[n:]
+    return IPQPResult(
+        x=x, eq_dual=y, ineq_dual=np.zeros(0), value=float(0.5 * x @ P @ x + q @ x),
+        iterations=0, converged=True, gap=0.0, trace=IPQPTrace() if trace else None,
+    )
+
+
+def _solve_dense(P, q, A, b, G, h, tol, max_iter, trace, trace_every) -> IPQPResult:
+    """The dense route from the generic well-centred cold start."""
+    system = _DenseSystem(P, q, A, b, G, h)
+    x0 = np.zeros(len(q))
+    trace_rec = IPQPTrace() if trace else None
+    x, y, _, z, it, converged, gap = _mehrotra(
+        system, x0, np.zeros(A.shape[0]), np.maximum(system.slack(x0), 1.0),
+        np.ones(G.shape[0]), tol, max_iter, trace_rec, trace_every,
+    )
+    return IPQPResult(
+        x=x, eq_dual=y, ineq_dual=z, value=float(0.5 * x @ P @ x + q @ x),
+        iterations=it, converged=converged, gap=gap, trace=trace_rec,
+    )
+
+
 def solve_qp(
     P: np.ndarray,
     q: np.ndarray,
@@ -282,8 +646,8 @@ def solve_qp(
     """Solve a dense convex QP with a Mehrotra predictor-corrector method.
 
     ``P`` must be symmetric positive semidefinite.  Equality and
-    inequality blocks are each optional; with neither, the unconstrained
-    minimizer is returned via a linear solve.  By default the data is
+    inequality blocks are each optional; without inequalities the
+    minimizer is returned via one linear solve.  By default the data is
     Ruiz-equilibrated first, which makes the solver robust to badly
     scaled problems (the UFC QP mixes workload variables ~1e4 with
     power variables ~1 and couplings ~1e-4).  With ``trace=True`` the
@@ -298,78 +662,25 @@ def solve_qp(
     equilibration retry.
 
     Raises:
-        ValueError: on inconsistent shapes.
+        ValueError: on inconsistent shapes, or a constraint matrix
+            given without its right-hand side.
         np.linalg.LinAlgError: if the KKT system is numerically singular
             even after regularization.
     """
-    P = np.asarray(P, dtype=float)
-    q = np.asarray(q, dtype=float)
-    n = len(q)
-    if P.shape != (n, n):
-        raise ValueError(f"P shape {P.shape} incompatible with q length {n}")
-
-    if A is None or len(np.atleast_2d(A)) == 0 or (b is not None and len(b) == 0):
-        A = np.zeros((0, n))
-        b = np.zeros(0)
-    else:
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-    if G is None or (h is not None and len(h) == 0):
-        G = np.zeros((0, n))
-        h = np.zeros(0)
-    else:
-        G = np.atleast_2d(np.asarray(G, dtype=float))
-        h = np.atleast_1d(np.asarray(h, dtype=float))
-    p, m = A.shape[0], G.shape[0]
-    if A.shape[1] != n or G.shape[1] != n:
-        raise ValueError("constraint matrices must have n columns")
-    if len(b) != p or len(h) != m:
-        raise ValueError("rhs length mismatch")
-
+    P, q, A, b, G, h = _normalize_qp(P, q, A, b, G, h)
     if trace_every < 1:
         raise ValueError(f"trace_every must be >= 1, got {trace_every}")
-
-    if m == 0 and p == 0:
-        x = np.linalg.solve(P + 1e-12 * np.eye(n), -q)
-        _record_metrics(metrics, 0, True)
-        return IPQPResult(
-            x=x,
-            eq_dual=np.zeros(0),
-            ineq_dual=np.zeros(0),
-            value=float(0.5 * x @ P @ x + q @ x),
-            iterations=0,
-            converged=True,
-            gap=0.0,
-            trace=IPQPTrace() if trace else None,
+    if G.shape[0] == 0:
+        res = _closed_form(P, q, A, b, trace)
+    elif not equilibrate:
+        res = _solve_dense(P, q, A, b, G, h, tol, max_iter, trace, trace_every)
+    else:
+        P_s, q_s, A_s, b_s, G_s, h_s, d, r_a, r_g, gamma = _ruiz_equilibrate(
+            P, q, A, b, G, h
         )
-    if m == 0:
-        # Pure equality-constrained QP: one KKT solve.
-        kkt = np.block([[P, A.T], [A, np.zeros((p, p))]])
-        reg = 1e-12 * np.eye(n + p)
-        reg[n:, n:] *= -1.0
-        sol = np.linalg.solve(kkt + reg, np.concatenate([-q, b]))
-        x, y = sol[:n], sol[n:]
-        _record_metrics(metrics, 0, True)
-        return IPQPResult(
-            x=x,
-            eq_dual=y,
-            ineq_dual=np.zeros(0),
-            value=float(0.5 * x @ P @ x + q @ x),
-            iterations=0,
-            converged=True,
-            gap=0.0,
-            trace=IPQPTrace() if trace else None,
-        )
-
-    if equilibrate:
-        (
-            P_s, q_s, A_s, b_s, G_s, h_s, d, r_a, r_g, gamma
-        ) = _ruiz_equilibrate(P, q, A, b, G, h)
-        inner = solve_qp(
-            P_s, q_s, A=A_s, b=b_s, G=G_s, h=h_s,
-            tol=tol, max_iter=max_iter, equilibrate=False, trace=trace,
-            trace_every=trace_every,
-        )
+        inner = _solve_dense(P_s, q_s, A_s, b_s, G_s, h_s, tol, max_iter, trace,
+                             trace_every)
+        raw = None
         if not inner.converged:
             # Equilibration helps badly scaled instances but can send
             # the Mehrotra iteration into a limit cycle on small
@@ -377,127 +688,20 @@ def solve_qp(
             # a period-3 cycle while the KKT residual sits at 1e-12).
             # Retry on the raw data; converging solves never get here,
             # so their iterates are untouched.
-            raw = solve_qp(
-                P, q, A=A, b=b, G=G, h=h,
-                tol=tol, max_iter=max_iter, equilibrate=False, trace=trace,
-                trace_every=trace_every,
+            raw = _solve_dense(P, q, A, b, G, h, tol, max_iter, trace, trace_every)
+        if raw is not None and raw.converged:
+            res = raw
+        else:
+            x = d * inner.x
+            res = IPQPResult(
+                x=x,
+                eq_dual=gamma * r_a * inner.eq_dual,
+                ineq_dual=gamma * r_g * inner.ineq_dual,
+                value=float(0.5 * x @ P @ x + q @ x),
+                iterations=inner.iterations,
+                converged=inner.converged,
+                gap=inner.gap * gamma,
+                trace=inner.trace,
             )
-            if raw.converged:
-                _record_metrics(metrics, raw.iterations, raw.converged)
-                return raw
-        x = d * inner.x
-        _record_metrics(metrics, inner.iterations, inner.converged)
-        return IPQPResult(
-            x=x,
-            eq_dual=gamma * r_a * inner.eq_dual,
-            ineq_dual=gamma * r_g * inner.ineq_dual,
-            value=float(0.5 * x @ P @ x + q @ x),
-            iterations=inner.iterations,
-            converged=inner.converged,
-            gap=inner.gap * gamma,
-            trace=inner.trace,
-        )
-
-    # Interior-point iterations.
-    x = np.zeros(n)
-    y = np.zeros(p)
-    s = np.maximum(h - G @ x, 1.0)
-    z = np.ones(m)
-    scale = 1.0 + max(np.abs(q).max(initial=0.0), np.abs(h).max(initial=0.0),
-                      np.abs(b).max(initial=0.0))
-
-    trace_rec = IPQPTrace() if trace else None
-    converged = False
-    it = 0
-    # Iteration workspaces, allocated once: the condensed KKT buffer,
-    # the Newton right-hand side, and the step-length scratch pair.
-    # Refilling them each iteration is bit-identical to reallocating.
-    kkt = np.zeros((n + p, n + p))
-    rhs = np.empty(n + p)
-    step_work = np.empty(m)
-    step_mask = np.empty(m, dtype=bool)
-    for it in range(1, max_iter + 1):
-        r_dual = P @ x + q + A.T @ y + G.T @ z
-        r_eq = A @ x - b
-        r_ineq = G @ x + s - h
-        mu = float(s @ z) / m
-
-        if trace_rec is not None and (it - 1) % trace_every == 0:
-            trace_rec.gap.append(mu)
-            trace_rec.residual.append(
-                max(
-                    float(np.abs(r_dual).max()),
-                    float(np.abs(r_eq).max(initial=0.0)),
-                    float(np.abs(r_ineq).max()),
-                )
-            )
-
-        if (
-            np.abs(r_dual).max() < tol * scale
-            and (p == 0 or np.abs(r_eq).max() < tol * scale)
-            and np.abs(r_ineq).max() < tol * scale
-            and mu < tol * scale
-        ):
-            converged = True
-            break
-
-        w = z / s
-        # Assemble the condensed KKT system in the preallocated buffer
-        # (bit-identical to the np.block expression, without its
-        # per-iteration list/concatenate overhead).
-        kkt.fill(0.0)
-        kkt[:n, :n] = P + G.T @ (w[:, None] * G)
-        kkt[:n, n:] = A.T
-        kkt[n:, :n] = A
-        kkt[n:, n:].flat[:: p + 1] = -1e-12
-
-        def solve_newton(r_comp: np.ndarray) -> tuple[np.ndarray, ...]:
-            # Eliminate ds = -r_ineq - G dx, dz = (r_comp - z*ds)/s.
-            rhs[:n] = -r_dual - G.T @ ((r_comp + z * r_ineq) / s)
-            np.negative(r_eq, out=rhs[n:])
-            sol = _solve_kkt(kkt, rhs)
-            dx = sol[:n]
-            dy = sol[n:]
-            ds = -r_ineq - G @ dx
-            dz = (r_comp - z * ds) / s
-            return dx, dy, ds, dz
-
-        # Affine (predictor) direction.
-        dx_a, dy_a, ds_a, dz_a = solve_newton(-s * z)
-        alpha_p = _step_length(s, ds_a, fraction=1.0, work=step_work, mask=step_mask)
-        alpha_d = _step_length(z, dz_a, fraction=1.0, work=step_work, mask=step_mask)
-        mu_aff = float((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / m
-        sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
-
-        # Corrector direction.  A single common step length is used for
-        # primal and dual: separate steps are marginally faster on easy
-        # problems but can cycle between vertices on degenerate QPs
-        # (observed on small equality+nonnegativity instances), while
-        # the common step is provably monotone in the merit sense.
-        r_comp = -s * z + sigma * mu - ds_a * dz_a
-        dx, dy, ds, dz = solve_newton(r_comp)
-        alpha = min(
-            _step_length(s, ds, work=step_work, mask=step_mask),
-            _step_length(z, dz, work=step_work, mask=step_mask),
-        )
-
-        if trace_rec is not None and (it - 1) % trace_every == 0:
-            trace_rec.alpha_affine.append(min(alpha_p, alpha_d))
-            trace_rec.alpha.append(alpha)
-
-        x = x + alpha * dx
-        s = s + alpha * ds
-        y = y + alpha * dy
-        z = z + alpha * dz
-
-    _record_metrics(metrics, it, converged)
-    return IPQPResult(
-        x=x,
-        eq_dual=y,
-        ineq_dual=z,
-        value=float(0.5 * x @ P @ x + q @ x),
-        iterations=it,
-        converged=converged,
-        gap=float(s @ z) / m,
-        trace=trace_rec,
-    )
+    _record_metrics(metrics, res.iterations, res.converged)
+    return res

@@ -26,11 +26,12 @@ Three public layers:
 - :class:`StructuredSlotQP` — a reach-sparse slot QP (never
   materializes the dense ``P``/``G``; a (100, 1000) instance fits in a
   few MB instead of ~80 GB of dense constraint matrices).
-- :func:`solve_structured_qp` — the same Mehrotra predictor-corrector
-  iteration as :func:`repro.optim.ipqp.solve_qp` (same residuals, same
-  step rule, same convergence test), with every Newton step going
-  through the block elimination.  Each Newton solution is verified by
-  an explicit ``||KKT . sol - rhs||`` residual check with escalating
+- :func:`solve_structured_qp` — the interior-point loop of
+  :mod:`repro.optim.ipqp` (same residuals, same step rule, same
+  convergence test as :func:`~repro.optim.ipqp.solve_qp`) over the
+  block-arrowhead Newton system, where every Newton step goes through
+  the block elimination.  Each Newton solution is verified by an
+  explicit ``||KKT . sol - rhs||`` residual check with escalating
   regularization on failure — the structured analogue of the dense
   solver's singular-KKT fallback.
 - :class:`StructuredQPCompiler` — the slot-invariant compilation
@@ -53,7 +54,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from repro.optim.ipqp import _record_metrics, _step_length
+from repro.optim.ipqp import _mehrotra, _NewtonSystem, _record_metrics, _warm_point
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.model import CloudModel
@@ -490,12 +491,11 @@ class _BlockKKTFactor:
     """
 
     def __init__(self, sqp: StructuredSlotQP, w: np.ndarray, reg: float = 0.0) -> None:
-        self.sqp = sqp
         self.reg = reg
+        self.d_mu = self.d_nu = None
+        self.rebind(sqp, w)
         m, n, k = sqp.num_frontends, sqp.num_datacenters, sqp.fan_in
-        w_cap, w_lam, w_mulo, w_muhi, w_nulo = sqp.split_ineq(w)
-        self.w_cap = w_cap
-        self.w_lam = w_lam
+        w_cap, w_lam = self.w_cap, self.w_lam
 
         kk = np.zeros((m, k + 1, k + 1))
         kk[:, :k, :k] = sqp.h_blocks
@@ -518,13 +518,10 @@ class _BlockKKTFactor:
         core = np.bincount(
             sqp._qq_idx, weights=self.w_top.ravel(), minlength=n * n
         ).reshape(n, n)
-        self.d_mu = self.d_nu = None
         d_power = np.full(n, _EQ_DELTA + reg)
         if sqp.include_mu:
-            self.d_mu = w_mulo + w_muhi + reg
             d_power = d_power + 1.0 / self.d_mu
         if sqp.include_nu:
-            self.d_nu = sqp.p_nu + w_nulo + reg
             d_power = d_power + 1.0 / self.d_nu
 
         betas = sqp.betas
@@ -572,11 +569,10 @@ class _BlockKKTFactor:
         exact Newton direction whenever the drift keeps the error
         contraction below one; callers gate on :meth:`drift` and fall
         back to a fresh factorization when refinement cannot meet its
-        residual target."""
+        residual target.  The constructor binds its own system the same
+        way."""
         self.sqp = sqp
-        w_cap, w_lam, w_mulo, w_muhi, w_nulo = sqp.split_ineq(w)
-        self.w_cap = w_cap
-        self.w_lam = w_lam
+        self.w_cap, self.w_lam, w_mulo, w_muhi, w_nulo = sqp.split_ineq(w)
         if sqp.include_mu:
             self.d_mu = w_mulo + w_muhi + self.reg
         if sqp.include_nu:
@@ -784,22 +780,6 @@ def _build_factor(
 #: pays when a sweep or two recovers full accuracy.
 FACTOR_DRIFT_TOL = 0.02
 
-#: Warm-start safeguards for :func:`solve_structured_qp` — the ladder
-#: of :mod:`repro.optim.warm` (kept local to avoid an import cycle):
-#: reject a warm point whose relative KKT residual exceeds the cap,
-#: floor carried duals, and push iterates at least the shift floor off
-#: the boundary.  The cap is far looser than the dense solver's 0.25:
-#: the structured path runs on raw data with per-step refinement, and
-#: measured on the 20x100 scale lane a warm point even at relative
-#: residual ~1 both cuts iterations by a third and *restores*
-#: convergence on slots where the cold start stalls at its accuracy
-#: floor (the shift re-centers, so a far point degrades gracefully
-#: into roughly the cold iteration count).
-_WARM_REJECT_REL = 4.0
-_WARM_DUAL_FLOOR = 1e-10
-_WARM_SHIFT_FLOOR = 1e-7
-
-
 @dataclass
 class StructuredWarmState:
     """Iterates slot ``t`` hands slot ``t+1`` — plain arrays, picklable.
@@ -815,6 +795,186 @@ class StructuredWarmState:
     z: np.ndarray
 
 
+class _BlockArrowheadSystem(_NewtonSystem):
+    """The block-arrowhead Newton system of one :class:`StructuredSlotQP`.
+
+    Every Newton system goes through a :class:`_BlockKKTFactor`; each
+    solution is refined against the exact structured matvec and, when
+    it still misses the residual gate, the factorization is rebuilt up
+    the relative regularization ladder.  The route also carries the
+    safeguards its accuracy floor needs: the best-iterate/stall exit,
+    the complementarity floor and the barrier-weight clamp.
+    """
+
+    #: Warm-point acceptance cap (see
+    #: :func:`~repro.optim.ipqp._warm_point`).  It is far looser than
+    #: the dense route's 0.25: this route runs on raw data with
+    #: per-step refinement, and measured on the 20x100 scale lane a warm
+    #: point even at relative residual ~1 both cuts iterations by a
+    #: third and *restores* convergence on slots where the cold start
+    #: stalls at its accuracy floor (the shift re-centres, so a far
+    #: point degrades gracefully into roughly the cold iteration count).
+    warm_reject_rel = 4.0
+
+    def __init__(
+        self, sqp: StructuredSlotQP, tol: float, factor_cache: dict | None
+    ) -> None:
+        self.sqp, self.tol, self.cache = sqp, tol, factor_cache
+        self.g_mul, self.gt_mul, self.slack = sqp.g_mul, sqp.gt_mul, sqp.ineq_slack
+        q_max = max(
+            float(np.abs(sqp.q_lam).max(initial=0.0)),
+            float(np.abs(sqp.q_mu).max(initial=0.0)) if sqp.include_mu else 0.0,
+            float(np.abs(sqp.q_nu).max(initial=0.0)) if sqp.include_nu else 0.0,
+        )
+        h_max = max(
+            float(np.abs(sqp.capacities).max(initial=0.0)),
+            float(np.abs(sqp.mu_max).max(initial=0.0)) if sqp.include_mu else 0.0,
+        )
+        b_max = max(
+            float(np.abs(sqp.arrivals).max(initial=0.0)),
+            float(np.abs(sqp.alphas).max(initial=0.0)),
+        )
+        self.scale = 1.0 + max(q_max, h_max, b_max)
+        # Best-iterate safety net: at extreme barrier weights (a
+        # datacenter saturating capacity and both generation bounds at
+        # once) the elimination's accessible accuracy floors around
+        # 1e-8..1e-9 relative while the convergence test asks for
+        # ``tol``.  Track the iterate with the smallest worst-case
+        # residual and return it if the final iterate is not the best —
+        # a stalled solve then degrades to "almost converged" instead of
+        # "contaminated".
+        self.best_merit = np.inf
+        self.best: tuple[np.ndarray, ...] | None = None
+        self.stall = 0
+
+    def residuals(self, x, y, s, z):
+        sqp = self.sqp
+        # r_ineq = Gx + s - h = s - (h - Gx).
+        return (
+            sqp.obj_grad(x) + sqp.at_mul(y) + sqp.gt_mul(z),
+            sqp.eq_residual(x),
+            s - sqp.ineq_slack(x),
+        )
+
+    def stalled(self, residuals, mu, x, y, s, z) -> bool:
+        merit = max(*(float(np.abs(r).max(initial=0.0)) for r in residuals), mu)
+        if merit < 0.9 * self.best_merit:
+            self.best_merit = merit
+            self.best = (x.copy(), y.copy(), s.copy(), z.copy())
+            self.stall = 0
+            return False
+        # Floored: further iterations only drift along garbage
+        # directions.  Bail out with the best iterate.
+        self.stall += 1
+        return self.stall >= _STALL_LIMIT
+
+    def finish(self, x, y, s, z, converged):
+        if not converged and self.best is not None:
+            return self.best
+        return x, y, s, z
+
+    def factor(self, it, s, z) -> None:
+        sqp, cache = self.sqp, self.cache
+        # Slacks can underflow to exact zero in the final iterations
+        # (mu is far below tolerance by then); clamping keeps the
+        # barrier weights finite without affecting healthy iterations.
+        w = np.minimum(z / np.maximum(s, _TINY), _W_CEILING)
+        # Regularization is relative to the condensed Hessian's
+        # diagonal scale: near convergence the barrier weights reach
+        # 1e9+, where an absolute 1e-8 shift is below roundoff.
+        diag_scale = 1.0 + max(
+            float(w.max(initial=0.0)), float(np.abs(sqp.h_blocks).max(initial=0.0))
+        )
+        block = None
+        if cache is not None:
+            # Factors are keyed by iteration index: a re-solve of a
+            # drifted slot walks nearly the same barrier-weight
+            # trajectory as the solve that seeded the cache, so
+            # iteration k's weights here resemble iteration k's
+            # weights there — while a factor from a *different*
+            # iteration is orders of magnitude away in w and never
+            # passes the drift gate.
+            cached = cache.setdefault("factors", {}).get(it)
+            if (
+                cached is not None
+                and cached._sig_w.shape == w.shape
+                and cached.drift(sqp, w) <= FACTOR_DRIFT_TOL
+            ):
+                # Reuse the cached factorization as a refinement
+                # preconditioner.  solve()'s residual gate and
+                # regularization ladder still apply, so a stale factor
+                # that fails to contract is replaced, not trusted.
+                cached.rebind(sqp, w)
+                block = cached
+                cache["reused"] = cache.get("reused", 0) + 1
+        if block is None:
+            block = _build_factor(sqp, w, 0.0, diag_scale)
+            if cache is not None:
+                cache["built"] = cache.get("built", 0) + 1
+        if block is None:
+            for reg in _REG_LEVELS:
+                block = _build_factor(sqp, w, reg, diag_scale)
+                if block is not None:
+                    break
+            else:
+                raise np.linalg.LinAlgError(
+                    "structured KKT factorization is singular at every "
+                    "regularization level"
+                )
+        self.block, self.w, self.diag_scale = block, w, diag_scale
+        self.cache_key = it if cache is not None else None
+
+    def solve(self, r1, r2):
+        rhs_scale = 1.0 + max(
+            float(np.abs(r1).max()), float(np.abs(r2).max(initial=0.0))
+        )
+        newton_tol = _NEWTON_RESIDUAL_TOL * rhs_scale
+        refine_tol = _REFINE_TARGET * rhs_scale
+        dx, dy, resid = self.block.solve_refined(r1, r2, refine_tol)
+        if not np.isfinite(resid) or resid > newton_tol:
+            best = (dx, dy, resid) if np.isfinite(resid) else None
+            for reg in _REG_LEVELS:
+                rblock = _build_factor(self.sqp, self.w, reg, self.diag_scale)
+                if rblock is None:
+                    continue
+                self.block = rblock
+                dx, dy, resid = rblock.solve_refined(r1, r2, refine_tol)
+                if np.isfinite(resid) and resid <= newton_tol:
+                    break
+                if np.isfinite(resid) and (best is None or resid < best[2]):
+                    best = (dx, dy, resid)
+            else:
+                if best is not None:
+                    # No attempt met the threshold: take the least-bad
+                    # direction and let the step-length cut cope.
+                    dx, dy, resid = best
+        if self.cache_key is not None:
+            # Cache whatever factorization survived the predictor's
+            # residual gate (a reused factor that had to be replaced
+            # self-heals the cache here).
+            self.cache["factors"][self.cache_key] = self.block
+            self.cache_key = None
+        return dx, dy
+
+    def cut_step(self, alpha, s, ds, z, dz, mu):
+        # Complementarity safeguard: cut the step so the gap never
+        # undershoots the convergence threshold by more than
+        # ``_MU_FLOOR_FRACTION``.  An unchecked Mehrotra step can drive
+        # the gap to 1e-14 while the dual residual is still 1e-5; the
+        # barrier weights then pin at the ceiling and the condensed
+        # systems are too ill-conditioned to recover.  Backtracking is
+        # finite: alpha -> 0 leaves the gap at its current value, which
+        # is above the floor whenever the loop is entered.
+        mu_floor = _MU_FLOOR_FRACTION * self.tol * self.scale
+        if mu > mu_floor:
+            for _ in range(60):
+                mu_next = float((s + alpha * ds) @ (z + alpha * dz)) / len(s)
+                if mu_next >= mu_floor:
+                    break
+                alpha *= 0.5
+        return alpha
+
+
 def solve_structured_qp(
     sqp: StructuredSlotQP,
     tol: float = 1e-9,
@@ -825,16 +985,16 @@ def solve_structured_qp(
 ) -> StructuredIPQPResult:
     """Solve a reach-sparse UFC slot QP by block-elimination Mehrotra.
 
-    The iteration is the one in :func:`repro.optim.ipqp.solve_qp` run
-    on the raw (unequilibrated) data — same residual definitions, same
-    ``scale = 1 + max(|q|, |h|, |b|)`` convergence test, same
-    predictor-corrector step rule — but every Newton system is solved
-    by eliminating the M per-front-end simplex blocks and the N
-    mu/nu scalars into a dense ``2N x 2N`` Schur system.  Every Newton
-    solution is residual-checked; a bad solve is iteratively refined
-    against the exact structured matvec and, failing that, retried
-    with escalating diagonal regularization (relative to the condensed
-    Hessian scale) before being accepted.
+    This is :func:`~repro.optim.ipqp._mehrotra`, the loop behind
+    :func:`~repro.optim.ipqp.solve_qp`, run on the raw (unequilibrated)
+    data — same residual definitions, same ``scale = 1 + max(|q|, |h|,
+    |b|)`` convergence test, same predictor-corrector step rule — over
+    the block-arrowhead Newton system: every Newton system is solved by
+    eliminating the M per-front-end simplex blocks and the N mu/nu
+    scalars into a dense ``2N x 2N`` Schur system, residual-checked,
+    iteratively refined against the exact structured matvec and,
+    failing that, retried with escalating diagonal regularization
+    (relative to the condensed Hessian scale) before being accepted.
 
     ``metrics`` is the same duck-typed registry the dense solver
     accepts; structured solves share its counters.
@@ -852,218 +1012,27 @@ def solve_structured_qp(
     ``built`` counters.  Both default to None, which is bit-identical
     to the legacy cold path.
     """
-    m, n = sqp.num_frontends, sqp.num_datacenters
-    mm = sqp.num_ineq
-
-    x = np.zeros(sqp.dim)
-    y = np.zeros(sqp.num_eq)
-    s = np.maximum(sqp.ineq_slack(x), 1.0)
-    z = np.ones(mm)
-
-    q_max = max(
-        float(np.abs(sqp.q_lam).max(initial=0.0)),
-        float(np.abs(sqp.q_mu).max(initial=0.0)) if sqp.include_mu else 0.0,
-        float(np.abs(sqp.q_nu).max(initial=0.0)) if sqp.include_nu else 0.0,
-    )
-    h_max = max(
-        float(np.abs(sqp.capacities).max(initial=0.0)),
-        float(np.abs(sqp.mu_max).max(initial=0.0)) if sqp.include_mu else 0.0,
-    )
-    b_max = max(
-        float(np.abs(sqp.arrivals).max(initial=0.0)),
-        float(np.abs(sqp.alphas).max(initial=0.0)),
-    )
-    scale = 1.0 + max(q_max, h_max, b_max)
-
+    system = _BlockArrowheadSystem(sqp, tol, factor_cache)
+    x0 = np.zeros(sqp.dim)
+    start = (x0, np.zeros(sqp.num_eq), np.maximum(sqp.ineq_slack(x0), 1.0),
+             np.ones(sqp.num_ineq))
     warm_used = False
     if (
         initial is not None
-        and initial.x.shape == x.shape
-        and initial.y.shape == y.shape
-        and initial.z.shape == z.shape
+        and initial.x.shape == x0.shape
+        and initial.y.shape == (sqp.num_eq,)
+        and initial.z.shape == (sqp.num_ineq,)
     ):
-        x_w = np.asarray(initial.x, dtype=float)
-        y_w = np.asarray(initial.y, dtype=float)
-        z_w = np.maximum(np.asarray(initial.z, dtype=float), _WARM_DUAL_FLOOR)
-        slack_w = sqp.ineq_slack(x_w)
-        viol = max(
-            float(np.abs(sqp.obj_grad(x_w) + sqp.at_mul(y_w)
-                         + sqp.gt_mul(z_w)).max(initial=0.0)),
-            float(np.abs(sqp.eq_residual(x_w)).max(initial=0.0)),
-            max(0.0, -float(slack_w.min(initial=0.0))),
+        point, _ = _warm_point(
+            system,
+            np.array(initial.x, dtype=float),
+            np.array(initial.y, dtype=float),
+            np.asarray(initial.z, dtype=float),
+            system.warm_reject_rel,
         )
-        rel0 = viol / scale
-        if np.isfinite(rel0) and rel0 <= _WARM_REJECT_REL:
-            # Centering shift proportional to how far the drift moved
-            # the KKT point — same rule as the dense warm solver.
-            delta = min(1.0, max(_WARM_SHIFT_FLOOR, rel0))
-            x = x_w.copy()
-            y = y_w.copy()
-            s = np.maximum(slack_w, delta)
-            z = np.maximum(z_w, delta)
-            warm_used = True
-
-    step_work = np.empty(mm)
-    step_mask = np.empty(mm, dtype=bool)
-    converged = False
-    # Best-iterate safety net: at extreme barrier weights (a datacenter
-    # saturating capacity and both generation bounds at once) the
-    # elimination's accessible accuracy floors around 1e-8..1e-9
-    # relative while the convergence test asks for ``tol``.  Track the
-    # iterate with the smallest worst-case residual and return it if
-    # the final iterate is not the best — a stalled solve then degrades
-    # to "almost converged" instead of "contaminated".
-    best_merit = np.inf
-    best_state: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
-    stall = 0
-    it = 0
-    for it in range(1, max_iter + 1):
-        r_dual = sqp.obj_grad(x) + sqp.at_mul(y) + sqp.gt_mul(z)
-        r_eq = sqp.eq_residual(x)
-        # r_ineq = Gx + s - h = s - (h - Gx).
-        r_ineq = s - sqp.ineq_slack(x)
-        mu_c = float(s @ z) / mm
-
-        merit = max(
-            float(np.abs(r_dual).max()),
-            float(np.abs(r_eq).max(initial=0.0)),
-            float(np.abs(r_ineq).max()),
-            mu_c,
-        )
-        if merit < tol * scale:
-            converged = True
-            break
-        if merit < 0.9 * best_merit:
-            best_merit = merit
-            best_state = (x.copy(), y.copy(), s.copy(), z.copy())
-            stall = 0
-        else:
-            stall += 1
-            if stall >= _STALL_LIMIT:
-                # Floored: further iterations only drift along garbage
-                # directions.  Bail out with the best iterate.
-                break
-
-        # Slacks can underflow to exact zero in the final iterations
-        # (mu is far below tolerance by then); clamping keeps the
-        # barrier weights finite without affecting healthy iterations.
-        w = np.minimum(z / np.maximum(s, _TINY), _W_CEILING)
-        # Regularization is relative to the condensed Hessian's
-        # diagonal scale: near convergence the barrier weights reach
-        # 1e9+, where an absolute 1e-8 shift is below roundoff.
-        diag_scale = 1.0 + max(
-            float(w.max(initial=0.0)), float(np.abs(sqp.h_blocks).max(initial=0.0))
-        )
-        factor = None
-        if factor_cache is not None:
-            # Factors are keyed by iteration index: a re-solve of a
-            # drifted slot walks nearly the same barrier-weight
-            # trajectory as the solve that seeded the cache, so
-            # iteration k's weights here resemble iteration k's
-            # weights there — while a factor from a *different*
-            # iteration is orders of magnitude away in w and never
-            # passes the drift gate.
-            cached = factor_cache.setdefault("factors", {}).get(it)
-            if (
-                cached is not None
-                and cached._sig_w.shape == w.shape
-                and cached.drift(sqp, w) <= FACTOR_DRIFT_TOL
-            ):
-                # Reuse the cached factorization as a refinement
-                # preconditioner.  solve_newton's residual gate and
-                # regularization ladder still apply, so a stale factor
-                # that fails to contract is replaced, not trusted.
-                cached.rebind(sqp, w)
-                factor = cached
-                factor_cache["reused"] = factor_cache.get("reused", 0) + 1
-        if factor is None:
-            factor = _build_factor(sqp, w, 0.0, diag_scale)
-            if factor_cache is not None:
-                factor_cache["built"] = factor_cache.get("built", 0) + 1
-        if factor is None:
-            for reg in _REG_LEVELS:
-                factor = _build_factor(sqp, w, reg, diag_scale)
-                if factor is not None:
-                    break
-            else:
-                raise np.linalg.LinAlgError(
-                    "structured KKT factorization is singular at every "
-                    "regularization level"
-                )
-
-        def solve_newton(r_comp: np.ndarray) -> tuple[np.ndarray, ...]:
-            nonlocal factor
-            r1 = -r_dual - sqp.gt_mul((r_comp + z * r_ineq) / s)
-            r2 = -r_eq
-            rhs_scale = 1.0 + max(
-                float(np.abs(r1).max()), float(np.abs(r2).max(initial=0.0))
-            )
-            newton_tol = _NEWTON_RESIDUAL_TOL * rhs_scale
-            refine_tol = _REFINE_TARGET * rhs_scale
-            dx, dy, resid = factor.solve_refined(r1, r2, refine_tol)
-            if not np.isfinite(resid) or resid > newton_tol:
-                best = (dx, dy, resid) if np.isfinite(resid) else None
-                for reg in _REG_LEVELS:
-                    rfactor = _build_factor(sqp, w, reg, diag_scale)
-                    if rfactor is None:
-                        continue
-                    factor = rfactor
-                    dx, dy, resid = factor.solve_refined(r1, r2, refine_tol)
-                    if np.isfinite(resid) and resid <= newton_tol:
-                        break
-                    if np.isfinite(resid) and (best is None or resid < best[2]):
-                        best = (dx, dy, resid)
-                else:
-                    if best is not None:
-                        # No attempt met the threshold: take the
-                        # least-bad direction and let the step-length
-                        # cut cope.
-                        dx, dy, resid = best
-            ds = -r_ineq - sqp.g_mul(dx)
-            dz = (r_comp - z * ds) / s
-            return dx, dy, ds, dz
-
-        dx_a, dy_a, ds_a, dz_a = solve_newton(-s * z)
-        if factor_cache is not None:
-            # Cache whatever factorization actually survived the
-            # residual gate (a reused factor that had to be replaced
-            # inside solve_newton self-heals the cache here).
-            factor_cache["factors"][it] = factor
-        alpha_p = _step_length(s, ds_a, fraction=1.0, work=step_work, mask=step_mask)
-        alpha_d = _step_length(z, dz_a, fraction=1.0, work=step_work, mask=step_mask)
-        mu_aff = float((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / mm
-        sigma = (mu_aff / mu_c) ** 3 if mu_c > 0 else 0.0
-
-        r_comp = -s * z + sigma * mu_c - ds_a * dz_a
-        dx, dy, ds, dz = solve_newton(r_comp)
-        alpha = min(
-            _step_length(s, ds, work=step_work, mask=step_mask),
-            _step_length(z, dz, work=step_work, mask=step_mask),
-        )
-
-        # Complementarity safeguard: cut the step so the gap never
-        # undershoots the convergence threshold by more than
-        # ``_MU_FLOOR_FRACTION``.  An unchecked Mehrotra step can drive
-        # the gap to 1e-14 while the dual residual is still 1e-5; the
-        # barrier weights then pin at the ceiling and the condensed
-        # systems are too ill-conditioned to recover.  Backtracking is
-        # finite: alpha -> 0 leaves the gap at its current value, which
-        # is above the floor whenever the loop is entered.
-        mu_floor = _MU_FLOOR_FRACTION * tol * scale
-        if mu_c > mu_floor:
-            for _ in range(60):
-                mu_next = float((s + alpha * ds) @ (z + alpha * dz)) / mm
-                if mu_next >= mu_floor:
-                    break
-                alpha *= 0.5
-
-        x = x + alpha * dx
-        s = s + alpha * ds
-        y = y + alpha * dy
-        z = z + alpha * dz
-
-    if not converged and best_state is not None:
-        x, y, s, z = best_state
+        if point is not None:
+            start, warm_used = point, True
+    x, y, s, z, it, converged, gap = _mehrotra(system, *start, tol, max_iter)
     _record_metrics(metrics, it, converged)
     return StructuredIPQPResult(
         x=x,
@@ -1072,7 +1041,7 @@ def solve_structured_qp(
         value=sqp.objective(x),
         iterations=it,
         converged=converged,
-        gap=float(s @ z) / mm,
+        gap=gap,
         warm_used=warm_used,
     )
 

@@ -56,10 +56,12 @@ import numpy as np
 
 from repro.optim.ipqp import (
     IPQPResult,
+    _DenseSystem,
+    _mehrotra,
+    _normalize_qp,
     _record_metrics,
     _ruiz_equilibrate,
-    _solve_kkt,
-    _step_length,
+    _warm_point,
     solve_qp,
 )
 
@@ -84,15 +86,6 @@ ACTIVE_SET_TOL = 1e-9
 #: active-set KKT matrix, so a redundant row degrades the residual
 #: check instead of raising ``LinAlgError``.
 _ACTIVE_REG = -1e-12
-
-#: Floor applied to inequality duals before the warm-point residual is
-#: measured (previous inactive duals underflow toward zero).
-_DUAL_FLOOR = 1e-10
-
-#: Smallest centering shift: even a perfectly coherent warm point is
-#: pushed this far off the boundary so the first Mehrotra step is not
-#: crushed by zero slacks.
-_SHIFT_FLOOR = 1e-7
 
 
 @dataclass
@@ -207,89 +200,6 @@ def _try_active_set(
     return ok, x, y, z, slack
 
 
-def _ip_iterate(
-    P: np.ndarray,
-    q: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    G: np.ndarray,
-    h: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    s: np.ndarray,
-    z: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, bool]:
-    """The Mehrotra loop of :func:`~repro.optim.ipqp.solve_qp`, run
-    from caller-supplied iterates.
-
-    Same residual definitions, same ``scale = 1 + max(|q|, |h|, |b|)``
-    convergence test, same predictor-corrector step rule as the cold
-    loop — only the starting point differs, so a converged warm run
-    meets exactly the cold run's acceptance criteria.
-    """
-    n, p, m = len(q), A.shape[0], G.shape[0]
-    scale = 1.0 + max(np.abs(q).max(initial=0.0), np.abs(h).max(initial=0.0),
-                      np.abs(b).max(initial=0.0))
-    converged = False
-    it = 0
-    kkt = np.zeros((n + p, n + p))
-    rhs = np.empty(n + p)
-    step_work = np.empty(m)
-    step_mask = np.empty(m, dtype=bool)
-    for it in range(1, max_iter + 1):
-        r_dual = P @ x + q + A.T @ y + G.T @ z
-        r_eq = A @ x - b
-        r_ineq = G @ x + s - h
-        mu = float(s @ z) / m
-
-        if (
-            np.abs(r_dual).max() < tol * scale
-            and (p == 0 or np.abs(r_eq).max() < tol * scale)
-            and np.abs(r_ineq).max() < tol * scale
-            and mu < tol * scale
-        ):
-            converged = True
-            break
-
-        w = z / s
-        kkt.fill(0.0)
-        kkt[:n, :n] = P + G.T @ (w[:, None] * G)
-        kkt[:n, n:] = A.T
-        kkt[n:, :n] = A
-        kkt[n:, n:].flat[:: p + 1] = -1e-12
-
-        def solve_newton(r_comp: np.ndarray) -> tuple[np.ndarray, ...]:
-            rhs[:n] = -r_dual - G.T @ ((r_comp + z * r_ineq) / s)
-            np.negative(r_eq, out=rhs[n:])
-            sol = _solve_kkt(kkt, rhs)
-            dx = sol[:n]
-            dy = sol[n:]
-            ds = -r_ineq - G @ dx
-            dz = (r_comp - z * ds) / s
-            return dx, dy, ds, dz
-
-        dx_a, dy_a, ds_a, dz_a = solve_newton(-s * z)
-        alpha_p = _step_length(s, ds_a, fraction=1.0, work=step_work, mask=step_mask)
-        alpha_d = _step_length(z, dz_a, fraction=1.0, work=step_work, mask=step_mask)
-        mu_aff = float((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / m
-        sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
-
-        r_comp = -s * z + sigma * mu - ds_a * dz_a
-        dx, dy, ds, dz = solve_newton(r_comp)
-        alpha = min(
-            _step_length(s, ds, work=step_work, mask=step_mask),
-            _step_length(z, dz, work=step_work, mask=step_mask),
-        )
-
-        x = x + alpha * dx
-        s = s + alpha * ds
-        y = y + alpha * dy
-        z = z + alpha * dz
-    return x, y, s, z, it, converged
-
-
 def _cold_solve(
     P: np.ndarray,
     q: np.ndarray,
@@ -355,26 +265,12 @@ def solve_qp_warm(
     which path ran.
 
     Raises:
-        ValueError: on inconsistent shapes (same contract as
+        ValueError: on inconsistent shapes, or a constraint matrix
+            given without its right-hand side (same contract as
             :func:`~repro.optim.ipqp.solve_qp`).
     """
-    P = np.asarray(P, dtype=float)
-    q = np.asarray(q, dtype=float)
+    P, q, A, b, G, h = _normalize_qp(P, q, A, b, G, h)
     n = len(q)
-    if P.shape != (n, n):
-        raise ValueError(f"P shape {P.shape} incompatible with q length {n}")
-    if A is None or len(np.atleast_2d(A)) == 0 or (b is not None and len(b) == 0):
-        A = np.zeros((0, n))
-        b = np.zeros(0)
-    else:
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-    if G is None or (h is not None and len(h) == 0):
-        G = np.zeros((0, n))
-        h = np.zeros(0)
-    else:
-        G = np.atleast_2d(np.asarray(G, dtype=float))
-        h = np.atleast_1d(np.asarray(h, dtype=float))
     p, m = A.shape[0], G.shape[0]
 
     if m == 0:
@@ -446,43 +342,22 @@ def solve_qp_warm(
     G_s = G * (r_g[:, None] * d[None, :])
     h_s = r_g * h
 
-    x0 = state.x / d
-    y0 = state.eq_dual / (gamma * r_a) if p else state.eq_dual.copy()
-    z0 = np.maximum(state.ineq_dual / (gamma * r_g), _DUAL_FLOOR)
-    s_raw = h_s - G_s @ x0
-
-    scale_s = 1.0 + max(
-        np.abs(q_s).max(initial=0.0),
-        np.abs(h_s).max(initial=0.0),
-        np.abs(b_s).max(initial=0.0),
+    system = _DenseSystem(P_s, q_s, A_s, b_s, G_s, h_s)
+    start, rel0 = _warm_point(
+        system,
+        state.x / d,
+        state.eq_dual / (gamma * r_a) if p else state.eq_dual.copy(),
+        state.ineq_dual / (gamma * r_g),
+        WARM_REJECT_REL,
     )
-    r_dual0 = P_s @ x0 + q_s + A_s.T @ y0 + G_s.T @ z0
-    r_eq0 = A_s @ x0 - b_s
-    viol = max(
-        float(np.abs(r_dual0).max(initial=0.0)),
-        float(np.abs(r_eq0).max(initial=0.0)),
-        max(0.0, -float(s_raw.min(initial=0.0))),
-    )
-    if not np.isfinite(viol):
+    if start is None:
+        reason = (f"warm point too far (relative residual {rel0:.3g})"
+                  if np.isfinite(rel0) else "non-finite warm point")
         return _cold_solve(P, q, A, b, G, h, tol, max_iter, metrics,
-                           f"{active_reason}; non-finite warm point")
-    rel0 = viol / scale_s
-    if rel0 > WARM_REJECT_REL:
-        return _cold_solve(
-            P, q, A, b, G, h, tol, max_iter, metrics,
-            f"{active_reason}; warm point too far (relative residual {rel0:.3g})",
-        )
+                           f"{active_reason}; {reason}")
 
-    # Centering shift: push slacks and duals at least `delta` off the
-    # boundary, with `delta` proportional to how far the perturbation
-    # moved the KKT point.  A tiny drift starts almost converged; a
-    # larger (but accepted) drift starts with a commensurate barrier.
-    delta = min(1.0, max(_SHIFT_FLOOR, rel0))
-    s0 = np.maximum(s_raw, delta)
-    z0 = np.maximum(z0, delta)
-
-    x_h, y_h, s_h, z_h, it, converged = _ip_iterate(
-        P_s, q_s, A_s, b_s, G_s, h_s, x0, y0, s0, z0, tol, max_iter
+    x_h, y_h, s_h, z_h, it, converged, gap_s = _mehrotra(
+        system, *start, tol, max_iter
     )
     if not converged:
         return _cold_solve(
@@ -493,7 +368,6 @@ def solve_qp_warm(
     x = d * x_h
     eq_dual = gamma * r_a * y_h
     ineq_dual = gamma * r_g * z_h
-    gap_s = float(s_h @ z_h) / m
     result = IPQPResult(
         x=x,
         eq_dual=eq_dual,

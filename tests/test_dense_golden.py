@@ -1,0 +1,161 @@
+"""Bit-level golden digests of the dense scalar interior-point route.
+
+The dense route (:func:`repro.optim.ipqp.solve_qp` and every rung of
+:func:`repro.optim.warm.solve_qp_warm`) is the reference every other
+route is measured against, so its arithmetic is pinned: each case
+below hashes the exact bytes of ``x``, ``eq_dual``, ``ineq_dual`` and
+the iteration count of every solve it runs, and the digest must equal
+the one recorded before the interior-point core was consolidated.
+
+The bytes depend on the numpy/BLAS build.  After an intentional change
+to the dense route, or on a different BLAS, print fresh digests with::
+
+    PYTHONPATH=src python tests/test_dense_golden.py
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.core.compiled import CompiledQPStructure
+from repro.core.problem import SlotInputs, UFCProblem
+from repro.core.strategies import FUEL_CELL, GRID, HYBRID
+from repro.optim.ipqp import solve_qp
+from repro.optim.warm import solve_qp_warm
+from repro.sim.simulator import build_model
+from repro.traces.datasets import default_bundle
+
+#: Digests recorded on the parent of the interior-point consolidation.
+GOLDEN = {
+    "paper_week": "7c5d55579390ced99cbcb2b1b117d8304346078f02a093243f9d4c708a86424d",
+    "ipqp_fuzz": "3913914b6e531dce73d074377deebe7ff1bcd9335705e37cee4db16efd520d06",
+    "warm_chain": "d7eda492620e4b9c7fb80acb0273c2511e385a26c72700dd2cd10bde121446a4",
+}
+
+
+def _feed(digest, result) -> None:
+    for arr in (result.x, result.eq_dual, result.ineq_dual):
+        digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    digest.update(np.int64(result.iterations).tobytes())
+
+
+def _week_qps(strategies=(GRID, FUEL_CELL, HYBRID), hours=range(0, 168, 7)):
+    bundle = default_bundle(hours=168, seed=101)
+    model = build_model(bundle)
+    for strategy in strategies:
+        structure = CompiledQPStructure(model, strategy)
+        for t in hours:
+            slot = bundle.slot(t)
+            inputs = SlotInputs(
+                arrivals=slot["arrivals"],
+                prices=slot["prices"],
+                carbon_rates=slot["carbon_rates"],
+            )
+            yield UFCProblem(model, inputs, strategy=strategy), structure.qp_for(inputs)
+
+
+def paper_week_digest() -> str:
+    """Cold ``solve_qp`` over seeded paper-week slots, all strategies."""
+    digest = hashlib.sha256()
+    for _, qp in _week_qps():
+        _feed(digest, solve_qp(qp.P, qp.q, A=qp.A, b=qp.b, G=qp.G, h=qp.h))
+    return digest.hexdigest()
+
+
+def _fuzz_cases():
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        n, p, m = 6, 2, 8
+        a_half = rng.normal(size=(n, n))
+        P = a_half @ a_half.T + 0.5 * np.eye(n)
+        q = rng.normal(size=n)
+        A = rng.normal(size=(p, n))
+        x_feas = rng.uniform(0.5, 1.0, size=n)
+        b = A @ x_feas
+        G = rng.normal(size=(m, n))
+        h = G @ x_feas + rng.uniform(0.2, 2.0, size=m)
+        yield P, q, A, b, G, h
+    scales = np.array([1e4, 1e4, 1.0, 1e-2])
+    yield (np.diag(1.0 / scales**2), -1.0 / scales, None, None,
+           np.vstack([-np.eye(4), np.eye(4)]),
+           np.concatenate([np.zeros(4), 3 * scales]))
+    # The equilibration limit-cycle instance: exercises the raw retry.
+    rng = np.random.default_rng(57)
+    n = int(rng.integers(2, 7))
+    half = rng.normal(size=(n, n))
+    P = half @ half.T + 0.05 * np.eye(n)
+    q = rng.normal(size=n) * 3
+    yield P, q, np.ones((1, n)), np.array([7.0]), -np.eye(n), np.zeros(n)
+    # Closed forms: equality-only and unconstrained.
+    yield 2 * np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([2.0]), None, None
+    yield np.diag([2.0, 4.0]), np.array([-2.0, -8.0]), None, None, None, None
+
+
+def ipqp_fuzz_digest() -> str:
+    """``solve_qp`` on the fuzz QPs, equilibrated, raw, traced and capped."""
+    digest = hashlib.sha256()
+    for P, q, A, b, G, h in _fuzz_cases():
+        for kwargs in ({}, {"equilibrate": False}, {"trace": True},
+                       {"max_iter": 3}):
+            res = solve_qp(P, q, A=A, b=b, G=G, h=h, **kwargs)
+            _feed(digest, res)
+            if res.trace is not None:
+                for series in (res.trace.gap, res.trace.residual,
+                               res.trace.alpha_affine, res.trace.alpha):
+                    digest.update(np.asarray(series, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def _warm_chain():
+    """A Hybrid chain whose rungs cover active-set, warm-IPM and cold.
+
+    Every third slot's arrivals are raised by 10%, which moves the
+    active set without leaving the warm radius; slot 12 is tripled, far
+    past the reject cap (and past capacity, so its cold solve stops at
+    the iteration cap and slot 13 restarts cold without a state).
+    """
+    problems = [p for p, _ in _week_qps(strategies=(HYBRID,), hours=range(24))]
+    structure = CompiledQPStructure(problems[0].model, HYBRID)
+    state = None
+    for t, problem in enumerate(problems):
+        factor = 3.0 if t == 12 else (1.1 if t % 3 == 2 else 1.0)
+        inputs = dataclasses.replace(problem.inputs,
+                                     arrivals=problem.inputs.arrivals * factor)
+        qp = structure.qp_for(inputs)
+        ws = solve_qp_warm(qp.P, qp.q, A=qp.A, b=qp.b, G=qp.G, h=qp.h, state=state)
+        yield ws
+        state = ws.state
+
+
+def warm_chain_digest() -> str:
+    digest = hashlib.sha256()
+    for ws in _warm_chain():
+        _feed(digest, ws.result)
+        digest.update(ws.info.mechanism.encode())
+    return digest.hexdigest()
+
+
+DIGESTS = {
+    "paper_week": paper_week_digest,
+    "ipqp_fuzz": ipqp_fuzz_digest,
+    "warm_chain": warm_chain_digest,
+}
+
+
+def test_warm_chain_hits_every_rung():
+    mechanisms = {ws.info.mechanism for ws in _warm_chain()}
+    assert mechanisms == {"active-set", "warm-ipm", "cold"}
+
+
+@pytest.mark.parametrize("case", sorted(DIGESTS))
+def test_dense_route_bit_identical(case):
+    assert DIGESTS[case]() == GOLDEN[case]
+
+
+if __name__ == "__main__":
+    for name, fn in DIGESTS.items():
+        print(f'    "{name}": "{fn()}",')

@@ -1,71 +1,11 @@
-"""Additional edge-case coverage for the generic optimization engines."""
+"""Edge-case coverage for the dense interior-point QP solver."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.optim.admg import ADMGEngine
-from repro.optim.admm import ADMMBlock, ADMMEngine
 from repro.optim.ipqp import solve_qp
-
-
-def _target_block(target, K=None, x0=None, name=""):
-    """Block with f(x) = 0.5||x - target||^2."""
-    target = np.asarray(target, dtype=float)
-    K = np.eye(len(target)) if K is None else np.atleast_2d(K)
-
-    def prox(v, rho):
-        return np.linalg.solve(np.eye(len(target)) + rho * K.T @ K,
-                               target + rho * K.T @ v)
-
-    return ADMMBlock(
-        K=K,
-        prox=prox,
-        objective=lambda x: float(0.5 * np.sum((x - target) ** 2)),
-        name=name,
-        x0=x0,
-    )
-
-
-class TestADMMWarmStart:
-    def test_x0_respected(self):
-        """Starting at the solution converges immediately."""
-        t1, t2 = np.array([1.0]), np.array([3.0])
-        # min sum ||x_i - t_i||^2 s.t. x1 + x2 = 4: optimum (1, 3).
-        cold = ADMMEngine(
-            [_target_block(t1), _target_block(t2)], b=np.array([4.0]), rho=1.0
-        ).run(max_iter=300, tol=1e-10)
-        warm = ADMMEngine(
-            [
-                _target_block(t1, x0=np.array([1.0])),
-                _target_block(t2, x0=np.array([3.0])),
-            ],
-            b=np.array([4.0]),
-            rho=1.0,
-        ).run(max_iter=300, tol=1e-10)
-        assert warm.converged
-        assert warm.iterations <= cold.iterations
-
-    def test_objective_history_absent_without_objectives(self):
-        block = ADMMBlock(
-            K=np.eye(1),
-            prox=lambda v, rho: rho * v / (1.0 + rho),
-            objective=None,
-        )
-        res = ADMMEngine([block], b=np.array([0.5]), rho=1.0).run(max_iter=50)
-        assert res.objectives == []
-        assert len(res.primal_residuals) == res.iterations
-
-
-class TestADMGBlockNames:
-    def test_error_message_names_block(self):
-        good = _target_block(np.zeros(2), name="fine")
-        bad = _target_block(
-            np.zeros(2), K=np.array([[1.0, 0.0], [1.0, 0.0]]), name="rank-deficient"
-        )
-        with pytest.raises(ValueError, match="rank-deficient"):
-            ADMGEngine([good, bad], b=np.zeros(2), rho=1.0)
 
 
 class TestIPQPEdgeCases:
