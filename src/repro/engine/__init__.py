@@ -19,8 +19,7 @@ from repro.engine.adapters import (
 from repro.engine.batch import CentralizedBatchSlotSolver
 from repro.engine.horizon import CompileCache, HorizonEngine, SlotOutcome
 
-# Re-exported from their home in the execution layer (the old
-# `repro.engine.horizon.parallel_map` shim is now a hard error).
+# Re-exported from their home in the execution layer.
 from repro.exec import parallel_map, usable_cpu_count
 from repro.engine.warm import CentralizedWarmSlotSolver, WarmPayload
 from repro.engine.protocol import SlotResult, SlotSolver

@@ -2,52 +2,47 @@
 
 Interactive workloads cannot be deferred, so the paper's 168 hourly
 UFC problems are independent — the horizon is an embarrassingly
-parallel map.  :class:`HorizonEngine` runs it as a *policy layer* over
-the :mod:`repro.exec` client stack: slots are chunked into batches,
-submitted asynchronously through an
-:class:`~repro.exec.clients.ExecutionClient` (in-process,
-multiprocessing, or socket/RPC for multi-node sharding), kept at most
-``max_pending`` batches in flight, and harvested as they complete —
-with results reassembled in slot order, so every lane stays
-deterministic.  Concretely:
+parallel map of **one per-slot step**: compile lookup → solve (with an
+optional warm payload) → post-hoc timeout check → certify → outcome.
+:class:`HorizonEngine` runs it as a *policy layer* over the
+:mod:`repro.exec` client stack.  Concretely:
 
-- a **serial** executor (``workers=1``, the in-process client) or a
-  chunked **process pool** (``workers>1``, the multiprocessing
-  client), with deterministic, index-ordered results either way
-  (solvers are deterministic, so serial and parallel runs return
-  bit-identical allocations); ``client=`` swaps in any registered
-  backend (``"mp"``, ``"socket"``, or a custom
-  :class:`~repro.exec.clients.ExecutionClient`);
-- an optional **persistent result store**
-  (:class:`~repro.exec.store.ResultStore`): slots whose (model,
-  strategy, solver, inputs) digest is already on disk resolve from
-  the store instead of the solver, so repeated sweeps and chaos runs
-  warm-start from disk;
+- **one slot step** (:class:`_SlotStep`) walks a lane list — just the
+  primary solver, or with a :class:`ResilienceConfig` the primary ×
+  ``retry.max_attempts`` then each fallback once, with quarantine —
+  and every outcome is built by one success builder
+  (:func:`_slot_outcome`) or one failure builder
+  (:func:`_failed_outcome`), whichever lane, batch, warm chain or
+  store hit produced it;
+- **one chunk task** (:func:`_solve_chunk`) is what every execution
+  client runs, cold or warm: a per-slot loop (chaining the warm
+  payload when asked) or the (model, strategy)-grouped ``solve_batch``
+  lane, wrapped by worker observability in one place;
+- **executors**: a serial in-process client (``workers=1``) or a
+  chunked multiprocessing pool (``workers>1``), or any registered
+  client (``"mp"``, ``"socket"``, a custom
+  :class:`~repro.exec.clients.ExecutionClient`), with at most
+  ``max_pending`` chunks in flight and results reassembled in slot
+  order, so serial and parallel runs return bit-identical
+  allocations;
 - **pool sizing that cannot hurt**: the requested worker count is
-  clamped to the CPUs actually usable by this process, the
-  multiprocessing start method is pinned explicitly, and when the pool
-  cannot help (≤1 usable CPU) the engine falls back to the serial path
-  — every such decision is recorded in the run's telemetry and
-  :class:`~repro.obs.HorizonSummary` instead of silently costing 5%;
+  clamped to the usable CPUs and a pool that cannot help falls back
+  to the serial path — every such decision is recorded in the run's
+  telemetry and :class:`~repro.obs.HorizonSummary`;
 - **compiled-structure caching**: each distinct (model, strategy) pair
-  gets one :meth:`SlotSolver.compile` call per horizon (per worker in
-  the process pool), not one per slot.  The cache
-  (:class:`CompileCache`) is identity-safe: it holds a strong
-  reference to each keyed model and verifies ``is`` on hit, so a
-  recycled ``id()`` can never serve a stale structure;
-- **per-slot error capture**: a slot whose solve raises is reported as
-  a failed :class:`SlotOutcome` — with the exception's class name and
-  message carried as structured fields next to the formatted traceback
-  — instead of killing the horizon;
+  gets one :meth:`SlotSolver.compile` call per chunk — per horizon on
+  the serial lane — through the identity-safe :class:`CompileCache`;
+- an optional **persistent result store**
+  (:class:`~repro.exec.store.ResultStore`): slots whose digest is
+  already on disk resolve from the store instead of the solver;
+- **per-slot error capture**: a slot whose solve raises becomes a
+  failed :class:`SlotOutcome` with structured error fields instead of
+  killing the horizon;
 - **warm-start chaining** (``warm_start=True``): each slot resumes
-  from the previous slot's payload.  Chaining is inherently
-  sequential, so it requires ``workers=1`` and a solver that supports
-  warm starts;
-- **telemetry**: pass a :class:`~repro.obs.Telemetry` sink to receive
-  ``engine.decision`` / ``engine.slot`` / ``engine.compile`` /
-  ``engine.run`` events; every outcome carries a
-  :class:`~repro.obs.SlotTelemetry` (these pickle with the outcome, so
-  pool workers report exactly what the serial path does), and
+  from the previous slot's payload — one chunk on a synchronous
+  client, depth-one per-slot submissions on an asynchronous one;
+- **telemetry**: every outcome carries a
+  :class:`~repro.obs.SlotTelemetry`, and
   :attr:`HorizonEngine.last_summary` aggregates the run.
 """
 
@@ -60,9 +55,9 @@ import platform
 import sys
 import time
 import traceback
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.problem import UFCProblem
 from repro.engine.protocol import SlotResult, SlotSolver
@@ -104,7 +99,6 @@ __all__ = [
     "SlotTimeoutError",
     "CompileCache",
     "HorizonEngine",
-    "parallel_map",
     "usable_cpu_count",
 ]
 
@@ -117,9 +111,6 @@ class SlotTimeoutError(RuntimeError):
     whole pending batch at harvest time); the late result is discarded
     and the fallback chain escalates.
     """
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
 
 
 @dataclass
@@ -246,22 +237,89 @@ class _Chunk:
         return self.start + offset
 
 
-def _failed_outcome(
+def _slot_outcome(
     index: int,
-    exc: Exception,
+    problem: UFCProblem,
+    result: SlotResult,
     solver_name: str,
+    certifier: Any | None,
     *,
     wall_s: float,
-    compile_s: float,
-    cache_hit: bool | None,
+    compile_s: float = 0.0,
+    cache_hit: bool | None = None,
     warm_start: bool = False,
+    store_hit: bool = False,
+    attempts: int = 1,
+    fallback_solver: str | None = None,
+    chain_errors: tuple[str, ...] = (),
 ) -> SlotOutcome:
-    """A failed :class:`SlotOutcome` with structured error info."""
+    """The successful :class:`SlotOutcome` of a solved or stored slot.
+
+    The one place a success is built, whichever lane produced it: the
+    result is certified here when a certifier is attached (solver
+    duals preferred when shipped; a certification crash propagates to
+    the caller, which turns it into a failed outcome), and the outcome
+    is ``degraded`` whenever a fallback solver produced it or the
+    solver reported a degraded completion.
+    """
+    extras = result.extras or {}
+    certificate = None
+    if certifier is not None:
+        certificate = certifier.certify(
+            problem,
+            result.allocation,
+            duals=extras.get("duals"),
+            solver=solver_name,
+            slot=index,
+        )
     return SlotOutcome(
         index=index,
-        error=traceback.format_exc(),
+        result=result,
+        certificate=certificate,
+        attempts=attempts,
+        degraded=bool(extras.get("degraded")) or fallback_solver is not None,
+        fallback_solver=fallback_solver,
+        chain_errors=chain_errors,
+        telemetry=SlotTelemetry(
+            solver=solver_name,
+            wall_s=wall_s,
+            compile_s=compile_s,
+            iterations=result.iterations,
+            converged=result.converged,
+            cache_hit=cache_hit,
+            worker=os.getpid(),
+            warm_start=warm_start,
+            store_hit=store_hit,
+            certify_s=0.0 if certificate is None else certificate.certify_s,
+        ),
+    )
+
+
+def _failed_outcome(
+    index: int,
+    exc: BaseException,
+    solver_name: str,
+    *,
+    error: str | None = None,
+    wall_s: float = 0.0,
+    compile_s: float = 0.0,
+    cache_hit: bool | None = None,
+    warm_start: bool = False,
+    attempts: int = 1,
+    chain_errors: tuple[str, ...] = (),
+) -> SlotOutcome:
+    """A failed :class:`SlotOutcome` with structured error info.
+
+    ``error`` defaults to the traceback of the exception being
+    handled, so call it from the ``except`` block or pass one.
+    """
+    return SlotOutcome(
+        index=index,
+        error=traceback.format_exc() if error is None else error,
         error_type=type(exc).__name__,
         error_message=str(exc),
+        attempts=attempts,
+        chain_errors=chain_errors,
         telemetry=SlotTelemetry(
             solver=solver_name,
             wall_s=wall_s,
@@ -276,201 +334,207 @@ def _failed_outcome(
     )
 
 
-def _certify_result(
-    certifier: Any, problem: UFCProblem, result: SlotResult, solver_name: str,
-    index: int,
-) -> Any:
-    """The slot's certificate (solver duals preferred when shipped)."""
-    duals = result.extras.get("duals") if result.extras else None
-    return certifier.certify(
-        problem, result.allocation, duals=duals, solver=solver_name, slot=index
-    )
+def _failed_chunk(
+    chunk: _Chunk,
+    solver_name: str,
+    exc_type: Callable[[str], BaseException],
+    reason: str,
+) -> list[SlotOutcome]:
+    """One failed outcome per slot of a chunk that never came back.
 
-
-def _solve_one(
-    solver: SlotSolver,
-    index: int,
-    problem: UFCProblem,
-    cache: CompileCache,
-    structure_cache: bool,
-    certifier: Any | None,
-    pid: int,
-) -> SlotOutcome:
-    """Solve one slot through the scalar path, capturing any failure."""
-    compiled = None
-    cache_hit: bool | None = None
-    compile_s = 0.0
-    start = time.perf_counter()
-    try:
-        if structure_cache:
-            compiled, cache_hit, compile_s = cache.lookup(
-                problem.model, problem.strategy
+    A lost worker (``WorkerLostError``) or a batch abandoned at harvest
+    (``SlotTimeoutError``) delivers no per-slot telemetry, so every slot
+    becomes a structured failure attributed to the harvesting process —
+    not a silent gap.
+    """
+    outcomes = []
+    for offset in range(len(chunk.problems)):
+        index = chunk.index(offset)
+        exc = exc_type(f"slot {index}: {reason}")
+        outcomes.append(
+            _failed_outcome(
+                index, exc, solver_name, error=f"{type(exc).__name__}: {exc}"
             )
-        solve_start = time.perf_counter()
-        result = solver.solve(problem, compiled=compiled)
-        wall_s = time.perf_counter() - solve_start
-        certificate = (
-            _certify_result(certifier, problem, result, solver.name, index)
-            if certifier is not None
-            else None
         )
-        return SlotOutcome(
-            index=index,
-            result=result,
-            certificate=certificate,
-            telemetry=SlotTelemetry(
-                solver=solver.name,
-                wall_s=wall_s,
-                compile_s=compile_s,
-                iterations=result.iterations,
-                converged=result.converged,
-                cache_hit=cache_hit,
-                worker=pid,
-                warm_start=False,
-                certify_s=(
-                    certificate.certify_s if certificate is not None else 0.0
-                ),
-            ),
-        )
-    except Exception as exc:
+    return outcomes
+
+
+class _SlotStep:
+    """The per-slot step every lane runs: compile lookup → solve → certify.
+
+    Built once per chunk, it owns one :class:`CompileCache` per lane.
+    Without a resilience config the lane list is just the primary
+    solver, one attempt.  With one, the primary gets
+    ``retry.max_attempts`` tries, then each fallback (instantiated once
+    per chunk) gets one; an attempt exceeding ``slot_timeout_s`` is
+    discarded as a :class:`SlotTimeoutError`; and after
+    ``quarantine_after`` consecutive slots where the primary's whole
+    budget failed, the primary is skipped for the rest of the chunk.
+    A slot only becomes a failed outcome when every lane failed.
+    """
+
+    def __init__(
+        self,
+        solver: SlotSolver,
+        structure_cache: bool,
+        certifier: Any | None,
+        resilience: ResilienceConfig | None,
+    ) -> None:
+        self.solver = solver
+        self.structure_cache = structure_cache
+        self.certifier = certifier
+        self.resilience = resilience
+        self.cache = CompileCache(solver)
+        budget = 1 if resilience is None else resilience.retry.max_attempts
+        self.lanes: list[tuple[SlotSolver, CompileCache, int]] = [
+            (solver, self.cache, budget)
+        ]
+        for name in () if resilience is None else resilience.fallback:
+            fallback = create_solver(name)
+            self.lanes.append((fallback, CompileCache(fallback), 1))
+        self.primary_failures = 0
+
+    def __call__(
+        self, index: int, problem: UFCProblem, warm: Any | None = None
+    ) -> SlotOutcome:
+        """Solve one slot, capturing any failure as a failed outcome."""
+        resilience = self.resilience
+        timeout_s = None if resilience is None else resilience.slot_timeout_s
+        after = 0 if resilience is None else resilience.quarantine_after
+        quarantined = bool(after) and self.primary_failures >= after
+        chain_errors: list[str] = []
+        if quarantined:
+            chain_errors.append(
+                f"{self.solver.name}: quarantined after "
+                f"{self.primary_failures} consecutive slot failures"
+            )
+        attempts = 0
+        start = time.perf_counter()
+        for lane, (solver, cache, budget) in enumerate(self.lanes):
+            if lane == 0 and quarantined:
+                continue
+            for attempt in range(1, budget + 1):
+                attempts += 1
+                compiled = None
+                cache_hit: bool | None = None
+                compile_s = 0.0
+                try:
+                    if self.structure_cache:
+                        compiled, cache_hit, compile_s = cache.lookup(
+                            problem.model, problem.strategy
+                        )
+                    solve_start = time.perf_counter()
+                    result = solver.solve(problem, compiled=compiled, warm=warm)
+                    wall_s = time.perf_counter() - solve_start
+                    if timeout_s is not None and wall_s > timeout_s:
+                        raise SlotTimeoutError(
+                            f"slot {index}: {solver.name} attempt took "
+                            f"{wall_s:.3f}s > budget {timeout_s:.3f}s"
+                        )
+                    outcome = _slot_outcome(
+                        index,
+                        problem,
+                        result,
+                        solver.name,
+                        self.certifier,
+                        wall_s=wall_s,
+                        compile_s=compile_s,
+                        cache_hit=cache_hit,
+                        warm_start=warm is not None,
+                        attempts=attempts,
+                        fallback_solver=None if lane == 0 else solver.name,
+                        chain_errors=tuple(chain_errors),
+                    )
+                except Exception as exc:
+                    failure = (exc, traceback.format_exc(), compile_s, cache_hit)
+                    if resilience is not None:
+                        chain_errors.append(
+                            f"{solver.name}[attempt {attempt}]: "
+                            f"{type(exc).__name__}: {exc}"
+                        )
+                    continue
+                if lane == 0:
+                    self.primary_failures = 0
+                return outcome
+            if lane == 0:
+                self.primary_failures += 1
+        exc, error, compile_s, cache_hit = failure
         return _failed_outcome(
             index,
             exc,
-            solver.name,
+            self.solver.name,
+            error=error,
             wall_s=time.perf_counter() - start,
             compile_s=compile_s,
             cache_hit=cache_hit,
+            warm_start=warm is not None,
+            attempts=attempts,
+            chain_errors=tuple(chain_errors),
         )
 
+    def batch(self, chunk: _Chunk) -> list[SlotOutcome]:
+        """Solve a chunk through the solver's vectorized ``solve_batch``.
 
-def _solve_chunk(
-    solver: SlotSolver,
-    chunk: _Chunk,
-    structure_cache: bool,
-    certifier: Any | None = None,
-    resilience: ResilienceConfig | None = None,
-    batched: bool = False,
-    obs: WorkerObsPlan | None = None,
-) -> list[SlotOutcome]:
-    """Solve a contiguous chunk serially with a per-chunk compile cache.
-
-    Module-level so the process executor can pickle it; also the
-    serial executor's inner loop, so both paths share one code path.
-    Per-slot telemetry (and, with ``certifier``, each slot's
-    certificate) travels back attached to the outcomes, which is what
-    lets the parent aggregate pool runs without a second channel.
-
-    With ``resilience`` attached the chunk runs through
-    :func:`_solve_chunk_resilient` instead, and with ``batched`` set
-    through :func:`_solve_chunk_batched`; with the defaults this
-    original scalar path runs untouched (bit-identical outputs).
-    With an ``obs`` plan, :func:`_solve_chunk_observed` additionally
-    attaches a :class:`~repro.obs.WorkerReport` to every outcome.
-    """
-    if obs is not None:
-        return _solve_chunk_observed(
-            solver, chunk, structure_cache, certifier, resilience, batched, obs
-        )
-    if batched:
-        return _solve_chunk_batched(solver, chunk, structure_cache, certifier)
-    if resilience is not None:
-        return _solve_chunk_resilient(
-            solver, chunk, structure_cache, certifier, resilience
-        )
-    cache = CompileCache(solver)
-    pid = os.getpid()
-    return [
-        _solve_one(
-            solver, chunk.index(offset), problem, cache, structure_cache,
-            certifier, pid,
-        )
-        for offset, problem in enumerate(chunk.problems)
-    ]
-
-
-def _solve_chunk_warm(
-    solver: SlotSolver,
-    chunk: _Chunk,
-    structure_cache: bool,
-    certifier: Any | None,
-    warm: Any | None,
-) -> list[SlotOutcome]:
-    """Solve a warm-chained chunk shipped through an execution client.
-
-    Module-level so process and socket clients can pickle it.  The
-    previous slot's warm payload rides the task arguments and the new
-    payload rides back on ``SlotResult.warm``, so the chain's state
-    crosses worker boundaries with the task itself.  A slot failure is
-    captured per slot exactly as in the scalar path and ships no
-    payload, which cold-restarts the chain on the next submission.
-    """
-    cache = CompileCache(solver)
-    pid = os.getpid()
-    outcomes: list[SlotOutcome] = []
-    for offset, problem in enumerate(chunk.problems):
-        index = chunk.index(offset)
-        compiled = None
-        cache_hit: bool | None = None
-        compile_s = 0.0
-        had_warm = warm is not None
-        start = time.perf_counter()
-        try:
-            if structure_cache:
-                compiled, cache_hit, compile_s = cache.lookup(
-                    problem.model, problem.strategy
-                )
-            solve_start = time.perf_counter()
-            result = solver.solve(problem, compiled=compiled, warm=warm)
-            wall_s = time.perf_counter() - solve_start
-            warm = result.warm
-            certificate = (
-                _certify_result(certifier, problem, result, solver.name, index)
-                if certifier is not None
-                else None
-            )
-            outcomes.append(
-                SlotOutcome(
-                    index=index,
-                    result=result,
-                    certificate=certificate,
-                    telemetry=SlotTelemetry(
-                        solver=solver.name,
-                        wall_s=wall_s,
-                        compile_s=compile_s,
-                        iterations=result.iterations,
-                        converged=result.converged,
-                        cache_hit=cache_hit,
-                        worker=pid,
-                        warm_start=had_warm,
-                        certify_s=(
-                            certificate.certify_s
-                            if certificate is not None
-                            else 0.0
-                        ),
-                    ),
-                )
-            )
-        except Exception as exc:
-            warm = None
-            outcomes.append(
-                _failed_outcome(
-                    index,
-                    exc,
-                    solver.name,
-                    wall_s=time.perf_counter() - start,
-                    compile_s=compile_s,
-                    cache_hit=cache_hit,
-                    warm_start=had_warm,
-                )
-            )
-    return outcomes
+        Slots are grouped by (model, strategy) — the unit the compile
+        cache keys on — and each group goes to ``solver.solve_batch``
+        as one stacked solve.  The batch wall clock is apportioned
+        evenly across the group; the group's single compile cost lands
+        on its first slot, mirroring the per-slot path where the first
+        slot misses and the rest hit.  A group-level failure (compile
+        error, non-representable cost, ...) re-solves each of its
+        slots through the per-slot step.
+        """
+        groups: dict[tuple[int, Any], list[int]] = {}
+        for offset, problem in enumerate(chunk.problems):
+            key = (id(problem.model), problem.strategy)
+            groups.setdefault(key, []).append(offset)
+        outcomes: dict[int, SlotOutcome] = {}
+        name = self.solver.name
+        for offsets in groups.values():
+            group = [chunk.problems[offset] for offset in offsets]
+            model, strategy = group[0].model, group[0].strategy
+            compiled = None
+            cache_hit: bool | None = None
+            compile_s = 0.0
+            try:
+                if self.structure_cache:
+                    compiled, cache_hit, compile_s = self.cache.lookup(
+                        model, strategy
+                    )
+                solve_start = time.perf_counter()
+                results = self.solver.solve_batch(group, compiled=compiled)
+                wall_s = (time.perf_counter() - solve_start) / len(group)
+            except Exception:
+                for offset in offsets:
+                    outcomes[offset] = self(
+                        chunk.index(offset), chunk.problems[offset]
+                    )
+                continue
+            for j, (offset, problem, result) in enumerate(
+                zip(offsets, group, results)
+            ):
+                index = chunk.index(offset)
+                if j:
+                    compile_s = 0.0
+                    cache_hit = True if self.structure_cache else None
+                try:
+                    outcomes[offset] = _slot_outcome(
+                        index, problem, result, name, self.certifier,
+                        wall_s=wall_s, compile_s=compile_s, cache_hit=cache_hit,
+                    )
+                except Exception as exc:
+                    outcomes[offset] = _failed_outcome(
+                        index, exc, name,
+                        wall_s=wall_s, compile_s=compile_s, cache_hit=cache_hit,
+                    )
+        return [outcomes[offset] for offset in range(len(chunk.problems))]
 
 
 def _synth_slot_span(outcome: SlotOutcome, pid: int) -> dict[str, Any]:
     """A synthesized ``worker.slot`` span dict built from telemetry.
 
-    The batched/resilient lanes solve many slots inside one solver
-    call, so individual slots cannot be wrapped live; their spans are
+    The batched lane solves many slots inside one solver call, so
+    individual slots cannot be wrapped live; their spans are
     reconstructed from the per-slot telemetry instead (wall time known,
     CPU time not) and marked ``synthesized``.
     """
@@ -498,434 +562,119 @@ def _attach_report(
     obs: WorkerObsPlan,
     *,
     pid: int,
-    host: str,
     spans: tuple[dict[str, Any], ...],
-    profile: tuple[dict[str, Any], ...] = (),
+    profiler: cProfile.Profile | None,
     profile_scope: str = "slot",
 ) -> None:
     tele = outcome.telemetry
     outcome.worker_report = WorkerReport(
         worker=pid,
-        host=host,
+        host=local_host(),
         metrics=(
             slot_metrics(tele).to_dict() if obs.metrics and tele is not None else None
         ),
         spans=spans,
         trace=obs.trace,
-        profile=profile,
+        profile=(
+            () if profiler is None else profile_hotspots(profiler, obs.profile)
+        ),
         profile_scope=profile_scope,
     )
 
 
-def _solve_chunk_observed(
-    solver: SlotSolver,
-    chunk: _Chunk,
-    structure_cache: bool,
-    certifier: Any | None,
-    resilience: ResilienceConfig | None,
-    batched: bool,
-    obs: WorkerObsPlan,
-) -> list[SlotOutcome]:
-    """The worker-observability wrapper around the chunk solve paths.
-
-    The scalar lane wraps every slot individually — a live
-    ``worker.slot`` span and (optionally) a per-slot cProfile.  The
-    batched and resilient lanes run their existing chunk function
-    untouched and synthesize per-slot spans from the telemetry the
-    outcomes already carry (one chunk-level profile lands on the first
-    outcome with ``profile_scope="chunk"``).  Either way every outcome
-    comes back with a :class:`~repro.obs.WorkerReport` whose metric
-    samples cover exactly that slot, so the parent can merge reports
-    without double counting.
-    """
-    pid = os.getpid()
-    host = local_host()
-    if batched or resilience is not None:
-        profiler = None
-        if obs.profile > 0:
-            profiler = cProfile.Profile()
-            profiler.enable()
-        try:
-            outcomes = _solve_chunk(
-                solver, chunk, structure_cache, certifier, resilience, batched
-            )
-        finally:
-            if profiler is not None:
-                profiler.disable()
-        rows = (
-            profile_hotspots(profiler, obs.profile) if profiler is not None else ()
-        )
-        for j, outcome in enumerate(outcomes):
-            spans: tuple[dict[str, Any], ...] = ()
-            if obs.spans:
-                spans = (_synth_slot_span(outcome, pid),)
-            _attach_report(
-                outcome,
-                obs,
-                pid=pid,
-                host=host,
-                spans=spans,
-                profile=rows if j == 0 else (),
-                profile_scope="chunk",
-            )
-        return outcomes
-    cache = CompileCache(solver)
-    outcomes = []
-    for offset, problem in enumerate(chunk.problems):
-        index = chunk.index(offset)
-        tracer = SpanTracer() if obs.spans else None
-        profiler = cProfile.Profile() if obs.profile > 0 else None
-        with ExitStack() as stack:
-            span = None
-            if tracer is not None:
-                span = stack.enter_context(
-                    tracer.span(
-                        "worker.slot", index=index, solver=solver.name, worker=pid
-                    )
-                )
-            if profiler is not None:
-                profiler.enable()
-            try:
-                outcome = _solve_one(
-                    solver, index, problem, cache, structure_cache, certifier, pid
-                )
-            finally:
-                if profiler is not None:
-                    profiler.disable()
-            if span is not None:
-                tele = outcome.telemetry
-                span.set(
-                    ok=outcome.ok,
-                    iterations=0 if tele is None else tele.iterations,
-                    converged=bool(tele is not None and tele.converged),
-                )
-        _attach_report(
-            outcome,
-            obs,
-            pid=pid,
-            host=host,
-            spans=tuple(tracer.to_dicts()) if tracer is not None else (),
-            profile=(
-                profile_hotspots(profiler, obs.profile)
-                if profiler is not None
-                else ()
-            ),
-        )
-        outcomes.append(outcome)
-    return outcomes
+@contextmanager
+def _profiled(obs: WorkerObsPlan | None) -> Iterator[cProfile.Profile | None]:
+    """cProfile the block when the plan asks for profiles; else None."""
+    if obs is None or obs.profile <= 0:
+        yield None
+        return
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        yield profiler
+    finally:
+        profiler.disable()
 
 
-def _solve_chunk_batched(
+def _solve_chunk(
     solver: SlotSolver,
     chunk: _Chunk,
     structure_cache: bool,
     certifier: Any | None = None,
+    resilience: ResilienceConfig | None = None,
+    batched: bool = False,
+    obs: WorkerObsPlan | None = None,
+    warm_start: bool = False,
+    warm: Any | None = None,
 ) -> list[SlotOutcome]:
-    """Solve a chunk through the solver's vectorized ``solve_batch``.
+    """Solve one chunk of slots: the task every execution client runs.
 
-    Slots are grouped by (model, strategy) — the unit the compile
-    cache keys on — and each group goes to ``solver.solve_batch`` as
-    one stacked solve.  Every slot still yields its own
-    :class:`SlotOutcome` with telemetry (the batch wall clock is
-    apportioned evenly across the group; the group's single compile
-    cost lands on its first slot, mirroring the scalar path where the
-    first slot misses and the rest hit) and, when a certifier is
-    attached, its own certificate.
+    Module-level so process and socket clients can pickle it.  Cold
+    and warm runs, serial and pooled, submit this one function; the
+    per-slot telemetry (and, with ``certifier``, each certificate)
+    travels back attached to the outcomes, which is what lets the
+    parent aggregate every lane without a second channel.
 
-    A group-level failure (compile error, non-representable cost, ...)
-    degrades gracefully: each slot of the group is re-solved through
-    the scalar :func:`_solve_one` path, which captures per-slot errors
-    as failed outcomes exactly like the serial executor.
+    The chunk runs through the per-slot :class:`_SlotStep` loop or,
+    with ``batched``, through :meth:`_SlotStep.batch`.  With
+    ``warm_start`` the loop chains: ``warm`` seeds the first slot and
+    each success's :attr:`SlotResult.warm` seeds the next, while a
+    failure ships no payload and cold-restarts the chain.
+
+    With an ``obs`` plan every outcome comes back with a
+    :class:`~repro.obs.WorkerReport` whose metric samples cover exactly
+    that slot: per-slot lanes wrap each slot in a live ``worker.slot``
+    span and (optionally) its own cProfile; the batched lane
+    synthesizes per-slot spans from telemetry and lands one chunk
+    profile on its first outcome (``profile_scope="chunk"``).
     """
-    cache = CompileCache(solver)
+    step = _SlotStep(solver, structure_cache, certifier, resilience)
     pid = os.getpid()
-    outcomes: dict[int, SlotOutcome] = {}
-    groups: list[tuple[Any, Any, list[int]]] = []
+    if batched:
+        with _profiled(obs) as profiler:
+            outcomes = step.batch(chunk)
+        if obs is not None:
+            for j, outcome in enumerate(outcomes):
+                _attach_report(
+                    outcome,
+                    obs,
+                    pid=pid,
+                    spans=(_synth_slot_span(outcome, pid),) if obs.spans else (),
+                    profiler=profiler if j == 0 else None,
+                    profile_scope="chunk",
+                )
+        return outcomes
+    outcomes = []
     for offset, problem in enumerate(chunk.problems):
-        for model, strategy, offsets in groups:
-            if problem.model is model and problem.strategy == strategy:
-                offsets.append(offset)
-                break
+        index = chunk.index(offset)
+        if obs is None:
+            outcome = step(index, problem, warm)
         else:
-            groups.append((problem.model, problem.strategy, [offset]))
-    for model, strategy, offsets in groups:
-        group = [chunk.problems[offset] for offset in offsets]
-        compiled = None
-        cache_hit: bool | None = None
-        compile_s = 0.0
-        try:
-            if structure_cache:
-                compiled, cache_hit, compile_s = cache.lookup(model, strategy)
-            solve_start = time.perf_counter()
-            results = solver.solve_batch(group, compiled=compiled)
-            wall_s = (time.perf_counter() - solve_start) / len(group)
-        except Exception:
-            for offset in offsets:
-                outcomes[offset] = _solve_one(
-                    solver, chunk.index(offset), chunk.problems[offset],
-                    cache, structure_cache, certifier, pid,
+            tracer = SpanTracer() if obs.spans else None
+            with (
+                nullcontext() if tracer is None else tracer.span(
+                    "worker.slot", index=index, solver=solver.name, worker=pid
                 )
-            continue
-        for j, (offset, problem, result) in enumerate(zip(offsets, group, results)):
-            index = chunk.index(offset)
-            try:
-                certificate = (
-                    _certify_result(certifier, problem, result, solver.name, index)
-                    if certifier is not None
-                    else None
-                )
-            except Exception as exc:
-                outcomes[offset] = _failed_outcome(
-                    index, exc, solver.name, wall_s=wall_s,
-                    compile_s=compile_s if j == 0 else 0.0,
-                    cache_hit=cache_hit if j == 0 else (
-                        True if structure_cache else None
-                    ),
-                )
-                continue
-            outcomes[offset] = SlotOutcome(
-                index=index,
-                result=result,
-                certificate=certificate,
-                telemetry=SlotTelemetry(
-                    solver=solver.name,
-                    wall_s=wall_s,
-                    compile_s=compile_s if j == 0 else 0.0,
-                    iterations=result.iterations,
-                    converged=result.converged,
-                    cache_hit=cache_hit if j == 0 else (
-                        True if structure_cache else None
-                    ),
-                    worker=pid,
-                    warm_start=False,
-                    certify_s=(
-                        certificate.certify_s if certificate is not None else 0.0
-                    ),
-                ),
-            )
-    return [outcomes[offset] for offset in range(len(chunk.problems))]
-
-
-def _solve_chunk_resilient(
-    solver: SlotSolver,
-    chunk: _Chunk,
-    structure_cache: bool,
-    certifier: Any | None,
-    resilience: ResilienceConfig,
-) -> list[SlotOutcome]:
-    """Solve a chunk under a retry/fallback-chain/quarantine policy.
-
-    Per slot: the primary solver gets ``retry.max_attempts`` tries,
-    then each fallback (instantiated once per chunk, with its own
-    compile cache) gets one.  Any attempt exceeding ``slot_timeout_s``
-    is discarded as a :class:`SlotTimeoutError`.  After
-    ``quarantine_after`` consecutive slots where the primary's whole
-    budget failed, the primary is skipped for the rest of the chunk
-    and slots go straight to the fallback chain.  A slot only becomes
-    a failed outcome when *every* solver in the chain failed.
-    """
-    pid = os.getpid()
-    lanes: list[tuple[SlotSolver, CompileCache, int, bool]] = [
-        (solver, CompileCache(solver), resilience.retry.max_attempts, True)
-    ]
-    for name in resilience.fallback:
-        fallback = create_solver(name)
-        lanes.append((fallback, CompileCache(fallback), 1, False))
-    consecutive_primary_failures = 0
-    quarantined = False
-    outcomes: list[SlotOutcome] = []
-    for offset, problem in enumerate(chunk.problems):
-        index = chunk.index(offset)
-        chain_errors: list[str] = []
-        attempts = 0
-        outcome: SlotOutcome | None = None
-        primary_failed = False
-        last_exc: Exception | None = None
-        last_tb = ""
-        last_compile_s = 0.0
-        last_cache_hit: bool | None = None
-        slot_start = time.perf_counter()
-        if quarantined:
-            chain_errors.append(
-                f"{solver.name}: quarantined after "
-                f"{consecutive_primary_failures} consecutive slot failures"
-            )
-        for lane_solver, cache, budget, is_primary in lanes:
-            if is_primary and quarantined:
-                continue
-            for attempt in range(1, budget + 1):
-                attempts += 1
-                compiled = None
-                cache_hit: bool | None = None
-                compile_s = 0.0
-                try:
-                    if structure_cache:
-                        compiled, cache_hit, compile_s = cache.lookup(
-                            problem.model, problem.strategy
-                        )
-                    solve_start = time.perf_counter()
-                    result = lane_solver.solve(problem, compiled=compiled)
-                    wall_s = time.perf_counter() - solve_start
-                    budget_s = resilience.slot_timeout_s
-                    if budget_s is not None and wall_s > budget_s:
-                        raise SlotTimeoutError(
-                            f"slot {index}: {lane_solver.name} attempt took "
-                            f"{wall_s:.3f}s > budget {budget_s:.3f}s"
-                        )
-                except Exception as exc:
-                    last_exc = exc
-                    last_tb = traceback.format_exc()
-                    last_compile_s = compile_s
-                    last_cache_hit = cache_hit
-                    chain_errors.append(
-                        f"{lane_solver.name}[attempt {attempt}]: "
-                        f"{type(exc).__name__}: {exc}"
+            ) as span:
+                with _profiled(obs) as profiler:
+                    outcome = step(index, problem, warm)
+                if span is not None:
+                    tele = outcome.telemetry
+                    span.set(
+                        ok=outcome.ok,
+                        iterations=0 if tele is None else tele.iterations,
+                        converged=bool(tele is not None and tele.converged),
                     )
-                    continue
-                degraded_result = bool(result.extras.get("degraded"))
-                certificate = (
-                    _certify_result(
-                        certifier, problem, result, lane_solver.name, index
-                    )
-                    if certifier is not None
-                    else None
-                )
-                outcome = SlotOutcome(
-                    index=index,
-                    result=result,
-                    certificate=certificate,
-                    attempts=attempts,
-                    degraded=degraded_result or not is_primary,
-                    fallback_solver=None if is_primary else lane_solver.name,
-                    chain_errors=tuple(chain_errors),
-                    telemetry=SlotTelemetry(
-                        solver=lane_solver.name,
-                        wall_s=wall_s,
-                        compile_s=compile_s,
-                        iterations=result.iterations,
-                        converged=result.converged,
-                        cache_hit=cache_hit,
-                        worker=pid,
-                        warm_start=False,
-                        certify_s=(
-                            certificate.certify_s if certificate is not None else 0.0
-                        ),
-                    ),
-                )
-                break
-            if outcome is not None:
-                if is_primary:
-                    consecutive_primary_failures = 0
-                break
-            if is_primary:
-                primary_failed = True
-        if outcome is None:
-            outcome = SlotOutcome(
-                index=index,
-                error=last_tb,
-                error_type=type(last_exc).__name__,
-                error_message=str(last_exc),
-                attempts=attempts,
-                chain_errors=tuple(chain_errors),
-                telemetry=SlotTelemetry(
-                    solver=solver.name,
-                    wall_s=time.perf_counter() - slot_start,
-                    compile_s=last_compile_s,
-                    iterations=0,
-                    converged=False,
-                    cache_hit=last_cache_hit,
-                    worker=pid,
-                    warm_start=False,
-                    error_type=type(last_exc).__name__,
-                ),
+            _attach_report(
+                outcome,
+                obs,
+                pid=pid,
+                spans=() if tracer is None else tuple(tracer.to_dicts()),
+                profiler=profiler,
             )
-        if primary_failed:
-            consecutive_primary_failures += 1
-            if (
-                resilience.quarantine_after
-                and consecutive_primary_failures >= resilience.quarantine_after
-            ):
-                quarantined = True
+        if warm_start:
+            warm = outcome.result.warm if outcome.ok else None
         outcomes.append(outcome)
-    return outcomes
-
-
-def _timeout_chunk_outcomes(
-    chunk: _Chunk, budget_s: float, solver_name: str
-) -> list[SlotOutcome]:
-    """Failed outcomes for a pending batch abandoned at harvest time.
-
-    A batch that blows its harvest budget (``slot_timeout_s`` summed
-    over its slots) never delivers per-slot telemetry, so every slot
-    becomes a :class:`SlotTimeoutError` outcome attributed to the
-    harvesting process.
-    """
-    pid = os.getpid()
-    outcomes = []
-    for offset in range(len(chunk.problems)):
-        index = chunk.index(offset)
-        message = (
-            f"slot {index}: pending batch exceeded its harvest budget "
-            f"({budget_s:.3f}s for {len(chunk.problems)} slots); the "
-            "batch was abandoned and its late result discarded"
-        )
-        outcomes.append(
-            SlotOutcome(
-                index=index,
-                error=f"SlotTimeoutError: {message}",
-                error_type="SlotTimeoutError",
-                error_message=message,
-                telemetry=SlotTelemetry(
-                    solver=solver_name,
-                    wall_s=0.0,
-                    compile_s=0.0,
-                    iterations=0,
-                    converged=False,
-                    cache_hit=None,
-                    worker=pid,
-                    warm_start=False,
-                    error_type="SlotTimeoutError",
-                ),
-            )
-        )
-    return outcomes
-
-
-def _lost_chunk_outcomes(
-    chunk: _Chunk, exc: BaseException, solver_name: str
-) -> list[SlotOutcome]:
-    """Failed outcomes for a batch whose worker died mid-flight.
-
-    The socket client shrinks its fleet and keeps serving when a
-    worker vanishes; the batch that worker held comes back as one
-    :class:`~repro.exec.clients.WorkerLostError` per slot — a
-    structured failure, not a silent gap — while every completed
-    slot's merged metrics and spans survive untouched.
-    """
-    pid = os.getpid()
-    outcomes = []
-    for offset in range(len(chunk.problems)):
-        index = chunk.index(offset)
-        message = f"slot {index}: {exc}"
-        outcomes.append(
-            SlotOutcome(
-                index=index,
-                error=f"WorkerLostError: {message}",
-                error_type="WorkerLostError",
-                error_message=message,
-                telemetry=SlotTelemetry(
-                    solver=solver_name,
-                    wall_s=0.0,
-                    compile_s=0.0,
-                    iterations=0,
-                    converged=False,
-                    cache_hit=None,
-                    worker=pid,
-                    warm_start=False,
-                    error_type="WorkerLostError",
-                ),
-            )
-        )
     return outcomes
 
 
@@ -944,6 +693,11 @@ def _ledger_environment() -> dict[str, Any]:
 class _ExecStats:
     """What the execution layer reports back into the run summary."""
 
+    executor: str = "serial"
+    decision: str = "serial:requested"
+    effective: int = 1
+    usable: int = 1
+    start_method: str | None = None
     client: str | None = None
     pending_max: int = 0
     store_hits: int = 0
@@ -1057,8 +811,8 @@ class HorizonEngine:
             force it.
         worker_profile: when > 0, run cProfile around each slot's solve
             in the worker and ship the top-N hotspot rows back on the
-            report (per-slot on the scalar lane, per-chunk on the
-            batched/resilient lanes).
+            report (per-slot on the per-slot lanes, per-chunk on the
+            batched lane).
 
     After each :meth:`run`, :attr:`last_summary` holds the run's
     :class:`~repro.obs.HorizonSummary` (phase breakdown, executor
@@ -1132,7 +886,7 @@ class HorizonEngine:
         # harvest path); the engine is not reentrant, matching the
         # existing last_summary contract.
         self._run_ledger: RunLedger | None = None
-        self._run_trace: TraceContext | None = None
+        self._run_plan: WorkerObsPlan | None = None
 
     def plan_workers(self, n_items: int) -> tuple[int, str, int]:
         """The pool-sizing decision for a horizon of ``n_items`` slots.
@@ -1204,10 +958,11 @@ class HorizonEngine:
             warm_start: chain each slot from the previous slot's warm
                 payload.  Requires a warm-start-capable solver and
                 ``workers=1`` (the chain is sequential by nature).
-                With an execution client attached the chain routes
-                through it at pipeline depth one: slot ``t + 1``'s
-                submission carries slot ``t``'s harvested payload, so
-                warm hints survive process and socket boundaries.
+                A synchronous client runs the chain as one chunk; an
+                asynchronous one at pipeline depth one: slot
+                ``t + 1``'s submission carries slot ``t``'s harvested
+                payload, so warm hints survive process and socket
+                boundaries.
             batch: take the vectorized ``solve_batch`` lane.  None
                 (default) auto-enables it for batch-capable solvers
                 (see :meth:`_plan_batch`); True forces it (raising on
@@ -1268,11 +1023,14 @@ class HorizonEngine:
                     trace_id = (
                         ledger.run_id if ledger is not None else new_run_id()
                     )
-                    self._run_trace = TraceContext(
-                        trace_id=trace_id,
-                        parent_span_id=(
-                            None if run_span is None else run_span.span_id
+                    self._run_plan = WorkerObsPlan(
+                        trace=TraceContext(
+                            trace_id=trace_id,
+                            parent_span_id=(
+                                None if run_span is None else run_span.span_id
+                            ),
                         ),
+                        profile=self.worker_profile,
                     )
                 if ledger is not None:
                     ledger.write_header(
@@ -1282,43 +1040,18 @@ class HorizonEngine:
                         environment=_ledger_environment(),
                         slots_expected=len(problems),
                     )
-                if warm_start:
-                    if self.client is not None:
-                        (
-                            outcomes,
-                            executor,
-                            decision,
-                            start_method,
-                            stats,
-                        ) = self._run_warm_client(problems)
-                    else:
-                        outcomes = self._run_warm(problems)
-                        executor, decision = "serial-warm", "serial:warm-start"
-                        start_method = None
-                        stats = _ExecStats()
-                    effective = 1
-                    usable = usable_cpu_count()
-                else:
-                    (
-                        outcomes,
-                        executor,
-                        decision,
-                        effective,
-                        usable,
-                        start_method,
-                        stats,
-                    ) = self._run_horizon(problems, batched)
+                outcomes, stats = self._run_horizon(problems, batched, warm_start)
                 wall_s = time.perf_counter() - start
                 summary = HorizonSummary.from_outcomes(
                     outcomes,
                     solver=self.solver.name,
                     wall_s=wall_s,
-                    executor=executor,
-                    decision=decision,
+                    executor=stats.executor,
+                    decision=stats.decision,
                     workers_requested=self.workers,
-                    workers_effective=effective,
-                    usable_cpus=usable,
-                    mp_start_method=start_method,
+                    workers_effective=stats.effective,
+                    usable_cpus=stats.usable,
+                    mp_start_method=stats.start_method,
                     client=stats.client,
                     max_pending_observed=stats.pending_max,
                     store_hits=stats.store_hits,
@@ -1339,7 +1072,7 @@ class HorizonEngine:
             raise
         finally:
             self._run_ledger = None
-            self._run_trace = None
+            self._run_plan = None
         self.last_summary = summary
         if ledger is not None:
             self.last_ledger_path = ledger.finalize(summary.to_dict())
@@ -1362,17 +1095,6 @@ class HorizonEngine:
             self.metrics is not None
             or self.tracer is not None
             or self.worker_profile > 0
-        )
-
-    def _make_obs_plan(self) -> WorkerObsPlan | None:
-        """The per-run worker observability plan, or None when off."""
-        if not self._worker_obs_enabled():
-            return None
-        return WorkerObsPlan(
-            metrics=True,
-            spans=True,
-            trace=self._run_trace,
-            profile=self.worker_profile,
         )
 
     def _open_ledger(self) -> RunLedger | None:
@@ -1585,209 +1307,33 @@ class HorizonEngine:
 
     # -- executors -----------------------------------------------------------
 
-    def _run_warm(self, problems: list[UFCProblem]) -> list[SlotOutcome]:
-        cache = CompileCache(self.solver)
-        pid = os.getpid()
-        outcomes: list[SlotOutcome] = []
-        warm = None
-        for index, problem in enumerate(problems):
-            compiled = None
-            cache_hit: bool | None = None
-            compile_s = 0.0
-            had_warm = warm is not None
-            start = time.perf_counter()
-            try:
-                if self.structure_cache:
-                    compiled, cache_hit, compile_s = cache.lookup(
-                        problem.model, problem.strategy
-                    )
-                solve_start = time.perf_counter()
-                result = self.solver.solve(problem, compiled=compiled, warm=warm)
-                wall_s = time.perf_counter() - solve_start
-                warm = result.warm
-                certificate = (
-                    _certify_result(
-                        self.certifier, problem, result, self.solver.name, index
-                    )
-                    if self.certifier is not None
-                    else None
-                )
-                outcomes.append(
-                    SlotOutcome(
-                        index=index,
-                        result=result,
-                        certificate=certificate,
-                        telemetry=SlotTelemetry(
-                            solver=self.solver.name,
-                            wall_s=wall_s,
-                            compile_s=compile_s,
-                            iterations=result.iterations,
-                            converged=result.converged,
-                            cache_hit=cache_hit,
-                            worker=pid,
-                            warm_start=had_warm,
-                            certify_s=(
-                                certificate.certify_s
-                                if certificate is not None
-                                else 0.0
-                            ),
-                        ),
-                    )
-                )
-            except Exception as exc:
-                # A poisoned slot breaks the chain: the next slot
-                # cold-starts, mirroring a restarted solver.
-                warm = None
-                outcomes.append(
-                    _failed_outcome(
-                        index,
-                        exc,
-                        self.solver.name,
-                        wall_s=time.perf_counter() - start,
-                        compile_s=compile_s,
-                        cache_hit=cache_hit,
-                        warm_start=had_warm,
-                    )
-                )
-            self._absorb(outcomes[-1])
-        return outcomes
-
-    def _run_warm_client(
-        self, problems: list[UFCProblem]
-    ) -> tuple[list[SlotOutcome], str, str, str | None, _ExecStats]:
-        """Warm-chain a horizon through the attached execution client.
-
-        Warm chaining is a sequential dependency, so the chain
-        pipelines at depth one: each single-slot chunk is submitted
-        only after the previous one is harvested, and the submission
-        carries the harvested :attr:`SlotResult.warm` payload as the
-        next slot's hint.  The solves themselves run wherever the
-        client puts them (pool worker, socket worker), which lets a
-        warm chain share a long-lived remote fleet with cold runs.  A
-        failed slot — including a lost worker — ships no payload, so
-        the next slot cold-restarts the chain exactly as the
-        in-process loop does.
-
-        Returns ``(outcomes, executor, decision, start_method, stats)``.
-        """
-        stats = _ExecStats()
-        spec = self.client
-        owns = False
-        if isinstance(spec, str):
-            client = create_client(
-                spec, workers=self.workers, oversubscribe=self.oversubscribe
-            )
-            owns = True
-        else:
-            client = spec
-        stats.client = client.name
-        outcomes: list[SlotOutcome] = []
-        warm = None
-        try:
-            for index, problem in enumerate(problems):
-                chunk = _Chunk(start=index, problems=[problem])
-                try:
-                    client.submit(
-                        _solve_chunk_warm,
-                        self.solver,
-                        chunk,
-                        self.structure_cache,
-                        self.certifier,
-                        warm,
-                    )
-                    got = None
-                    while got is None:
-                        got = client.wait_next(None)
-                    chunk_outcomes = got[1]
-                except WorkerLostError as exc:
-                    chunk_outcomes = _lost_chunk_outcomes(
-                        chunk, exc, self.solver.name
-                    )
-                outcome = chunk_outcomes[0]
-                warm = (
-                    outcome.result.warm
-                    if outcome.ok and outcome.result is not None
-                    else None
-                )
-                outcomes.append(outcome)
-                self._absorb(outcome)
-        finally:
-            if owns:
-                client.close()
-        name = client.name
-        return (
-            outcomes,
-            f"{name}-warm",
-            f"client:{name}:warm-chain",
-            getattr(client, "start_method", None),
-            stats,
-        )
-
-    def _store_hit_outcome(
-        self,
-        index: int,
-        problem: UFCProblem,
-        result: SlotResult,
-        load_s: float,
-    ) -> SlotOutcome:
-        """Synthesize the outcome for a slot resolved from the store.
-
-        The stored result is re-certified in-process when the engine
-        certifies (trust the digest for identity, not for feasibility
-        bookkeeping); a certification crash degrades to a failed
-        outcome exactly as it would on a fresh solve.
-        """
-        try:
-            certificate = (
-                _certify_result(
-                    self.certifier, problem, result, self.solver.name, index
-                )
-                if self.certifier is not None
-                else None
-            )
-        except Exception as exc:
-            return _failed_outcome(
-                index, exc, self.solver.name, wall_s=load_s
-            )
-        return SlotOutcome(
-            index=index,
-            result=result,
-            certificate=certificate,
-            telemetry=SlotTelemetry(
-                solver=self.solver.name,
-                wall_s=load_s,
-                compile_s=0.0,
-                iterations=result.iterations,
-                converged=result.converged,
-                cache_hit=None,
-                worker=os.getpid(),
-                warm_start=False,
-                store_hit=True,
-                certify_s=(
-                    certificate.certify_s if certificate is not None else 0.0
-                ),
-            ),
-        )
-
     def _run_horizon(
-        self, problems: list[UFCProblem], batched: bool
-    ) -> tuple[
-        list[SlotOutcome], str, str, int, int, str | None, _ExecStats
-    ]:
-        """Solve a cold horizon through the execution-client layer.
+        self, problems: list[UFCProblem], batched: bool, warm_start: bool
+    ) -> tuple[list[SlotOutcome], _ExecStats]:
+        """Solve a horizon through the execution-client layer.
 
-        The legacy serial/pool lanes are policies over one scheduler
-        now: with ``client=None`` the worker plan picks the in-process
-        or multiprocessing backend and keeps the historical executor
-        strings (``"serial"``, ``"pool"``, …); an explicit client is
-        named verbatim (``executor=client.name``,
-        ``decision="client:<name>"``).  When a result store is
-        attached, every slot is probed in the parent before anything
-        is scheduled; only misses reach the client, and fresh
-        non-degraded results are written back after harvest.
+        The one client-driven lane, cold or warm.  With ``client=None``
+        the worker plan picks the in-process or multiprocessing backend
+        and keeps the historical executor strings (``"serial"``,
+        ``"pool"``, …); an explicit client is named verbatim
+        (``executor=client.name``, ``decision="client:<name>"``).
+        When a result store is attached, every slot is probed in the
+        parent before anything is scheduled; only misses reach the
+        client, and fresh non-degraded results are written back after
+        harvest.
 
-        Returns ``(outcomes, executor, decision, effective_workers,
-        usable_cpus, start_method, stats)``.
+        A warm chain submits the same :func:`_solve_chunk` task with
+        the chain's payload.  A synchronous client gets the whole
+        horizon as one chunk, exactly like the cold serial lane, so
+        its compile cache spans the horizon.  An asynchronous client
+        pipelines at depth one: each single-slot chunk is submitted
+        only after the previous one is harvested and carries its
+        :attr:`SlotResult.warm` payload, so warm hints cross process
+        and socket boundaries.  A failed slot — including a lost
+        worker — ships no payload, so the next slot cold-restarts the
+        chain; warm chains are never wrapped in a fleet supervisor.
+
+        Returns ``(outcomes, stats)``.
         """
         stats = _ExecStats()
         outcomes: list[SlotOutcome | None] = [None] * len(problems)
@@ -1809,9 +1355,17 @@ class HorizonEngine:
                     to_solve.append((index, problem))
                 else:
                     stats.store_hits += 1
-                    outcomes[index] = self._store_hit_outcome(
-                        index, problem, result, load_s
-                    )
+                    # Re-certified in-process when the engine certifies:
+                    # the digest vouches for identity, not feasibility.
+                    try:
+                        outcomes[index] = _slot_outcome(
+                            index, problem, result, self.solver.name,
+                            self.certifier, wall_s=load_s, store_hit=True,
+                        )
+                    except Exception as exc:
+                        outcomes[index] = _failed_outcome(
+                            index, exc, self.solver.name, wall_s=load_s
+                        )
                     self._absorb(outcomes[index])
 
         # Client resolution: None keeps the classic worker plan and
@@ -1820,8 +1374,10 @@ class HorizonEngine:
         owns = False
         client: ExecutionClient | None = None
         if spec is None:
-            effective, decision, usable = self.plan_workers(len(to_solve))
-            executor = "pool" if effective > 1 else "serial"
+            effective, stats.decision, stats.usable = self.plan_workers(
+                len(to_solve)
+            )
+            stats.executor = "pool" if effective > 1 else "serial"
             if to_solve:
                 if effective > 1:
                     client = MultiprocessingClient(
@@ -1831,7 +1387,7 @@ class HorizonEngine:
                     client = InProcessClient()
                 owns = True
         else:
-            usable = usable_cpu_count()
+            stats.usable = usable_cpu_count()
             if isinstance(spec, str):
                 client = create_client(
                     spec, workers=self.workers, oversubscribe=self.oversubscribe
@@ -1839,37 +1395,49 @@ class HorizonEngine:
                 owns = True
             else:
                 client = spec
-            effective = getattr(client, "workers", 1)
-            decision = f"client:{client.name}"
-            executor = client.name
-        start_method = getattr(client, "start_method", None)
+            effective = 1 if warm_start else getattr(client, "workers", 1)
+            stats.decision = f"client:{client.name}"
+            stats.executor = client.name
+        stats.effective = effective
+        stats.start_method = getattr(client, "start_method", None)
         stats.client = None if client is None else client.name
+        asynchronous = bool(getattr(client, "asynchronous", False))
         supervisor: FleetSupervisor | None = None
 
         try:
             if to_solve:
-                chunks = self._chunk_tasks(to_solve, len(problems), client, effective)
+                chunks = self._chunk_tasks(
+                    to_solve,
+                    len(problems),
+                    asynchronous,
+                    effective,
+                    1 if warm_start else self.chunk_size,
+                )
                 budget_fn = None
-                on_timeout = None
                 solver_name = self.solver.name
                 if (
                     self.resilience is not None
                     and self.resilience.slot_timeout_s is not None
-                    and getattr(client, "asynchronous", False)
+                    and asynchronous
                 ):
                     timeout_s = self.resilience.slot_timeout_s
 
                     def budget_fn(task: tuple[Any, ...]) -> float:
                         return timeout_s * len(task[1].problems)
 
-                    def on_timeout(task: tuple[Any, ...]) -> list[SlotOutcome]:
-                        return _timeout_chunk_outcomes(
-                            task[1], budget_fn(task), solver_name
-                        )
+                def on_timeout(task: tuple[Any, ...]) -> list[SlotOutcome]:
+                    chunk = task[1]
+                    budget_s = 0.0 if budget_fn is None else budget_fn(task)
+                    return _failed_chunk(
+                        chunk,
+                        solver_name,
+                        SlotTimeoutError,
+                        f"pending batch exceeded its harvest budget "
+                        f"({budget_s:.3f}s for {len(chunk.problems)} slots); "
+                        "the batch was abandoned and its late result discarded",
+                    )
 
-                if self.supervision is not None and getattr(
-                    client, "asynchronous", False
-                ):
+                if self.supervision is not None and asynchronous and not warm_start:
                     # The supervisor owns the clock: each *attempt* gets
                     # the per-batch budget, and the scheduler's own
                     # deadline enforcement is turned off — resubmission
@@ -1899,13 +1467,13 @@ class HorizonEngine:
                     # scheduler's own enforcement would give.  Anything
                     # else is a real bug and propagates as before.
                     if isinstance(exc, WorkerLostError):
-                        return _lost_chunk_outcomes(task[1], exc, solver_name)
+                        return _failed_chunk(
+                            task[1], solver_name, WorkerLostError, str(exc)
+                        )
                     if isinstance(exc, TaskTimeoutError) and supervisor is not None:
-                        budget = budget_fn(task) if budget_fn is not None else 0.0
-                        return _timeout_chunk_outcomes(task[1], budget, solver_name)
+                        return on_timeout(task)
                     raise exc
 
-                plan = self._make_obs_plan()
                 tasks = [
                     (
                         self.solver,
@@ -1914,7 +1482,7 @@ class HorizonEngine:
                         self.certifier,
                         self.resilience,
                         batched,
-                        plan,
+                        self._run_plan,
                     )
                     for chunk in chunks
                 ]
@@ -1944,19 +1512,33 @@ class HorizonEngine:
                             self.store is not None
                             and keys[outcome.index] is not None
                             and outcome.ok
-                            and outcome.result is not None
                             and not outcome.degraded
                         ):
                             self.store.put(keys[outcome.index], outcome.result)
 
-                for chunk_outcomes in scheduler.map(
-                    _solve_chunk,
-                    tasks,
-                    budget_s=None if supervisor is not None else budget_fn,
-                    on_timeout=None if supervisor is not None else on_timeout,
-                    on_result=on_harvest,
-                    on_error=on_error,
-                ):
+                def harvest(
+                    tasks: list[tuple[Any, ...]]
+                ) -> list[list[SlotOutcome]]:
+                    return scheduler.map(
+                        _solve_chunk,
+                        tasks,
+                        budget_s=None if supervisor is not None else budget_fn,
+                        on_timeout=None if supervisor is not None else on_timeout,
+                        on_result=on_harvest,
+                        on_error=on_error,
+                    )
+
+                if warm_start:
+                    harvested = []
+                    warm = None
+                    for task in tasks:
+                        (chunk_outcomes,) = harvest([(*task, True, warm)])
+                        last = chunk_outcomes[-1]
+                        warm = last.result.warm if last.ok else None
+                        harvested.append(chunk_outcomes)
+                else:
+                    harvested = harvest(tasks)
+                for chunk_outcomes in harvested:
                     for outcome in chunk_outcomes:
                         outcomes[outcome.index] = outcome
                 stats.pending_max = scheduler.pending_max_observed
@@ -1965,40 +1547,38 @@ class HorizonEngine:
                 client.close()
 
         if batched:
-            executor = f"{executor}-batch"
-        return (
-            [outcome for outcome in outcomes if outcome is not None],
-            executor,
-            decision,
-            effective,
-            usable,
-            start_method,
-            stats,
-        )
+            stats.executor += "-batch"
+        if warm_start:
+            stats.executor += "-warm"
+            stats.decision = (
+                "serial:warm-start" if spec is None else f"{stats.decision}:warm-chain"
+            )
+        return [outcome for outcome in outcomes if outcome is not None], stats
 
     def _chunk_tasks(
         self,
         to_solve: list[tuple[int, UFCProblem]],
         total: int,
-        client: ExecutionClient | None,
+        asynchronous: bool,
         effective: int,
+        chunk_size: int | None,
     ) -> list[_Chunk]:
         """Split pending (index, problem) pairs into solver batches.
 
         A synchronous single-worker client gets ONE chunk — that is
-        the legacy serial lane, and one chunk is what lets its
+        the serial lane, and one chunk is what lets its
         :class:`CompileCache` span the whole horizon.  Everything else
-        uses the classic pool rule ``ceil(T / (4 * workers))`` unless
-        ``chunk_size`` pins it.  Chunks over a contiguous zero-based
-        range skip the explicit index list (matching the historical
-        pool task payloads); store-thinned runs carry their slot
-        indices explicitly.
+        uses ``chunk_size`` or, when that is None, the classic pool
+        rule ``ceil(T / (4 * workers))``.  Chunks over a contiguous
+        zero-based range skip the explicit index list (matching the
+        historical pool task payloads); store-thinned runs carry their
+        slot indices explicitly.
         """
         contiguous = len(to_solve) == total
-        if effective <= 1 and not getattr(client, "asynchronous", False):
+        if effective <= 1 and not asynchronous:
             size = len(to_solve)
         else:
-            size = self.chunk_size
+            size = chunk_size
             if size is None:
                 size = max(1, -(-len(to_solve) // (4 * max(1, effective))))
         chunks = []
@@ -2014,27 +1594,3 @@ class HorizonEngine:
                 )
             )
         return chunks
-
-
-def parallel_map(
-    fn: Callable[[_T], _R],
-    items: Iterable[_T],
-    workers: int = 1,
-    telemetry: Telemetry | None = None,
-    oversubscribe: bool = False,
-) -> list[_R]:
-    """Removed — the sweep map lives at :func:`repro.exec.parallel_map`.
-
-    The order-preserving sweep map moved to the execution layer, where
-    it shares mp-context pinning, CPU clamping and pipelining with the
-    horizon engine's clients.  This name forwarded with a
-    ``DeprecationWarning`` for one release; it is now a hard error so
-    stale imports fail loudly instead of silently diverging from the
-    exec-layer behavior.
-    """
-    del fn, items, workers, telemetry, oversubscribe
-    raise RuntimeError(
-        "repro.engine.horizon.parallel_map was removed; use "
-        "repro.exec.parallel_map (same signature, plus client/"
-        "max_pending support)"
-    )

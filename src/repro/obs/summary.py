@@ -43,7 +43,12 @@ class HorizonSummary:
         overhead_s: wall time not explained by (amortized) compile and
             solve — process-pool IPC, argument/result pickling, chunk
             imbalance and per-slot bookkeeping.
-        executor: ``"serial"``, ``"pool"`` or ``"serial-warm"``.
+        executor: the lane that ran: ``"serial"`` (in-process),
+            ``"pool"`` (multiprocessing) or, with an explicit client,
+            its name (``"in-process"``, ``"mp"``, ``"socket"``, ...),
+            suffixed ``"-batch"`` for the vectorized ``solve_batch``
+            lane or ``"-warm"`` for a warm-start chain (e.g.
+            ``"pool-batch"``, ``"serial-warm"``, ``"mp-warm"``).
         decision: why that executor ran (e.g.
             ``"serial:fallback-single-cpu"``, ``"pool:clamped-to-cpus"``).
         workers_requested / workers_effective: pool sizing before and

@@ -96,8 +96,8 @@ class WorkerReport:
             requested); each row has ``func``, ``calls``, ``tottime``
             and ``cumtime``.
         profile_scope: ``"slot"`` when the profile wraps one slot,
-            ``"chunk"`` when the batched/resilient lanes could only
-            profile the whole chunk (attached to its first outcome).
+            ``"chunk"`` when the batched lane could only profile the
+            whole chunk (attached to its first outcome).
     """
 
     worker: int

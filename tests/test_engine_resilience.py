@@ -66,6 +66,17 @@ class BrokenSolver(_StubSolver):
         raise RuntimeError("hard failure")
 
 
+class DegradedSolver(_StubSolver):
+    """Succeeds, but reports every result as a degraded completion."""
+
+    name = "degraded"
+
+    def solve(self, problem, compiled=None, warm=None):
+        result = self._result(problem)
+        result.extras["degraded"] = True
+        return result
+
+
 class SlowSolver(_StubSolver):
     """Succeeds, but blows any sub-50ms slot budget."""
 
@@ -266,3 +277,17 @@ class TestParallelResilience:
         # Healthy primary: nothing escalates, ordering preserved.
         assert [o.index for o in outcomes] == [0, 1, 2, 3]
         assert all(o.fallback_solver is None for o in outcomes)
+
+
+class TestDegradedCompletion:
+    def test_flagged_and_never_stored_without_resilience(self, problems, tmp_path):
+        """A solver-reported degraded result is flagged on every lane."""
+        engine = HorizonEngine(DegradedSolver(), store=tmp_path)
+        outcomes = engine.run(problems)
+        assert all(o.ok and o.degraded for o in outcomes)
+        assert all(o.fallback_solver is None for o in outcomes)
+        assert engine.last_summary.degraded_slots == tuple(range(len(problems)))
+        # Degraded results never reach the store, so a re-run re-solves.
+        engine.run(problems)
+        assert engine.last_summary.store_hits == 0
+        assert engine.last_summary.store_misses == len(problems)

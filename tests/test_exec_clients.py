@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.strategies import HYBRID
 from repro.engine import HorizonEngine
-from repro.engine.horizon import parallel_map as legacy_parallel_map
 from repro.engine.protocol import SlotResult
 from repro.engine.resilience import ResilienceConfig, RetryPolicy
 from repro.exec import (
@@ -511,12 +510,6 @@ class TestParallelMapMigration:
         parallel_map(_square, [1, 2], telemetry=rec, client="in-process")
         (event,) = rec.by_name("parallel_map.decision")
         assert event.tags["client"] == "in-process"
-
-    def test_legacy_horizon_shim_is_a_hard_error(self):
-        # The DeprecationWarning shim expired: stale imports must fail
-        # loudly, with the pointer to the exec-layer map.
-        with pytest.raises(RuntimeError, match="repro.exec.parallel_map"):
-            legacy_parallel_map(_square, [3])
 
     def test_engine_reexport_is_the_exec_map(self):
         from repro.engine import parallel_map as engine_map

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.strategies import HYBRID
 from repro.engine import HorizonEngine
+from repro.engine.resilience import ResilienceConfig, RetryPolicy
 from repro.obs import MetricsRegistry, SpanTracer
 from repro.obs.ledger import load_run
 from repro.obs.worker import (
@@ -144,6 +145,24 @@ class TestMerging:
         assert merged == pytest.approx(engine.last_summary.solve_s, rel=1e-9)
         assert len(tracer.by_name("worker.slot")) == len(problems)
 
+    def test_warm_chain_ships_reports_like_the_cold_lane(self, problems):
+        metrics = MetricsRegistry()
+        tracer = SpanTracer()
+        engine = HorizonEngine(
+            "centralized-warm", metrics=metrics, tracer=tracer
+        )
+        outcomes = engine.run(problems, warm_start=True)
+        assert len(tracer.by_name("worker.slot")) == len(problems)
+        merged = sum(_worker_solve_sums(metrics).values())
+        assert merged == pytest.approx(engine.last_summary.solve_s, rel=1e-9)
+        # Observability never changes the chain's arithmetic.
+        plain = HorizonEngine("centralized-warm").run(problems, warm_start=True)
+        assert all(o.worker_report is None for o in plain)
+        for a, b in zip(plain, outcomes):
+            assert (a.result.allocation.lam == b.result.allocation.lam).all()
+            assert a.result.ufc == b.result.ufc
+            assert a.telemetry.warm_start == b.telemetry.warm_start
+
     def test_summary_latency_and_busy_fields(self, problems):
         engine = HorizonEngine("centralized", metrics=MetricsRegistry())
         engine.run(problems)
@@ -170,6 +189,25 @@ class TestProfiling:
         rows = outcomes[0].worker_report.profile
         cums = [r["cumtime"] for r in rows]
         assert cums == sorted(cums, reverse=True)
+
+    def test_resilient_lane_profiles_and_spans_per_slot(self, problems):
+        tracer = SpanTracer()
+        engine = HorizonEngine(
+            "centralized",
+            tracer=tracer,
+            worker_profile=5,
+            resilience=ResilienceConfig(
+                retry=RetryPolicy(max_attempts=2), fallback=("proportional",)
+            ),
+        )
+        outcomes = engine.run(problems[:3])
+        for outcome in outcomes:
+            report = outcome.worker_report
+            assert report.profile_scope == "slot"
+            assert 0 < len(report.profile) <= 5
+        slot_spans = tracer.by_name("worker.slot")
+        assert len(slot_spans) == 3
+        assert not any(s.attributes.get("synthesized") for s in slot_spans)
 
     def test_batched_lane_synthesizes_spans_and_chunk_profile(self, problems):
         tracer = SpanTracer()

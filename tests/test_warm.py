@@ -325,6 +325,21 @@ class TestWarmThroughClients:
             assert (a.result.allocation.lam == b.result.allocation.lam).all()
             assert a.result.ufc == b.result.ufc
 
+    def test_synchronous_client_chain_compiles_once(self, chain_problems):
+        serial = HorizonEngine("centralized-warm").run(
+            chain_problems, warm_start=True
+        )
+        engine = HorizonEngine("centralized-warm", client="in-process")
+        outcomes = engine.run(chain_problems, warm_start=True)
+        summary = engine.last_summary
+        assert summary.executor == "in-process-warm"
+        assert summary.cache_misses == 1
+        for a, b in zip(serial, outcomes):
+            assert (a.result.allocation.lam == b.result.allocation.lam).all()
+            assert (a.result.allocation.mu == b.result.allocation.mu).all()
+            assert (a.result.allocation.nu == b.result.allocation.nu).all()
+            assert a.result.ufc == b.result.ufc
+
     def test_store_rejects_warm_chain(self, chain_problems, tmp_path):
         engine = HorizonEngine(
             "centralized-warm", store=tmp_path / "results.jsonl"
