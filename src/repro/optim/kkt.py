@@ -15,11 +15,11 @@ datacenters x 1000 front-ends.  But the UFC QP is nowhere near dense:
   power rows.
 
 This module exploits that: the per-front-end ``(k+1) x (k+1)`` blocks
-(``k`` = reachable datacenters per front-end) and the per-datacenter
-scalars are eliminated in closed form, leaving a dense ``2N x 2N``
-Schur system per Newton step.  Cost per interior-point iteration drops
-from O((Mk + 2N)^3) to O(M k^3 + N^2 k M / M + (2N)^3) — linear in the
-number of front-ends.
+(``k`` = reachable datacenters per front-end), the per-datacenter
+scalars and the power-balance multipliers are eliminated in closed
+form, leaving a dense ``N x N`` Schur system per Newton step.  Cost
+per interior-point iteration drops from O((Mk + 2N)^3) to
+O(M k^3 + N^3) — linear in the number of front-ends.
 
 Three public layers:
 
@@ -485,9 +485,23 @@ class _BlockKKTFactor:
     """One factorization of the condensed structured KKT system.
 
     Holds the batched per-front-end ``(k+1) x (k+1)`` inverses, the
-    eliminated mu/nu diagonals and the LU of the ``2N x 2N`` Schur
+    eliminated mu/nu diagonals and the LU of the ``N x N`` Schur
     complement for a given set of barrier weights ``w = z / s`` (plus
     an optional diagonal regularization ``reg``).
+
+    Eliminating the front-end blocks leaves, per datacenter, the
+    capacity direction ``t`` and the power multiplier ``d`` coupled
+    through the core ``C = sum_i W_i`` (scattered top-left blocks of
+    the per-front-end inverses): ``[[C + D1, C B], [B C, B C B + D2]]``
+    with ``B = diag(beta)``, ``D1 = 1/(w_cap + reg)`` and ``D2`` the
+    power rows' eliminated mu/nu diagonal.  Both rows only ever see
+    ``u = t + B d``, so the power multipliers drop out in closed form:
+    ``(C + E) u = g - B D1 r_p / den`` with ``den = D2 + B^2 D1`` and
+    the diagonal ``E = D1 D2 / den``, then ``d = (B D1 u - r_p) /
+    den``.  The remaining ``N x N`` system is symmetric positive
+    definite, and its Jacobi-scaled form stays well conditioned when a
+    datacenter saturates its capacity and pins its generation bounds,
+    where ``t`` and ``d`` alone have near-parallel rows.
     """
 
     def __init__(self, sqp: StructuredSlotQP, w: np.ndarray, reg: float = 0.0) -> None:
@@ -495,12 +509,11 @@ class _BlockKKTFactor:
         self.d_mu = self.d_nu = None
         self.rebind(sqp, w)
         m, n, k = sqp.num_frontends, sqp.num_datacenters, sqp.fan_in
-        w_cap, w_lam = self.w_cap, self.w_lam
 
         kk = np.zeros((m, k + 1, k + 1))
         kk[:, :k, :k] = sqp.h_blocks
         diag = np.arange(k)
-        kk[:, diag, diag] += w_lam + reg
+        kk[:, diag, diag] += self.w_lam + reg
         kk[:, :k, k] = 1.0
         kk[:, k, :k] = 1.0
         kk[:, k, k] = -_EQ_DELTA
@@ -515,7 +528,7 @@ class _BlockKKTFactor:
         self.k_inv = np.linalg.inv(kk / d_outer) / d_outer
         self.w_top = self.k_inv[:, :k, :k]
 
-        core = np.bincount(
+        schur = np.bincount(
             sqp._qq_idx, weights=self.w_top.ravel(), minlength=n * n
         ).reshape(n, n)
         d_power = np.full(n, _EQ_DELTA + reg)
@@ -523,16 +536,12 @@ class _BlockKKTFactor:
             d_power = d_power + 1.0 / self.d_mu
         if sqp.include_nu:
             d_power = d_power + 1.0 / self.d_nu
-
-        betas = sqp.betas
-        schur = np.empty((2 * n, 2 * n))
-        schur[:n, :n] = core
-        schur[:n, n:] = core * betas[None, :]
-        schur[n:, :n] = betas[:, None] * core
-        schur[n:, n:] = betas[:, None] * core * betas[None, :]
+        # Factor-time pieces of the power-multiplier elimination; a
+        # rebound factor keeps them, with the LU, as its preconditioner.
+        self.d1 = 1.0 / (self.w_cap + reg)
+        self.den = d_power + sqp.betas**2 * self.d1
         idx = np.arange(n)
-        schur[idx, idx] += 1.0 / (w_cap + reg)
-        schur[n + idx, n + idx] += d_power
+        schur[idx, idx] += self.d1 * d_power / self.den
         # Same Jacobi scaling story as the per-front-end blocks: the
         # Schur diagonal mixes ~1/w_cap (can be 1e-13) with O(1) core
         # sums; factoring the scaled system keeps the solve accurate.
@@ -548,11 +557,19 @@ class _BlockKKTFactor:
         # used by :meth:`drift` to gate cross-slot reuse.
         self._sig_w = w.copy()
         self._sig_h = sqp.h_blocks
+        self._sig_reach = sqp.reach
+        self._sig_layout = (n, sqp.include_mu, sqp.include_nu)
 
     def drift(self, sqp: StructuredSlotQP, w: np.ndarray) -> float:
         """Worst per-entry relative drift of the condensed system's
         defining data (barrier weights and Hessian blocks) since this
-        factorization was built."""
+        factorization was built; ``inf`` for a QP of another layout
+        (reach pattern, datacenter count or mu/nu blocks)."""
+        if (
+            self._sig_layout != (sqp.num_datacenters, sqp.include_mu, sqp.include_nu)
+            or not np.array_equal(self._sig_reach, sqp.reach)
+        ):
+            return np.inf
         dw = np.abs(w - self._sig_w) / (1.0 + np.abs(self._sig_w))
         dh = np.abs(sqp.h_blocks - self._sig_h) / (1.0 + np.abs(self._sig_h))
         return max(float(dw.max(initial=0.0)), float(dh.max(initial=0.0)))
@@ -581,16 +598,13 @@ class _BlockKKTFactor:
     def enable_extended(self) -> None:
         """Switch the Schur solve to an extended-precision LU.
 
-        Near an optimum where a datacenter saturates its capacity
-        *and* pins both generation bounds, the ``t_cap`` and ``dy_p``
-        rows of the Schur complement become parallel up to ~1e-12
-        diagonal perturbations: the scaled system's condition number
-        crosses 1/eps(float64) and double-precision refinement
-        diverges.  The system is still far from singular in
-        ``np.longdouble`` (80-bit on x86: eps ~ 1e-19), and the Schur
-        block is only ``2N x 2N``, so a hand-rolled pivoted LU there
-        is cheap.  With ~3 accurate digits per solve the outer
-        refinement contracts again and recovers full Newton accuracy.
+        The last rescue before the regularization ladder: when
+        double-precision refinement stalls at the float64 residual
+        floor (measured on a (100, 1000) day at scaled Schur condition
+        numbers from 5 to ~5e6), the scaled ``N x N`` system is
+        refactored with a hand-rolled pivoted LU in ``np.longdouble``
+        (80-bit on x86: eps ~ 1e-19).  The extra digits per solve let
+        the outer refinement contract again.
         """
         if self._ld_lu is None:
             a = self.schur_scaled.astype(np.longdouble)
@@ -608,7 +622,8 @@ class _BlockKKTFactor:
         self.use_extended = True
 
     def _schur_solve(self, rhs_scaled: np.ndarray) -> np.ndarray:
-        """Solve the *scaled* Schur system for one right-hand side."""
+        """Solve the *scaled* ``N x N`` Schur system for one right-hand
+        side."""
         if not self.use_extended:
             return lu_solve(self.schur_lu, rhs_scaled, check_finite=False)
         a, piv = self._ld_lu
@@ -624,7 +639,10 @@ class _BlockKKTFactor:
         self, r1: np.ndarray, r2: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Solve the condensed KKT system ``[[H, A'], [A, -delta]]``
-        for ``(dx, dy)`` given the stacked right-hand side."""
+        for ``(dx, dy)`` given the stacked right-hand side: local
+        block solves, one ``N x N`` Schur solve for ``u = t + B d``
+        (see the class docstring), the power multipliers ``d`` in
+        closed form, then back-substitution."""
         sqp = self.sqp
         m, n, k = sqp.num_frontends, sqp.num_datacenters, sqp.fan_in
         r1_lam, r1_mu, r1_nu = sqp.split_x(r1)
@@ -643,21 +661,21 @@ class _BlockKKTFactor:
             rp += r1_mu / self.d_mu
         if sqp.include_nu:
             rp += r1_nu / self.d_nu
-        rhs_schur = np.concatenate([g, sqp.betas * g - rp])
-        v = self._schur_solve(rhs_schur / self.schur_d) / self.schur_d
-        t_cap, dy_p = v[:n], v[n:]
+        betas = sqp.betas
+        rhs_schur = g - betas * self.d1 * rp / self.den
+        u = self._schur_solve(rhs_schur / self.schur_d) / self.schur_d
+        dy_p = (betas * self.d1 * u - rp) / self.den
 
-        corr = t_cap[sqp.reach] + sqp.betas[sqp.reach] * dy_p[sqp.reach]
-        u = y_loc - (self.k_inv[:, :, :k] @ corr[..., None])[..., 0]
+        sol = y_loc - (self.k_inv[:, :, :k] @ u[sqp.reach][..., None])[..., 0]
 
         dx = np.empty(sqp.dim)
         d_lam, d_mu_v, d_nu_v = sqp.split_x(dx)
-        d_lam[:] = u[:, :k]
+        d_lam[:] = sol[:, :k]
         if sqp.include_mu:
             d_mu_v[:] = (r1_mu + dy_p) / self.d_mu
         if sqp.include_nu:
             d_nu_v[:] = (r1_nu + dy_p) / self.d_nu
-        dy = np.concatenate([u[:, k], dy_p])
+        dy = np.concatenate([sol[:, k], dy_p])
         return dx, dy
 
     def solve_refined(
@@ -685,11 +703,11 @@ class _BlockKKTFactor:
             nresid = _res_norm(nres_x, nres_eq)
             if not np.isfinite(nresid) or nresid >= resid:
                 if not self.use_extended:
-                    # Double-precision refinement diverged or stalled:
-                    # the Schur complement has crossed 1/eps.  Rebuild
-                    # its LU in extended precision and restart the
-                    # sweep from scratch (the stalled iterate may be
-                    # arbitrarily contaminated).
+                    # Double-precision refinement diverged or stalled
+                    # at the float64 floor.  Rebuild the Schur LU in
+                    # extended precision and restart the sweep from
+                    # scratch (the stalled iterate may be arbitrarily
+                    # contaminated).
                     self.enable_extended()
                     dx, dy = self.solve(r1, r2)
                     res_x, res_eq = self.residual_vec(dx, dy, r1, r2)
@@ -775,7 +793,7 @@ def _build_factor(
 #: reused as a refinement preconditioner instead of rebuilt.  The gate
 #: is deliberately tight: refinement contracts the error by roughly
 #: the drift per sweep, and one sweep costs about as much as a fresh
-#: build (the build is batched small inverses plus a 2N x 2N LU, the
+#: build (the build is batched small inverses plus an N x N LU, the
 #: sweep is batched solves plus scatter/gather matvecs), so reuse only
 #: pays when a sweep or two recovers full accuracy.
 FACTOR_DRIFT_TOL = 0.02
@@ -895,11 +913,7 @@ class _BlockArrowheadSystem(_NewtonSystem):
             # iteration is orders of magnitude away in w and never
             # passes the drift gate.
             cached = cache.setdefault("factors", {}).get(it)
-            if (
-                cached is not None
-                and cached._sig_w.shape == w.shape
-                and cached.drift(sqp, w) <= FACTOR_DRIFT_TOL
-            ):
+            if cached is not None and cached.drift(sqp, w) <= FACTOR_DRIFT_TOL:
                 # Reuse the cached factorization as a refinement
                 # preconditioner.  solve()'s residual gate and
                 # regularization ladder still apply, so a stale factor
@@ -990,11 +1004,12 @@ def solve_structured_qp(
     data — same residual definitions, same ``scale = 1 + max(|q|, |h|,
     |b|)`` convergence test, same predictor-corrector step rule — over
     the block-arrowhead Newton system: every Newton system is solved by
-    eliminating the M per-front-end simplex blocks and the N mu/nu
-    scalars into a dense ``2N x 2N`` Schur system, residual-checked,
-    iteratively refined against the exact structured matvec and,
-    failing that, retried with escalating diagonal regularization
-    (relative to the condensed Hessian scale) before being accepted.
+    eliminating the M per-front-end simplex blocks, the N mu/nu
+    scalars and the N power multipliers into a dense ``N x N`` Schur
+    system, residual-checked, iteratively refined against the exact
+    structured matvec and, failing that, retried with escalating
+    diagonal regularization (relative to the condensed Hessian scale)
+    before being accepted.
 
     ``metrics`` is the same duck-typed registry the dense solver
     accepts; structured solves share its counters.

@@ -126,6 +126,29 @@ class TestEliminationAlgebra:
         np.testing.assert_allclose(dx, ref[: sqp.dim], atol=1e-10)
         np.testing.assert_allclose(dy, ref[sqp.dim :], atol=1e-10)
 
+    @pytest.mark.parametrize("case", SHAPE_CASES, ids=["hybrid", "no_mu", "no_nu", "k1", "wide"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_saturated_datacenter_matches_dense_accuracy(self, case, seed):
+        # Datacenter 0 saturates its capacity and pins its generation
+        # bounds: the weights of its capacity, mu and nu rows sit at
+        # 1e13.  Refinement must reach the accuracy a pivoted dense LU
+        # of the whole condensed system reaches on the same rhs.
+        sqp = random_sqp(seed, **case)
+        rng = np.random.default_rng(seed + 1000)
+        w = np.exp(rng.uniform(-6, 6, sqp.num_ineq))
+        cap, _lam, mu_lo, mu_hi, nu_lo = sqp.split_ineq(w)
+        for rows in (cap, mu_lo, mu_hi, nu_lo):
+            if rows is not None:
+                rows[0] = 1e13
+        factor = _BlockKKTFactor(sqp, w)
+        kkt = dense_condensed_kkt(sqp, w)
+        r1 = rng.normal(size=sqp.dim)
+        r2 = rng.normal(size=sqp.num_eq)
+        rhs = np.concatenate([r1, r2])
+        dense_resid = np.abs(kkt @ np.linalg.solve(kkt, rhs) - rhs).max()
+        _dx, _dy, resid = factor.solve_refined(r1, r2, 1e-13)
+        assert resid <= 4.0 * dense_resid
+
     def test_residual_vec_matches_dense_matvec(self):
         sqp = random_sqp(3)
         rng = np.random.default_rng(99)
@@ -205,6 +228,32 @@ class TestStructuredSolver:
         assert not res.converged
         assert np.isfinite(res.x).all()
         assert np.abs(sqp.eq_residual(res.x)).max() < 10.0
+
+
+class TestFactorCache:
+    @pytest.mark.parametrize(
+        "second",
+        [
+            # 56 inequality rows like the first QP, so the barrier
+            # weights have the same shape under another reach pattern.
+            {"seed": 1, "m": 18, "k": 2, "n": 5},
+            # The same reach pattern without the mu block.
+            {"seed": 0, "include_mu": False},
+        ],
+        ids=["other_reach", "no_mu"],
+    )
+    def test_qp_of_another_layout_builds_fresh_factors(self, second):
+        first = random_sqp(0, m=12, k=3, n=5)
+        second = random_sqp(**second)
+        cache: dict = {}
+        solve_structured_qp(first, tol=1e-10, factor_cache=cache)
+        shared = solve_structured_qp(second, tol=1e-10, factor_cache=cache)
+        fresh = solve_structured_qp(second, tol=1e-10, factor_cache={})
+        assert cache.get("reused", 0) == 0
+        assert shared.iterations == fresh.iterations
+        assert (shared.x == fresh.x).all()
+        assert (shared.eq_dual == fresh.eq_dual).all()
+        assert (shared.ineq_dual == fresh.ineq_dual).all()
 
 
 class TestFullReachBridge:
