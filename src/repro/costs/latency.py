@@ -107,6 +107,18 @@ class LatencyUtility(ABC):
         """
         return _BatchFormEvaluator(self, latency_ms, weight)
 
+    def neg_rank_one_compiled(self, latency_ms: np.ndarray, weight: float):
+        """A slot-invariant evaluator of the rank-one form of ``-w U``, or None.
+
+        When every front end's ``-w U`` is ``0.5 c (l^T x)^2 + g^T x``
+        (+const), the returned object carries the (M, N) rows ``l`` as
+        ``vec`` and maps an (M,) arrival vector to the per-slot pair
+        ``(c (M,), g (M, N))``; the Hessian block is ``c l l^T``.  The
+        default returns None: this utility offers no rank-one form, and
+        the block-elimination KKT path cannot take its slots.
+        """
+        return None
+
 
 class _BatchFormEvaluator:
     """Fallback compiled evaluator: defers to ``neg_quad_form_batch``."""
@@ -147,6 +159,35 @@ class _QuadraticFormEvaluator:
         h = coeff[:, :, None, None] * self.outer[None, :, :, :]
         g = np.zeros((*arrivals.shape, self.n))
         return h, g
+
+
+class _QuadraticRankOne:
+    """Eq. (2) in rank-one form: ``c = 2w/A_i`` (0 when idle), ``g = 0``.
+
+    ``c * (l_a * l_b)`` is bit-identical to the block
+    :class:`_QuadraticFormEvaluator` emits.
+    """
+
+    def __init__(self, latency_ms: np.ndarray, weight: float) -> None:
+        self.vec = np.asarray(latency_ms, dtype=float) * _SECONDS_PER_MS
+        self.weight = weight
+
+    def __call__(self, arrivals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        arrivals = np.asarray(arrivals, dtype=float)
+        coeff = np.zeros_like(arrivals)
+        np.divide(2.0 * self.weight, arrivals, out=coeff, where=arrivals > 0)
+        return coeff, np.zeros(self.vec.shape)
+
+
+class _LinearRankOne:
+    """The linear utility in rank-one form: ``c = 0``, ``g = w l``."""
+
+    def __init__(self, latency_ms: np.ndarray, weight: float) -> None:
+        self.vec = np.asarray(latency_ms, dtype=float) * _SECONDS_PER_MS
+        self.g_row = weight * self.vec
+
+    def __call__(self, arrivals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.zeros(np.shape(arrivals)), self.g_row.copy()
 
 
 class _LinearFormEvaluator:
@@ -208,6 +249,10 @@ class QuadraticLatencyUtility(LatencyUtility):
         """Evaluator with the latency outer products precomputed."""
         return _QuadraticFormEvaluator(latency_ms, weight)
 
+    def neg_rank_one_compiled(self, latency_ms: np.ndarray, weight: float):
+        """``H = (2w/A_i) l l^T`` with ``l`` the latencies in seconds."""
+        return _QuadraticRankOne(latency_ms, weight)
+
 
 class LinearLatencyUtility(LatencyUtility):
     """Linear utility ``U = -A_i * (avg latency in s) = -(sum lambda L) in s``.
@@ -242,3 +287,7 @@ class LinearLatencyUtility(LatencyUtility):
     def neg_quad_form_compiled(self, latency_ms: np.ndarray, weight: float):
         """Evaluator with the linear ``g`` template precomputed."""
         return _LinearFormEvaluator(latency_ms, weight)
+
+    def neg_rank_one_compiled(self, latency_ms: np.ndarray, weight: float):
+        """A zero curvature over the latency rows, ``g = w l``."""
+        return _LinearRankOne(latency_ms, weight)

@@ -155,15 +155,6 @@ class LossyNetwork(SimulatedNetwork):
         self.duplicates_delivered = 0
         self._rng = __import__("numpy").random.default_rng(seed)
 
-    @property
-    def retransmissions(self) -> int:
-        """Deprecated alias for :attr:`dropped_attempts`.
-
-        The old name suggested only *first* attempts were counted;
-        every dropped attempt is.
-        """
-        return self.dropped_attempts
-
     def send(self, message: Message) -> None:
         # Retransmit until the copy lands (at-least-once).  Each
         # dropped attempt is billed exactly once here; the landing

@@ -265,6 +265,19 @@ class _GroupMax:
         return out
 
 
+def _ruiz_step(norm: np.ndarray) -> np.ndarray:
+    """One sweep's scale factors ``1/sqrt(norm)``.
+
+    An exactly-zero row or column keeps scale 1, as in the scalar
+    sweep (:func:`~repro.optim.ipqp._ruiz_equilibrate`): the clamp
+    would otherwise inflate it by 1e6 per sweep, and the astronomically
+    scaled data makes the relative convergence test vacuously true.
+    """
+    step = 1.0 / np.sqrt(np.maximum(norm, 1e-12))
+    step[norm == 0.0] = 1.0
+    return step
+
+
 def _ruiz_scales_shared(
     P: np.ndarray,
     q: np.ndarray,
@@ -316,19 +329,19 @@ def _ruiz_scales_shared(
             g_by_col.max_into(
                 base_g * (r_g[:, rows_g] * d[:, cols_g]), col_norm
             )
-        d *= 1.0 / np.sqrt(np.maximum(col_norm, 1e-12))
+        d *= _ruiz_step(col_norm)
         if p_rows:
             row_norm = np.zeros((batch, p_rows))
             a_by_row.max_into(
                 base_a * (r_a[:, rows_a] * d[:, cols_a]), row_norm
             )
-            r_a *= 1.0 / np.sqrt(np.maximum(row_norm, 1e-12))
+            r_a *= _ruiz_step(row_norm)
         if m_rows:
             row_norm = np.zeros((batch, m_rows))
             g_by_row.max_into(
                 base_g * (r_g[:, rows_g] * d[:, cols_g]), row_norm
             )
-            r_g *= 1.0 / np.sqrt(np.maximum(row_norm, 1e-12))
+            r_g *= _ruiz_step(row_norm)
     p_max = np.zeros(batch)
     if rows_p.size:
         p_max = (vals_p * (d[:, rows_p] * d[:, cols_p])).max(axis=1)

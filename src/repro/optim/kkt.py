@@ -7,19 +7,22 @@ datacenters x 1000 front-ends.  But the UFC QP is nowhere near dense:
 
 - each front-end ``i`` owns a private ``lambda_i`` block whose Hessian
   is diagonal-plus-rank-one (the quadratic latency utility contributes
-  ``(2w/A_i) l l^T``; the log-barrier weights contribute the diagonal),
-  tied together only by its own simplex row ``1^T lambda_i = a_i``;
+  ``c l l^T`` with ``c = 2w/A_i``; the log-barrier weights contribute
+  the diagonal), tied together only by its own simplex row
+  ``1^T lambda_i = a_i``;
 - each datacenter ``j`` owns two scalars (``mu_j``, ``nu_j``) with a
   diagonal Hessian, tied only to its own power-balance row;
 - the *only* cross-front-end coupling is the N capacity rows and the N
   power rows.
 
-This module exploits that: the per-front-end ``(k+1) x (k+1)`` blocks
-(``k`` = reachable datacenters per front-end), the per-datacenter
-scalars and the power-balance multipliers are eliminated in closed
-form, leaving a dense ``N x N`` Schur system per Newton step.  Cost
-per interior-point iteration drops from O((Mk + 2N)^3) to
-O(M k^3 + N^3) — linear in the number of front-ends.
+This module exploits that: the per-front-end ``(k+1) x (k+1)``
+bordered blocks (``k`` = reachable datacenters per front-end) are
+inverted by a cancellation-free closed form (no LAPACK inverse, no
+stored Hessian block), and the per-datacenter scalars and the
+power-balance multipliers are eliminated in closed form too, leaving
+a dense ``N x N`` Schur system per Newton step.  Cost per
+interior-point iteration drops from O((Mk + 2N)^3) to O(M k^3 + N^3)
+— linear in the number of front-ends.
 
 Three public layers:
 
@@ -87,7 +90,7 @@ _NEWTON_RESIDUAL_TOL = 1e-6
 _REG_LEVELS = (1e-12, 1e-9, 1e-6)
 
 #: Iterative-refinement sweep cap per factorization.  The block
-#: elimination (explicit per-front-end inverses + dense Schur) is not
+#: elimination (closed-form per-front-end inverses + dense Schur) is not
 #: backward stable the way a pivoted LU of the full KKT matrix is;
 #: each refinement sweep against the exact structured matvec contracts
 #: the error by the factorization's relative accuracy, so a handful of
@@ -129,6 +132,16 @@ def full_reach(num_frontends: int, num_datacenters: int) -> np.ndarray:
     return np.tile(np.arange(num_datacenters), (num_frontends, 1))
 
 
+def _latency_diff(vec: np.ndarray) -> np.ndarray:
+    """``vec[:, a] - vec[:, b]`` as an (M, k, k) array.
+
+    It is a view of a contiguous (k, k, M) buffer: the layout
+    :class:`_BlockKKTFactor` sweeps.
+    """
+    vt = np.ascontiguousarray(vec.T)
+    return (vt[:, None, :] - vt[None, :, :]).transpose(2, 0, 1)
+
+
 def _validate_reach(reach: np.ndarray, num_datacenters: int) -> np.ndarray:
     reach = np.asarray(reach)
     if reach.ndim != 2:
@@ -166,10 +179,21 @@ class StructuredSlotQP:
     All workload quantities are in scaled routing units
     (``lam_scale`` servers per unit), exactly like the dense
     compilation.
+
+    Front end ``i``'s Hessian block is diagonal plus rank one,
+    ``diag(h_diag[i]) + h_coef[i] * outer(h_vec[i], h_vec[i])``, and is
+    never materialized.  The latency utilities give a zero diagonal
+    and the rank-one part (Eq. (2): ``c = 2w/A_i`` over the reachable
+    latencies in seconds; the linear utility and an idle front end
+    give ``c = 0``).  ``h_diag`` (zero when not given), ``h_vec`` and
+    ``h_diff`` (``l_a - l_b``, derived from ``h_vec`` when not given)
+    are slot-invariant and shared by reference across the slots of one
+    compilation.
     """
 
     reach: np.ndarray  # (M, k) int64
-    h_blocks: np.ndarray  # (M, k, k) per-front-end utility Hessians
+    h_coef: np.ndarray  # (M,) per-front-end utility curvature c
+    h_vec: np.ndarray  # (M, k) per-front-end utility direction l
     q_lam: np.ndarray  # (M, k)
     arrivals: np.ndarray  # (M,) scaled
     capacities: np.ndarray  # (N,) scaled
@@ -181,6 +205,8 @@ class StructuredSlotQP:
     p_nu: np.ndarray | None = None  # (N,) diagonal Hessian (2a_j)
     q_nu: np.ndarray | None = None  # (N,) grid price + carbon slope
     num_datacenters: int = 0
+    h_diff: np.ndarray | None = None  # (M, k, k) h_vec[:, a] - h_vec[:, b]
+    h_diag: np.ndarray | None = None  # (M, k) diagonal of the Hessian blocks
     # Derived index caches (filled in __post_init__).
     _reach_flat: np.ndarray = field(init=False, repr=False)
     _qq_idx: np.ndarray = field(init=False, repr=False)
@@ -190,11 +216,15 @@ class StructuredSlotQP:
         self.num_datacenters = n
         self.reach = _validate_reach(self.reach, n)
         self._reach_flat = self.reach.ravel()
+        if self.h_diff is None:
+            self.h_diff = _latency_diff(self.h_vec)
+        if self.h_diag is None:
+            self.h_diag = np.zeros_like(self.h_vec)
         # Flat (j, j') index pairs for scattering per-front-end k x k
-        # blocks into the N x N Schur core.
-        self._qq_idx = (
-            self.reach[:, :, None] * n + self.reach[:, None, :]
-        ).ravel()
+        # blocks, in the factorization's (k, k, M) layout, into the
+        # N x N Schur core.
+        reach_t = self.reach.T
+        self._qq_idx = (reach_t[:, None, :] * n + reach_t[None, :, :]).ravel()
 
     # -- shape properties ------------------------------------------------------
 
@@ -272,12 +302,17 @@ class StructuredSlotQP:
 
     # -- structured matvecs ----------------------------------------------------
 
+    def h_mul(self, lam: np.ndarray) -> np.ndarray:
+        """The Hessian blocks times ``lam`` (M, k)."""
+        proj = self.h_coef * np.einsum("ij,ij->i", self.h_vec, lam)
+        return proj[:, None] * self.h_vec + self.h_diag * lam
+
     def obj_grad(self, x: np.ndarray) -> np.ndarray:
         """``P x + q`` without materializing ``P``."""
         lam, mu, nu = self.split_x(x)
         out = np.empty_like(x)
         o_lam, o_mu, o_nu = self.split_x(out)
-        o_lam[:] = (self.h_blocks @ lam[..., None])[..., 0] + self.q_lam
+        o_lam[:] = self.h_mul(lam) + self.q_lam
         if self.include_mu:
             o_mu[:] = self.q_mu
         if self.include_nu:
@@ -288,9 +323,9 @@ class StructuredSlotQP:
         """``0.5 x' P x + q' x`` (same constant convention as the
         dense compilation: epigraph-free slots only)."""
         lam, mu, nu = self.split_x(x)
-        val = 0.5 * float(
-            np.sum(lam * (self.h_blocks @ lam[..., None])[..., 0])
-        ) + float(np.sum(self.q_lam * lam))
+        proj = np.einsum("ij,ij->i", self.h_vec, lam)
+        val = 0.5 * float(self.h_coef @ (proj * proj) + np.sum(self.h_diag * lam * lam))
+        val += float(np.sum(self.q_lam * lam))
         if self.include_mu:
             val += float(self.q_mu @ mu)
         if self.include_nu:
@@ -383,7 +418,9 @@ class StructuredSlotQP:
         q_vec = np.zeros(dim)
         for i in range(m):
             sl = slice(i * k, (i + 1) * k)
-            p_mat[sl, sl] = self.h_blocks[i]
+            l_i = self.h_vec[i]
+            p_mat[sl, sl] = self.h_coef[i] * (l_i[:, None] * l_i[None, :])
+            p_mat[sl, sl] += np.diag(self.h_diag[i])
             q_vec[sl] = self.q_lam[i]
         if self.include_mu:
             q_vec[mu_off : mu_off + n] = self.q_mu
@@ -484,10 +521,30 @@ class StructuredIPQPResult:
 class _BlockKKTFactor:
     """One factorization of the condensed structured KKT system.
 
-    Holds the batched per-front-end ``(k+1) x (k+1)`` inverses, the
-    eliminated mu/nu diagonals and the LU of the ``N x N`` Schur
-    complement for a given set of barrier weights ``w = z / s`` (plus
-    an optional diagonal regularization ``reg``).
+    Holds the per-front-end ``(k+1) x (k+1)`` inverses, the eliminated
+    mu/nu diagonals and the LU of the ``N x N`` Schur complement for a
+    given set of barrier weights ``w = z / s`` (plus an optional
+    diagonal regularization ``reg``).
+
+    Each front end's bordered block ``[[D + c l l^T, 1], [1^T, -delta]]``
+    (``D = diag(w_lam + reg + h_diag)``) is inverted in closed form,
+    O(k^3) per front end.  With ``d`` the diagonal, ``S0 = sum 1/d_a``, ``S2 = sum
+    l_a^2/d_a``, ``Lam = 1/2 sum_ab (l_a - l_b)^2/(d_a d_b)`` and
+    ``Delta = delta (1 + c S2) + S0 + c Lam``::
+
+        W_aa    = Delta_-a / (d_a Delta)
+        W_ab    = -(1 + delta c l_a l_b + c sum_e (l_a-l_e)(l_b-l_e)/d_e)
+                  / (d_a d_b Delta)
+        border_a = (1 - c sum_b (l_a - l_b) l_b / d_b) / (d_a Delta)
+        corner  = -(1 + c S2) / Delta
+
+    where ``Delta_-a`` is the same sum over the indices other than
+    ``a``.  Every sum is built from latency *differences* and each
+    ``Delta_-a`` is summed directly rather than as ``Delta`` minus
+    ``a``'s terms, so no entry cancels: barrier weights spanning 1e-2
+    to the 1e16 ceiling in one block keep every entry relatively
+    accurate, where a plain Sherman-Morrison update loses the small
+    ``~1/w`` entries the Schur core is built from.
 
     Eliminating the front-end blocks leaves, per datacenter, the
     capacity direction ``t`` and the power multiplier ``d`` coupled
@@ -510,26 +567,49 @@ class _BlockKKTFactor:
         self.rebind(sqp, w)
         m, n, k = sqp.num_frontends, sqp.num_datacenters, sqp.fan_in
 
-        kk = np.zeros((m, k + 1, k + 1))
-        kk[:, :k, :k] = sqp.h_blocks
+        # The closed-form block inverses (class docstring), swept in a
+        # (k, k, M) layout so every elementwise pass and reduction runs
+        # over contiguous front-end rows.  ``off`` masks index ``a`` out
+        # of the ``Delta_-a`` sums.
+        inv_d = np.ascontiguousarray((1.0 / (self.w_lam + reg + sqp.h_diag)).T)
+        c, diff = sqp.h_coef, sqp.h_diff.transpose(1, 2, 0)
+        vec = np.ascontiguousarray(sqp.h_vec.T)
+        off = 1.0 - np.eye(k)
+        l2_d = vec * vec * inv_d
+        diff_d = diff * inv_d  # (l_a - l_e) / d_e at [a, e]
+        pair = diff_d * diff
+        pair *= inv_d[:, None, :]  # (l_a - l_e)^2 / (d_a d_e)
+        # Per-index terms of ``S0 + delta c S2``: Delta sums them over
+        # every index, Delta_-a over the others.
+        terms = inv_d + (_EQ_DELTA * c) * l2_d
+        half_c = 0.5 * c
+        delta = _EQ_DELTA + terms.sum(axis=0) + half_c * pair.sum(axis=(0, 1))
+        pair_off = (off @ pair.reshape(k, -1)).reshape(pair.shape)
+        delta_off = (
+            _EQ_DELTA
+            + off @ terms
+            + half_c * (pair_off * off[:, :, None]).sum(axis=1)
+        )
+        inv_dd = inv_d / delta
+        # W_ab off the diagonal; the diagonal is then overwritten with
+        # the cancellation-free W_aa.
+        w_top = np.einsum("aem,bem->abm", diff_d, diff)
+        w_top += (_EQ_DELTA * vec)[:, None, :] * vec
+        w_top *= -c
+        w_top -= 1.0
+        w_top *= inv_dd[:, None, :]
+        w_top *= inv_d
         diag = np.arange(k)
-        kk[:, diag, diag] += self.w_lam + reg
-        kk[:, :k, k] = 1.0
-        kk[:, k, :k] = 1.0
-        kk[:, k, k] = -_EQ_DELTA
-        # Jacobi-scale before inverting: near convergence the barrier
-        # weights span ~1e13, and inverting the raw block loses all
-        # *relative* accuracy in the small ~1/w entries that the Schur
-        # core is built from.  Inverting the O(1)-conditioned scaled
-        # block and unscaling keeps every entry relatively accurate.
-        d = np.ones((m, k + 1))
-        d[:, :k] = np.sqrt(kk[:, diag, diag])
-        d_outer = d[:, :, None] * d[:, None, :]
-        self.k_inv = np.linalg.inv(kk / d_outer) / d_outer
-        self.w_top = self.k_inv[:, :k, :k]
+        w_top[diag, diag] = delta_off * inv_dd
+        border = (1.0 - c * (diff_d * vec).sum(axis=1)) * inv_dd
+        self.k_inv = np.empty((m, k + 1, k + 1))
+        self.k_inv[:, :k, :k] = w_top.transpose(2, 0, 1)
+        self.k_inv[:, :k, k] = border.T
+        self.k_inv[:, k, :k] = border.T
+        self.k_inv[:, k, k] = -(1.0 + c * l2_d.sum(axis=0)) / delta
 
         schur = np.bincount(
-            sqp._qq_idx, weights=self.w_top.ravel(), minlength=n * n
+            sqp._qq_idx, weights=w_top.ravel(), minlength=n * n
         ).reshape(n, n)
         d_power = np.full(n, _EQ_DELTA + reg)
         if sqp.include_mu:
@@ -542,9 +622,9 @@ class _BlockKKTFactor:
         self.den = d_power + sqp.betas**2 * self.d1
         idx = np.arange(n)
         schur[idx, idx] += self.d1 * d_power / self.den
-        # Same Jacobi scaling story as the per-front-end blocks: the
-        # Schur diagonal mixes ~1/w_cap (can be 1e-13) with O(1) core
-        # sums; factoring the scaled system keeps the solve accurate.
+        # Jacobi-scale before factoring: the Schur diagonal mixes
+        # ~1/w_cap (can be 1e-13) with O(1) core sums; factoring the
+        # scaled system keeps the solve accurate.
         self.schur_d = np.sqrt(np.abs(np.diagonal(schur)))
         self.schur_d[self.schur_d == 0.0] = 1.0
         self.schur_scaled = schur / np.outer(self.schur_d, self.schur_d)
@@ -556,7 +636,9 @@ class _BlockKKTFactor:
         # Signature of the system this factorization was built from,
         # used by :meth:`drift` to gate cross-slot reuse.
         self._sig_w = w.copy()
-        self._sig_h = sqp.h_blocks
+        self._sig_coef = sqp.h_coef
+        self._sig_vec = sqp.h_vec
+        self._sig_diag = sqp.h_diag
         self._sig_reach = sqp.reach
         self._sig_layout = (n, sqp.include_mu, sqp.include_nu)
 
@@ -564,20 +646,30 @@ class _BlockKKTFactor:
         """Worst per-entry relative drift of the condensed system's
         defining data (barrier weights and Hessian blocks) since this
         factorization was built; ``inf`` for a QP of another layout
-        (reach pattern, datacenter count or mu/nu blocks)."""
+        (reach pattern, utility directions or diagonal, datacenter
+        count or mu/nu blocks).
+
+        A Hessian entry moves by ``|dc| l_a l_b / (1 + |c0| l_a l_b)``,
+        which grows with ``l_a l_b``, so each front end's worst entry
+        sits at ``L = max_a l_a^2``."""
         if (
             self._sig_layout != (sqp.num_datacenters, sqp.include_mu, sqp.include_nu)
             or not np.array_equal(self._sig_reach, sqp.reach)
+            or not np.array_equal(self._sig_vec, sqp.h_vec)
+            or not np.array_equal(self._sig_diag, sqp.h_diag)
         ):
             return np.inf
         dw = np.abs(w - self._sig_w) / (1.0 + np.abs(self._sig_w))
-        dh = np.abs(sqp.h_blocks - self._sig_h) / (1.0 + np.abs(self._sig_h))
+        big = (sqp.h_vec * sqp.h_vec).max(axis=1)
+        dh = np.abs(sqp.h_coef - self._sig_coef) * big / (
+            1.0 + np.abs(self._sig_coef) * big
+        )
         return max(float(dw.max(initial=0.0)), float(dh.max(initial=0.0)))
 
     def rebind(self, sqp: StructuredSlotQP, w: np.ndarray) -> None:
         """Retarget this factorization at a drifted slot's system.
 
-        The expensive pieces — the batched per-front-end inverses and
+        The expensive pieces — the per-front-end block inverses and
         the Schur LU — are kept as a *preconditioner*; the cheap
         diagonals (``w_cap``, ``w_lam``, ``d_mu``, ``d_nu``) and the
         ``sqp`` reference are re-pointed at the current slot so
@@ -737,7 +829,7 @@ class _BlockKKTFactor:
         r_lam, r_mu, r_nu = sqp.split_x(res_x)
         r1_lam, r1_mu, r1_nu = sqp.split_x(r1)
         r_lam[:] = (
-            (sqp.h_blocks @ d_lam[..., None])[..., 0]
+            sqp.h_mul(d_lam)
             + self.w_lam * d_lam
             + (self.w_cap * dcol)[sqp.reach]
             + dy_s[:, None]
@@ -777,23 +869,12 @@ _TINY = float(np.finfo(float).tiny)
 _W_CEILING = 1e16
 
 
-def _build_factor(
-    sqp: StructuredSlotQP, w: np.ndarray, reg_rel: float, diag_scale: float
-) -> _BlockKKTFactor | None:
-    """A :class:`_BlockKKTFactor` at relative regularization
-    ``reg_rel``, or None when the factorization is exactly singular."""
-    try:
-        return _BlockKKTFactor(sqp, w, reg=reg_rel * diag_scale)
-    except np.linalg.LinAlgError:
-        return None
-
-
 #: Maximum per-entry relative drift of the condensed-system data under
 #: which a cached factorization from an earlier slot is rebound and
 #: reused as a refinement preconditioner instead of rebuilt.  The gate
 #: is deliberately tight: refinement contracts the error by roughly
 #: the drift per sweep, and one sweep costs about as much as a fresh
-#: build (the build is batched small inverses plus an N x N LU, the
+#: build (the build is closed-form block inverses plus an N x N LU, the
 #: sweep is batched solves plus scatter/gather matvecs), so reuse only
 #: pays when a sweep or two recovers full accuracy.
 FACTOR_DRIFT_TOL = 0.02
@@ -900,9 +981,10 @@ class _BlockArrowheadSystem(_NewtonSystem):
         # Regularization is relative to the condensed Hessian's
         # diagonal scale: near convergence the barrier weights reach
         # 1e9+, where an absolute 1e-8 shift is below roundoff.
-        diag_scale = 1.0 + max(
-            float(w.max(initial=0.0)), float(np.abs(sqp.h_blocks).max(initial=0.0))
-        )
+        h_max = np.abs(sqp.h_diag).max(axis=1) + np.abs(sqp.h_coef) * (
+            sqp.h_vec * sqp.h_vec
+        ).max(axis=1)
+        diag_scale = 1.0 + max(float(w.max(initial=0.0)), float(h_max.max(initial=0.0)))
         block = None
         if cache is not None:
             # Factors are keyed by iteration index: a re-solve of a
@@ -922,19 +1004,9 @@ class _BlockArrowheadSystem(_NewtonSystem):
                 block = cached
                 cache["reused"] = cache.get("reused", 0) + 1
         if block is None:
-            block = _build_factor(sqp, w, 0.0, diag_scale)
+            block = _BlockKKTFactor(sqp, w)
             if cache is not None:
                 cache["built"] = cache.get("built", 0) + 1
-        if block is None:
-            for reg in _REG_LEVELS:
-                block = _build_factor(sqp, w, reg, diag_scale)
-                if block is not None:
-                    break
-            else:
-                raise np.linalg.LinAlgError(
-                    "structured KKT factorization is singular at every "
-                    "regularization level"
-                )
         self.block, self.w, self.diag_scale = block, w, diag_scale
         self.cache_key = it if cache is not None else None
 
@@ -948,9 +1020,7 @@ class _BlockArrowheadSystem(_NewtonSystem):
         if not np.isfinite(resid) or resid > newton_tol:
             best = (dx, dy, resid) if np.isfinite(resid) else None
             for reg in _REG_LEVELS:
-                rblock = _build_factor(self.sqp, self.w, reg, self.diag_scale)
-                if rblock is None:
-                    continue
+                rblock = _BlockKKTFactor(self.sqp, self.w, reg=reg * self.diag_scale)
                 self.block = rblock
                 dx, dy, resid = rblock.solve_refined(r1, r2, refine_tol)
                 if np.isfinite(resid) and resid <= newton_tol:
@@ -1116,12 +1186,16 @@ class StructuredQPCompiler:
         self.latency_reach_ms = np.take_along_axis(
             model.latency_ms, reach, axis=1
         )
-        # Slot-invariant utility state hoisted once (the latency outer
-        # products of Eq. (2)); per-slot emission only touches the
+        # Slot-invariant utility state hoisted once: the rank-one
+        # directions and their pairwise differences, shared by every
+        # emitted slot; per-slot emission only touches the
         # arrival-dependent coefficients.
-        self._utility_eval = model.utility.neg_quad_form_compiled(
+        self._utility_form = model.utility.neg_rank_one_compiled(
             self.latency_reach_ms, self.weight
         )
+        if self._utility_form is not None:
+            self._h_diff = _latency_diff(self._utility_form.vec)
+            self._h_diag = np.zeros_like(self._utility_form.vec)
 
     @property
     def dim(self) -> int:
@@ -1138,14 +1212,20 @@ class StructuredQPCompiler:
         """Emit one slot's :class:`StructuredSlotQP`.
 
         Raises:
-            NotImplementedError: when an emission cost needs epigraph
-                variables (multi-segment piecewise-linear) or is not
-                QP-representable — those slots must take the generic
-                dense path.
+            NotImplementedError: when the latency utility offers no
+                rank-one Hessian form, or an emission cost needs
+                epigraph variables (multi-segment piecewise-linear) or
+                is not QP-representable — those slots must take the
+                generic dense path.
         """
+        if self._utility_form is None:
+            raise NotImplementedError(
+                "latency utility offers no rank-one Hessian form; the "
+                "structured path needs c * l l^T blocks"
+            )
         model, n = self.model, self.model.num_datacenters
         arrivals = inputs.arrivals / self.scale
-        h_blocks, g_blocks = self._utility_eval(arrivals[None])
+        h_coef, q_lam = self._utility_form(arrivals)
         q_mu = mu_max = p_nu = q_nu = None
         if self.include_mu:
             q_mu = np.full(n, float(model.fuel_cell_price))
@@ -1170,8 +1250,9 @@ class StructuredQPCompiler:
                 q_nu[j] = inputs.prices[j] + quad[1]
         return StructuredSlotQP(
             reach=self.reach,
-            h_blocks=h_blocks[0],
-            q_lam=g_blocks[0],
+            h_coef=h_coef,
+            h_vec=self._utility_form.vec,
+            q_lam=q_lam,
             arrivals=arrivals,
             capacities=self.capacities,
             alphas=np.asarray(model.alphas, dtype=float),
@@ -1182,4 +1263,6 @@ class StructuredQPCompiler:
             p_nu=p_nu,
             q_nu=q_nu,
             num_datacenters=n,
+            h_diff=self._h_diff,
+            h_diag=self._h_diag,
         )

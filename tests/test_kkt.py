@@ -10,13 +10,17 @@ compare objectives and KKT residuals, not raw iterates.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from repro.core.centralized import CentralizedSolver
 from repro.core.compiled import CompiledQPStructure
+from repro.core.model import CloudModel
 from repro.core.problem import UFCProblem
 from repro.core.strategies import HYBRID
+from repro.costs.latency import LatencyUtility
 from repro.optim.ipqp import solve_qp
 from repro.optim.kkt import (
     _EQ_DELTA,
@@ -35,18 +39,23 @@ def random_sqp(
     k: int = 3,
     include_mu: bool = True,
     include_nu: bool = True,
+    diag: float = 2.0,
 ) -> StructuredSlotQP:
-    """A feasible strictly-convex reach-sparse QP with random sparsity.
+    """A feasible convex reach-sparse QP with random sparsity.
 
-    Feasibility by construction: capacities cover the uniform split of
-    every front-end's arrivals, and the power rows are always
+    Each front end's Hessian block is ``diag * I + c l l^T`` with
+    ``c > 0``: the paper's Eq. (2) rank-one form.  The default diagonal
+    keeps the QP strictly convex, so solver parity compares unique
+    solutions; ``diag=0`` gives the bare blocks the latency utilities
+    emit.  Feasibility by construction: capacities cover the uniform
+    split of every front-end's arrivals, and the power rows are always
     satisfiable because ``nu`` (or ``mu`` up to ``mu_max`` sized above
     peak demand) can absorb any demand.
     """
     rng = np.random.default_rng(seed)
     reach = np.stack([rng.choice(n, size=k, replace=False) for _ in range(m)])
-    b = rng.normal(size=(m, k, k)) * 0.6
-    h_blocks = b @ b.transpose(0, 2, 1) + 2.0 * np.eye(k)
+    h_coef = rng.uniform(0.5, 4.0, m)
+    h_vec = rng.uniform(0.2, 1.5, (m, k))
     arrivals = rng.uniform(0.5, 2.0, m)
     lam0 = np.repeat(arrivals[:, None] / k, k, axis=1)
     colsum = np.bincount(reach.ravel(), weights=lam0.ravel(), minlength=n)
@@ -63,7 +72,9 @@ def random_sqp(
         kw["q_nu"] = rng.uniform(10, 60, n)
     return StructuredSlotQP(
         reach=reach,
-        h_blocks=h_blocks,
+        h_coef=h_coef,
+        h_vec=h_vec,
+        h_diag=np.full((m, k), diag),
         q_lam=rng.normal(size=(m, k)) * 2.0,
         arrivals=arrivals,
         capacities=capacities,
@@ -148,6 +159,24 @@ class TestEliminationAlgebra:
         dense_resid = np.abs(kkt @ np.linalg.solve(kkt, rhs) - rhs).max()
         _dx, _dy, resid = factor.solve_refined(r1, r2, 1e-13)
         assert resid <= 4.0 * dense_resid
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bare_rank_one_blocks_match_dense_kkt_solve(self, seed):
+        # The blocks the latency utilities emit: no diagonal, and
+        # c = 0 (the linear utility, an idle front end) in every third.
+        sqp = random_sqp(seed, diag=0.0)
+        sqp.h_coef[::3] = 0.0
+        rng = np.random.default_rng(seed + 1000)
+        w = np.exp(rng.uniform(-6, 6, sqp.num_ineq))
+        factor = _BlockKKTFactor(sqp, w)
+        kkt = dense_condensed_kkt(sqp, w)
+        r1 = rng.normal(size=sqp.dim)
+        r2 = rng.normal(size=sqp.num_eq)
+        ref = np.linalg.solve(kkt, np.concatenate([r1, r2]))
+        dx, dy, resid = factor.solve_refined(r1, r2, 1e-13)
+        assert resid < 1e-10
+        np.testing.assert_allclose(dx, ref[: sqp.dim], atol=1e-10)
+        np.testing.assert_allclose(dy, ref[sqp.dim :], atol=1e-10)
 
     def test_residual_vec_matches_dense_matvec(self):
         sqp = random_sqp(3)
@@ -304,6 +333,53 @@ class TestFullReachBridge:
         assert abs(structured.ufc - dense.ufc) <= 1e-4 * (1.0 + abs(dense.ufc))
 
 
+class _SeparableLatencyUtility(LatencyUtility):
+    """``U = -sum_j lam_j^2 L_j / A_i``: a diagonal, full-rank Hessian."""
+
+    def value(self, lam_row, latency_ms, arrival):
+        if arrival <= 0:
+            return 0.0
+        return -float(lam_row**2 @ latency_ms) * 1e-3 / arrival
+
+    def neg_quad_form(self, latency_ms, arrival, weight):
+        n = len(latency_ms)
+        if arrival <= 0:
+            return np.zeros((n, n)), np.zeros(n)
+        return np.diag(2e-3 * weight * np.asarray(latency_ms) / arrival), np.zeros(n)
+
+
+class TestUtilityRouting:
+    """A utility without a rank-one form never reaches the block path."""
+
+    def test_non_rank_one_utility_takes_the_dense_route(
+        self, tiny_model, tiny_inputs
+    ):
+        model = CloudModel(
+            datacenters=tiny_model.datacenters,
+            frontends=tiny_model.frontends,
+            latency_ms=tiny_model.latency_ms,
+            fuel_cell_price=tiny_model.fuel_cell_price,
+            latency_weight=tiny_model.latency_weight,
+            utility=_SeparableLatencyUtility(),
+            emission_costs=tiny_model.emission_costs,
+        )
+        problem = UFCProblem(model, tiny_inputs, strategy=HYBRID)
+        compiled = CompiledQPStructure(model, HYBRID)
+        dense = CentralizedSolver(kkt_mode="dense").solve(problem, compiled)
+        # A cutoff of 1 sends every compiled slot to the structured
+        # route first under auto mode.
+        auto = CentralizedSolver(kkt_mode="auto", structured_cutoff=1).solve(
+            problem, compiled
+        )
+        assert dense.converged
+        np.testing.assert_array_equal(auto.allocation.lam, dense.allocation.lam)
+        np.testing.assert_array_equal(auto.allocation.mu, dense.allocation.mu)
+        np.testing.assert_array_equal(auto.allocation.nu, dense.allocation.nu)
+        assert auto.ufc == dense.ufc
+        with pytest.raises(NotImplementedError, match="rank-one"):
+            CentralizedSolver(kkt_mode="structured").solve(problem, compiled)
+
+
 class TestReachValidation:
     def test_rejects_duplicate_dc(self):
         reach = np.array([[0, 0]])
@@ -326,7 +402,8 @@ def random_sqp_with_reach(reach: np.ndarray) -> StructuredSlotQP:
     n = 3
     return StructuredSlotQP(
         reach=reach,
-        h_blocks=np.tile(np.eye(k), (m, 1, 1)),
+        h_coef=np.ones(m),
+        h_vec=np.ones((m, k)),
         q_lam=np.zeros((m, k)),
         arrivals=np.ones(m),
         capacities=np.full(n, 10.0),
@@ -337,3 +414,99 @@ def random_sqp_with_reach(reach: np.ndarray) -> StructuredSlotQP:
         q_nu=np.ones(n),
         num_datacenters=n,
     )
+
+
+def _exact_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Gauss-Jordan inverse in exact rational arithmetic."""
+    dim = len(mat)
+    aug = [row[:] + [Fraction(int(i == j)) for j in range(dim)] for i, row in enumerate(mat)]
+    for col in range(dim):
+        piv = next(r for r in range(col, dim) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv_p = 1 / aug[col][col]
+        aug[col] = [v * inv_p for v in aug[col]]
+        for r in range(dim):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[dim:] for row in aug]
+
+
+#: (barrier weights, latencies in s, curvature c) per bordered block.
+CLOSED_FORM_BLOCKS = {
+    "weight_spread": (
+        [1e-2, 3.0, 1e5, 1e9, 1e13, 1e16],
+        [0.012, 0.047, 0.031, 0.008, 0.055, 0.026],
+        37.5,
+    ),
+    "large_c": (
+        [1e-2, 3.0, 1e5, 1e9, 1e13, 1e16],
+        [0.012, 0.047, 0.031, 0.008, 0.055, 0.026],
+        4.0e9,
+    ),
+    "linear_c0": (
+        [1e-2, 3.0, 1e5, 1e9, 1e13, 1e16],
+        [0.012, 0.047, 0.031, 0.008, 0.055, 0.026],
+        0.0,
+    ),
+    "ties": (
+        [0.5, 2e-2, 1e8, 1e8, 7.0, 1e16],
+        [0.02, 0.02, 0.035, 0.035, 0.02, 0.011],
+        900.0,
+    ),
+    "ties_small_weights": (
+        [1e-2, 1e-2, 1e-2, 1e-2, 1e-2, 1e-2],
+        [0.03, 0.03, 0.03, 0.01, 0.01, 0.05],
+        1.0e6,
+    ),
+    "k1": ([1e-2], [0.04], 250.0),
+    "k1_ceiling": ([1e16], [0.04], 0.0),
+}
+
+
+class TestClosedFormBlocks:
+    """Each front end's bordered block inverse against exact arithmetic."""
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_BLOCKS))
+    def test_matches_exact_inverse(self, name):
+        weights, latencies, coef = CLOSED_FORM_BLOCKS[name]
+        k = len(weights)
+        sqp = StructuredSlotQP(
+            reach=full_reach(1, k),
+            h_coef=np.array([coef]),
+            h_vec=np.array([latencies]),
+            q_lam=np.zeros((1, k)),
+            arrivals=np.ones(1),
+            capacities=np.full(k, 10.0),
+            alphas=np.full(k, 0.1),
+            betas=np.ones(k),
+            lam_scale=1.0,
+            num_datacenters=k,
+        )
+        w = np.ones(sqp.num_ineq)
+        _cap, w_lam, *_ = sqp.split_ineq(w)
+        w_lam[0] = weights
+        k_inv = _BlockKKTFactor(sqp, w).k_inv[0]
+
+        c, l = Fraction(coef), [Fraction(v) for v in latencies]
+        block = [
+            [
+                (Fraction(weights[a]) if a == b else 0) + c * l[a] * l[b]
+                for b in range(k)
+            ]
+            + [Fraction(1)]
+            for a in range(k)
+        ]
+        block.append([Fraction(1)] * k + [-Fraction(_EQ_DELTA)])
+        exact = np.array([[float(v) for v in row] for row in _exact_inverse(block)])
+
+        diag = np.diagonal(exact)
+        # Diagonal entries and the corner are relatively accurate.
+        np.testing.assert_allclose(np.diagonal(k_inv), diag, rtol=1e-9, atol=0.0)
+        # W_top is positive definite, so sqrt(W_aa W_bb) bounds every
+        # entry of its row and column: a scale-free bound.
+        w_scale = np.sqrt(np.outer(diag[:k], diag[:k]))
+        assert (np.abs(k_inv[:k, :k] - exact[:k, :k]) <= 1e-9 * w_scale).all()
+        border_scale = np.sqrt(diag[:k] * abs(diag[k]))
+        assert (np.abs(k_inv[:k, k] - exact[:k, k]) <= 1e-9 * border_scale).all()
+        np.testing.assert_array_equal(k_inv[:k, k], k_inv[k, :k])

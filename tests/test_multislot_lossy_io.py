@@ -145,14 +145,6 @@ class TestLossyNetwork:
         # Exactly one logical message (plus its duplicate) was delivered.
         assert len(net.deliver("dc0")) == 2
 
-    def test_retransmissions_alias(self):
-        net = LossyNetwork(loss_probability=0.5, seed=1)
-        from repro.distributed.messages import RoutingAssignment
-
-        for _ in range(100):
-            net.send(RoutingAssignment(sender="a", receiver="b", a=1.0))
-        assert net.retransmissions == net.dropped_attempts > 0
-
 
 class TestTraceIO:
     def test_npz_round_trip(self, tmp_path, small_bundle):

@@ -17,6 +17,7 @@ import pytest
 
 from repro.optim.batch import (
     BatchIPQPResult,
+    _ruiz_scales_shared,
     project_simplex_batch,
     solve_capped_rank_one_qp_batch,
     solve_qp_batch,
@@ -224,6 +225,24 @@ class TestSolveQPBatchShared:
             # slack along weakly determined directions.
             np.testing.assert_allclose(res.x[t], ref.x, atol=1e-4, rtol=1e-4)
             assert res.value[t] == pytest.approx(ref.value, rel=1e-7, abs=1e-7)
+
+    def test_zero_row_keeps_unit_scale(self):
+        """An all-zero inequality row must not inflate its Ruiz scale:
+        a 1e36-scaled row made the convergence test vacuously true."""
+        rng = np.random.default_rng(0)
+        n, T = 3, 3
+        P = np.stack([np.diag(rng.uniform(1.0, 3.0, n)) for _ in range(T)])
+        q = rng.normal(size=(T, n))
+        A, b = np.ones((1, n)), np.ones((T, 1))
+        G = np.vstack([-np.eye(n), np.zeros((1, n))])
+        h = np.array([0.0, 0.0, 0.0, 1.0])
+        _d, _r_a, r_g, _gamma = _ruiz_scales_shared(P, q, A, G)
+        np.testing.assert_array_equal(r_g[:, -1], 1.0)
+        res = solve_qp_batch(P, q, A=A, b=b, G=G, h=h)
+        assert res.converged.all()
+        for t in range(T):
+            ref = solve_qp(P[t], q[t], A=A, b=b[t], G=G, h=h)
+            np.testing.assert_allclose(res.x[t], ref.x, atol=1e-6)
 
 
 class TestSolveQPBatchEdges:
