@@ -10,7 +10,7 @@ are tractable (``N * M <= 2000``): the dense factorization of the
 library's full-reach compiled path (context; its UFC differs by the
 genuine fan-in restriction gap, so it is never gated on parity).
 
-Gates (the same ones ``python -m repro bench --scale`` enforces):
+Gates (``main`` exits 1 unless every one holds):
 
 - every slot of every shape converges and certifies;
 - on the identical QP the two routes agree to 1e-4 relative UFC;

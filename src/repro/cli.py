@@ -15,16 +15,12 @@ Installed as ``python -m repro``::
     python -m repro validate
     python -m repro doctor --horizon 24
     python -m repro doctor --solver distributed --json doctor.json
-    python -m repro bench --quick
-    python -m repro bench --quick --json BENCH_quick.json
-    python -m repro bench --quick --client mp --max-pending 4 --json BENCH_exec.json
     python -m repro compare --client mp --max-pending 4 --store .repro-store
     python -m repro exec-worker --connect 127.0.0.1:7463
     python -m repro simulate --ledger runs/ --metrics-out metrics.prom
     python -m repro top runs/20260808-* --replay
     python -m repro runs list --ledger-dir runs/
     python -m repro runs diff RUN_A RUN_B --ledger-dir runs/
-    python -m repro bench --quick --compare BENCH_engine.json
     python -m repro chaos --list
     python -m repro chaos --scenario dc-crash --horizon 24
     python -m repro chaos --spec my_scenario.json --json chaos.json
@@ -293,103 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="address of the SocketClient listener to join (e.g. "
         "127.0.0.1:7463) — run one worker per CPU you want to lend",
     )
-
-    bench = sub.add_parser(
-        "bench",
-        help="time the batched solve lane against the serial cached "
-        "path and check certification-grade parity (exit 1 on a "
-        "parity failure, or on a speedup-floor regression when a "
-        "floor is gated); with --client, benchmark the execution "
-        "layer instead: serial vs pool vs pipelined client, plus a "
-        "result-store cold/warm pair",
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke: 24 slots, 3 order-balanced rounds, gate the "
-        "worst round's speedup at the 1.5x floor",
-    )
-    bench.add_argument(
-        "--rounds",
-        type=int,
-        default=3,
-        help="order-balanced timing rounds (serial / batched / serial)",
-    )
-    bench.add_argument(
-        "--floor",
-        type=float,
-        default=None,
-        metavar="X",
-        help="fail unless every round's batched speedup reaches X "
-        "(default: 1.5 with --quick, ungated otherwise)",
-    )
-    bench.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="also write the timing/parity summary as JSON to PATH",
-    )
-    bench.add_argument(
-        "--scale",
-        action="store_true",
-        help="benchmark the scale lane instead: generated hyperscale "
-        "instances solved through the block-elimination KKT path vs "
-        "the dense route, gating certification on every slot, "
-        "paper-scale bit-identity, and a 5x speedup floor where both "
-        "routes run (with --quick: 4x10 and 20x100, 12 slots)",
-    )
-    bench.add_argument(
-        "--shapes",
-        default=None,
-        metavar="NxM,...",
-        help="with --scale: comma-separated shape ladder, e.g. "
-        "'4x10,20x100,100x1000' (default: the full ladder, or the "
-        "smoke ladder with --quick)",
-    )
-    bench.add_argument(
-        "--slots",
-        type=int,
-        default=None,
-        metavar="T",
-        help="with --scale: hourly slots per shape (default 24, or "
-        "12 with --quick)",
-    )
-    bench.add_argument(
-        "--warm",
-        action="store_true",
-        help="benchmark the warm-start lane instead: cold serial "
-        "cached vs the centralized-warm chain on the week, the "
-        "incumbent early-exit, the structured 20x100 factor-cache "
-        "re-solve regime, and the ADM-G warm chain (exit 1 unless "
-        "every gate passes; with --quick: 24 hours, 1 round)",
-    )
-    bench.add_argument(
-        "--warm-floor",
-        type=float,
-        default=None,
-        metavar="X",
-        help="with --client: fail unless the disk-warm store re-run "
-        "is X times faster than the cold run (default: 5.0 with "
-        "--quick, ungated otherwise)",
-    )
-    bench.add_argument(
-        "--compare",
-        default=None,
-        metavar="PATH",
-        help="compare this run's per-slot timings against a committed "
-        "bench JSON (e.g. BENCH_engine.json) and fail on a >25%% "
-        "wall-time regression; slot counts are normalized, so a "
-        "--quick run can gate against the full-week baseline",
-    )
-    bench.add_argument(
-        "--compare-threshold",
-        type=float,
-        default=0.25,
-        metavar="FRAC",
-        help="relative per-slot regression tolerance for --compare "
-        "(default 0.25)",
-    )
-    _add_exec_args(bench)
 
     top = sub.add_parser(
         "top",
@@ -889,342 +788,6 @@ def _cmd_exec_worker(args) -> int:
     return 0
 
 
-def _bench_exec(args) -> int:
-    """The ``bench --client`` flavor: execution-layer timings.
-
-    Times the horizon through (a) the plain serial engine, (b) the
-    classic pool lane, and (c) the requested client with pipelined
-    submission, checking bit-identical UFC values across all three;
-    then runs a result-store cold/warm pair and reports the disk-warm
-    speedup.  Timing floors only gate what the issue gates: the warm
-    re-run (``--warm-floor``, default 5x with --quick).
-    """
-    import json
-    import shutil
-    import tempfile
-    import time
-
-    from repro.core.strategies import ALL_STRATEGIES
-    from repro.engine import HorizonEngine, usable_cpu_count
-
-    hours = 24 if (args.quick and args.hours == 168) else args.hours
-    warm_floor = args.warm_floor
-    if warm_floor is None and args.quick:
-        warm_floor = 5.0
-    max_pending = args.max_pending if args.max_pending else 4
-    pool_workers = max(2, min(4, usable_cpu_count()))
-
-    bundle = default_bundle(hours=hours, seed=args.seed)
-    model = build_model(bundle)
-    sim = Simulator(model, bundle)
-    problems = [
-        sim.problem_for_slot(t, strategy)
-        for strategy in ALL_STRATEGIES
-        for t in range(hours)
-    ]
-
-    def timed(**engine_kwargs):
-        engine = HorizonEngine("centralized", **engine_kwargs)
-        start = time.perf_counter()
-        outcomes = engine.run(problems)
-        elapsed = time.perf_counter() - start
-        return elapsed, [o.result.ufc for o in outcomes], engine.last_summary
-
-    timed()  # warm numpy/BLAS before any measured lane
-    serial_s, base_ufc, _ = timed()
-    pool_s, pool_ufc, pool_summary = timed(
-        workers=pool_workers, oversubscribe=True
-    )
-    client_s, client_ufc, client_summary = timed(
-        workers=pool_workers,
-        oversubscribe=True,
-        client=args.client,
-        max_pending=max_pending,
-    )
-    parity_ok = base_ufc == pool_ufc == client_ufc
-
-    store_dir = tempfile.mkdtemp(prefix="repro-bench-store-")
-    try:
-        cold_s, cold_ufc, _ = timed(store=store_dir)
-        warm_s, warm_ufc, warm_summary = timed(store=store_dir)
-    finally:
-        shutil.rmtree(store_dir, ignore_errors=True)
-    store_parity_ok = base_ufc == cold_ufc == warm_ufc
-    store_hits = warm_summary.store_hits
-    warm_speedup = cold_s / warm_s if warm_s > 0 else float("inf")
-    warm_ok = warm_floor is None or warm_speedup >= warm_floor
-    all_hits = store_hits == len(problems)
-
-    print(f"slots               : {len(problems)} ({hours}h x 3 strategies)")
-    print(f"serial engine       : {serial_s * 1000:,.0f} ms")
-    print(
-        f"pool lane           : {pool_s * 1000:,.0f} ms  "
-        f"({pool_workers} workers, executor {pool_summary.executor})"
-    )
-    print(
-        f"pipelined client    : {client_s * 1000:,.0f} ms  "
-        f"(client {client_summary.client}, "
-        f"max {client_summary.max_pending_observed} pending)"
-    )
-    print(f"client vs pool      : {pool_s / client_s:.2f}x")
-    print(f"store cold run      : {cold_s * 1000:,.0f} ms")
-    print(
-        f"store warm run      : {warm_s * 1000:,.0f} ms  "
-        f"({store_hits}/{len(problems)} slots from disk)"
-    )
-    print(f"warm speedup        : {warm_speedup:.1f}x")
-    if warm_floor is not None:
-        print(
-            f"warm floor {warm_floor:.1f}x     : "
-            f"{'ok' if warm_ok else 'REGRESSED'}"
-        )
-    print(f"parity              : {'ok' if parity_ok else 'FAILURE'}")
-    if not parity_ok:
-        print("PARITY FAILURE: client lanes disagree with the serial engine")
-    if not store_parity_ok:
-        print("PARITY FAILURE: store-resolved run disagrees with the serial engine")
-
-    passed = bool(parity_ok and store_parity_ok and warm_ok and all_hits)
-    if args.json:
-        payload = {
-            "hours": hours,
-            "slots": len(problems),
-            "client": args.client,
-            "max_pending": max_pending,
-            "pool_workers": pool_workers,
-            "serial_s": round(serial_s, 4),
-            "pool_s": round(pool_s, 4),
-            "client_s": round(client_s, 4),
-            "client_vs_pool": round(pool_s / client_s, 4),
-            "store_cold_s": round(cold_s, 4),
-            "store_warm_s": round(warm_s, 4),
-            "warm_speedup": round(warm_speedup, 4),
-            "warm_floor": warm_floor,
-            "store_hits": store_hits,
-            "parity_ok": parity_ok,
-            "store_parity_ok": store_parity_ok,
-            "passed": passed,
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"\nwrote {args.json}")
-    return 0 if passed else 1
-
-
-def _bench_scale(args) -> int:
-    """The ``bench --scale`` flavor: hyperscale structured-KKT lane."""
-    import json
-
-    from repro.experiments.scalebench import (
-        DEFAULT_SHAPES,
-        render_report,
-        run_scale_bench,
-    )
-
-    if args.shapes:
-        try:
-            shapes = tuple(
-                (int(n), int(m))
-                for n, m in (part.split("x") for part in args.shapes.split(","))
-            )
-        except ValueError:
-            print(f"bad --shapes {args.shapes!r}: expected 'NxM,NxM,...'")
-            return 2
-    elif args.quick:
-        shapes = ((4, 10), (20, 100))
-    else:
-        shapes = DEFAULT_SHAPES
-    slots = args.slots if args.slots else (12 if args.quick else 24)
-
-    payload = run_scale_bench(shapes=shapes, slots=slots, seed=args.seed)
-    print(render_report(payload))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"\nwrote {args.json}")
-    return 0 if payload["passed"] else 1
-
-
-def _bench_warm(args) -> int:
-    """The ``bench --warm`` flavor: temporal warm-start lanes."""
-    import json
-
-    from repro.experiments.warmbench import render_report, run_warm_bench
-
-    hours = 24 if (args.quick and args.hours == 168) else args.hours
-    repeats = 1 if args.quick else max(1, args.rounds)
-    floor = args.floor if args.floor is not None else 1.5
-    payload = run_warm_bench(
-        hours=hours, seed=args.seed, repeats=repeats, floor=floor
-    )
-    print(render_report(payload))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"\nwrote {args.json}")
-    return 0 if payload["passed"] else 1
-
-
-def _cmd_bench(args) -> int:
-    import json
-    import time
-
-    from repro.core.strategies import ALL_STRATEGIES
-    from repro.engine import HorizonEngine
-
-    if args.warm:
-        return _bench_warm(args)
-    if args.scale:
-        return _bench_scale(args)
-    if args.client:
-        return _bench_exec(args)
-
-    # --quick drops the global week default to a 24-slot smoke; an
-    # explicit non-default --hours wins either way.
-    hours = 24 if (args.quick and args.hours == 168) else args.hours
-    floor = args.floor
-    if floor is None and args.quick:
-        floor = 1.5
-    rounds = max(1, args.rounds)
-
-    bundle = default_bundle(hours=hours, seed=args.seed)
-    model = build_model(bundle)
-    sim = Simulator(model, bundle)
-    problems = [
-        sim.problem_for_slot(t, strategy)
-        for strategy in ALL_STRATEGIES
-        for t in range(hours)
-    ]
-
-    def timed(solver):
-        engine = HorizonEngine(solver)
-        start = time.perf_counter()
-        engine.run(problems)
-        return time.perf_counter() - start
-
-    timed("centralized-batch")  # warm numpy/BLAS before the first round
-    serial_best = batched_best = None
-    round_speedups = []
-    for _ in range(rounds):
-        b1 = timed("centralized")
-        bat = timed("centralized-batch")
-        b2 = timed("centralized")
-        round_speedups.append((b1 + b2) / 2.0 / bat)
-        serial_best = min(b1, b2, serial_best or b1)
-        batched_best = min(bat, batched_best or bat)
-
-    certified = HorizonEngine("centralized-batch", certify=True).run(problems)
-    scalar = HorizonEngine("centralized").run(problems)
-    converged_all = all(o.ok and o.result.converged for o in certified)
-    certified_all = all(
-        o.ok and o.certificate is not None and o.certificate.ok
-        for o in certified
-    )
-    max_ufc_delta = max(
-        abs(x.result.ufc - y.result.ufc)
-        for x, y in zip(certified, scalar)
-    )
-    parity_ok = converged_all and certified_all and max_ufc_delta < 1e-2
-    speedup = serial_best / batched_best
-    speedup_floor = min(round_speedups)
-    floor_ok = floor is None or speedup_floor >= floor
-
-    # --compare: regression gate against a committed bench JSON.  The
-    # scalar lane's cost is per-slot, so slot counts normalize away and
-    # a --quick (24h) run gates against the committed full-week record.
-    # The batched lane amortizes one stacked solve over the whole
-    # horizon — its per-slot cost falls with batch size — so it is only
-    # gated when the two runs solved the same number of slots (and
-    # reported, un-gated, otherwise).
-    compare_ok = True
-    compare_report = None
-    if args.compare:
-        with open(args.compare, encoding="utf-8") as fh:
-            base = json.load(fh)
-        base_slots = max(1, int(base.get("slots", 1)))
-        threshold = args.compare_threshold
-        compare_report = {"baseline": args.compare, "threshold": threshold}
-        for key, current, gated in (
-            ("serial_cached_s", serial_best, True),
-            ("batched_s", batched_best, base_slots == len(problems)),
-        ):
-            if base.get(key) is None:
-                continue
-            base_per_slot = float(base[key]) / base_slots
-            cur_per_slot = current / len(problems)
-            delta = (
-                (cur_per_slot - base_per_slot) / base_per_slot
-                if base_per_slot > 0
-                else 0.0
-            )
-            compare_report[key] = {
-                "baseline_per_slot_s": round(base_per_slot, 6),
-                "current_per_slot_s": round(cur_per_slot, 6),
-                "delta": round(delta, 4),
-                "gated": gated,
-            }
-            if gated and delta > threshold:
-                compare_ok = False
-
-    print(f"slots               : {len(problems)} ({hours}h x 3 strategies)")
-    print(f"serial cached       : {serial_best * 1000:,.0f} ms")
-    print(f"batched lane        : {batched_best * 1000:,.0f} ms")
-    print(f"speedup (best/best) : {speedup:.2f}x")
-    print(
-        "speedup per round   : "
-        + ", ".join(f"{s:.2f}x" for s in round_speedups)
-    )
-    print(f"converged           : {'all' if converged_all else 'NOT ALL'}")
-    print(f"certified           : {'all' if certified_all else 'NOT ALL'}")
-    print(f"max UFC delta       : {max_ufc_delta:.2e}")
-    if floor is not None:
-        verdict = "ok" if floor_ok else "REGRESSED"
-        print(f"floor {floor:.1f}x          : {verdict} "
-              f"(worst round {speedup_floor:.2f}x)")
-    if compare_report is not None:
-        for key in ("serial_cached_s", "batched_s"):
-            row = compare_report.get(key)
-            if row is None:
-                continue
-            note = "" if row["gated"] else "  [not gated: batch sizes differ]"
-            print(
-                f"vs baseline {key:<15}: {100 * row['delta']:+.1f}% per slot "
-                f"({row['current_per_slot_s'] * 1e3:.2f} ms vs "
-                f"{row['baseline_per_slot_s'] * 1e3:.2f} ms){note}"
-            )
-        verdict = "ok" if compare_ok else "REGRESSED"
-        print(
-            f"compare gate {args.compare_threshold:.0%}    : {verdict} "
-            f"(baseline {args.compare})"
-        )
-    if not parity_ok:
-        print("PARITY FAILURE: batched lane disagrees with the scalar path")
-
-    passed = bool(parity_ok and floor_ok and compare_ok)
-    if args.json:
-        payload = {
-            "hours": hours,
-            "slots": len(problems),
-            "rounds": rounds,
-            "serial_cached_s": round(serial_best, 4),
-            "batched_s": round(batched_best, 4),
-            "batch_speedup_vs_serial_cached": round(speedup, 4),
-            "round_speedups": [round(s, 4) for s in round_speedups],
-            "speedup_floor": round(speedup_floor, 4),
-            "floor_gate": floor,
-            "converged_all": converged_all,
-            "certified_all": certified_all,
-            "max_ufc_delta_vs_serial": max_ufc_delta,
-            "passed": passed,
-        }
-        if compare_report is not None:
-            payload["compare"] = {**compare_report, "ok": compare_ok}
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"\nwrote {args.json}")
-    return 0 if passed else 1
-
-
 def _cmd_top(args) -> int:
     import time
 
@@ -1463,7 +1026,6 @@ _COMMANDS = {
     "export": _cmd_export,
     "validate": _cmd_validate,
     "doctor": _cmd_doctor,
-    "bench": _cmd_bench,
     "chaos": _cmd_chaos,
     "exec-worker": _cmd_exec_worker,
     "top": _cmd_top,

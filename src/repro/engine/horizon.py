@@ -376,12 +376,10 @@ class _SlotStep:
     def __init__(
         self,
         solver: SlotSolver,
-        structure_cache: bool,
         certifier: Any | None,
         resilience: ResilienceConfig | None,
     ) -> None:
         self.solver = solver
-        self.structure_cache = structure_cache
         self.certifier = certifier
         self.resilience = resilience
         self.cache = CompileCache(solver)
@@ -415,14 +413,12 @@ class _SlotStep:
                 continue
             for attempt in range(1, budget + 1):
                 attempts += 1
-                compiled = None
                 cache_hit: bool | None = None
                 compile_s = 0.0
                 try:
-                    if self.structure_cache:
-                        compiled, cache_hit, compile_s = cache.lookup(
-                            problem.model, problem.strategy
-                        )
+                    compiled, cache_hit, compile_s = cache.lookup(
+                        problem.model, problem.strategy
+                    )
                     solve_start = time.perf_counter()
                     result = solver.solve(problem, compiled=compiled, warm=warm)
                     wall_s = time.perf_counter() - solve_start
@@ -493,14 +489,12 @@ class _SlotStep:
         for offsets in groups.values():
             group = [chunk.problems[offset] for offset in offsets]
             model, strategy = group[0].model, group[0].strategy
-            compiled = None
             cache_hit: bool | None = None
             compile_s = 0.0
             try:
-                if self.structure_cache:
-                    compiled, cache_hit, compile_s = self.cache.lookup(
-                        model, strategy
-                    )
+                compiled, cache_hit, compile_s = self.cache.lookup(
+                    model, strategy
+                )
                 solve_start = time.perf_counter()
                 results = self.solver.solve_batch(group, compiled=compiled)
                 wall_s = (time.perf_counter() - solve_start) / len(group)
@@ -516,7 +510,7 @@ class _SlotStep:
                 index = chunk.index(offset)
                 if j:
                     compile_s = 0.0
-                    cache_hit = True if self.structure_cache else None
+                    cache_hit = True
                 try:
                     outcomes[offset] = _slot_outcome(
                         index, problem, result, name, self.certifier,
@@ -599,7 +593,6 @@ def _profiled(obs: WorkerObsPlan | None) -> Iterator[cProfile.Profile | None]:
 def _solve_chunk(
     solver: SlotSolver,
     chunk: _Chunk,
-    structure_cache: bool,
     certifier: Any | None = None,
     resilience: ResilienceConfig | None = None,
     batched: bool = False,
@@ -628,7 +621,7 @@ def _solve_chunk(
     synthesizes per-slot spans from telemetry and lands one chunk
     profile on its first outcome (``profile_scope="chunk"``).
     """
-    step = _SlotStep(solver, structure_cache, certifier, resilience)
+    step = _SlotStep(solver, certifier, resilience)
     pid = os.getpid()
     if batched:
         with _profiled(obs) as profiler:
@@ -719,9 +712,6 @@ class HorizonEngine:
         chunk_size: slots per process-pool task; None picks
             ``ceil(T / (4 * workers))`` so the pool load-balances while
             amortizing per-task pickling.
-        structure_cache: build each (model, strategy)'s slot-invariant
-            structure once per horizon (default).  Disable only to
-            measure the cold path — results are identical either way.
         telemetry: optional :class:`~repro.obs.Telemetry` sink for
             engine events; None (default) is the no-op sink.
         oversubscribe: run the requested worker count even beyond the
@@ -825,7 +815,6 @@ class HorizonEngine:
         solver: str | SlotSolver | Any = "centralized",
         workers: int = 1,
         chunk_size: int | None = None,
-        structure_cache: bool = True,
         telemetry: Telemetry | None = None,
         oversubscribe: bool = False,
         certify: bool | Any = False,
@@ -851,7 +840,6 @@ class HorizonEngine:
         self.solver = create_solver(solver)
         self.workers = int(workers)
         self.chunk_size = chunk_size
-        self.structure_cache = structure_cache
         self.telemetry = as_telemetry(telemetry)
         self.oversubscribe = bool(oversubscribe)
         self.client = client
@@ -1119,7 +1107,6 @@ class HorizonEngine:
             "solver": self.solver.name,
             "workers": self.workers,
             "chunk_size": self.chunk_size,
-            "structure_cache": self.structure_cache,
             "oversubscribe": self.oversubscribe,
             "certify": self.certifier is not None,
             "resilience": self.resilience is not None,
@@ -1478,7 +1465,6 @@ class HorizonEngine:
                     (
                         self.solver,
                         chunk,
-                        self.structure_cache,
                         self.certifier,
                         self.resilience,
                         batched,

@@ -28,8 +28,8 @@ reproduction: at paper scale, ``kkt_mode="auto"`` solves are
 bit-identical to the dense route (the auto cutoff keeps small QPs on
 the dense path).
 
-Used by ``python -m repro bench --scale`` and
-``benchmarks/bench_scale.py`` (which writes ``BENCH_scale.json``).
+Driven by ``benchmarks/bench_scale.py``, which writes
+``BENCH_scale.json``.
 """
 
 from __future__ import annotations
@@ -333,7 +333,7 @@ def run_scale_bench(
 
 
 def render_report(payload: dict) -> str:
-    """Human-readable table for the CLI."""
+    """Human-readable table for `benchmarks/bench_scale.py`."""
     lines = [
         "scale lane: block-elimination KKT vs dense route",
         f"  slots/shape {payload['slots_per_shape']}, fan-in "

@@ -30,7 +30,8 @@ class SlotTelemetry:
             failure or for non-iterative solvers).
         converged: the solver's convergence flag (False on failure).
         cache_hit: True/False when the compiled-structure cache was
-            consulted; None when caching was disabled.
+            consulted; None when it was not (a store hit, or a compile
+            that raised).
         worker: OS pid of the process that solved the slot.  Serial
             runs report the parent pid; pool runs report worker pids.
         warm_start: whether the slot actually resumed from a previous

@@ -228,16 +228,19 @@ class TestSerialVsProcessEquality:
         )
 
     def test_cached_equals_cold(self, week_bundle, week_model):
+        # The engine's compiled-structure cache against the per-slot
+        # uncompiled reference: each slot assembled from scratch.
         sim = Simulator(week_model, week_bundle)
         problems = [sim.problem_for_slot(t, HYBRID) for t in range(24)]
-        cold = HorizonEngine("centralized", structure_cache=False).run(problems)
-        hot = HorizonEngine("centralized", structure_cache=True).run(problems)
-        for a, b in zip(cold, hot):
-            assert (a.result.allocation.lam == b.result.allocation.lam).all()
-            assert (a.result.allocation.mu == b.result.allocation.mu).all()
-            assert (a.result.allocation.nu == b.result.allocation.nu).all()
-            assert a.result.ufc == b.result.ufc
-            assert a.result.iterations == b.result.iterations
+        solver = create_solver("centralized")
+        hot = HorizonEngine("centralized").run(problems)
+        for problem, b in zip(problems, hot):
+            a = solver.solve(problem)
+            assert (a.allocation.lam == b.result.allocation.lam).all()
+            assert (a.allocation.mu == b.result.allocation.mu).all()
+            assert (a.allocation.nu == b.result.allocation.nu).all()
+            assert a.ufc == b.result.ufc
+            assert a.iterations == b.result.iterations
 
 
 class _TrippingSolver:

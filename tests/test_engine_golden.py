@@ -38,6 +38,9 @@ from repro.traces.datasets import default_bundle
 #: (a synchronous-client warm chain compiles once, so slots 1-5 are
 #: cache hits) and ``degraded_store`` (a solver-reported degraded result
 #: is flagged ``degraded`` and never stored, so the re-run re-solves).
+#: The armed-idle resilience, observed, certified and synchronously
+#: supervised lanes carry the plain serial digest: none of them may
+#: move a byte of a healthy run.
 GOLDEN = {
     "serial": "6bf47678e7647081eaac3ff50f1535d65ad99963f60ce0922a437df845de7dd5",
     "pool": "7f728cedb5a41d1ac8083bf87b3be3e70d56273d656eaa71e731f8994287d58b",
@@ -53,6 +56,8 @@ GOLDEN = {
     "store": "94360f6b3af78aa93eb15ded677dd5aabc76bd9b50f4897b07d0537b4e0f5a2f",
     "degraded_store": "c5077843d231e3f8f19b632063ad40e561318268263fb5753dcf6cd904e3202e",
     "obs_on": "6bf47678e7647081eaac3ff50f1535d65ad99963f60ce0922a437df845de7dd5",
+    "certified": "6bf47678e7647081eaac3ff50f1535d65ad99963f60ce0922a437df845de7dd5",
+    "supervised_sync": "6bf47678e7647081eaac3ff50f1535d65ad99963f60ce0922a437df845de7dd5",
 }
 
 
@@ -187,6 +192,8 @@ DIGESTS = {
     "obs_on": lambda: _lane(
         "centralized", metrics=MetricsRegistry(), tracer=SpanTracer()
     )(),
+    "certified": _lane("centralized", certify=True),
+    "supervised_sync": _lane("centralized", supervision=True),
 }
 
 

@@ -226,9 +226,6 @@ class TestEngineTelemetry:
             assert tele.iterations == outcome.result.iterations
         assert outcomes[0].telemetry.cache_hit is False
         assert all(o.telemetry.cache_hit for o in outcomes[1:])
-        # With caching disabled the cache is never consulted.
-        cold = HorizonEngine("centralized", structure_cache=False).run(problems)
-        assert all(o.telemetry.cache_hit is None for o in cold)
 
 
 class TestResidualTraces:

@@ -28,7 +28,7 @@ import pytest
 from repro.core.compiled import CompiledQPStructure
 from repro.core.problem import SlotInputs, UFCProblem
 from repro.core.solution import Allocation
-from repro.core.strategies import HYBRID
+from repro.core.strategies import ALL_STRATEGIES, HYBRID
 from repro.engine import HorizonEngine, create_solver
 from repro.engine.warm import CentralizedWarmSlotSolver
 from repro.obs import MetricsRegistry, load_run
@@ -72,6 +72,15 @@ def _perturbed(problem, scale, rng):
 @pytest.fixture(scope="module")
 def chain_problems(small_bundle, small_model):
     return _problems(small_bundle, small_model, hours=6)
+
+
+@pytest.fixture(scope="module")
+def day_chains(small_bundle, small_model):
+    """One 24-slot problem chain per strategy of the default comparison."""
+    return {
+        strategy.name: _problems(small_bundle, small_model, 24, strategy)
+        for strategy in ALL_STRATEGIES
+    }
 
 
 class TestWarmLadder:
@@ -193,27 +202,40 @@ class TestEngineWarmLane:
             assert a.result.ufc == b.result.ufc
             assert a.result.iterations == b.result.iterations
 
-    def test_warm_chain_certified_and_matches_cold(self, chain_problems):
-        cold = HorizonEngine("centralized").run(chain_problems)
-        engine = HorizonEngine("centralized-warm", certify=True)
-        warm = engine.run(chain_problems, warm_start=True)
-        assert all(o.ok for o in warm)
-        for o in warm:
-            cert = o.result.extras.get("certificate")
-            if cert is not None:
-                assert cert.ok
-        for a, b in zip(cold, warm):
-            denom = max(1.0, abs(a.result.ufc))
-            assert abs(a.result.ufc - b.result.ufc) / denom <= 1e-6
-        summary = engine.last_summary
-        assert summary.executor == "serial-warm"
-        assert summary.warm_started_slots == len(chain_problems) - 1
-        # The ladder fired: the chain saved iterations over re-solving
-        # every slot cold.
-        assert summary.warm_iterations_saved > 0
-        iters_cold = sum(o.result.iterations for o in cold)
-        iters_warm = sum(o.result.iterations for o in warm)
-        assert iters_warm < iters_cold
+    def test_warm_chain_certified_and_matches_cold(self, day_chains):
+        # Every strategy of the default comparison over the full day,
+        # one chain per strategy.
+        iters_cold = iters_warm = 0
+        for strategy, problems in day_chains.items():
+            cold = HorizonEngine("centralized").run(problems)
+            engine = HorizonEngine("centralized-warm", certify=True)
+            warm = engine.run(problems, warm_start=True)
+            assert all(o.ok and o.result.converged for o in warm), strategy
+            assert all(
+                o.certificate is not None and o.certificate.ok for o in warm
+            ), strategy
+            for o in warm:
+                cert = o.result.extras.get("certificate")
+                if cert is not None:
+                    assert cert.ok
+            for a, b in zip(cold, warm):
+                denom = max(1.0, abs(a.result.ufc))
+                assert abs(a.result.ufc - b.result.ufc) / denom <= 1e-6
+            summary = engine.last_summary
+            assert summary.executor == "serial-warm"
+            assert summary.warm_started_slots == len(problems) - 1
+            assert summary.warm_iterations_saved > 0
+            # Only the chain's first slot is solved on the cold rung.
+            cold_rung = [
+                o for o in warm
+                if o.result.extras.get("warm_mechanism", "cold") == "cold"
+            ]
+            assert len(cold_rung) <= 1, strategy
+            iters_cold += sum(o.result.iterations for o in cold)
+            iters_warm += sum(o.result.iterations for o in warm)
+        # The chains cut the mean interior-point iteration count by at
+        # least 30% over re-solving every slot cold.
+        assert 1.0 - iters_warm / iters_cold >= 0.30
 
     def test_warm_metrics_and_ledger(self, chain_problems, tmp_path):
         reg = MetricsRegistry()
@@ -245,7 +267,7 @@ class TestIncumbentEarlyExit:
 
     def test_incumbent_reuse_on_tiny_drift(self, chain_problems):
         base = chain_problems[0]
-        problems = self._creep_problems(base, [1e-9, 1e-9, 1e-9])
+        problems = self._creep_problems(base, [1e-8, 1e-8, 1e-8])
         solver = create_solver("centralized-warm", incumbent_tol=1e-6)
         engine = HorizonEngine(solver, certify=True)
         outcomes = engine.run(problems, warm_start=True)
@@ -376,7 +398,8 @@ class TestStructuredWarm:
         sqp, sqp_p, perturbed = self._sqp_pair(inst)
         seed_cache: dict = {}
         seed = solve_structured_qp(sqp, tol=1e-8, factor_cache=seed_cache)
-        cold = solve_structured_qp(sqp_p, tol=1e-8)
+        cold_cache: dict = {}
+        cold = solve_structured_qp(sqp_p, tol=1e-8, factor_cache=cold_cache)
         seed_cache["built"] = 0
         seed_cache["reused"] = 0
         warm = solve_structured_qp(
@@ -393,6 +416,8 @@ class TestStructuredWarm:
         assert warm.converged
         assert warm.warm_used
         assert warm.iterations < cold.iterations
+        # The warm path builds fewer KKT factors than the cold re-solve.
+        assert seed_cache["built"] < cold_cache["built"]
         problem = UFCProblem(inst.model, perturbed, strategy=HYBRID)
         ufc_c = problem.ufc(sqp_p.extract(cold.x))
         ufc_w = problem.ufc(sqp_p.extract(warm.x))
@@ -406,6 +431,18 @@ class TestStructuredWarm:
             solver="structured-warm",
         )
         assert cert.ok
+
+    def test_trajectory_matched_resolve_reuses_factors(self, inst):
+        # A cold re-solve of the perturbed slot walks nearly the seed
+        # solve's barrier path, so the seed's per-iteration factors
+        # pass the drift gate and are reused rather than rebuilt.
+        sqp, sqp_p, _ = self._sqp_pair(inst)
+        seed_cache: dict = {}
+        solve_structured_qp(sqp, tol=1e-8, factor_cache=seed_cache)
+        cache = {"factors": dict(seed_cache["factors"])}
+        res = solve_structured_qp(sqp_p, tol=1e-8, factor_cache=cache)
+        assert res.converged
+        assert cache.get("reused", 0) > 0
 
     def test_fresh_factor_cache_is_bit_identical(self, inst):
         # A fresh cache on a cold solve only records factors; it can
