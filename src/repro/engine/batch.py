@@ -48,6 +48,34 @@ from repro.optim.batch import solve_qp_batch
 __all__ = ["CentralizedBatchSlotSolver"]
 
 
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """``np.stack(arrays)``, without the copy when the arrays are
+    consecutive rows of one parent array.
+
+    :meth:`~repro.core.compiled.CompiledQPStructure.qp_for_batch`
+    hands out each slot's ``P``/``q``/``b`` as a view into one stacked
+    array, so a group of consecutive slots is a slice of that stack.
+    """
+    parent = arrays[0].base
+    if parent is not None and parent.ndim == arrays[0].ndim + 1:
+        addr = [a.__array_interface__["data"][0] for a in arrays]
+        start, rem = divmod(addr[0] - parent.__array_interface__["data"][0],
+                            parent.strides[0])
+        rows = parent[start : start + len(arrays)]
+        if (
+            rem == 0
+            and 0 <= start
+            and len(rows) == len(arrays)
+            and all(
+                a.base is parent and a.shape == row.shape and a.strides == row.strides
+                and address == row.__array_interface__["data"][0]
+                for a, row, address in zip(arrays, rows, addr)
+            )
+        ):
+            return rows
+    return np.stack(arrays)
+
+
 def _share_groups(qps: list[QPForm]) -> list[list[int]]:
     """Partition QP indices into runs sharing one constraint structure.
 
@@ -166,13 +194,11 @@ class CentralizedBatchSlotSolver:
         """Solve one shared-structure group and fill its results."""
         rep = qps[members[0]]
         p, m = rep.A.shape[0], rep.G.shape[0]
-        stacked_p = np.stack([qps[i].P for i in members])
-        stacked_q = np.stack([qps[i].q for i in members])
         res = solve_qp_batch(
-            stacked_p,
-            stacked_q,
+            _stack([qps[i].P for i in members]),
+            _stack([qps[i].q for i in members]),
             A=rep.A if p else None,
-            b=np.stack([qps[i].b for i in members]) if p else None,
+            b=_stack([qps[i].b for i in members]) if p else None,
             G=rep.G if m else None,
             h=np.stack([qps[i].h for i in members]) if m else None,
             tol=self.inner.tol,

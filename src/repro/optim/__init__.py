@@ -24,7 +24,7 @@ the centralized interior-point solvers it is checked against:
   solve).
 - :mod:`repro.optim.batch` — :func:`solve_qp_batch`, the
   interior-point loop over a batch of QPs sharing one constraint
-  structure (the shared-structure Schur Newton system), plus row-wise
+  structure (one in-place LAPACK LU per instance and iteration), plus row-wise
   simplex projection and batched rank-one QP solves.
 - :mod:`repro.optim.kkt` — the block-sparse representation of the UFC
   QP (:class:`StructuredSlotQP`) and :func:`solve_structured_qp`, the

@@ -35,10 +35,13 @@ row/column vectors), most inequality rows are single-nonzero variable
 bounds (so the ``G^T W G`` term of the condensed KKT splits into a
 cheap diagonal scatter plus a tiny dense-row product), and the Hessians
 are sparse (so equilibration sweeps touch only the nonzero
-coordinates).  The Newton system is then solved by eliminating the
-equality block: factor the n-by-n condensed matrix once per
-predictor/corrector solve and form the small p-by-p Schur complement,
-instead of factoring the full (n+p) KKT.
+coordinates).  Each instance's full (n+p) condensed KKT is then
+LU-factored once per iteration with LAPACK ``getrf``, in place in one
+stacked buffer, and the predictor and the corrector back-solve against
+it with ``getrs``.  Residuals are checked for the whole batch at once;
+an instance that fails the check goes through the dense route's
+regularization ladder (:func:`~repro.optim.ipqp._solve_kkt`) on its
+own.
 """
 
 from __future__ import annotations
@@ -46,13 +49,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from repro.optim.ipqp import (
+    _KKT_RESIDUAL_TOL,
     IPQPResult,
     _closed_form,
     _constraint_block,
+    _fill_kkt,
     _mehrotra,
     _NewtonSystem,
+    _solve_kkt,
     solve_qp,
 )
 from repro.optim.simplex import project_simplex
@@ -198,39 +205,6 @@ def solve_capped_rank_one_qp_batch(
 def _bmv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Batched matrix-vector product: ``(T, r, c) @ (T, c) -> (T, r)``."""
     return np.matmul(M, v[:, :, None])[:, :, 0]
-
-
-#: Relative residual threshold for batched Newton solves, matching
-#: ``repro.optim.ipqp._KKT_RESIDUAL_TOL``.
-_BATCH_RESIDUAL_TOL = 1e-6
-
-
-def _solve_checked(M: np.ndarray, rhs: np.ndarray, reg: np.ndarray) -> np.ndarray:
-    """Batched ``np.linalg.solve`` with a per-element residual safeguard.
-
-    ``M`` is (T, n, n), ``rhs`` (T, n, r), ``reg`` a broadcastable
-    diagonal regularizer (e.g. ``1e-10 * np.eye(n)``).  A nearly
-    singular element can return a finite garbage block without
-    raising; elements whose relative residual exceeds the threshold
-    are re-solved with the regularization, touching only the bad rows
-    — healthy elements keep the plain solve's bits.
-
-    Falls back to regularizing the whole batch when the plain solve
-    raises (exactly the old LinAlgError-only behavior).
-    """
-    try:
-        sol = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        return np.linalg.solve(M + reg, rhs)
-    resid = np.abs(np.matmul(M, sol) - rhs).max(axis=(1, 2), initial=0.0)
-    rhs_scale = 1.0 + np.abs(rhs).max(axis=(1, 2), initial=0.0)
-    bad = ~(np.isfinite(resid) & (resid <= _BATCH_RESIDUAL_TOL * rhs_scale))
-    if bad.any():
-        try:
-            sol[bad] = np.linalg.solve(M[bad] + reg, rhs[bad])
-        except np.linalg.LinAlgError:
-            pass  # keep the least-bad unregularized blocks
-    return sol
 
 
 class _GroupMax:
@@ -417,11 +391,15 @@ class _SharedBatchSystem(_NewtonSystem):
     constraint matrices ``A0``/``G0``.  The per-instance Ruiz scalings
     stay factored (``A_t = diag(r_a[t]) A0 diag(d[t])`` and likewise for
     ``G``), so constraint products are single dgemms against the shared
-    matrix, and each Newton system is solved by eliminating the
-    equality block — factor the condensed n-by-n matrix, then a p-by-p
-    Schur complement — instead of factoring the (n+p) KKT.  The Schur
-    complement built for the predictor is reused by the corrector.
-    :meth:`drop` removes converged instances as the batch drains.
+    matrix.  Each iteration LU-factors every instance's full condensed
+    KKT ``[[H_t, A_t'], [A_t, -1e-12 I]]`` once with LAPACK ``getrf``,
+    in place in one ``(T, n+p, n+p)`` buffer allocated per solve; the
+    predictor and the corrector back-solve against it with ``getrs``.
+    Residuals are checked for the whole batch with batched matmuls, and
+    only the instances that fail go through the dense route's
+    regularization ladder (:func:`~repro.optim.ipqp._solve_kkt`),
+    seeded with their plain factors.  :meth:`drop` removes converged
+    instances as the batch drains.
     """
 
     def __init__(self, Pw, qw, A0, bw, G0, hw, d, r_a, r_g) -> None:
@@ -431,7 +409,11 @@ class _SharedBatchSystem(_NewtonSystem):
         self.A0T, self.G0T = A0.T.copy(), G0.T.copy()
         self.p = A0.shape[0]
         self.split = _SharedSplit(G0)
-        self.reg_n = 1e-10 * np.eye(qw.shape[1])
+        #: ``A_t`` per instance; the scalings are fixed for the solve.
+        self.A_scaled = (A0[None] * d[:, None, :]) * r_a[:, :, None]
+        batch, n = qw.shape
+        self.lu = np.empty((batch, n + self.p, n + self.p))
+        self.piv = np.empty((batch, n + self.p), dtype=np.int32)
         self.scale = 1.0 + np.maximum(
             np.abs(qw).max(axis=1, initial=0.0),
             np.maximum(
@@ -441,7 +423,7 @@ class _SharedBatchSystem(_NewtonSystem):
         )
 
     def drop(self, keep: np.ndarray) -> None:
-        for name in ("Pw", "qw", "bw", "hw", "d", "r_a", "r_g", "scale"):
+        for name in ("Pw", "qw", "bw", "hw", "d", "r_a", "r_g", "A_scaled", "scale"):
             setattr(self, name, getattr(self, name)[keep])
 
     def residuals(self, x, y, s, z):
@@ -459,39 +441,19 @@ class _SharedBatchSystem(_NewtonSystem):
     def gt_mul(self, v):
         return self.d * ((self.r_g * v) @ self.G0)
 
-    def _scaled_a(self):
-        """``A_t^T`` and ``A_t`` stacked per instance (None when p = 0)."""
-        if not self.p:
-            return None, None
-        d, r_a = self.d, self.r_a
-        return (
-            d[:, :, None] * (self.A0T[None] * r_a[:, None, :]),
-            (self.A0[None] * d[:, None, :]) * r_a[:, :, None],
-        )
+    def _factor(self, H: np.ndarray) -> None:
+        """LU-factor each instance's condensed KKT around ``H`` in place.
 
-    def _schur_solve(self, H, rhs_x, r_eq, At_scaled, A_scaled):
-        """Solve the condensed KKT via the equality Schur complement.
-
-        Returns ``(dx, dy, X, Sinv)``; ``X``/``Sinv`` let the corrector
-        reuse the complement.
+        Each buffer row holds the transposed matrix, so its transpose
+        is the matrix itself in Fortran order and ``getrf`` overwrites
+        it with the factors :func:`~repro.optim.ipqp._lu` would compute.
         """
-        p = self.p
-        if not p:
-            dx = _solve_checked(H, rhs_x[:, :, None], self.reg_n)[:, :, 0]
-            return dx, np.zeros((len(H), 0)), None, None
-        sol = _solve_checked(
-            H, np.concatenate([At_scaled, rhs_x[:, :, None]], axis=2), self.reg_n
-        )
-        X, u = sol[:, :, :p], sol[:, :, p]
-        S = np.matmul(A_scaled, X)
-        diag = np.einsum("kii->ki", S)
-        diag += 1e-12
-        try:
-            Sinv = np.linalg.inv(S)
-        except np.linalg.LinAlgError:
-            Sinv = np.linalg.inv(S + 1e-10 * np.eye(p))
-        dy = np.matmul(Sinv, (_bmv(A_scaled, u) + r_eq)[:, :, None])[:, :, 0]
-        return u - _bmv(X, dy), dy, X, Sinv
+        self.H, k = H, len(H)
+        kkt = _fill_kkt(self.lu[:k], H.transpose(0, 2, 1), self.A_scaled)
+        self.info = np.empty(k, dtype=int)
+        for t in range(k):
+            _, self.piv[t], self.info[t] = dgetrf(kkt[t].T, overwrite_a=1)
+        self.rescue = {}
 
     def start(self) -> tuple[np.ndarray, ...]:
         """The starting iterate: the generic cold start with its primal
@@ -508,12 +470,8 @@ class _SharedBatchSystem(_NewtonSystem):
         s = np.maximum(hw, 1.0)
         z = np.ones((batch, self.G0.shape[0]))
         try:
-            x0, y0, _, _ = self._schur_solve(
-                self.split.assemble(Pw, r_g * r_g, d),
-                -qw + d * ((r_g * hw) @ self.G0),
-                -bw if self.p else np.zeros((batch, 0)),
-                *self._scaled_a(),
-            )
+            self._factor(self.split.assemble(Pw, r_g * r_g, d))
+            x0, y0 = self.solve(-qw + d * ((r_g * hw) @ self.G0), bw)
         except np.linalg.LinAlgError:
             return x, y, s, z
         good = np.isfinite(x0).all(axis=1) & (np.abs(x0).max(axis=1, initial=0.0) < 1e6)
@@ -526,23 +484,32 @@ class _SharedBatchSystem(_NewtonSystem):
         return x, y, s, z
 
     def factor(self, it, s, z) -> None:
-        self.H = self.split.assemble(self.Pw, (z / s) * (self.r_g * self.r_g), self.d)
-        self.At_scaled, self.A_scaled = self._scaled_a()
-        self.X = self.Sinv = None
+        self._factor(
+            self.split.assemble(self.Pw, (z / s) * (self.r_g * self.r_g), self.d)
+        )
 
     def solve(self, r1, r2):
-        r_eq = -r2
-        if self.X is not None:
-            # Reuse the iteration's Schur complement: only the
-            # right-hand side changed between predictor and corrector.
-            u = _solve_checked(self.H, r1[:, :, None], self.reg_n)[:, :, 0]
-            dy = np.matmul(
-                self.Sinv, (_bmv(self.A_scaled, u) + r_eq)[:, :, None]
-            )[:, :, 0]
-            return u - _bmv(self.X, dy), dy
-        dx, dy, self.X, self.Sinv = self._schur_solve(
-            self.H, r1, r_eq, self.At_scaled, self.A_scaled
-        )
+        n, lu, piv = r1.shape[1], self.lu, self.piv
+        rhs = np.concatenate([r1, r2], axis=1)
+        sol = np.empty_like(rhs)
+        for t in range(len(rhs)):
+            sol[t] = dgetrs(lu[t].T, piv[t], rhs[t])[0]
+        dx, dy = sol[:, :n], sol[:, n:]
+        resid = _bmv(self.H, dx) - r1
+        if self.p:
+            resid += np.matmul(dy[:, None, :], self.A_scaled)[:, 0]
+            resid = np.concatenate(
+                [resid, _bmv(self.A_scaled, dx) - 1e-12 * dy - r2], axis=1
+            )
+        resid = np.abs(resid).max(axis=1, initial=0.0)
+        rhs_scale = 1.0 + np.abs(rhs).max(axis=1, initial=0.0)
+        ok = np.isfinite(resid) & (resid <= _KKT_RESIDUAL_TOL * rhs_scale)
+        for t in np.flatnonzero(~ok | (self.info != 0)):
+            factors = self.rescue.setdefault(
+                t, {0.0: None if self.info[t] else (lu[t].T, piv[t])}
+            )
+            kkt = _fill_kkt(np.empty(lu.shape[1:]), self.H[t], self.A_scaled[t])
+            sol[t] = _solve_kkt(kkt, rhs[t], factors)
         return dx, dy
 
 

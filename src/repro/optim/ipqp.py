@@ -24,6 +24,11 @@ condensed KKT system of one route:
 A warm start is a starting point for the same loop
 (:func:`_warm_point`), not a loop of its own.
 
+The dense and the shared-batch systems factor each Newton matrix once
+per iteration with LAPACK ``getrf`` (:func:`_lu`); the predictor, the
+corrector and any regularized retry back-solve against those factors
+under one residual-checked ladder, :func:`_solve_kkt`.
+
 :func:`solve_qp` is the *centralized reference solver* the paper's
 distributed ADM-G algorithm is verified against.  It is dense and sized
 for the paper's scale (``M*N + 2N`` ~ tens of variables per time
@@ -35,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 __all__ = ["IPQPTrace", "IPQPResult", "solve_qp"]
 
@@ -244,41 +250,57 @@ _KKT_RESIDUAL_TOL = 1e-6
 _KKT_REG_LEVELS = (1e-10, 1e-8)
 
 
-def _solve_kkt(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _fill_kkt(out: np.ndarray, H: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Write the condensed KKT matrix ``[[H, A'], [A, -1e-12 I]]`` into
+    ``out``; stacked ``(k, ., .)`` operands fill a stack of matrices."""
+    n = H.shape[-1]
+    out[..., :n, :n] = H
+    out[..., :n, n:] = np.swapaxes(A, -1, -2)
+    out[..., n:, :n] = A
+    out[..., n:, n:] = 0.0
+    np.einsum("...ii->...i", out[..., n:, n:])[...] = -1e-12
+    return out
+
+
+def _lu(kkt: np.ndarray, reg: float = 0.0):
+    """LAPACK LU factors ``(lu, piv)`` of ``kkt + reg I`` (``getrf`` on a
+    Fortran-ordered copy, as ``np.linalg.solve`` does), or None when a
+    pivot is exactly zero.  ``dgetrs(lu, piv, rhs)`` back-solves."""
+    a = kkt + reg * np.eye(len(kkt)) if reg else kkt
+    lu, piv, info = dgetrf(a)
+    return (lu, piv) if info == 0 else None
+
+
+def _solve_kkt(kkt: np.ndarray, rhs: np.ndarray, factors: dict | None = None) -> np.ndarray:
     """Solve the Newton KKT system with a residual safeguard.
 
-    ``np.linalg.solve`` raises :class:`~numpy.linalg.LinAlgError` only
-    when an LU pivot is *exactly* zero; a nearly singular KKT matrix
-    (e.g. a degenerate slot whose active constraints are linearly
-    dependent at the barrier's limit) returns a finite garbage
-    direction without raising.  Both failure modes land here: on
-    LinAlgError *or* a relative residual
+    A nearly singular KKT matrix (e.g. a degenerate slot whose active
+    constraints are linearly dependent at the barrier's limit) factors
+    without complaint and back-solves to a finite garbage direction.
+    On an exactly zero LU pivot *or* a relative residual
     ``||KKT sol - rhs||_inf > 1e-6 (1 + ||rhs||_inf)`` the solve is
     retried with an escalating diagonal regularization (1e-10 then
-    1e-8).  A healthy solve returns the plain ``np.linalg.solve``
-    result bit-for-bit — the residual check observes, never perturbs.
+    1e-8), and when no attempt meets the threshold the least-bad
+    direction is returned.  A healthy solve returns the plain LU
+    back-solve bit-for-bit — the residual check observes, never
+    perturbs.  ``factors`` caches :func:`_lu`'s factors per
+    regularization level (0.0 for the plain matrix), so every solve
+    against one matrix shares one factorization of each level.
 
     Raises:
         np.linalg.LinAlgError: when every attempt is exactly singular.
     """
+    if factors is None:
+        factors = {}
     rhs_scale = 1.0 + float(np.abs(rhs).max(initial=0.0))
     best: np.ndarray | None = None
     best_resid = np.inf
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-        resid = float(np.abs(kkt @ sol - rhs).max(initial=0.0))
-        if np.isfinite(resid) and resid <= _KKT_RESIDUAL_TOL * rhs_scale:
-            return sol
-        if np.isfinite(resid):
-            best, best_resid = sol, resid
-    except np.linalg.LinAlgError:
-        pass
-    eye = np.eye(kkt.shape[0])
-    for reg in _KKT_REG_LEVELS:
-        try:
-            sol = np.linalg.solve(kkt + reg * eye, rhs)
-        except np.linalg.LinAlgError:
+    for reg in (0.0, *_KKT_REG_LEVELS):
+        if reg not in factors:
+            factors[reg] = _lu(kkt, reg)
+        if factors[reg] is None:
             continue
+        sol = dgetrs(*factors[reg], rhs)[0]
         resid = float(np.abs(kkt @ sol - rhs).max(initial=0.0))
         if np.isfinite(resid) and resid <= _KKT_RESIDUAL_TOL * rhs_scale:
             return sol
@@ -380,9 +402,10 @@ class _NewtonSystem:
 
 
 class _DenseSystem(_NewtonSystem):
-    """The dense route: the condensed KKT matrix assembled in full and
-    solved by LU under :func:`_solve_kkt`'s residual-checked
-    regularization ladder."""
+    """The dense route: the condensed KKT matrix assembled in full,
+    LU-factored once per iteration (on the predictor's solve) and
+    solved under :func:`_solve_kkt`'s residual-checked regularization
+    ladder."""
 
     def __init__(self, P, q, A, b, G, h) -> None:
         self.P, self.q, self.A, self.b, self.G, self.h = P, q, A, b, G, h
@@ -393,7 +416,7 @@ class _DenseSystem(_NewtonSystem):
         # Workspaces allocated once: refilling them each iteration is
         # bit-identical to reallocating (and to the np.block expression),
         # without the per-iteration list/concatenate overhead.
-        self.kkt = np.zeros((n + p, n + p))
+        self.kkt = np.empty((n + p, n + p))
         self.rhs = np.empty(n + p)
 
     def residuals(self, x, y, s, z):
@@ -410,19 +433,15 @@ class _DenseSystem(_NewtonSystem):
         return self.G.T @ v
 
     def factor(self, it, s, z) -> None:
-        n, G, kkt = self.n, self.G, self.kkt
-        w = z / s
-        kkt.fill(0.0)
-        kkt[:n, :n] = self.P + G.T @ (w[:, None] * G)
-        kkt[:n, n:] = self.A.T
-        kkt[n:, :n] = self.A
-        kkt[n:, n:].flat[:: self.A.shape[0] + 1] = -1e-12
+        G, w = self.G, z / s
+        _fill_kkt(self.kkt, self.P + G.T @ (w[:, None] * G), self.A)
+        self.factors = {}
 
     def solve(self, r1, r2):
         n = self.n
         self.rhs[:n] = r1
         self.rhs[n:] = r2
-        sol = _solve_kkt(self.kkt, self.rhs)
+        sol = _solve_kkt(self.kkt, self.rhs, self.factors)
         return sol[:n], sol[n:]
 
 

@@ -53,10 +53,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgetrs
 
 from repro.optim.ipqp import (
     IPQPResult,
     _DenseSystem,
+    _lu,
     _mehrotra,
     _normalize_qp,
     _record_metrics,
@@ -177,10 +179,10 @@ def _try_active_set(
     idx = np.arange(n, dim)
     kkt[idx, idx] = _ACTIVE_REG
     rhs = np.concatenate([-q, b, h_act])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
+    factors = _lu(kkt)
+    if factors is None:
         return None
+    sol = dgetrs(*factors, rhs)[0]
     resid = np.abs(kkt @ sol - rhs).max(initial=0.0)
     resid /= 1.0 + np.abs(rhs).max(initial=0.0)
     if not np.isfinite(resid) or resid > tol:

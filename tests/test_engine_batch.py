@@ -91,6 +91,49 @@ class TestSolveBatch:
         assert batched.converged and scalar.converged
         assert batched.ufc == pytest.approx(scalar.ufc, rel=1e-6, abs=1e-3)
 
+    def test_group_hessians_are_not_copied(self, hybrid_problems, monkeypatch):
+        """A group of consecutive compiled slots hands solve_qp_batch the
+        stack qp_for_batch built, not a second copy of it."""
+        import repro.engine.batch as engine_batch
+
+        solver = CentralizedBatchSlotSolver()
+        problems = hybrid_problems[:6]
+        compiled = solver.compile(problems[0].model, problems[0].strategy)
+        forms, seen = [], []
+        build = compiled.qp_for_batch
+
+        def record(inputs):
+            forms.extend(build(inputs))
+            return forms
+
+        monkeypatch.setattr(compiled, "qp_for_batch", record)
+        real = engine_batch.solve_qp_batch
+
+        def spy(P, q, **kwargs):
+            seen.append((P, q, kwargs["b"]))
+            return real(P, q, **kwargs)
+
+        monkeypatch.setattr(engine_batch, "solve_qp_batch", spy)
+        results = solver.solve_batch(problems, compiled=compiled)
+        assert all(r.converged for r in results)
+        [(P, q, b)] = seen
+        for t, form in enumerate(forms):
+            assert np.shares_memory(P[t], form.P)
+            assert np.shares_memory(q[t], form.q)
+            assert np.shares_memory(b[t], form.b)
+            assert np.array_equal(P[t], form.P)
+
+    def test_stack_copies_rows_that_are_not_consecutive(self):
+        from repro.engine.batch import _stack
+
+        base = np.zeros((4, 2, 3))
+        base[:] = np.arange(24.0).reshape(4, 2, 3)
+        assert np.shares_memory(_stack([base[1], base[2]]), base)
+        for rows in ([base[0], base[2]], [base[2], base[1]], [base[1].copy()]):
+            stacked = _stack(rows)
+            assert not np.shares_memory(stacked, base)
+            np.testing.assert_array_equal(stacked, np.stack(rows))
+
     def test_empty_batch(self):
         assert CentralizedBatchSlotSolver().solve_batch([]) == []
 

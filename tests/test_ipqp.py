@@ -255,15 +255,46 @@ class TestKKTResidualSafeguard:
     """_solve_kkt retries on bad residuals, not only on LinAlgError."""
 
     def test_healthy_solve_bit_identical(self):
+        from scipy.linalg.lapack import dgetrf, dgetrs
+
         from repro.optim.ipqp import _solve_kkt
 
+        # The residual check observes, never perturbs: a healthy solve
+        # is the plain LAPACK LU back-solve of the same matrix.
         rng = np.random.default_rng(0)
         a = rng.normal(size=(8, 8))
         kkt = a @ a.T + np.eye(8)
         rhs = rng.normal(size=8)
+        lu, piv, info = dgetrf(kkt)
+        assert info == 0
         np.testing.assert_array_equal(
-            _solve_kkt(kkt, rhs), np.linalg.solve(kkt, rhs)
+            _solve_kkt(kkt, rhs), dgetrs(lu, piv, rhs)[0]
         )
+
+    def test_healthy_solve_factors_once_per_iteration(self, monkeypatch):
+        import repro.optim.ipqp as ipqp
+
+        # The predictor and the corrector back-solve against one LU:
+        # one getrf per Newton step, i.e. every iteration but the final
+        # one, which only tests convergence.
+        calls = []
+        real = ipqp.dgetrf
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ipqp, "dgetrf", counting)
+        rng = np.random.default_rng(3)
+        n, p, m = 8, 2, 12
+        half = rng.normal(size=(n, n))
+        x0 = rng.uniform(0.5, 1.0, size=n)
+        A = rng.normal(size=(p, n))
+        G = rng.normal(size=(m, n))
+        res = solve_qp(half @ half.T + np.eye(n), rng.normal(size=n), A=A, b=A @ x0,
+                       G=G, h=G @ x0 + 1.0)
+        assert res.converged and res.iterations > 3
+        assert len(calls) == res.iterations - 1
 
     def test_bad_residual_triggers_regularized_retry(self):
         from repro.optim.ipqp import _solve_kkt

@@ -245,6 +245,63 @@ class TestSolveQPBatchShared:
             np.testing.assert_allclose(res.x[t], ref.x, atol=1e-6)
 
 
+class TestSharedLadder:
+    """The batched route factors each instance once per iteration and
+    sends only the failing instances to the dense route's ladder."""
+
+    def test_batched_rescue_is_the_dense_ladder(self):
+        from scipy.linalg.lapack import dgetrf, dgetrs
+
+        from repro.optim.batch import _SharedBatchSystem
+        from repro.optim.ipqp import _solve_kkt
+
+        # Instance 1 is test_ipqp's ill-conditioned matrix (condition
+        # ~1e22, plain residual ~40); instance 0 is healthy.
+        r = np.random.default_rng(1)
+        n = 6
+        q1, _ = np.linalg.qr(r.normal(size=(n, n)))
+        q2, _ = np.linalg.qr(r.normal(size=(n, n)))
+        bad = (q1 * np.array([1e3, 1.0, 1.0, 1e-2, 1e-8, 1e-19])) @ q2.T
+        rhs = r.normal(size=n)
+        good = 2.0 * np.eye(n) + 0.1 * r.normal(size=(n, n))
+        H = np.stack([good, bad])
+        ones, empty = np.ones((2, n)), np.zeros((2, 0))
+        system = _SharedBatchSystem(
+            H, np.zeros((2, n)), np.zeros((0, n)), empty, -np.eye(n), ones,
+            ones, empty, ones,
+        )
+        system._factor(H)
+        dx, dy = system.solve(np.stack([rhs, rhs]), empty)
+        assert dy.shape == (2, 0)
+        assert np.abs(bad @ dgetrs(*dgetrf(bad)[:2], rhs)[0] - rhs).max() > 1.0
+        np.testing.assert_array_equal(dx[1], _solve_kkt(bad, rhs))
+        np.testing.assert_array_equal(dx[0], dgetrs(*dgetrf(good)[:2], rhs)[0])
+
+    def test_singular_instance_rescued_alone(self):
+        """An exactly singular instance (a variable no Hessian entry or
+        constraint touches) is regularized on its own; the others keep
+        the bits they get without it in the batch."""
+        rng = np.random.default_rng(21)
+        P, q, A, b, G, h = _shared_batch(rng, n=6, p=2, m=8, T=4)
+        # A seventh variable, free and untouched by A and G; its
+        # curvature is 1 except in instance 2, where it is 0.
+        pad = np.zeros((4, 7, 7))
+        pad[:, :6, :6] = P
+        pad[:, 6, 6] = 1.0
+        pad[2, 6, 6] = 0.0
+        q = np.hstack([q, np.zeros((4, 1))])
+        A = np.hstack([A, np.zeros((2, 1))])
+        G = np.hstack([G, np.zeros((8, 1))])
+        res = solve_qp_batch(pad, q, A=A, b=b, G=G, h=h)
+        assert res.converged.all() and not res.fallback.any()
+        assert res.x[2, 6] == 0.0
+        rest = [0, 1, 3]
+        alone = solve_qp_batch(pad[rest], q[rest], A=A, b=b[rest], G=G, h=h[rest])
+        np.testing.assert_array_equal(alone.iterations, res.iterations[rest])
+        np.testing.assert_array_equal(alone.x, res.x[rest])
+        np.testing.assert_array_equal(alone.ineq_dual, res.ineq_dual[rest])
+
+
 class TestSolveQPBatchEdges:
     def test_empty_batch(self):
         res = solve_qp_batch(np.zeros((0, 3, 3)), np.zeros((0, 3)))
