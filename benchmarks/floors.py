@@ -17,7 +17,13 @@ and fails when the lane is slower than its floor allows:
 - ``resilience_idle`` and ``supervision_sync`` — an armed but idle
   retry/fallback config, and ``supervision=True`` on the synchronous
   path, each cost < 2 % over the plain engine, taken as the minimum
-  over 5 order-balanced rounds.
+  over 5 order-balanced rounds.  Both sides of these two floors run
+  serially in this process, so they are timed in process CPU time
+  (``time.process_time``), which leaves out time the process spends
+  descheduled.  It does not remove changes in the host CPU's speed,
+  and a guest kernel that charges hypervisor steal time to the running
+  process reads it equal to wall-clock time.  Every other floor is
+  timed in wall-clock time (``time.perf_counter``).
 
 A round runs reference, lane, reference and ratios the lane against
 the mean of the two references around it, so the systematic warm-up
@@ -87,32 +93,36 @@ def week_problems(hours: int, seed: int = SEED) -> list:
 
 def engine_seconds(
     problems: list, solver: str = "centralized", warm_start: bool = False,
-    **engine_kwargs,
+    clock: Callable[[], float] = time.perf_counter, **engine_kwargs,
 ) -> float:
-    """Wall time of one engine run over ``problems``."""
+    """Seconds of one engine run over ``problems``, read on ``clock``."""
     engine = HorizonEngine(solver, **engine_kwargs)
-    start = time.perf_counter()
+    start = clock()
     engine.run(problems, warm_start=warm_start)
-    return time.perf_counter() - start
+    return clock() - start
 
 
 def balanced_rounds(
-    rounds: int, reference: Callable[[], float], lane: Callable[[], float]
+    rounds: int,
+    reference: Callable[..., float],
+    lane: Callable[..., float],
+    clock: Callable[[], float] = time.perf_counter,
 ) -> tuple[list[float], float, float]:
     """Order-balanced rounds of ``lane`` against ``reference``.
 
     After one unmeasured run of each side, every round runs reference,
-    lane, reference.  Returns each round's lane time over the mean of
-    its two reference times, plus the best time of each side.
+    lane, reference, each timed on ``clock``.  Returns each round's
+    lane time over the mean of its two reference times, plus the best
+    time of each side.
     """
-    reference()
-    lane()
+    reference(clock=clock)
+    lane(clock=clock)
     ratios: list[float] = []
     ref_best = lane_best = float("inf")
     for _ in range(rounds):
-        r1 = reference()
-        t = lane()
-        r2 = reference()
+        r1 = reference(clock=clock)
+        t = lane(clock=clock)
+        r2 = reference(clock=clock)
         ratios.append(t / ((r1 + r2) / 2.0))
         ref_best = min(ref_best, r1, r2)
         lane_best = min(lane_best, t)
@@ -146,8 +156,14 @@ def speedup_floor(rounds: int, reference, lane, floor: float) -> dict:
 
 
 def overhead_floor(rounds: int, reference, lane, budget: float) -> dict:
-    """Gate the least-slowed round's overhead (lane / reference - 1)."""
-    ratios, ref_s, lane_s = balanced_rounds(rounds, reference, lane)
+    """Gate the least-slowed round's overhead (lane / reference - 1).
+
+    Timed in process CPU time: both sides must run serially in this
+    process, or their work would not be counted.
+    """
+    ratios, ref_s, lane_s = balanced_rounds(
+        rounds, reference, lane, clock=time.process_time
+    )
     overheads = [r - 1.0 for r in ratios]
     low = min(overheads)
     return _record(

@@ -59,13 +59,8 @@ from repro.engine import (
 from repro.exec import ExecutionClient, ResultStore, parallel_map
 from repro.obs import (
     HorizonSummary,
-    JsonlTelemetry,
-    NullTelemetry,
-    RecordingTelemetry,
     ResidualTrace,
     SlotTelemetry,
-    Telemetry,
-    TelemetryEvent,
 )
 from repro.sim import SimulationResult, Simulator, build_model
 from repro.traces import TraceBundle, default_bundle
@@ -91,14 +86,11 @@ __all__ = [
     "HYBRID",
     "HorizonEngine",
     "HorizonSummary",
-    "JsonlTelemetry",
     "LinearCarbonTax",
     "LinearLatencyUtility",
     "NoEmissionCost",
-    "NullTelemetry",
     "QuadraticEmissionCost",
     "QuadraticLatencyUtility",
-    "RecordingTelemetry",
     "ResidualTrace",
     "ResultStore",
     "ServerPowerModel",
@@ -111,8 +103,6 @@ __all__ = [
     "SlotTelemetry",
     "SteppedCarbonTax",
     "Strategy",
-    "Telemetry",
-    "TelemetryEvent",
     "TraceBundle",
     "UFCADMGResult",
     "UFCProblem",

@@ -5,7 +5,7 @@ Installed as ``python -m repro``::
     python -m repro simulate --hours 48 --strategy hybrid
     python -m repro compare --hours 24
     python -m repro --profile simulate
-    python -m repro --telemetry-out run.jsonl compare
+    python -m repro --hours 24 simulate --ledger runs/
     python -m repro report --fast
     python -m repro sweep price --hours 48
     python -m repro sweep tax --hours 48
@@ -168,13 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the engine's per-phase profile (compile / solve / "
         "IPC, cache hits, executor decision) after the run "
-        "(simulate and compare)",
-    )
-    parser.add_argument(
-        "--telemetry-out",
-        default=None,
-        metavar="PATH",
-        help="write engine telemetry events as JSON lines to PATH "
         "(simulate and compare)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -478,15 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _telemetry_sink(args):
-    """The ``--telemetry-out`` JSONL sink, or None."""
-    if args.telemetry_out:
-        from repro.obs import JsonlTelemetry
-
-        return JsonlTelemetry(args.telemetry_out)
-    return None
-
-
 def _print_profile(args, summary) -> None:
     if args.profile and summary is not None:
         print()
@@ -498,21 +482,16 @@ def _cmd_simulate(args) -> int:
     model = build_model(bundle)
     solver_kwargs = {"rho": args.rho} if args.solver == "distributed" else {}
     solver = create_solver(args.solver, **solver_kwargs)
-    sink = _telemetry_sink(args)
     obs = _obs_kwargs(args)
-    try:
-        sim = Simulator(
-            model,
-            bundle,
-            solver=solver,
-            workers=args.workers,
-            **_exec_kwargs(args),
-            **obs,
-        )
-        result = sim.run(_STRATEGIES[args.strategy], telemetry=sink)
-    finally:
-        if sink is not None:
-            sink.close()
+    sim = Simulator(
+        model,
+        bundle,
+        solver=solver,
+        workers=args.workers,
+        **_exec_kwargs(args),
+        **obs,
+    )
+    result = sim.run(_STRATEGIES[args.strategy])
     print(result.summary())
     _print_profile(args, result.horizon_summary)
     _write_metrics_out(args, obs["metrics"])
@@ -522,15 +501,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     bundle = default_bundle(hours=args.hours, seed=args.seed)
     model = build_model(bundle)
-    sink = _telemetry_sink(args)
     obs = _obs_kwargs(args)
-    try:
-        comp = Simulator(
-            model, bundle, **_exec_kwargs(args), **obs
-        ).compare_strategies(workers=args.workers, telemetry=sink)
-    finally:
-        if sink is not None:
-            sink.close()
+    comp = Simulator(
+        model, bundle, **_exec_kwargs(args), **obs
+    ).compare_strategies(workers=args.workers)
     for result in (comp.grid, comp.fuel_cell, comp.hybrid):
         print(result.summary())
         print()
@@ -635,21 +609,16 @@ def _cmd_doctor(args) -> int:
         feas_tol=args.feas_tol, kkt_tol=args.kkt_tol
     )
     metrics = MetricsRegistry()
-    sink = _telemetry_sink(args)
-    try:
-        sim = Simulator(
-            model,
-            bundle,
-            solver=solver,
-            workers=args.workers,
-            certify=certifier,
-            **_exec_kwargs(args),
-            **_obs_kwargs(args, metrics=metrics),
-        )
-        result = sim.run(_STRATEGIES[args.strategy], telemetry=sink)
-    finally:
-        if sink is not None:
-            sink.close()
+    sim = Simulator(
+        model,
+        bundle,
+        solver=solver,
+        workers=args.workers,
+        certify=certifier,
+        **_exec_kwargs(args),
+        **_obs_kwargs(args, metrics=metrics),
+    )
+    result = sim.run(_STRATEGIES[args.strategy])
     certs = result.certificates or ()
     if not certs:
         print("doctor: no certificates produced", file=sys.stderr)
@@ -919,7 +888,11 @@ def _cmd_runs(args) -> int:
                     f"({faults}{hedge}) -> {li.get('outcome', '?')}"
                 )
         if run.summary is not None:
-            for key in ("wall_s", "solve_s", "executor", "slot_p50_s", "slot_p99_s"):
+            for key in (
+                "wall_s", "solve_s", "compile_s", "executor", "decision",
+                "cache_hits", "cache_misses", "failed_slots", "slot_p50_s",
+                "slot_p99_s",
+            ):
                 if run.summary.get(key) is not None:
                     print(f"  summary.{key:<15}: {run.summary[key]}")
         return 0
@@ -1038,12 +1011,10 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     """Entry point: parse and dispatch."""
     args = build_parser().parse_args(argv)
-    if args.command not in ("simulate", "compare", "doctor") and (
-        args.profile or args.telemetry_out
-    ):
+    if args.command not in ("simulate", "compare", "doctor") and args.profile:
         print(
-            "note: --profile/--telemetry-out apply to the simulate, "
-            "compare and doctor subcommands; ignoring.",
+            "note: --profile applies to the simulate, compare and "
+            "doctor subcommands; ignoring.",
             file=sys.stderr,
         )
     return _COMMANDS[args.command](args)

@@ -28,7 +28,7 @@ optional warm payload) → post-hoc timeout check → certify → outcome.
 - **pool sizing that cannot hurt**: the requested worker count is
   clamped to the usable CPUs and a pool that cannot help falls back
   to the serial path — every such decision is recorded in the run's
-  telemetry and :class:`~repro.obs.HorizonSummary`;
+  :class:`~repro.obs.HorizonSummary` (and ledger);
 - **compiled-structure caching**: each distinct (model, strategy) pair
   gets one :meth:`SlotSolver.compile` call per chunk — per horizon on
   the serial lane — through the identity-safe :class:`CompileCache`;
@@ -41,9 +41,10 @@ optional warm payload) → post-hoc timeout check → certify → outcome.
 - **warm-start chaining** (``warm_start=True``): each slot resumes
   from the previous slot's payload — one chunk on a synchronous
   client, depth-one per-slot submissions on an asynchronous one;
-- **telemetry**: every outcome carries a
-  :class:`~repro.obs.SlotTelemetry`, and
-  :attr:`HorizonEngine.last_summary` aggregates the run.
+- **per-slot records**: every outcome carries a
+  :class:`~repro.obs.SlotTelemetry`,
+  :attr:`HorizonEngine.last_summary` aggregates the run, and an
+  optional run ledger persists both.
 """
 
 from __future__ import annotations
@@ -84,11 +85,9 @@ from repro.obs import (
     RunLedger,
     SlotTelemetry,
     SpanTracer,
-    Telemetry,
     TraceContext,
     WorkerObsPlan,
     WorkerReport,
-    as_telemetry,
     interrupt_guard,
     new_run_id,
 )
@@ -712,8 +711,6 @@ class HorizonEngine:
         chunk_size: slots per process-pool task; None picks
             ``ceil(T / (4 * workers))`` so the pool load-balances while
             amortizing per-task pickling.
-        telemetry: optional :class:`~repro.obs.Telemetry` sink for
-            engine events; None (default) is the no-op sink.
         oversubscribe: run the requested worker count even beyond the
             usable CPUs (benchmarks use this to *measure* the pool
             penalty; tests use it to exercise the pool path on 1-CPU
@@ -792,17 +789,16 @@ class HorizonEngine:
             outcome stream in harvest order, and the final summary;
             the path of the last finalized ledger is
             :attr:`last_ledger_path`.
-        worker_obs: collect worker-side observability (metric samples,
-            spans, optional profiles) and attach a
-            :class:`~repro.obs.WorkerReport` to every outcome.  None
-            (default) auto-enables it exactly when there is a consumer
-            — ``metrics``, ``tracer`` or ``worker_profile`` — so the
-            observability-off path stays bit-identical; True/False
-            force it.
         worker_profile: when > 0, run cProfile around each slot's solve
             in the worker and ship the top-N hotspot rows back on the
             report (per-slot on the per-slot lanes, per-chunk on the
             batched lane).
+
+    Workers collect observability (metric samples, spans, optional
+    profiles) and attach a :class:`~repro.obs.WorkerReport` to every
+    outcome exactly when there is a consumer — ``metrics``, ``tracer``
+    or ``worker_profile`` — so the observability-off path stays
+    bit-identical.
 
     After each :meth:`run`, :attr:`last_summary` holds the run's
     :class:`~repro.obs.HorizonSummary` (phase breakdown, executor
@@ -815,7 +811,6 @@ class HorizonEngine:
         solver: str | SlotSolver | Any = "centralized",
         workers: int = 1,
         chunk_size: int | None = None,
-        telemetry: Telemetry | None = None,
         oversubscribe: bool = False,
         certify: bool | Any = False,
         metrics: Any | None = None,
@@ -826,7 +821,6 @@ class HorizonEngine:
         store: ResultStore | str | os.PathLike | None = None,
         tracer: SpanTracer | None = None,
         ledger: RunLedger | str | os.PathLike | None = None,
-        worker_obs: bool | None = None,
         worker_profile: int = 0,
     ) -> None:
         if workers < 1:
@@ -840,7 +834,6 @@ class HorizonEngine:
         self.solver = create_solver(solver)
         self.workers = int(workers)
         self.chunk_size = chunk_size
-        self.telemetry = as_telemetry(telemetry)
         self.oversubscribe = bool(oversubscribe)
         self.client = client
         self.max_pending = max_pending
@@ -866,7 +859,6 @@ class HorizonEngine:
             self.supervision = None
         self.tracer = tracer
         self.ledger = ledger
-        self.worker_obs = worker_obs
         self.worker_profile = int(worker_profile)
         self.last_summary: HorizonSummary | None = None
         self.last_ledger_path: Any | None = None
@@ -1064,7 +1056,6 @@ class HorizonEngine:
         self.last_summary = summary
         if ledger is not None:
             self.last_ledger_path = ledger.finalize(summary.to_dict())
-        self._emit(summary, outcomes)
         self._record_metrics(summary, outcomes)
         return outcomes
 
@@ -1073,12 +1064,10 @@ class HorizonEngine:
     def _worker_obs_enabled(self) -> bool:
         """Whether workers should ship :class:`WorkerReport` payloads.
 
-        ``worker_obs=None`` auto-enables exactly when a consumer exists
-        (a metrics registry, a tracer, or profiling), so a bare engine
-        keeps the observability-off fast path bit-identical.
+        Exactly when a consumer exists (a metrics registry, a tracer,
+        or profiling), so a bare engine keeps the observability-off
+        fast path bit-identical.
         """
-        if self.worker_obs is not None:
-            return bool(self.worker_obs)
         return (
             self.metrics is not None
             or self.tracer is not None
@@ -1148,65 +1137,6 @@ class HorizonEngine:
                 self.tracer.adopt(report.spans, parent_id=parent)
         if self._run_ledger is not None:
             self._run_ledger.record_slot(outcome, pending=pending)
-
-    def _emit(self, summary: HorizonSummary, outcomes: list[SlotOutcome]) -> None:
-        """Stream the run's events to the telemetry sink (if enabled)."""
-        sink = self.telemetry
-        if not sink.enabled:
-            return
-        sink.counter(
-            "engine.decision",
-            summary.workers_effective,
-            requested=summary.workers_requested,
-            usable_cpus=summary.usable_cpus,
-            executor=summary.executor,
-            decision=summary.decision,
-            mp_start_method=summary.mp_start_method,
-        )
-        for outcome in outcomes:
-            tele = outcome.telemetry
-            if tele is None:
-                continue
-            sink.timer(
-                "engine.slot",
-                tele.wall_s,
-                index=outcome.index,
-                solver=tele.solver,
-                iterations=tele.iterations,
-                converged=tele.converged,
-                cache_hit=tele.cache_hit,
-                worker=tele.worker,
-                warm_start=tele.warm_start,
-                ok=outcome.ok,
-                error_type=outcome.error_type,
-                attempts=outcome.attempts,
-                degraded=outcome.degraded,
-                fallback_solver=outcome.fallback_solver,
-            )
-        sink.timer(
-            "engine.compile",
-            summary.compile_s,
-            hits=summary.cache_hits,
-            misses=summary.cache_misses,
-        )
-        sink.timer(
-            "engine.run",
-            summary.wall_s,
-            solver=summary.solver,
-            slots=summary.slots,
-            failed=summary.failed_slots,
-            executor=summary.executor,
-            overhead_s=round(summary.overhead_s, 6),
-        )
-        if summary.certified_slots:
-            sink.counter(
-                "engine.certified",
-                summary.certified_slots,
-                suspect=len(summary.suspect_slots),
-                worst_violation=summary.worst_violation,
-                worst_kkt=summary.worst_kkt,
-                certify_s=round(summary.certify_s, 6),
-            )
 
     def _record_metrics(
         self, summary: HorizonSummary, outcomes: list[SlotOutcome]
@@ -1439,7 +1369,6 @@ class HorizonEngine:
                 scheduler = BatchScheduler(
                     supervisor if supervisor is not None else client,
                     max_pending=self.max_pending,
-                    telemetry=self.telemetry,
                     metrics=self.metrics,
                 )
 

@@ -8,10 +8,8 @@ asynchronous clients — enforces a wall-clock harvest budget per batch,
 so a wedged worker surfaces as a timed-out batch instead of stalling
 the whole horizon.
 
-Observability is built in: every submit/harvest emits an
-``exec.submit`` / ``exec.harvest`` telemetry event carrying the
-pending depth, and a metrics registry (when attached) gains batch
-counters plus two pending-depth series — a live gauge updated on both
+Observability is built in: a metrics registry (when attached) gains
+batch counters plus two pending-depth series — a live gauge updated on both
 the submit and harvest paths (so drain phases are visible as the depth
 walks back to zero) and a high-water peak gauge.
 """
@@ -21,7 +19,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Sequence
 
-from repro.obs import MetricsRegistry, Telemetry, as_telemetry
+from repro.obs import MetricsRegistry
 
 __all__ = ["BatchScheduler"]
 
@@ -36,8 +34,6 @@ class BatchScheduler:
             pool shape).  Lower values bound memory and smooth
             elasticity: with ``max_pending=4`` a 40-batch horizon
             never materializes more than 4 batches of futures.
-        telemetry: optional sink for ``exec.submit`` /
-            ``exec.harvest`` events.
         metrics: optional :class:`~repro.obs.MetricsRegistry`; when
             attached the scheduler maintains
             ``repro_exec_batches_total``,
@@ -56,14 +52,12 @@ class BatchScheduler:
         self,
         client: Any,
         max_pending: int | None = None,
-        telemetry: Telemetry | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if max_pending is not None and max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         self.client = client
         self.max_pending = max_pending
-        self.telemetry = as_telemetry(telemetry)
         self.metrics: MetricsRegistry | None = metrics
         self.pending_max_observed = 0
         self.timed_out_batches = 0
@@ -80,35 +74,16 @@ class BatchScheduler:
         )
         peak.set(max(peak.value, depth))
 
-    def _emit_submit(self, task_id: int, depth: int) -> None:
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "exec.submit", depth, task=task_id, client=self.client.name
-            )
+    def _record_submit(self, depth: int) -> None:
         if self.metrics is not None:
             self.metrics.counter(
                 "repro_exec_batches_total", client=self.client.name
             ).inc()
             self._set_depth(depth)
 
-    def _emit_harvest(
-        self,
-        task_id: int,
-        depth: int,
-        waited_s: float,
-        timed_out: bool,
-        errored: bool = False,
+    def _record_harvest(
+        self, depth: int, timed_out: bool = False, errored: bool = False
     ) -> None:
-        if self.telemetry.enabled:
-            self.telemetry.timer(
-                "exec.harvest",
-                waited_s,
-                task=task_id,
-                pending=depth,
-                client=self.client.name,
-                timed_out=timed_out,
-                errored=errored,
-            )
         if self.metrics is not None:
             self._set_depth(depth)
             if timed_out:
@@ -168,7 +143,7 @@ class BatchScheduler:
             and bool(getattr(self.client, "asynchronous", False))
         )
         results: list[Any] = [None] * len(tasks)
-        pending: dict[int, tuple[int, float, float | None]] = {}
+        pending: dict[int, tuple[int, float | None]] = {}
         next_task = 0
         harvested = 0
         while harvested < len(tasks):
@@ -183,15 +158,15 @@ class BatchScheduler:
                     budget = budget_s(args)
                     if budget is not None:
                         deadline = submitted_at + budget
-                pending[task_id] = (next_task, submitted_at, deadline)
+                pending[task_id] = (next_task, deadline)
                 self.pending_max_observed = max(
                     self.pending_max_observed, len(pending)
                 )
-                self._emit_submit(task_id, len(pending))
+                self._record_submit(len(pending))
                 next_task += 1
             timeout = None
             if enforce:
-                deadlines = [d for _, _, d in pending.values() if d is not None]
+                deadlines = [d for _, d in pending.values() if d is not None]
                 if deadlines:
                     timeout = max(0.0, min(deadlines) - time.monotonic())
             try:
@@ -200,18 +175,11 @@ class BatchScheduler:
                 failed_id = getattr(exc, "task_id", None)
                 if on_error is None or failed_id is None or failed_id not in pending:
                     raise
-                now = time.monotonic()
-                index, submitted_at, _ = pending.pop(failed_id)
+                index, _ = pending.pop(failed_id)
                 results[index] = on_error(tasks[index], exc)
                 harvested += 1
                 self.errored_batches += 1
-                self._emit_harvest(
-                    failed_id,
-                    len(pending),
-                    now - submitted_at,
-                    timed_out=False,
-                    errored=True,
-                )
+                self._record_harvest(len(pending), errored=True)
                 if on_result is not None:
                     on_result(tasks[index], results[index], len(pending))
                 continue
@@ -226,20 +194,18 @@ class BatchScheduler:
                 # double harvest.)
                 expired = [
                     task_id
-                    for task_id, (_, _, deadline) in pending.items()
+                    for task_id, (_, deadline) in pending.items()
                     if deadline is not None
                     and deadline <= now
                     and (got is None or task_id != got[0])
                 ]
                 for task_id in expired:
-                    index, submitted_at, _ = pending.pop(task_id)
+                    index, _ = pending.pop(task_id)
                     self.client.discard(task_id)
                     results[index] = on_timeout(tasks[index])
                     harvested += 1
                     self.timed_out_batches += 1
-                    self._emit_harvest(
-                        task_id, len(pending), now - submitted_at, timed_out=True
-                    )
+                    self._record_harvest(len(pending), timed_out=True)
                     if on_result is not None:
                         on_result(tasks[index], results[index], len(pending))
             if got is None:
@@ -247,20 +213,16 @@ class BatchScheduler:
             task_id, value = got
             if task_id not in pending:  # pragma: no cover - defensive
                 continue
-            index, submitted_at, deadline = pending.pop(task_id)
+            index, deadline = pending.pop(task_id)
             if enforce and deadline is not None and now > deadline:
                 # Arrived, but past its harvest budget: same verdict as
                 # never arriving — the budget is the contract.
                 results[index] = on_timeout(tasks[index])
                 self.timed_out_batches += 1
-                self._emit_harvest(
-                    task_id, len(pending), now - submitted_at, timed_out=True
-                )
+                self._record_harvest(len(pending), timed_out=True)
             else:
                 results[index] = value
-                self._emit_harvest(
-                    task_id, len(pending), now - submitted_at, timed_out=False
-                )
+                self._record_harvest(len(pending))
             harvested += 1
             if on_result is not None:
                 on_result(tasks[index], results[index], len(pending))

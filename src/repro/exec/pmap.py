@@ -19,7 +19,6 @@ from repro.exec.clients import (
     usable_cpu_count,
 )
 from repro.exec.pipeline import BatchScheduler
-from repro.obs import Telemetry, as_telemetry
 
 __all__ = ["parallel_map"]
 
@@ -31,7 +30,6 @@ def parallel_map(
     fn: Callable[[_T], _R],
     items: Iterable[_T],
     workers: int = 1,
-    telemetry: Telemetry | None = None,
     oversubscribe: bool = False,
     client: str | ExecutionClient | None = None,
     max_pending: int | None = None,
@@ -43,8 +41,7 @@ def parallel_map(
     worker count decides the backend: clamped to the usable CPUs
     (``oversubscribe=True`` disables the clamp), and with ≤1 effective
     worker — requested or clamped — the map degrades to a plain list
-    comprehension.  The decision lands in ``telemetry`` as a
-    ``parallel_map.decision`` event either way.  Passing ``client``
+    comprehension.  Passing ``client``
     (a registry name or an :class:`ExecutionClient` instance) routes
     the map through that backend instead — a name is instantiated and
     closed here; an instance stays open for the caller to reuse.
@@ -55,29 +52,16 @@ def parallel_map(
     so there is no per-item capture here.
     """
     items = list(items)
-    sink = as_telemetry(telemetry)
-    requested = workers
-    usable = usable_cpu_count()
     owns = False
     backend: ExecutionClient | None = None
     if client is None:
         if workers > 1 and not oversubscribe:
-            workers = min(workers, usable)
+            workers = min(workers, usable_cpu_count())
         effective = workers if (workers > 1 and len(items) > 1) else 1
     else:
         backend = create_client(client, workers=workers, oversubscribe=oversubscribe)
         owns = isinstance(client, str)
         effective = getattr(backend, "workers", 1)
-    if sink.enabled:
-        sink.counter(
-            "parallel_map.decision",
-            effective,
-            requested=requested,
-            usable_cpus=usable,
-            items=len(items),
-            oversubscribe=oversubscribe,
-            client=None if backend is None else backend.name,
-        )
     if backend is None:
         if effective <= 1:
             return [fn(item) for item in items]
@@ -86,9 +70,7 @@ def parallel_map(
         )
         owns = True
     try:
-        scheduler = BatchScheduler(
-            backend, max_pending=max_pending, telemetry=telemetry
-        )
+        scheduler = BatchScheduler(backend, max_pending=max_pending)
         return scheduler.map(fn, [(item,) for item in items])
     finally:
         if owns:

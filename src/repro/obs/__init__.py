@@ -1,15 +1,15 @@
-"""Opt-in observability: telemetry, metrics, spans, certificates.
+"""Opt-in observability: run ledger, metrics, spans, certificates.
 
-The obs *primitives* — telemetry sinks, the metrics registry, span
+The obs *primitives* — the run ledger, the metrics registry, span
 tracing, per-slot records and summaries — sit at the bottom of the
 library (stdlib-only, importing nothing from other ``repro``
 packages).  Code above them — the solve engine, the simulator, the
-CLI, the benchmarks — emits :class:`TelemetryEvent` records into
-whatever :class:`Telemetry` sink it was handed; the default
-:data:`NULL_TELEMETRY` (and its span sibling :data:`NULL_TRACER`)
-makes every instrumentation point a no-op, so solves with
-observability off remain bit-identical and within noise of
-un-instrumented wall clock.
+CLI, the benchmarks — records into whichever of them it was handed.
+The run ledger is the one persisted per-run event stream: a header,
+one record per slot, and the final :class:`HorizonSummary`.  Every
+channel is off by default (the span tracer's disabled form is
+:data:`NULL_TRACER`), so solves with observability off remain
+bit-identical and within noise of un-instrumented wall clock.
 
 The one exception is :mod:`repro.obs.certify`, which audits solutions
 against the compiled QP and therefore imports numpy/scipy and
@@ -42,16 +42,6 @@ from repro.obs.metrics import (
 from repro.obs.records import ResidualTrace, SlotTelemetry
 from repro.obs.spans import NULL_TRACER, NullSpanTracer, Span, SpanTracer, as_tracer
 from repro.obs.summary import HorizonSummary
-from repro.obs.telemetry import (
-    NULL_TELEMETRY,
-    BaseTelemetry,
-    JsonlTelemetry,
-    NullTelemetry,
-    RecordingTelemetry,
-    Telemetry,
-    TelemetryEvent,
-    as_telemetry,
-)
 from repro.obs.worker import (
     TraceContext,
     WorkerObsPlan,
@@ -61,14 +51,6 @@ from repro.obs.worker import (
 )
 
 __all__ = [
-    "TelemetryEvent",
-    "Telemetry",
-    "BaseTelemetry",
-    "NullTelemetry",
-    "NULL_TELEMETRY",
-    "RecordingTelemetry",
-    "JsonlTelemetry",
-    "as_telemetry",
     "SlotTelemetry",
     "ResidualTrace",
     "HorizonSummary",

@@ -3,13 +3,11 @@
 A :class:`Span` is one timed region with a name, a parent link, wall
 and CPU durations, and free-form attributes (message counts, byte
 volumes, residuals, staleness observations).  A :class:`SpanTracer`
-hands out spans, maintains the parent chain through a stack, keeps
-every finished span in memory, and optionally forwards each one to a
-:class:`~repro.obs.telemetry.Telemetry` sink as a ``"span"`` event so
-traces land in the same JSONL file as the engine's telemetry.
+hands out spans, maintains the parent chain through a stack and keeps
+every finished span in memory (:meth:`SpanTracer.to_dicts` exports
+them).
 
-As with telemetry sinks, the disabled default — :data:`NULL_TRACER` —
-short-circuits before any object is built, so instrumented loops cost
+The disabled default — :data:`NULL_TRACER` — short-circuits before any object is built, so instrumented loops cost
 one attribute check when tracing is off.
 
 Stdlib-only, like the rest of the observability primitives.
@@ -22,8 +20,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
-
-from repro.obs.telemetry import Telemetry, TelemetryEvent
 
 __all__ = ["Span", "SpanTracer", "NullSpanTracer", "NULL_TRACER", "as_tracer"]
 
@@ -66,30 +62,22 @@ class Span:
 
 
 class SpanTracer:
-    """Collects spans and maintains the open-span parent chain.
-
-    Args:
-        telemetry: optional sink; every finished span is also emitted
-            there as a ``"span"`` event whose tags carry the span ids
-            and attributes, so traces interleave with engine telemetry
-            in one JSONL stream.
-    """
+    """Collects spans and maintains the open-span parent chain."""
 
     enabled = True
 
-    def __init__(self, telemetry: Telemetry | None = None) -> None:
+    def __init__(self) -> None:
         self.spans: list[Span] = []
         self._ids = itertools.count()
         self._stack: list[Span] = []
-        self._telemetry = telemetry
 
     @contextmanager
     def span(self, name: str, **attributes: Any) -> Iterator[Span]:
         """Open a child of the current span for the duration of a block.
 
         The yielded :class:`Span` is live: callers may ``set()`` more
-        attributes before the block exits.  Timing and export happen on
-        exit, even if the block raises — a run that dies mid-horizon
+        attributes before the block exits.  Timing and recording happen
+        on exit, even if the block raises — a run that dies mid-horizon
         still leaves its trace behind.
         """
         parent = self._stack[-1] if self._stack else None
@@ -109,20 +97,6 @@ class SpanTracer:
             span.cpu_s = time.process_time() - cpu0
             self._stack.pop()
             self.spans.append(span)
-            if self._telemetry is not None and self._telemetry.enabled:
-                self._telemetry.emit(
-                    TelemetryEvent(
-                        span.name,
-                        "span",
-                        span.wall_s,
-                        {
-                            "span_id": span.span_id,
-                            "parent_id": span.parent_id,
-                            "cpu_s": span.cpu_s,
-                            **span.attributes,
-                        },
-                    )
-                )
 
     def adopt(
         self,
@@ -137,8 +111,7 @@ class SpanTracer:
         internal parent links to match, and grafts any remote *root*
         span (one whose parent is not in the batch) under ``parent_id``
         — typically the engine span that submitted the work.  Adopted
-        spans land in :attr:`spans` and are forwarded to the telemetry
-        sink exactly like locally finished spans.
+        spans land in :attr:`spans` exactly like locally finished spans.
         """
         batch = [dict(s) for s in spans]
         id_map = {
@@ -157,20 +130,6 @@ class SpanTracer:
             )
             self.spans.append(span)
             adopted.append(span)
-            if self._telemetry is not None and self._telemetry.enabled:
-                self._telemetry.emit(
-                    TelemetryEvent(
-                        span.name,
-                        "span",
-                        span.wall_s,
-                        {
-                            "span_id": span.span_id,
-                            "parent_id": span.parent_id,
-                            "cpu_s": span.cpu_s,
-                            **span.attributes,
-                        },
-                    )
-                )
         return adopted
 
     def by_name(self, name: str) -> list[Span]:

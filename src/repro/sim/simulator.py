@@ -24,7 +24,7 @@ from repro.engine.horizon import HorizonEngine, SlotOutcome
 from repro.engine.protocol import SlotResult, SlotSolver
 from repro.engine.registry import create_solver
 from repro.exec import ExecutionClient, ResultStore
-from repro.obs import RunLedger, Telemetry
+from repro.obs import RunLedger
 from repro.sim.results import SimulationResult, StrategyComparison
 from repro.traces.datasets import TraceBundle
 
@@ -84,8 +84,6 @@ class Simulator:
             engine clamps the count to usable CPUs and falls back to
             serial when a pool cannot help — see
             :meth:`~repro.engine.horizon.HorizonEngine.plan_workers`.
-        telemetry: default :class:`~repro.obs.Telemetry` sink for every
-            run's engine events; None (default) disables telemetry.
         oversubscribe: let the engine run more workers than usable
             CPUs (measurement/testing aid; off by default).
         certify: audit every slot's solution a posteriori (see
@@ -129,7 +127,6 @@ class Simulator:
         solver: str | SlotSolver | object = "centralized",
         warm_start: bool = False,
         workers: int = 1,
-        telemetry: Telemetry | None = None,
         oversubscribe: bool = False,
         certify: bool | object = False,
         metrics: object | None = None,
@@ -162,7 +159,6 @@ class Simulator:
             )
         self.warm_start = warm_start
         self.workers = int(workers)
-        self.telemetry = telemetry
         self.oversubscribe = bool(oversubscribe)
         self.certify = certify
         self.metrics = metrics
@@ -235,13 +231,10 @@ class Simulator:
             return self.ledger
         return RunLedger(self.ledger, context=self._recipe(strategies, horizon))
 
-    def _engine(
-        self, workers: int | None, telemetry: Telemetry | None = None
-    ) -> HorizonEngine:
+    def _engine(self, workers: int | None) -> HorizonEngine:
         return HorizonEngine(
             self.solver,
             workers=self.workers if workers is None else int(workers),
-            telemetry=self.telemetry if telemetry is None else telemetry,
             oversubscribe=self.oversubscribe,
             certify=self.certify,
             metrics=self.metrics,
@@ -316,19 +309,17 @@ class Simulator:
         strategy: Strategy,
         hours: int | None = None,
         workers: int | None = None,
-        telemetry: Telemetry | None = None,
     ) -> SimulationResult:
         """Simulate ``hours`` slots (default: the whole bundle).
 
         ``workers`` overrides the simulator-wide worker count for this
         run; results are identical (bit-for-bit) at any worker count.
-        ``telemetry`` overrides the simulator-wide sink for this run;
-        the engine's :class:`~repro.obs.HorizonSummary` is attached to
-        the result as ``horizon_summary`` either way.
+        The engine's :class:`~repro.obs.HorizonSummary` is attached to
+        the result as ``horizon_summary``.
         """
         horizon = self._horizon(hours)
         problems = [self.problem_for_slot(t, strategy) for t in range(horizon)]
-        engine = self._engine(workers, telemetry)
+        engine = self._engine(workers)
         engine.ledger = self._run_ledger((strategy,), horizon)
         outcomes = engine.run(problems, warm_start=self.warm_start)
         result = self._collect(strategy, problems, outcomes)
@@ -339,7 +330,6 @@ class Simulator:
         self,
         hours: int | None = None,
         workers: int | None = None,
-        telemetry: Telemetry | None = None,
     ) -> StrategyComparison:
         """Run Grid, Fuel cell and Hybrid on the same horizon.
 
@@ -353,7 +343,7 @@ class Simulator:
         if self.warm_start:
             # Warm chains must not cross strategies: run them apart.
             grid, fuel_cell, hybrid = (
-                self.run(s, hours=hours, workers=workers, telemetry=telemetry)
+                self.run(s, hours=hours, workers=workers)
                 for s in strategies
             )
             return StrategyComparison(grid=grid, fuel_cell=fuel_cell, hybrid=hybrid)
@@ -363,7 +353,7 @@ class Simulator:
             for strategy in strategies
             for t in range(horizon)
         ]
-        engine = self._engine(workers, telemetry)
+        engine = self._engine(workers)
         engine.ledger = self._run_ledger(strategies, horizon)
         outcomes = engine.run(problems)
         results = {}

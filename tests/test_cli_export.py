@@ -29,8 +29,10 @@ class TestParser:
         assert args.kind == "tax"
 
     def test_unknown_command_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["frobnicate"])
+        for argv in (["frobnicate"], ["--telemetry-out", "x.jsonl", "simulate"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
 
 
 class TestCommands:

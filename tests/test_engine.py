@@ -32,7 +32,7 @@ from repro.engine import (
     usable_cpu_count,
 )
 from repro.engine import registry as registry_module
-from repro.obs import RecordingTelemetry
+from repro.obs import list_runs
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import Simulator, build_model
 from repro.traces.datasets import default_bundle
@@ -370,14 +370,17 @@ class TestPoolPolicy:
         assert effective == usable_cpu_count() + 7
         assert decision == "pool:oversubscribed"
 
-    def test_decision_is_recorded_not_silent(self, week_bundle, week_model):
-        rec = RecordingTelemetry()
-        sim = Simulator(week_model, week_bundle, solver="nearest")
-        result = sim.run(HYBRID, hours=4, workers=64, telemetry=rec)
-        (event,) = rec.by_name("engine.decision")
-        assert event.tags["requested"] == 64
-        assert event.tags["decision"] == result.horizon_summary.decision
-        assert result.horizon_summary.workers_effective <= usable_cpu_count()
+    def test_decision_is_recorded_not_silent(
+        self, week_bundle, week_model, tmp_path
+    ):
+        sim = Simulator(week_model, week_bundle, solver="nearest", ledger=tmp_path)
+        result = sim.run(HYBRID, hours=4, workers=64)
+        summary = result.horizon_summary
+        (run,) = list_runs(tmp_path)
+        assert run.summary["workers_requested"] == summary.workers_requested == 64
+        assert run.summary["decision"] == summary.decision
+        assert run.summary["workers_effective"] == summary.workers_effective
+        assert summary.workers_effective <= usable_cpu_count()
 
 
 class TestCompileCacheIdentity:

@@ -1,10 +1,9 @@
 """Tests for the observability layer (repro.obs).
 
-Two invariants anchor everything here: telemetry must be *free* when
-off (no events, no allocations on the hot path, bit-identical solver
-output) and *faithful* when on (pool workers report exactly what the
-serial path does, traces match the solvers' reported iteration
-counts).
+Two invariants anchor everything here: observability must be *free*
+when off (bit-identical solver output) and *faithful* when on (pool
+workers record exactly what the serial path does, traces match the
+solvers' reported iteration counts).
 """
 
 from __future__ import annotations
@@ -19,14 +18,11 @@ from repro.core.strategies import HYBRID
 from repro.engine import HorizonEngine
 from repro.obs import (
     HorizonSummary,
-    JsonlTelemetry,
-    NullTelemetry,
-    RecordingTelemetry,
+    MetricsRegistry,
     ResidualTrace,
-    Telemetry,
-    TelemetryEvent,
+    SpanTracer,
+    load_run,
 )
-from repro.obs.telemetry import NULL_TELEMETRY, as_telemetry
 from repro.sim.simulator import Simulator, build_model
 from repro.traces.datasets import default_bundle
 
@@ -48,169 +44,61 @@ def slot_problem(bundle, model):
     return Simulator(model, bundle).problem_for_slot(0, HYBRID)
 
 
-class TestSinks:
-    def test_null_sink_emits_nothing(self):
-        # The no-op sink must not even *build* events: a subclass that
-        # records every emit sees zero calls, because the convenience
-        # methods are overridden to return first.
-        emitted = []
-
-        class Spy(NullTelemetry):
-            def emit(self, event):
-                emitted.append(event)
-
-        spy = Spy()
-        assert spy.enabled is False
-        spy.counter("x", 3, tag=1)
-        spy.timer("y", 0.5)
-        with spy.span("z"):
-            pass
-        spy.emit(TelemetryEvent("direct", "counter", 1.0))
-        # Only the direct emit landed -- and NullTelemetry's own emit
-        # discards even that.
-        assert emitted == [TelemetryEvent("direct", "counter", 1.0)]
-        assert NULL_TELEMETRY.enabled is False
-
-    def test_as_telemetry(self):
-        rec = RecordingTelemetry()
-        assert as_telemetry(None) is NULL_TELEMETRY
-        assert as_telemetry(rec) is rec
-
-    def test_sinks_satisfy_protocol(self):
-        assert isinstance(NullTelemetry(), Telemetry)
-        assert isinstance(RecordingTelemetry(), Telemetry)
-
-    def test_recording_sink(self):
-        rec = RecordingTelemetry()
-        assert rec.enabled
-        rec.counter("a.count", 2, where="here")
-        rec.timer("a.time", 0.25)
-        with rec.span("a.span", slot=3):
-            pass
-        assert rec.names() == ["a.count", "a.time", "a.span"]
-        (count,) = rec.by_name("a.count")
-        assert count.kind == "counter"
-        assert count.value == 2.0
-        assert count.tags == {"where": "here"}
-        (span,) = rec.by_name("a.span")
-        assert span.kind == "span"
-        assert span.value >= 0.0
-        assert span.tags == {"slot": 3}
-        rec.clear()
-        assert rec.events == []
-
-    def test_event_to_dict(self):
-        event = TelemetryEvent("e", "timer", 1.5, {"k": "v"})
-        assert event.to_dict() == {
-            "name": "e", "kind": "timer", "value": 1.5, "tags": {"k": "v"}
-        }
-
-    def test_jsonl_sink_writes_parseable_lines(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        with JsonlTelemetry(str(path)) as sink:
-            assert sink.enabled
-            sink.counter("a", 1, idx=0)
-            sink.timer("b", 0.125, odd_tag=object())  # stringified, not fatal
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        first, second = (json.loads(line) for line in lines)
-        assert first == {"name": "a", "kind": "counter", "value": 1.0,
-                         "tags": {"idx": 0}}
-        assert second["name"] == "b"
-        assert isinstance(second["tags"]["odd_tag"], str)
-        sink.close()  # idempotent
-
-    def test_jsonl_sink_is_crash_safe_by_default(self, tmp_path):
-        # flush_every=1: every event is on disk before close() runs, so
-        # a crashed process loses nothing.
-        path = tmp_path / "crash.jsonl"
-        sink = JsonlTelemetry(str(path))
-        sink.counter("a", 1)
-        sink.counter("b", 2)
-        assert len(path.read_text().splitlines()) == 2  # never closed
-        sink.close()
-
-    def test_jsonl_flush_every_batches(self, tmp_path):
-        path = tmp_path / "batched.jsonl"
-        sink = JsonlTelemetry(str(path), flush_every=3)
-        sink.counter("a", 1)
-        sink.counter("b", 2)
-        assert path.read_text() == ""  # below the batch threshold
-        sink.counter("c", 3)
-        assert len(path.read_text().splitlines()) == 3  # batch flushed
-        sink.close()
-
-    def test_jsonl_flush_every_validates(self, tmp_path):
-        with pytest.raises(ValueError):
-            JsonlTelemetry(str(tmp_path / "x.jsonl"), flush_every=0)
-
-
-def _slot_essentials(events):
-    """The machine-independent view of an engine.slot event stream."""
-    return [
-        (
-            e.tags["index"],
-            e.tags["solver"],
-            e.tags["iterations"],
-            e.tags["converged"],
-            e.tags["ok"],
-            e.tags["error_type"],
-        )
-        for e in events
-    ]
-
-
 class TestEngineTelemetry:
-    def test_serial_and_pool_streams_match(self, bundle, model):
+    """The run ledger is the run's event stream: one ``slot`` record per
+    outcome plus a ``summary`` record, the same whichever lane ran."""
+
+    def test_serial_and_pool_streams_match(self, bundle, model, tmp_path):
         # Pool workers report through pickled SlotTelemetry, so the
-        # per-slot event stream is identical to serial modulo worker
-        # pids, timings and cache stats (each worker compiles once).
+        # ledger's slot records equal serial ones (sorted by index: the
+        # pool records in harvest order) modulo worker pids, timings,
+        # pending depth and cache stats (each worker compiles once).
         sim = Simulator(model, bundle)
         problems = [sim.problem_for_slot(t, HYBRID) for t in range(HOURS)]
+        volatile = {
+            "worker", "wall_s", "compile_s", "certify_s", "t_rel_s",
+            "pending", "cache_hit",
+        }
 
-        serial_rec = RecordingTelemetry()
-        HorizonEngine("centralized", telemetry=serial_rec).run(problems)
-        pool_rec = RecordingTelemetry()
-        HorizonEngine(
-            "centralized", workers=2, oversubscribe=True, telemetry=pool_rec
-        ).run(problems)
+        def slot_records(engine, name):
+            engine.ledger = tmp_path / name
+            engine.run(problems)
+            run = load_run(engine.last_ledger_path)
+            return sorted(run.slots, key=lambda s: s["index"])
 
-        # The exec.submit/exec.harvest stream is the one legitimate
-        # difference: serial solves in one batch, the pool pipelines
-        # several — both lanes must emit the events, but the engine's
-        # own stream stays identical.
-        def engine_names(rec):
-            return [n for n in rec.names() if not n.startswith("exec.")]
-
-        assert engine_names(serial_rec) == engine_names(pool_rec)
-        for rec in (serial_rec, pool_rec):
-            assert rec.by_name("exec.submit") and rec.by_name("exec.harvest")
-        serial_slots = serial_rec.by_name("engine.slot")
-        pool_slots = pool_rec.by_name("engine.slot")
-        assert _slot_essentials(serial_slots) == _slot_essentials(pool_slots)
-        # Pool workers are real distinct processes under oversubscribe.
-        assert {e.tags["worker"] for e in serial_slots} != set() and all(
-            isinstance(e.tags["worker"], int) for e in pool_slots
+        serial = slot_records(HorizonEngine("centralized"), "serial")
+        pool = slot_records(
+            HorizonEngine("centralized", workers=2, oversubscribe=True), "pool"
         )
+        assert len(serial) == len(pool) == HOURS
+        assert [
+            {k: v for k, v in s.items() if k not in volatile} for s in serial
+        ] == [{k: v for k, v in s.items() if k not in volatile} for s in pool]
+        # Pool workers are real processes: every record names its pid.
+        assert all(isinstance(s["worker"], int) for s in serial + pool)
+        assert all("cache_hit" in s for s in serial + pool)
 
-    def test_run_and_decision_events(self, bundle, model):
-        rec = RecordingTelemetry()
-        sim = Simulator(model, bundle, telemetry=rec)
+    def test_run_and_decision_events(self, bundle, model, tmp_path):
+        sim = Simulator(model, bundle, ledger=tmp_path)
         result = sim.run(HYBRID, hours=6)
-        (decision,) = rec.by_name("engine.decision")
-        assert decision.tags["decision"] == "serial:requested"
-        (run_event,) = rec.by_name("engine.run")
-        assert run_event.tags["slots"] == 6
-        assert run_event.tags["failed"] == 0
-        assert run_event.value == pytest.approx(result.horizon_summary.wall_s)
-        (compile_event,) = rec.by_name("engine.compile")
-        assert compile_event.tags["misses"] == 1
-        assert compile_event.tags["hits"] == 5
+        summary = result.horizon_summary
+        (path,) = tmp_path.glob("*.jsonl")
+        record = load_run(path).summary
+        assert record["decision"] == summary.decision == "serial:requested"
+        assert record["workers_requested"] == summary.workers_requested == 1
+        assert record["slots"] == summary.slots == 6
+        assert record["failed_slots"] == summary.failed_slots == 0
+        assert record["wall_s"] == pytest.approx(summary.wall_s, abs=1e-4)
+        assert (record["cache_misses"], record["cache_hits"]) == (1, 5)
+        assert (summary.cache_misses, summary.cache_hits) == (1, 5)
 
-    def test_telemetry_off_is_bit_identical(self, bundle, model):
-        sim = Simulator(model, bundle)
-        plain = sim.run(HYBRID)
-        observed = sim.run(HYBRID, telemetry=RecordingTelemetry())
+    def test_telemetry_off_is_bit_identical(self, bundle, model, tmp_path):
+        # Recording the run (ledger, metrics, spans) only observes it.
+        plain = Simulator(model, bundle).run(HYBRID)
+        observed = Simulator(
+            model, bundle, ledger=tmp_path, metrics=MetricsRegistry(),
+            tracer=SpanTracer(),
+        ).run(HYBRID)
         for field in ("ufc", "energy_cost", "utility", "iterations"):
             assert (getattr(plain, field) == getattr(observed, field)).all()
 

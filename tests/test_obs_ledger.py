@@ -213,6 +213,36 @@ class TestEngineLedgerIntegration:
         assert all(s["wall_s"] > 0 for s in run.slots)
         assert all(s["t_rel_s"] >= 0 for s in run.slots)
 
+    def test_records_hold_every_slot_and_run_field(self, tmp_path, problems):
+        # The ledger is the run's one event stream: each slot record
+        # carries the per-slot tags and the summary record the run's
+        # decision, compile, run and certification totals.
+        engine = HorizonEngine(
+            "centralized", workers=2, oversubscribe=True, certify=True,
+            ledger=tmp_path,
+        )
+        engine.run(problems)
+        run = load_run(engine.last_ledger_path)
+        slot_keys = {
+            "index", "solver", "wall_s", "iterations", "converged",
+            "cache_hit", "worker", "ok",
+        }
+        for record in run.slots:
+            assert slot_keys <= record.keys()
+            assert isinstance(record["cache_hit"], bool)
+        assert sorted(s["index"] for s in run.slots) == list(range(SLOTS))
+        summary_keys = {
+            "workers_effective", "workers_requested", "usable_cpus",
+            "executor", "decision", "mp_start_method",
+            "compile_s", "cache_hits", "cache_misses",
+            "wall_s", "solver", "slots", "failed_slots", "overhead_s",
+            "certified_slots", "suspect_slots", "worst_violation",
+            "worst_kkt", "certify_s",
+        }
+        assert summary_keys <= run.summary.keys()
+        assert run.summary["decision"] == engine.last_summary.decision
+        assert run.summary["certified_slots"] == SLOTS
+
     def test_same_inputs_give_same_digest(self, tmp_path, problems):
         paths = []
         for sub in ("one", "two"):
@@ -318,6 +348,7 @@ class TestLedgerCli:
         out = capsys.readouterr().out
         assert runs[0].run_id in out
         assert "inputs_sha256" in out
+        assert "summary.decision" in out and "summary.cache_hits" in out
         assert (
             main(
                 [

@@ -65,23 +65,18 @@ class TestReportAttachment:
         assert all(o.worker_report is None for o in outcomes)
         assert [o.result.ufc for o in outcomes] == baseline_ufc
 
-    def test_worker_obs_false_overrides_consumers(self, problems, baseline_ufc):
-        metrics = MetricsRegistry()
-        engine = HorizonEngine(
-            "centralized", metrics=metrics, worker_obs=False
-        )
+    def test_worker_obs_false_overrides_consumers(
+        self, problems, baseline_ufc, tmp_path
+    ):
+        # Worker reports follow their consumers (metrics, tracer,
+        # profile) only: a run ledger alone builds none, its slot
+        # records name no worker host, and the output is bit-identical.
+        engine = HorizonEngine("centralized", ledger=tmp_path)
         outcomes = engine.run(problems)
         assert all(o.worker_report is None for o in outcomes)
         assert [o.result.ufc for o in outcomes] == baseline_ufc
-        # The parent-side engine series still record.
-        names = {name for name, _, _ in metrics.samples()}
-        assert any(n.startswith("repro_engine") for n in names)
-        assert not any(n.startswith("repro_worker") for n in names)
-
-    def test_worker_obs_true_forces_reports_without_consumers(self, problems):
-        engine = HorizonEngine("centralized", worker_obs=True)
-        outcomes = engine.run(problems[:2])
-        assert all(o.worker_report is not None for o in outcomes)
+        run = load_run(engine.last_ledger_path)
+        assert not any("worker_host" in s for s in run.slots)
 
     def test_observed_output_is_bit_identical(self, problems, baseline_ufc):
         engine = HorizonEngine(

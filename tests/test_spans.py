@@ -9,12 +9,7 @@ from repro.admg.solver import DistributedUFCSolver
 from repro.core.strategies import HYBRID
 from repro.distributed.coordinator import DistributedRuntime
 from repro.distributed.staleness import StalenessRuntime
-from repro.obs import (
-    NULL_TRACER,
-    RecordingTelemetry,
-    SpanTracer,
-    as_tracer,
-)
+from repro.obs import NULL_TRACER, SpanTracer, as_tracer
 from repro.sim.simulator import Simulator
 
 
@@ -54,17 +49,6 @@ class TestSpanTracer:
         with tracer.span("after") as after:
             pass
         assert after.parent_id is None
-
-    def test_telemetry_export(self):
-        sink = RecordingTelemetry()
-        tracer = SpanTracer(telemetry=sink)
-        with tracer.span("exported", foo="bar"):
-            pass
-        (event,) = sink.events
-        assert event.kind == "span"
-        assert event.name == "exported"
-        assert event.tags["foo"] == "bar"
-        assert "span_id" in event.tags
 
     def test_null_tracer_is_inert(self):
         with NULL_TRACER.span("nothing", x=1) as span:
@@ -108,13 +92,6 @@ class TestAdopt:
         # Without a parent_id, remote roots stay roots.
         root = next(s for s in adopted if s.name == "worker.slot")
         assert root.parent_id is None
-
-    def test_adopted_spans_flow_to_telemetry(self):
-        sink = RecordingTelemetry()
-        parent = SpanTracer(telemetry=sink)
-        parent.adopt(self._remote_dicts())
-        assert {e.name for e in sink.events} == {"worker.slot", "worker.solve"}
-        assert all(e.kind == "span" for e in sink.events)
 
 
 class TestDistributedSpans:
