@@ -73,7 +73,7 @@ from repro.exec.clients import (
     usable_cpu_count,
 )
 from repro.exec.pipeline import BatchScheduler
-from repro.exec.store import ResultStore, problem_digest
+from repro.exec.store import ResultStore, problem_digests
 from repro.exec.supervisor import (
     FleetStats,
     FleetSupervisor,
@@ -1012,15 +1012,22 @@ class HorizonEngine:
                         ),
                         profile=self.worker_profile,
                     )
+                # One key per slot, shared by the ledger header and
+                # the store probe.
+                keys: list[str] | None = None
+                if ledger is not None or self.store is not None:
+                    keys = problem_digests(problems, self.solver.name)
                 if ledger is not None:
                     ledger.write_header(
                         solver=self.solver.name,
                         config=self._ledger_config(warm_start, batched),
-                        digests=self._ledger_digests(problems),
+                        digests=self._ledger_digests(keys),
                         environment=_ledger_environment(),
                         slots_expected=len(problems),
                     )
-                outcomes, stats = self._run_horizon(problems, batched, warm_start)
+                outcomes, stats = self._run_horizon(
+                    problems, batched, warm_start, keys
+                )
                 wall_s = time.perf_counter() - start
                 summary = HorizonSummary.from_outcomes(
                     outcomes,
@@ -1108,12 +1115,13 @@ class HorizonEngine:
             "worker_profile": self.worker_profile,
         }
 
-    def _ledger_digests(self, problems: list[UFCProblem]) -> dict[str, Any]:
-        """Input identity: per-slot digests folded into one run digest."""
+    @staticmethod
+    def _ledger_digests(keys: list[str]) -> dict[str, Any]:
+        """Input identity: the per-slot store keys folded into one run digest."""
         hasher = hashlib.sha256()
-        for problem in problems:
-            hasher.update(problem_digest(problem, self.solver.name).encode())
-        return {"slots": len(problems), "inputs_sha256": hasher.hexdigest()}
+        for key in keys:
+            hasher.update(key.encode())
+        return {"slots": len(keys), "inputs_sha256": hasher.hexdigest()}
 
     def _absorb(self, outcome: SlotOutcome, pending: int | None = None) -> None:
         """Fold one harvested outcome into the parent-side observers.
@@ -1225,7 +1233,11 @@ class HorizonEngine:
     # -- executors -----------------------------------------------------------
 
     def _run_horizon(
-        self, problems: list[UFCProblem], batched: bool, warm_start: bool
+        self,
+        problems: list[UFCProblem],
+        batched: bool,
+        warm_start: bool,
+        keys: list[str] | None,
     ) -> tuple[list[SlotOutcome], _ExecStats]:
         """Solve a horizon through the execution-client layer.
 
@@ -1235,9 +1247,10 @@ class HorizonEngine:
         ``"pool"``, …); an explicit client is named verbatim
         (``executor=client.name``, ``decision="client:<name>"``).
         When a result store is attached, every slot is probed in the
-        parent before anything is scheduled; only misses reach the
-        client, and fresh non-degraded results are written back after
-        harvest.
+        parent under its key in ``keys`` (the run's
+        :func:`~repro.exec.store.problem_digests`) before anything is
+        scheduled; only misses reach the client, and fresh non-degraded
+        results are written back after harvest.
 
         A warm chain submits the same :func:`_solve_chunk` task with
         the chain's payload.  A synchronous client gets the whole
@@ -1256,16 +1269,13 @@ class HorizonEngine:
         outcomes: list[SlotOutcome | None] = [None] * len(problems)
 
         # Store probe: parent-process, before any scheduling.
-        keys: list[str | None] = [None] * len(problems)
         if self.store is None:
             to_solve: list[tuple[int, UFCProblem]] = list(enumerate(problems))
         else:
             to_solve = []
             for index, problem in enumerate(problems):
-                key = problem_digest(problem, self.solver.name)
-                keys[index] = key
                 load_start = time.perf_counter()
-                result = self.store.get(key)
+                result = self.store.get(keys[index])
                 load_s = time.perf_counter() - load_start
                 if result is None:
                     stats.store_misses += 1
@@ -1425,7 +1435,6 @@ class HorizonEngine:
                         # should never inherit those).
                         if (
                             self.store is not None
-                            and keys[outcome.index] is not None
                             and outcome.ok
                             and not outcome.degraded
                         ):

@@ -35,7 +35,7 @@ from repro.exec.clients import (
 )
 from repro.exec.pipeline import BatchScheduler
 from repro.exec.pmap import parallel_map
-from repro.exec.store import ResultStore, problem_digest
+from repro.exec.store import ResultStore, problem_digest, problem_digests
 from repro.exec.supervisor import (
     FleetStats,
     FleetSupervisor,
@@ -62,6 +62,7 @@ __all__ = [
     "mp_context",
     "parallel_map",
     "problem_digest",
+    "problem_digests",
     "register_client",
     "serve_worker",
     "usable_cpu_count",

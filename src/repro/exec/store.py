@@ -34,72 +34,102 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["ResultStore", "problem_digest"]
+__all__ = ["ResultStore", "problem_digest", "problem_digests"]
 
 #: Bump when the digest recipe or the stored payload shape changes;
 #: old entries then read as misses instead of mis-deserializing.
 STORE_VERSION = 1
 
 
-def _fold(h: "hashlib._Hash", obj: Any) -> None:
-    """Fold ``obj``'s content (not identity) into the hash.
+def _fold(write: Callable[[bytes], None], obj: Any) -> None:
+    """Feed ``obj``'s content (not identity) to ``write`` as bytes.
 
-    Handles the library's model vocabulary: numpy arrays by
-    dtype/shape/bytes, dataclasses and plain objects by class name +
-    field values, containers element-wise.  Floats go through
-    ``repr`` so the digest is exact to the bit, not to a print
-    precision.
+    ``write`` receives the pieces in order.  Handles the library's
+    model vocabulary: numpy arrays by dtype/shape/bytes,
+    dataclasses and plain objects by class name + field values,
+    containers element-wise.  Floats go through ``repr`` so the digest
+    is exact to the bit, not to a print precision.
     """
     if obj is None or isinstance(obj, (bool, int, str, bytes)):
-        h.update(f"<{type(obj).__name__}:{obj!r}>".encode())
+        write(f"<{type(obj).__name__}:{obj!r}>".encode())
     elif isinstance(obj, float):
-        h.update(f"<float:{obj!r}>".encode())
+        write(f"<float:{obj!r}>".encode())
     elif isinstance(obj, np.ndarray):
-        h.update(f"<nd:{obj.dtype.str}:{obj.shape}>".encode())
-        h.update(np.ascontiguousarray(obj).tobytes())
+        write(f"<nd:{obj.dtype.str}:{obj.shape}>".encode())
+        write(np.ascontiguousarray(obj).tobytes())
     elif isinstance(obj, np.generic):
-        _fold(h, np.asarray(obj))
+        _fold(write, np.asarray(obj))
     elif isinstance(obj, (list, tuple)):
-        h.update(f"<seq:{len(obj)}>".encode())
+        write(f"<seq:{len(obj)}>".encode())
         for item in obj:
-            _fold(h, item)
+            _fold(write, item)
     elif isinstance(obj, dict):
-        h.update(f"<dict:{len(obj)}>".encode())
+        write(f"<dict:{len(obj)}>".encode())
         for key in sorted(obj, key=repr):
-            _fold(h, key)
-            _fold(h, obj[key])
+            _fold(write, key)
+            _fold(write, obj[key])
     elif dataclasses.is_dataclass(obj):
-        h.update(f"<dc:{type(obj).__qualname__}>".encode())
+        write(f"<dc:{type(obj).__qualname__}>".encode())
         for field in dataclasses.fields(obj):
-            _fold(h, field.name)
-            _fold(h, getattr(obj, field.name))
+            _fold(write, field.name)
+            _fold(write, getattr(obj, field.name))
     elif hasattr(obj, "__dict__"):
-        h.update(f"<obj:{type(obj).__qualname__}>".encode())
+        write(f"<obj:{type(obj).__qualname__}>".encode())
         for key in sorted(vars(obj)):
-            _fold(h, key)
-            _fold(h, vars(obj)[key])
+            _fold(write, key)
+            _fold(write, vars(obj)[key])
     else:  # pragma: no cover - exotic model component
-        h.update(f"<repr:{obj!r}>".encode())
+        write(f"<repr:{obj!r}>".encode())
+
+
+def _folded(obj: Any) -> bytes:
+    """The byte stream :func:`_fold` feeds a hash for ``obj``."""
+    parts: list[bytes] = []
+    _fold(parts.append, obj)
+    return b"".join(parts)
+
+
+def problem_digests(problems: Sequence[Any], solver: str) -> list[str]:
+    """The store keys of many (problem, solver) pairs, one per problem.
+
+    Each key covers the model's full quantitative content, the slot
+    inputs, the strategy and the solver registry name — everything
+    that determines the solver's answer for this slot.
+
+    A horizon's slots share a handful of model and strategy objects,
+    so each distinct one is folded to bytes once per call and those
+    bytes go into every slot's SHA-256.  The hash sees the same byte
+    stream as a per-slot fold would feed it, so a key does not depend
+    on which problems it was computed with.  Nothing is kept past the
+    call: a model changed in place between two calls gets a new key.
+    """
+    head = f"repro-result-store-v{STORE_VERSION}".encode() + _folded(solver)
+    # Keyed by id(): every object stays alive through ``problems``.
+    shared: dict[int, bytes] = {}
+
+    def once(obj: Any) -> bytes:
+        if id(obj) not in shared:
+            shared[id(obj)] = _folded(obj)
+        return shared[id(obj)]
+
+    return [
+        hashlib.sha256(
+            head
+            + once(problem.strategy)
+            + _folded(problem.inputs)
+            + once(problem.model)
+        ).hexdigest()
+        for problem in problems
+    ]
 
 
 def problem_digest(problem: Any, solver: str) -> str:
-    """The store key for one (problem, solver) pair.
-
-    Covers the model's full quantitative content, the slot inputs, the
-    strategy and the solver registry name — everything that determines
-    the solver's answer for this slot.
-    """
-    h = hashlib.sha256()
-    h.update(f"repro-result-store-v{STORE_VERSION}".encode())
-    _fold(h, solver)
-    _fold(h, problem.strategy)
-    _fold(h, problem.inputs)
-    _fold(h, problem.model)
-    return h.hexdigest()
+    """The store key for one (problem, solver) pair (see :func:`problem_digests`)."""
+    return problem_digests([problem], solver)[0]
 
 
 class ResultStore:

@@ -32,7 +32,7 @@ from repro.core.strategies import HYBRID, Strategy
 from repro.engine.horizon import HorizonEngine
 from repro.engine.registry import create_solver
 from repro.exec import RetryBudget, SocketClient, SupervisorConfig
-from repro.exec.store import problem_digest
+from repro.exec.store import problem_digest, problem_digests
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["ChurnReport", "WorkerChurnSolver", "run_worker_churn"]
@@ -235,8 +235,9 @@ def run_worker_churn(
     rng = random.Random((kill_seed << 16) ^ seed)
     killed_slots = sorted(rng.sample(range(len(problems)), kills))
     die_digests = frozenset(
-        problem_digest(problems[t], WorkerChurnSolver.name)
-        for t in killed_slots
+        problem_digests(
+            [problems[t] for t in killed_slots], WorkerChurnSolver.name
+        )
     )
 
     marker_dir = tempfile.mkdtemp(prefix="repro-churn-")

@@ -23,9 +23,12 @@ it — :func:`certify_solution` audits it against the slot's
   implied by the fitted (or solver-provided) certificate.
 
 When the producing solver shipped its own multipliers (the centralized
-interior-point solver does), both the solver's and the fitted
-certificate are evaluated and the better one is kept;
-``dual_source`` records which won.
+interior-point solver does), they are checked first: if they already
+meet the KKT tolerance they are the certificate and no fit runs.  The
+fit runs only when no multipliers were shipped (ADM-G, heuristics) or
+they fail the tolerance; then both are evaluated and the better one is
+kept.  Either way the verdict is the one the better of the two would
+give.  ``dual_source`` records which certificate was kept.
 
 Unlike the rest of ``repro.obs`` this module imports numpy/scipy and
 ``repro.core`` — certification sits *above* the model layer, not below
@@ -253,16 +256,21 @@ def _kkt_certificate(
     qp: QPForm,
     x: np.ndarray,
     duals: tuple[np.ndarray, np.ndarray] | None,
+    kkt_tol: float,
 ) -> tuple[float, float, float, str]:
     """(stationarity, complementarity, duality_gap, dual_source) at x.
 
-    Multipliers are fitted by non-negative least squares over the full
-    constraint set with a complementarity penalty: each inequality
-    multiplier ``z_i`` pays ``slack_i`` per unit, so multipliers on
-    inactive constraints are pushed to zero and the fit can only score
-    well where a genuine KKT point exists.  Stationarity alone is
-    meaningless here — the two-sided bound rows span the space — which
-    is why the verdict couples it with the resulting complementarity.
+    Solver multipliers that already meet ``kkt_tol`` are the
+    certificate.  Otherwise multipliers are fitted by non-negative
+    least squares over the full constraint set with a complementarity
+    penalty: each inequality multiplier ``z_i`` pays ``slack_i`` per
+    unit, so multipliers on inactive constraints are pushed to zero and
+    the fit can only score well where a genuine KKT point exists.
+    Stationarity alone is meaningless here — the two-sided bound rows
+    span the space — which is why the verdict couples it with the
+    resulting complementarity.  The better of the solver's and the
+    fitted certificate is kept, so the verdict is the same as if both
+    were always evaluated.
     """
     r = qp.P @ x + qp.q
     slack = qp.h - qp.G @ x
@@ -273,6 +281,15 @@ def _kkt_certificate(
         float(np.abs(qp.P @ x).max(initial=0.0)),
     )
     fscale = max(1.0, abs(float(0.5 * x @ qp.P @ x + qp.q @ x)))
+
+    solver_cert = None
+    if duals is not None and duals[0] is not None and duals[1] is not None:
+        stat_s, comp_s = _residuals_from_duals(
+            r, slack, qp, duals[0], duals[1], gscale, fscale
+        )
+        solver_cert = (stat_s, comp_s, np.asarray(duals[0]), "solver")
+        if max(stat_s, comp_s) <= kkt_tol:
+            return _with_gap(solver_cert, eq_res, fscale)
 
     p_eq = qp.A.shape[0]
     m_ineq = qp.G.shape[0]
@@ -290,15 +307,20 @@ def _kkt_certificate(
     stat_fit = float(np.abs(r + basis @ w).max(initial=0.0)) / gscale
     comp_fit = float(np.abs(z_fit * slack).sum()) / fscale
 
-    stat, comp, y, source = stat_fit, comp_fit, y_fit, "fitted"
-    if duals is not None and duals[0] is not None and duals[1] is not None:
-        stat_s, comp_s = _residuals_from_duals(
-            r, slack, qp, duals[0], duals[1], gscale, fscale
-        )
-        if max(stat_s, comp_s) < max(stat_fit, comp_fit):
-            stat, comp, y, source = stat_s, comp_s, np.asarray(duals[0]), "solver"
-    gap = comp + float(np.abs(y @ eq_res)) / fscale
-    return stat, comp, gap, source
+    best = (stat_fit, comp_fit, y_fit, "fitted")
+    if solver_cert is not None and max(solver_cert[:2]) < max(stat_fit, comp_fit):
+        best = solver_cert
+    return _with_gap(best, eq_res, fscale)
+
+
+def _with_gap(
+    cert: tuple[float, float, np.ndarray, str],
+    eq_res: np.ndarray,
+    fscale: float,
+) -> tuple[float, float, float, str]:
+    """Swap a certificate's equality multipliers for its duality-gap bound."""
+    stat, comp, y, source = cert
+    return stat, comp, comp + float(np.abs(y @ eq_res)) / fscale, source
 
 
 # -- public entry points ------------------------------------------------------
@@ -322,7 +344,8 @@ def certify_solution(
         allocation: the solution under audit (any producer).
         qp: the slot's compiled QP; compiled on the fly when omitted.
         duals: optional ``(eq_dual, ineq_dual)`` from the producing
-            solver; used when they certify better than the fitted fit.
+            solver; checked first, and the certificate when they meet
+            ``kkt_tol`` or beat the fitted multipliers.
         solver: producer name recorded on the certificate.
         slot: horizon index recorded on the certificate.
         feas_tol: relative feasibility acceptance threshold.
@@ -336,7 +359,7 @@ def certify_solution(
         qp = problem.to_qp()
     x = _embed(qp, allocation)
     stationarity, complementarity, duality_gap, dual_source = _kkt_certificate(
-        qp, x, duals
+        qp, x, duals, kkt_tol
     )
     return Certificate(
         slot=slot,

@@ -115,6 +115,65 @@ class TestCertifySolution:
         assert len(ctx._structures) == 1  # one strategy → one compiled QP
 
 
+class TestSolverMultipliersFirst:
+    """Shipped multipliers that pass the KKT gate make the NNLS fit moot."""
+
+    @staticmethod
+    def _solve(problem):
+        res = CentralizedSolver().solve(problem)
+        return res.allocation, (res.eq_dual, res.ineq_dual)
+
+    def test_passing_duals_skip_the_fit(self, slot_problem, monkeypatch):
+        alloc, duals = self._solve(slot_problem)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("NNLS fit ran despite passing multipliers")
+
+        monkeypatch.setattr("repro.obs.certify.nnls", no_fit)
+        cert = certify_solution(slot_problem, alloc, duals=duals)
+        assert cert.ok
+        assert cert.dual_source == "solver"
+        assert cert.duality_gap <= DEFAULT_KKT_TOL
+
+    def test_failing_duals_still_fit(self, slot_problem):
+        alloc, duals = self._solve(slot_problem)
+        zeroed = (np.zeros_like(duals[0]), np.zeros_like(duals[1]))
+        cert = certify_solution(slot_problem, alloc, duals=zeroed)
+        assert cert.ok
+        assert cert.dual_source == "fitted"
+
+    def test_unreachable_tolerance_keeps_the_better(self, slot_problem):
+        alloc, duals = self._solve(slot_problem)
+        fitted = certify_solution(slot_problem, alloc).kkt_residual
+        shipped = certify_solution(
+            slot_problem, alloc, duals=duals, kkt_tol=np.inf
+        ).kkt_residual
+        cert = certify_solution(slot_problem, alloc, duals=duals, kkt_tol=1e-18)
+        assert not cert.ok
+        assert cert.kkt_residual == min(fitted, shipped)
+        assert cert.dual_source == ("fitted" if fitted < shipped else "solver")
+
+    def test_verdicts_match_better_of_both(self, small_model, small_bundle):
+        # The verdict rule before the shortcut: pass when the better of
+        # the shipped and the fitted multipliers meets the tolerance.
+        sim = Simulator(small_model, small_bundle)
+        for strategy in ALL_STRATEGIES:
+            for t in range(small_bundle.hours):
+                problem = sim.problem_for_slot(t, strategy)
+                alloc, duals = self._solve(problem)
+                fitted = certify_solution(problem, alloc).kkt_residual
+                shipped = certify_solution(
+                    problem, alloc, duals=duals, kkt_tol=np.inf
+                ).kkt_residual
+                for kkt_tol in (1e-18, 1e-9, 1e-5):
+                    cert = certify_solution(
+                        problem, alloc, duals=duals, kkt_tol=kkt_tol
+                    )
+                    assert cert.ok == (
+                        cert.feasible and min(fitted, shipped) <= kkt_tol
+                    ), (strategy.name, t, kkt_tol)
+
+
 class TestEngineCertification:
     def test_certificates_attach_and_solutions_unchanged(
         self, small_model, small_bundle

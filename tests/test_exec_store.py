@@ -12,9 +12,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core.strategies import FUEL_CELL, HYBRID
+from repro.core.strategies import ALL_STRATEGIES, FUEL_CELL, HYBRID
 from repro.engine import HorizonEngine
-from repro.exec import ResultStore, problem_digest
+from repro.exec import ResultStore, problem_digest, problem_digests
+from repro.exec.store import STORE_VERSION
 from repro.sim.simulator import Simulator, build_model
 from repro.traces.datasets import default_bundle
 
@@ -130,6 +131,49 @@ class TestProblemDigest:
         assert problem_digest(problems[0], "centralized") != problem_digest(
             problems[1], "centralized"
         )
+
+
+class TestProblemDigests:
+    """The batched key helper: same keys, one model fold per call."""
+
+    #: The key of the fixed problem below, as written by every store
+    #: since the recipe was set: a changed recipe strands old stores.
+    PINNED = "c20921d34b664a79c266745f4bad0e049e86ef170f12430d5692654ac621dbfe"
+
+    @staticmethod
+    def _fixed_problem():
+        bundle = default_bundle(hours=4, seed=11)
+        return Simulator(build_model(bundle), bundle).problem_for_slot(2, HYBRID)
+
+    def test_matches_per_problem_digest(self, small_model, small_bundle):
+        sims = [
+            Simulator(small_model, small_bundle),
+            Simulator(build_model(small_bundle, fuel_cell_price=90.0), small_bundle),
+        ]
+        batch = [
+            sim.problem_for_slot(t, strategy)
+            for sim in sims
+            for strategy in ALL_STRATEGIES
+            for t in range(4)
+        ]
+        for solver in ("centralized", "distributed"):
+            keys = problem_digests(batch, solver)
+            assert keys == [problem_digest(p, solver) for p in batch]
+            assert len(set(keys)) == len(batch)
+
+    def test_pinned_key_still_hits(self):
+        assert STORE_VERSION == 1
+        problem = self._fixed_problem()
+        assert problem_digest(problem, "centralized") == self.PINNED
+        assert problem_digests([problem], "centralized") == [self.PINNED]
+
+    def test_model_mutated_in_place_changes_key(self):
+        problem = self._fixed_problem()
+        before = problem_digests([problem], "centralized")
+        problem.model.latency_ms[0, 0] += 1.0
+        after = problem_digests([problem], "centralized")
+        assert before != after
+        assert after == [problem_digest(problem, "centralized")]
 
 
 class TestEngineWarmRuns:
