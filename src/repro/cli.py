@@ -106,18 +106,9 @@ def _add_obs_args(cmd: argparse.ArgumentParser) -> None:
         "--metrics-out",
         default=None,
         metavar="PATH",
-        help="write the run's merged metrics registry (parent-side "
-        "engine series plus worker-shipped samples) in Prometheus "
-        "exposition format to PATH",
-    )
-    cmd.add_argument(
-        "--worker-profile",
-        type=int,
-        default=0,
-        metavar="N",
-        help="profile each slot's solve in the worker with cProfile "
-        "and ship the top-N hotspot rows back on the outcome "
-        "(0 disables)",
+        help="write the run's metrics registry (engine series plus "
+        "the worker series derived from per-slot telemetry) in "
+        "Prometheus exposition format to PATH",
     )
 
 
@@ -134,7 +125,6 @@ def _obs_kwargs(args, metrics=None):
         metrics = MetricsRegistry()
     return {
         "ledger": args.ledger,
-        "worker_profile": args.worker_profile,
         "metrics": metrics,
     }
 

@@ -17,7 +17,7 @@ optional warm payload) → post-hoc timeout check → certify → outcome.
 - **one chunk task** (:func:`_solve_chunk`) is what every execution
   client runs, cold or warm: a per-slot loop (chaining the warm
   payload when asked) or the (model, strategy)-grouped ``solve_batch``
-  lane, wrapped by worker observability in one place;
+  lane, whose outcomes are the only thing a worker sends home;
 - **executors**: a serial in-process client (``workers=1``) or a
   chunked multiprocessing pool (``workers>1``), or any registered
   client (``"mp"``, ``"socket"``, a custom
@@ -42,23 +42,23 @@ optional warm payload) → post-hoc timeout check → certify → outcome.
   from the previous slot's payload — one chunk on a synchronous
   client, depth-one per-slot submissions on an asynchronous one;
 - **per-slot records**: every outcome carries a
-  :class:`~repro.obs.SlotTelemetry`,
+  :class:`~repro.obs.SlotTelemetry`; at harvest the parent derives
+  the ``repro_worker_*`` series and ``worker.slot`` spans from it,
   :attr:`HorizonEngine.last_summary` aggregates the run, and an
   optional run ledger persists both.
 """
 
 from __future__ import annotations
 
-import cProfile
 import hashlib
 import os
 import platform
 import sys
 import time
 import traceback
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.core.problem import UFCProblem
 from repro.engine.protocol import SlotResult, SlotSolver
@@ -69,6 +69,7 @@ from repro.exec.clients import (
     InProcessClient,
     MultiprocessingClient,
     WorkerLostError,
+    available_clients,
     create_client,
     usable_cpu_count,
 )
@@ -81,17 +82,15 @@ from repro.exec.supervisor import (
     TaskTimeoutError,
 )
 from repro.obs import (
+    DEFAULT_ITERATION_BUCKETS,
+    DEFAULT_RESIDUAL_BUCKETS,
+    DEFAULT_TIME_BUCKETS,
     HorizonSummary,
     RunLedger,
     SlotTelemetry,
     SpanTracer,
-    TraceContext,
-    WorkerObsPlan,
-    WorkerReport,
     interrupt_guard,
-    new_run_id,
 )
-from repro.obs.worker import local_host, profile_hotspots, slot_metrics
 
 __all__ = [
     "SlotOutcome",
@@ -100,6 +99,10 @@ __all__ = [
     "HorizonEngine",
     "usable_cpu_count",
 ]
+
+#: This process's node name, stamped on the telemetry of every slot it
+#: solves (computed once per process).
+_HOST = platform.node() or "localhost"
 
 
 class SlotTimeoutError(RuntimeError):
@@ -140,11 +143,6 @@ class SlotOutcome:
             result; None when the primary did.
         chain_errors: one ``"solver[attempt k]: ErrType: message"``
             entry per failed attempt along the retry/fallback chain.
-        worker_report: the slot's worker-side
-            :class:`~repro.obs.WorkerReport` (metric samples, spans,
-            optional profile) when the engine ran with worker
-            observability on; None otherwise (the default — the
-            observability-off outcome is unchanged).
         lineage: the fleet supervisor's retry lineage for this slot's
             chunk (attempt count, workers tried, faults, hedge
             outcome) when the slot was not first-try-clean under
@@ -162,7 +160,6 @@ class SlotOutcome:
     degraded: bool = False
     fallback_solver: str | None = None
     chain_errors: tuple[str, ...] = ()
-    worker_report: WorkerReport | None = None
     lineage: dict[str, Any] | None = None
 
     @property
@@ -290,6 +287,7 @@ def _slot_outcome(
             warm_start=warm_start,
             store_hit=store_hit,
             certify_s=0.0 if certificate is None else certificate.certify_s,
+            host=None if store_hit else _HOST,
         ),
     )
 
@@ -306,11 +304,14 @@ def _failed_outcome(
     warm_start: bool = False,
     attempts: int = 1,
     chain_errors: tuple[str, ...] = (),
+    host: str | None = _HOST,
 ) -> SlotOutcome:
     """A failed :class:`SlotOutcome` with structured error info.
 
     ``error`` defaults to the traceback of the exception being
     handled, so call it from the ``except`` block or pass one.
+    ``host`` is None for a failure no worker produced (a stand-in for
+    a lost batch, or a stored result that failed re-certification).
     """
     return SlotOutcome(
         index=index,
@@ -329,6 +330,7 @@ def _failed_outcome(
             worker=os.getpid(),
             warm_start=warm_start,
             error_type=type(exc).__name__,
+            host=host,
         ),
     )
 
@@ -344,7 +346,7 @@ def _failed_chunk(
     A lost worker (``WorkerLostError``) or a batch abandoned at harvest
     (``SlotTimeoutError``) delivers no per-slot telemetry, so every slot
     becomes a structured failure attributed to the harvesting process —
-    not a silent gap.
+    not a silent gap — with no host, since no worker returned it.
     """
     outcomes = []
     for offset in range(len(chunk.problems)):
@@ -352,7 +354,11 @@ def _failed_chunk(
         exc = exc_type(f"slot {index}: {reason}")
         outcomes.append(
             _failed_outcome(
-                index, exc, solver_name, error=f"{type(exc).__name__}: {exc}"
+                index,
+                exc,
+                solver_name,
+                error=f"{type(exc).__name__}: {exc}",
+                host=None,
             )
         )
     return outcomes
@@ -523,151 +529,92 @@ class _SlotStep:
         return [outcomes[offset] for offset in range(len(chunk.problems))]
 
 
-def _synth_slot_span(outcome: SlotOutcome, pid: int) -> dict[str, Any]:
-    """A synthesized ``worker.slot`` span dict built from telemetry.
-
-    The batched lane solves many slots inside one solver call, so
-    individual slots cannot be wrapped live; their spans are
-    reconstructed from the per-slot telemetry instead (wall time known,
-    CPU time not) and marked ``synthesized``.
-    """
-    tele = outcome.telemetry
-    wall = 0.0 if tele is None else tele.wall_s + tele.compile_s + tele.certify_s
-    return {
-        "name": "worker.slot",
-        "span_id": 0,
-        "parent_id": None,
-        "wall_s": wall,
-        "cpu_s": 0.0,
-        "attributes": {
-            "index": outcome.index,
-            "worker": pid,
-            "ok": outcome.ok,
-            "iterations": 0 if tele is None else tele.iterations,
-            "converged": bool(tele is not None and tele.converged),
-            "synthesized": True,
-        },
-    }
-
-
-def _attach_report(
-    outcome: SlotOutcome,
-    obs: WorkerObsPlan,
-    *,
-    pid: int,
-    spans: tuple[dict[str, Any], ...],
-    profiler: cProfile.Profile | None,
-    profile_scope: str = "slot",
-) -> None:
-    tele = outcome.telemetry
-    outcome.worker_report = WorkerReport(
-        worker=pid,
-        host=local_host(),
-        metrics=(
-            slot_metrics(tele).to_dict() if obs.metrics and tele is not None else None
-        ),
-        spans=spans,
-        trace=obs.trace,
-        profile=(
-            () if profiler is None else profile_hotspots(profiler, obs.profile)
-        ),
-        profile_scope=profile_scope,
-    )
-
-
-@contextmanager
-def _profiled(obs: WorkerObsPlan | None) -> Iterator[cProfile.Profile | None]:
-    """cProfile the block when the plan asks for profiles; else None."""
-    if obs is None or obs.profile <= 0:
-        yield None
-        return
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        yield profiler
-    finally:
-        profiler.disable()
-
-
 def _solve_chunk(
     solver: SlotSolver,
     chunk: _Chunk,
     certifier: Any | None = None,
     resilience: ResilienceConfig | None = None,
     batched: bool = False,
-    obs: WorkerObsPlan | None = None,
     warm_start: bool = False,
     warm: Any | None = None,
 ) -> list[SlotOutcome]:
     """Solve one chunk of slots: the task every execution client runs.
 
     Module-level so process and socket clients can pickle it.  Cold
-    and warm runs, serial and pooled, submit this one function; the
-    per-slot telemetry (and, with ``certifier``, each certificate)
-    travels back attached to the outcomes, which is what lets the
-    parent aggregate every lane without a second channel.
+    and warm runs, serial and pooled, observed or not, submit this one
+    function, and the outcomes are all that comes back: each carries
+    its :class:`~repro.obs.SlotTelemetry` (and, with ``certifier``,
+    its certificate), from which the parent derives every per-slot
+    metric, span and ledger record.
 
     The chunk runs through the per-slot :class:`_SlotStep` loop or,
     with ``batched``, through :meth:`_SlotStep.batch`.  With
     ``warm_start`` the loop chains: ``warm`` seeds the first slot and
     each success's :attr:`SlotResult.warm` seeds the next, while a
     failure ships no payload and cold-restarts the chain.
-
-    With an ``obs`` plan every outcome comes back with a
-    :class:`~repro.obs.WorkerReport` whose metric samples cover exactly
-    that slot: per-slot lanes wrap each slot in a live ``worker.slot``
-    span and (optionally) its own cProfile; the batched lane
-    synthesizes per-slot spans from telemetry and lands one chunk
-    profile on its first outcome (``profile_scope="chunk"``).
     """
     step = _SlotStep(solver, certifier, resilience)
-    pid = os.getpid()
     if batched:
-        with _profiled(obs) as profiler:
-            outcomes = step.batch(chunk)
-        if obs is not None:
-            for j, outcome in enumerate(outcomes):
-                _attach_report(
-                    outcome,
-                    obs,
-                    pid=pid,
-                    spans=(_synth_slot_span(outcome, pid),) if obs.spans else (),
-                    profiler=profiler if j == 0 else None,
-                    profile_scope="chunk",
-                )
-        return outcomes
+        return step.batch(chunk)
     outcomes = []
     for offset, problem in enumerate(chunk.problems):
-        index = chunk.index(offset)
-        if obs is None:
-            outcome = step(index, problem, warm)
-        else:
-            tracer = SpanTracer() if obs.spans else None
-            with (
-                nullcontext() if tracer is None else tracer.span(
-                    "worker.slot", index=index, solver=solver.name, worker=pid
-                )
-            ) as span:
-                with _profiled(obs) as profiler:
-                    outcome = step(index, problem, warm)
-                if span is not None:
-                    tele = outcome.telemetry
-                    span.set(
-                        ok=outcome.ok,
-                        iterations=0 if tele is None else tele.iterations,
-                        converged=bool(tele is not None and tele.converged),
-                    )
-            _attach_report(
-                outcome,
-                obs,
-                pid=pid,
-                spans=() if tracer is None else tuple(tracer.to_dicts()),
-                profiler=profiler,
-            )
+        outcome = step(chunk.index(offset), problem, warm)
         if warm_start:
             warm = outcome.result.warm if outcome.ok else None
         outcomes.append(outcome)
     return outcomes
+
+
+def _record_worker_slot(reg: Any, tele: SlotTelemetry) -> None:
+    """Record one worker-solved slot's ``repro_worker_*`` series.
+
+    Derived in the parent from the slot's telemetry:
+
+    - ``repro_worker_slots_total{worker,solver}``
+    - ``repro_worker_slot_solve_seconds{worker}`` (histogram)
+    - ``repro_worker_slot_compile_seconds{worker}`` (histogram, cache
+      misses only)
+    - ``repro_worker_slot_certify_seconds{worker}`` (histogram, when
+      certification ran)
+    - ``repro_worker_slot_failures_total{worker,error_type}``
+
+    Summed over a run without store hits, the solve histogram's
+    ``_sum`` is exactly the summary's ``solve_s``.
+    """
+    worker = str(tele.worker if tele.worker is not None else "?")
+    reg.counter(
+        "repro_worker_slots_total",
+        help="slots solved in worker processes",
+        worker=worker,
+        solver=tele.solver,
+    ).inc()
+    reg.histogram(
+        "repro_worker_slot_solve_seconds",
+        help="worker-side per-slot solve wall time",
+        buckets=DEFAULT_TIME_BUCKETS,
+        worker=worker,
+    ).observe(tele.wall_s)
+    if tele.compile_s:
+        reg.histogram(
+            "repro_worker_slot_compile_seconds",
+            help="worker-side per-slot structure compile time",
+            buckets=DEFAULT_TIME_BUCKETS,
+            worker=worker,
+        ).observe(tele.compile_s)
+    if tele.certify_s:
+        reg.histogram(
+            "repro_worker_slot_certify_seconds",
+            help="worker-side per-slot certification time",
+            buckets=DEFAULT_TIME_BUCKETS,
+            worker=worker,
+        ).observe(tele.certify_s)
+    if tele.error_type is not None:
+        reg.counter(
+            "repro_worker_slot_failures_total",
+            help="slots that failed in worker processes",
+            worker=worker,
+            error_type=tele.error_type,
+        ).inc()
 
 
 def _ledger_environment() -> dict[str, Any]:
@@ -675,7 +622,7 @@ def _ledger_environment() -> dict[str, Any]:
     return {
         "python": sys.version.split()[0],
         "platform": platform.platform(),
-        "host": local_host(),
+        "host": _HOST,
         "usable_cpus": usable_cpu_count(),
         "pid": os.getpid(),
     }
@@ -724,9 +671,10 @@ class HorizonEngine:
             changes solutions — it reads them after the solver is done.
         metrics: optional :class:`~repro.obs.MetricsRegistry`; each run
             records slot counts, solve-time/iteration histograms and —
-            with ``certify`` on — certificate residual histograms.
-            Process-local: pool-run metrics are recorded in the parent
-            from the shipped-back outcomes.
+            with ``certify`` on — certificate residual histograms, plus
+            the ``repro_worker_*`` series of every slot a worker
+            returned.  Process-local: all of it is recorded in the
+            parent from the outcomes' telemetry.
         resilience: optional
             :class:`~repro.engine.resilience.ResilienceConfig` giving
             every slot a retry budget, a solver fallback chain, a
@@ -777,10 +725,10 @@ class HorizonEngine:
             misses are solved and written back.  Degraded/fallback
             results are never stored.
         tracer: optional :class:`~repro.obs.SpanTracer`.  Each run
-            opens an ``engine.run`` span, and worker-side spans shipped
-            back in :class:`~repro.obs.WorkerReport` payloads are
-            re-parented under it (:meth:`SpanTracer.adopt`), so one
-            trace covers local and remote work.
+            opens an ``engine.run`` span and, at harvest, records one
+            ``worker.slot`` child per slot a worker returned, built
+            from its telemetry — so one trace covers local and remote
+            work.
         ledger: optional run ledger — a directory path (each run writes
             a fresh :class:`~repro.obs.RunLedger` there) or a
             :class:`~repro.obs.RunLedger` instance (single-use; the
@@ -789,15 +737,10 @@ class HorizonEngine:
             outcome stream in harvest order, and the final summary;
             the path of the last finalized ledger is
             :attr:`last_ledger_path`.
-        worker_profile: when > 0, run cProfile around each slot's solve
-            in the worker and ship the top-N hotspot rows back on the
-            report (per-slot on the per-slot lanes, per-chunk on the
-            batched lane).
 
-    Workers collect observability (metric samples, spans, optional
-    profiles) and attach a :class:`~repro.obs.WorkerReport` to every
-    outcome exactly when there is a consumer — ``metrics``, ``tracer``
-    or ``worker_profile`` — so the observability-off path stays
+    Workers run the same code whatever observes the run: the outcome,
+    with its telemetry and certificate, is the one record that crosses
+    the process boundary, so the observability-off path stays
     bit-identical.
 
     After each :meth:`run`, :attr:`last_summary` holds the run's
@@ -821,7 +764,6 @@ class HorizonEngine:
         store: ResultStore | str | os.PathLike | None = None,
         tracer: SpanTracer | None = None,
         ledger: RunLedger | str | os.PathLike | None = None,
-        worker_profile: int = 0,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -829,8 +771,6 @@ class HorizonEngine:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         if max_pending is not None and max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        if worker_profile < 0:
-            raise ValueError(f"worker_profile must be >= 0, got {worker_profile}")
         self.solver = create_solver(solver)
         self.workers = int(workers)
         self.chunk_size = chunk_size
@@ -859,14 +799,12 @@ class HorizonEngine:
             self.supervision = None
         self.tracer = tracer
         self.ledger = ledger
-        self.worker_profile = int(worker_profile)
         self.last_summary: HorizonSummary | None = None
         self.last_ledger_path: Any | None = None
         # Per-run observability state (set up in run(), read on the
         # harvest path); the engine is not reentrant, matching the
         # existing last_summary contract.
         self._run_ledger: RunLedger | None = None
-        self._run_plan: WorkerObsPlan | None = None
 
     def plan_workers(self, n_items: int) -> tuple[int, str, int]:
         """The pool-sizing decision for a horizon of ``n_items`` slots.
@@ -999,19 +937,6 @@ class HorizonEngine:
                             batched=batched,
                         )
                     )
-                if self._worker_obs_enabled():
-                    trace_id = (
-                        ledger.run_id if ledger is not None else new_run_id()
-                    )
-                    self._run_plan = WorkerObsPlan(
-                        trace=TraceContext(
-                            trace_id=trace_id,
-                            parent_span_id=(
-                                None if run_span is None else run_span.span_id
-                            ),
-                        ),
-                        profile=self.worker_profile,
-                    )
                 # One key per slot, shared by the ledger header and
                 # the store probe.
                 keys: list[str] | None = None
@@ -1059,7 +984,6 @@ class HorizonEngine:
             raise
         finally:
             self._run_ledger = None
-            self._run_plan = None
         self.last_summary = summary
         if ledger is not None:
             self.last_ledger_path = ledger.finalize(summary.to_dict())
@@ -1067,19 +991,6 @@ class HorizonEngine:
         return outcomes
 
     # -- observability plumbing ----------------------------------------------
-
-    def _worker_obs_enabled(self) -> bool:
-        """Whether workers should ship :class:`WorkerReport` payloads.
-
-        Exactly when a consumer exists (a metrics registry, a tracer,
-        or profiling), so a bare engine keeps the observability-off
-        fast path bit-identical.
-        """
-        return (
-            self.metrics is not None
-            or self.tracer is not None
-            or self.worker_profile > 0
-        )
 
     def _open_ledger(self) -> RunLedger | None:
         """Materialize this run's ledger from the ``ledger`` setting.
@@ -1112,7 +1023,6 @@ class HorizonEngine:
             "store": self.store is not None,
             "warm_start": warm_start,
             "batched": batched,
-            "worker_profile": self.worker_profile,
         }
 
     @staticmethod
@@ -1126,23 +1036,31 @@ class HorizonEngine:
     def _absorb(self, outcome: SlotOutcome, pending: int | None = None) -> None:
         """Fold one harvested outcome into the parent-side observers.
 
-        This is the single merge point for remote work: the worker
-        report's metric samples land in the engine's registry, its
-        spans are re-parented under the run span, and the outcome is
-        appended to the run ledger (with the live pending depth when
-        the scheduler knows it).
+        The single point where remote work meets the parent's
+        observers, all fed from the outcome's telemetry: a slot a
+        worker returned (its telemetry names a host) gets its
+        ``repro_worker_*`` series and one ``worker.slot`` span under
+        the open ``engine.run`` span; every outcome is appended to the
+        run ledger (with the live pending depth when the scheduler
+        knows it).  Store hits and the stand-ins for lost or timed-out
+        batches name no host, so they get no worker series or span.
         """
-        report = outcome.worker_report
-        if report is not None:
-            if report.metrics is not None and self.metrics is not None:
-                self.metrics.merge_samples(report.metrics)
-            if report.spans and self.tracer is not None:
-                parent = (
-                    report.trace.parent_span_id
-                    if report.trace is not None
-                    else None
+        tele = outcome.telemetry
+        if tele is not None and tele.host is not None:
+            if self.metrics is not None:
+                _record_worker_slot(self.metrics, tele)
+            if self.tracer is not None:
+                self.tracer.record(
+                    "worker.slot",
+                    tele.wall_s + tele.compile_s + tele.certify_s,
+                    index=outcome.index,
+                    solver=tele.solver,
+                    worker=tele.worker,
+                    host=tele.host,
+                    ok=outcome.ok,
+                    iterations=tele.iterations,
+                    converged=bool(tele.converged),
                 )
-                self.tracer.adopt(report.spans, parent_id=parent)
         if self._run_ledger is not None:
             self._run_ledger.record_slot(outcome, pending=pending)
 
@@ -1159,12 +1077,6 @@ class HorizonEngine:
         reg = self.metrics
         if reg is None:
             return
-        from repro.obs.metrics import (
-            DEFAULT_ITERATION_BUCKETS,
-            DEFAULT_RESIDUAL_BUCKETS,
-            DEFAULT_TIME_BUCKETS,
-        )
-
         solver = summary.solver
         reg.counter("repro_engine_runs_total", solver=solver, executor=summary.executor).inc()
         reg.gauge("repro_engine_last_run_seconds", solver=solver).set(summary.wall_s)
@@ -1291,7 +1203,8 @@ class HorizonEngine:
                         )
                     except Exception as exc:
                         outcomes[index] = _failed_outcome(
-                            index, exc, self.solver.name, wall_s=load_s
+                            index, exc, self.solver.name, wall_s=load_s,
+                            host=None,
                         )
                     self._absorb(outcomes[index])
 
@@ -1313,21 +1226,28 @@ class HorizonEngine:
                 else:
                     client = InProcessClient()
                 owns = True
+                stats.client = client.name
         else:
             stats.usable = usable_cpu_count()
-            if isinstance(spec, str):
+            if not isinstance(spec, str):
+                client = spec
+            elif to_solve:
+                # Built only when there is work: an all-hit store run
+                # spawns no workers, yet its summary names the client.
                 client = create_client(
                     spec, workers=self.workers, oversubscribe=self.oversubscribe
                 )
                 owns = True
-            else:
-                client = spec
-            effective = 1 if warm_start else getattr(client, "workers", 1)
-            stats.decision = f"client:{client.name}"
-            stats.executor = client.name
+            elif spec not in available_clients():
+                raise KeyError(f"unknown execution client {spec!r}")
+            name = spec if client is None else client.name
+            effective = 1
+            if client is not None and not warm_start:
+                effective = getattr(client, "workers", 1)
+            stats.decision = f"client:{name}"
+            stats.executor = stats.client = name
         stats.effective = effective
         stats.start_method = getattr(client, "start_method", None)
-        stats.client = None if client is None else client.name
         asynchronous = bool(getattr(client, "asynchronous", False))
         supervisor: FleetSupervisor | None = None
 
@@ -1407,7 +1327,6 @@ class HorizonEngine:
                         self.certifier,
                         self.resilience,
                         batched,
-                        self._run_plan,
                     )
                     for chunk in chunks
                 ]

@@ -42,13 +42,6 @@ from repro.obs.metrics import (
 from repro.obs.records import ResidualTrace, SlotTelemetry
 from repro.obs.spans import NULL_TRACER, NullSpanTracer, Span, SpanTracer, as_tracer
 from repro.obs.summary import HorizonSummary
-from repro.obs.worker import (
-    TraceContext,
-    WorkerObsPlan,
-    WorkerReport,
-    profile_hotspots,
-    slot_metrics,
-)
 
 __all__ = [
     "SlotTelemetry",
@@ -67,11 +60,6 @@ __all__ = [
     "NullSpanTracer",
     "NULL_TRACER",
     "as_tracer",
-    "TraceContext",
-    "WorkerObsPlan",
-    "WorkerReport",
-    "profile_hotspots",
-    "slot_metrics",
     "RunLedger",
     "LedgerRun",
     "new_run_id",

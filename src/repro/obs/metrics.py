@@ -23,8 +23,9 @@ formats are compared against in tests.
 
 Everything here is stdlib-only and process-local by design: metrics
 incremented inside process-pool workers die with the worker, which is
-why the engine records its per-slot metrics in the parent from the
-outcomes the workers ship back.
+why the engine records every per-slot series — its own and the
+``repro_worker_*`` ones — in the parent, from the telemetry on the
+outcomes the workers send home.
 """
 
 from __future__ import annotations
@@ -336,9 +337,8 @@ class MetricsRegistry:
     def merge_samples(self, data: Mapping[str, Any]) -> None:
         """Fold a :meth:`to_dict` payload into this registry.
 
-        This is how worker-side registries shipped back in
-        :class:`~repro.obs.worker.WorkerReport` payloads are folded into
-        the parent process:
+        This is how :meth:`from_dict` rebuilds a registry and
+        :meth:`merge` combines two:
 
         - **counters** and **histograms** accumulate (counts, sums and
           observation counts add element-wise);

@@ -43,6 +43,10 @@ class SlotTelemetry:
         store_hit: the slot was resolved from the persistent result
             store instead of solved; ``wall_s`` is then the disk load
             time.
+        host: node name of the machine whose process solved the slot
+            (socket fleets span machines); None when no worker solved
+            it — a store hit, or the parent's stand-in for a slot whose
+            worker was lost or timed out.
     """
 
     solver: str
@@ -56,6 +60,7 @@ class SlotTelemetry:
     error_type: str | None = None
     certify_s: float = 0.0
     store_hit: bool = False
+    host: str | None = None
 
     @property
     def ok(self) -> bool:

@@ -5,7 +5,9 @@ and CPU durations, and free-form attributes (message counts, byte
 volumes, residuals, staleness observations).  A :class:`SpanTracer`
 hands out spans, maintains the parent chain through a stack and keeps
 every finished span in memory (:meth:`SpanTracer.to_dicts` exports
-them).
+them).  Work timed in another process — a worker's slot — is recorded
+from its measured wall time with :meth:`SpanTracer.record`, under
+whichever span is open; no span crosses a process boundary.
 
 The disabled default — :data:`NULL_TRACER` — short-circuits before any object is built, so instrumented loops cost
 one attribute check when tracing is off.
@@ -19,7 +21,7 @@ import itertools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterator
 
 __all__ = ["Span", "SpanTracer", "NullSpanTracer", "NULL_TRACER", "as_tracer"]
 
@@ -98,39 +100,23 @@ class SpanTracer:
             self._stack.pop()
             self.spans.append(span)
 
-    def adopt(
-        self,
-        spans: Iterable[Mapping[str, Any]],
-        parent_id: int | None = None,
-    ) -> list[Span]:
-        """Re-parent remote span dicts into this tracer's id space.
+    def record(self, name: str, wall_s: float, **attributes: Any) -> Span:
+        """Record a span timed elsewhere as a child of the current span.
 
-        Worker processes trace their slots with their own tracer, whose
-        span ids collide with ours.  ``adopt`` takes the worker's
-        :meth:`to_dicts` output, allocates fresh local ids, rewrites the
-        internal parent links to match, and grafts any remote *root*
-        span (one whose parent is not in the batch) under ``parent_id``
-        — typically the engine span that submitted the work.  Adopted
-        spans land in :attr:`spans` exactly like locally finished spans.
+        For work measured outside this tracer's process — a worker's
+        slot, whose wall time comes home on the slot's telemetry (its
+        CPU time does not, so ``cpu_s`` stays 0).
         """
-        batch = [dict(s) for s in spans]
-        id_map = {
-            s["span_id"]: next(self._ids) for s in batch if "span_id" in s
-        }
-        adopted: list[Span] = []
-        for raw in batch:
-            remote_parent = raw.get("parent_id")
-            span = Span(
-                name=str(raw.get("name", "")),
-                span_id=id_map.get(raw.get("span_id"), next(self._ids)),
-                parent_id=id_map.get(remote_parent, parent_id),
-                wall_s=float(raw.get("wall_s", 0.0)),
-                cpu_s=float(raw.get("cpu_s", 0.0)),
-                attributes=dict(raw.get("attributes", {})),
-            )
-            self.spans.append(span)
-            adopted.append(span)
-        return adopted
+        parent = self._stack[-1] if self._stack else None
+        span = Span(
+            name=name,
+            span_id=next(self._ids),
+            parent_id=None if parent is None else parent.span_id,
+            wall_s=wall_s,
+            attributes=attributes,
+        )
+        self.spans.append(span)
+        return span
 
     def by_name(self, name: str) -> list[Span]:
         """All finished spans with the given name, in finish order."""
@@ -174,13 +160,9 @@ class NullSpanTracer:
         """Run the block untimed, yielding the shared inert span."""
         yield _NULL_SPAN
 
-    def adopt(
-        self,
-        spans: Iterable[Mapping[str, Any]],
-        parent_id: int | None = None,
-    ) -> list[Span]:
-        """Discard remote spans (tracing is off)."""
-        return []
+    def record(self, name: str, wall_s: float, **attributes: Any) -> _NullSpan:
+        """Discard the span (tracing is off)."""
+        return _NULL_SPAN
 
     def by_name(self, name: str) -> list[Span]:
         """Always empty."""

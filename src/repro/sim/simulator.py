@@ -104,15 +104,13 @@ class Simulator:
             :class:`~repro.exec.ResultStore` or directory path);
             repeated runs resolve unchanged slots from disk.
         tracer: optional :class:`~repro.obs.SpanTracer`; every run
-            opens an ``engine.run`` span and adopts worker-side spans
-            under it (one trace across local and remote work).
+            opens an ``engine.run`` span with one ``worker.slot`` child
+            per slot a worker returned (one trace across local and
+            remote work).
         ledger: optional run-ledger directory (or
             :class:`~repro.obs.RunLedger`); every run persists its
             header, per-slot outcome stream and summary as a JSONL
             manifest that ``repro top`` / ``repro runs`` consume.
-        worker_profile: when > 0, profile each slot's solve in the
-            worker and ship the top-N cProfile hotspot rows back on
-            the outcome's :class:`~repro.obs.WorkerReport`.
         supervision: fleet supervision policy (a
             :class:`~repro.exec.SupervisorConfig`, or True for the
             defaults); lost or straggling slots are resubmitted/hedged
@@ -135,7 +133,6 @@ class Simulator:
         store: ResultStore | str | None = None,
         tracer: object | None = None,
         ledger: object | None = None,
-        worker_profile: int = 0,
         supervision: object | None = None,
     ) -> None:
         if model.num_datacenters != bundle.num_datacenters:
@@ -167,7 +164,6 @@ class Simulator:
         self.store = store
         self.tracer = tracer
         self.ledger = ledger
-        self.worker_profile = int(worker_profile)
         self.supervision = supervision
 
     def problem_for_slot(self, t: int, strategy: Strategy) -> UFCProblem:
@@ -243,7 +239,6 @@ class Simulator:
             store=self.store,
             tracer=self.tracer,
             ledger=self.ledger,
-            worker_profile=self.worker_profile,
             supervision=self.supervision,
         )
 

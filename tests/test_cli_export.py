@@ -29,7 +29,12 @@ class TestParser:
         assert args.kind == "tax"
 
     def test_unknown_command_rejected(self):
-        for argv in (["frobnicate"], ["--telemetry-out", "x.jsonl", "simulate"]):
+        for argv in (
+            ["frobnicate"],
+            ["--telemetry-out", "x.jsonl", "simulate"],
+            ["--worker-profile", "3", "simulate"],
+            ["simulate", "--worker-profile", "3"],
+        ):
             with pytest.raises(SystemExit) as exc:
                 build_parser().parse_args(argv)
             assert exc.value.code == 2

@@ -178,7 +178,7 @@ class TestWorkerDeathTelemetry:
         # at slot 8.  The run must finish on the surviving worker, the
         # lost batch must come back as per-slot WorkerLostError
         # outcomes, and every completed slot's worker metrics and spans
-        # must still merge into the parent.
+        # must still be derived in the parent from its telemetry.
         solver = _KamikazeSolver(problem_digest(problems[8], "kamikaze"))
         metrics = MetricsRegistry()
         tracer = SpanTracer()
@@ -202,12 +202,14 @@ class TestWorkerDeathTelemetry:
         assert all(o.result is None for o in lost)
         completed = [o for o in outcomes if o.error is None]
         assert len(completed) == 18
-        assert all(o.worker_report is not None for o in completed)
+        assert all(o.telemetry.host is not None for o in completed)
+        assert all(o.telemetry.host is None for o in lost)
         assert engine.last_summary.failed_slots == 6
         # The fleet shrank but kept serving.
         assert client.workers == 1
 
-        # Merged worker metrics cover exactly the completed slots.
+        # Worker metrics and spans cover exactly the completed slots:
+        # the parent's stand-ins for the lost batch name no host.
         slots_total = sum(
             value
             for name, _, value in metrics.samples()

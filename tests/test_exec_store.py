@@ -236,6 +236,33 @@ class TestEngineWarmRuns:
             o.certificate is not None and o.certificate.ok for o in outcomes
         )
 
+    @pytest.mark.parametrize("client", ["in-process", "socket"])
+    def test_all_hit_run_builds_no_client(
+        self, problems, tmp_path, monkeypatch, client
+    ):
+        # Nothing to solve means no workers to spawn: the second run
+        # never reaches the client factory, yet names the client.
+        first = HorizonEngine("centralized", store=tmp_path, client="in-process")
+        cold = first.run(problems[:4])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an all-hit run built an execution client")
+
+        monkeypatch.setattr("repro.engine.horizon.create_client", refuse)
+        engine = HorizonEngine(
+            "centralized", store=tmp_path, client=client, workers=2
+        )
+        outcomes = engine.run(problems[:4])
+        summary = engine.last_summary
+        assert summary.store_hits == 4
+        assert summary.client == summary.executor == client
+        assert summary.decision == f"client:{client}"
+        assert [o.result.ufc for o in outcomes] == [o.result.ufc for o in cold]
+        with pytest.raises(KeyError, match="bogus"):
+            HorizonEngine("centralized", store=tmp_path, client="bogus").run(
+                problems[:4]
+            )
+
 
 class TestQuarantineAndVerify:
     def test_corrupt_entry_is_quarantined_on_first_read(self, tmp_path):

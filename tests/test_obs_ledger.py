@@ -43,7 +43,6 @@ def _fake_outcome(index, wall_s=0.004, worker=1234, error=None):
         attempts=1,
         degraded=False,
         fallback_solver=None,
-        worker_report=None,
         telemetry=SlotTelemetry(
             solver="centralized",
             wall_s=wall_s,

@@ -59,39 +59,22 @@ class TestSpanTracer:
         assert as_tracer(real) is real
 
 
-class TestAdopt:
-    def _remote_dicts(self):
-        # A worker's tracer: a root span with one child, exported as
-        # plain dicts with worker-local ids.
-        remote = SpanTracer()
-        with remote.span("worker.slot", index=7):
-            with remote.span("worker.solve"):
-                pass
-        return remote.to_dicts()
-
-    def test_adopt_reparents_roots_and_remaps_ids(self):
-        parent = SpanTracer()
-        with parent.span("engine.run") as run_span:
-            adopted = parent.adopt(self._remote_dicts(), parent_id=run_span.span_id)
-        by_name = {s.name: s for s in adopted}
-        root = by_name["worker.slot"]
-        child = by_name["worker.solve"]
-        # Remote roots graft under the given parent; internal links are
-        # rewritten to the fresh local ids.
-        assert root.parent_id == run_span.span_id
-        assert child.parent_id == root.span_id
-        assert root.attributes["index"] == 7
-
-    def test_adopted_ids_never_collide_with_local_spans(self):
-        parent = SpanTracer()
-        with parent.span("local.a"):
-            pass
-        adopted = parent.adopt(self._remote_dicts())
-        local_ids = {s.span_id for s in parent.spans if s not in adopted}
-        assert not local_ids & {s.span_id for s in adopted}
-        # Without a parent_id, remote roots stay roots.
-        root = next(s for s in adopted if s.name == "worker.slot")
-        assert root.parent_id is None
+class TestRecord:
+    def test_record_hangs_under_the_open_span(self):
+        # Work timed elsewhere (a worker's slot) is recorded with its
+        # measured wall time as a child of whichever span is open.
+        tracer = SpanTracer()
+        with tracer.span("engine.run") as run_span:
+            recorded = tracer.record("worker.slot", 0.25, index=7)
+        assert recorded.parent_id == run_span.span_id
+        assert recorded.wall_s == 0.25 and recorded.cpu_s == 0.0
+        assert recorded.attributes == {"index": 7}
+        assert tracer.by_name("worker.slot") == [recorded]
+        assert len({s.span_id for s in tracer.spans}) == 2
+        # With no span open it is a root; the null tracer keeps nothing.
+        assert tracer.record("loose", 0.1).parent_id is None
+        NULL_TRACER.record("worker.slot", 0.25, index=7)
+        assert NULL_TRACER.spans == []
 
 
 class TestDistributedSpans:
