@@ -13,24 +13,19 @@ and fails when the lane is slower than its floor allows:
   12 perturbed slots warm (previous iterates plus the per-iteration
   factor cache) is faster per slot than re-solving them cold;
 - ``store_warm`` — re-running a horizon against the result store it
-  just filled is at least 5x faster than the run that filled it;
-- ``resilience_idle`` and ``supervision_sync`` — an armed but idle
-  retry/fallback config, and ``supervision=True`` on the synchronous
-  path, each cost < 2 % over the plain engine, taken as the minimum
-  over 5 order-balanced rounds.  Both sides of these two floors run
-  serially in this process, so they are timed in process CPU time
-  (``time.process_time``), which leaves out time the process spends
-  descheduled.  It does not remove changes in the host CPU's speed,
-  and a guest kernel that charges hypervisor steal time to the running
-  process reads it equal to wall-clock time.  Every other floor is
-  timed in wall-clock time (``time.perf_counter``).
+  just filled is at least 5x faster than the run that filled it.
 
-A round runs reference, lane, reference and ratios the lane against
-the mean of the two references around it, so the systematic warm-up
-drift within a round cancels.  Interference only ever slows a run:
-a speedup floor gates the worst round (a real regression slows every
-round) and an overhead floor gates the least-slowed one (a real cost
-lifts every round, a noise spike only some).
+Every floor is timed in wall-clock time (``time.perf_counter``).  A
+round runs reference, lane, reference and ratios the lane against the
+mean of the two references around it, so the systematic warm-up drift
+within a round cancels.  A speedup floor gates the worst round: a real
+regression slows every round.
+
+The overhead of an armed but idle resilience config and of
+synchronous supervision is not timed here.  A few percent is below
+what wall-clock rounds resolve on a shared host, so
+``tests/test_overhead_counts.py`` gates both by Python call and
+retained-allocation counts per slot instead.
 
 The paper week is the workload: 3 strategies x ``--hours`` slots of
 the default bundle.  Correctness of every lane (bit-identity, parity,
@@ -62,7 +57,6 @@ import numpy as np
 
 from repro.core.strategies import ALL_STRATEGIES, HYBRID
 from repro.engine import HorizonEngine
-from repro.engine.resilience import ResilienceConfig, RetryPolicy
 from repro.instances import ScaleSpec, generate_instance
 from repro.optim.kkt import (
     StructuredQPCompiler,
@@ -93,36 +87,32 @@ def week_problems(hours: int, seed: int = SEED) -> list:
 
 def engine_seconds(
     problems: list, solver: str = "centralized", warm_start: bool = False,
-    clock: Callable[[], float] = time.perf_counter, **engine_kwargs,
+    **engine_kwargs,
 ) -> float:
-    """Seconds of one engine run over ``problems``, read on ``clock``."""
+    """Wall seconds of one engine run over ``problems``."""
     engine = HorizonEngine(solver, **engine_kwargs)
-    start = clock()
+    start = time.perf_counter()
     engine.run(problems, warm_start=warm_start)
-    return clock() - start
+    return time.perf_counter() - start
 
 
 def balanced_rounds(
-    rounds: int,
-    reference: Callable[..., float],
-    lane: Callable[..., float],
-    clock: Callable[[], float] = time.perf_counter,
+    rounds: int, reference: Callable[[], float], lane: Callable[[], float]
 ) -> tuple[list[float], float, float]:
     """Order-balanced rounds of ``lane`` against ``reference``.
 
     After one unmeasured run of each side, every round runs reference,
-    lane, reference, each timed on ``clock``.  Returns each round's
-    lane time over the mean of its two reference times, plus the best
-    time of each side.
+    lane, reference.  Returns each round's lane time over the mean of
+    its two reference times, plus the best time of each side.
     """
-    reference(clock=clock)
-    lane(clock=clock)
+    reference()
+    lane()
     ratios: list[float] = []
     ref_best = lane_best = float("inf")
     for _ in range(rounds):
-        r1 = reference(clock=clock)
-        t = lane(clock=clock)
-        r2 = reference(clock=clock)
+        r1 = reference()
+        t = lane()
+        r2 = reference()
         ratios.append(t / ((r1 + r2) / 2.0))
         ref_best = min(ref_best, r1, r2)
         lane_best = min(lane_best, t)
@@ -151,23 +141,6 @@ def speedup_floor(rounds: int, reference, lane, floor: float) -> dict:
     worst = min(speedups)
     return _record(
         "worst-round speedup", speedups, worst, floor, worst >= floor,
-        ref_s, lane_s,
-    )
-
-
-def overhead_floor(rounds: int, reference, lane, budget: float) -> dict:
-    """Gate the least-slowed round's overhead (lane / reference - 1).
-
-    Timed in process CPU time: both sides must run serially in this
-    process, or their work would not be counted.
-    """
-    ratios, ref_s, lane_s = balanced_rounds(
-        rounds, reference, lane, clock=time.process_time
-    )
-    overheads = [r - 1.0 for r in ratios]
-    low = min(overheads)
-    return _record(
-        "min-round overhead", overheads, low, budget, low < budget,
         ref_s, lane_s,
     )
 
@@ -247,9 +220,6 @@ def run_floors(hours: int = WEEK_HOURS, seed: int = SEED) -> dict:
     """Time every floor and summarize as a JSON-ready dict."""
     problems = week_problems(hours, seed)
     serial = partial(engine_seconds, problems)
-    armed = ResilienceConfig(
-        retry=RetryPolicy(max_attempts=2), fallback=("proportional",)
-    )
     floors = {
         "batched": speedup_floor(
             3, serial, partial(serial, "centralized-batch"), 1.5
@@ -262,12 +232,6 @@ def run_floors(hours: int = WEEK_HOURS, seed: int = SEED) -> dict:
         ),
         "structured_warm": structured_warm_floor(seed=seed),
         "store_warm": store_warm_floor(problems),
-        "resilience_idle": overhead_floor(
-            5, serial, partial(serial, resilience=armed), 0.02
-        ),
-        "supervision_sync": overhead_floor(
-            5, serial, partial(serial, supervision=True), 0.02
-        ),
     }
     return {
         "hours": hours,

@@ -39,7 +39,6 @@ from repro.distributed.messages import (
     SimulatedNetwork,
 )
 from repro.faults.plan import FaultEvent, FaultInjector, RecoveryPolicy
-from repro.obs.spans import as_tracer
 
 __all__ = ["DistributedRun", "DistributedRuntime"]
 
@@ -110,12 +109,6 @@ class DistributedRuntime:
     (same scaling, same stopping rule) but executes through agents and
     messages.  The solver object supplies the hyper-parameters.
 
-    Pass a :class:`~repro.obs.SpanTracer` as ``tracer`` to record one
-    ``distributed.solve`` span plus a ``distributed.round`` span per
-    iteration carrying message counts, serialized byte volume, relative
-    residuals, and per-agent subproblem seconds.  Tracing never touches
-    the arithmetic: solutions are bit-identical with or without it.
-
     Pass a :class:`~repro.faults.plan.FaultInjector` as ``faults`` to
     run the self-healing loop under injected faults; ``recovery``
     configures its checkpoint/watchdog/retransmit budgets.  With
@@ -128,7 +121,6 @@ class DistributedRuntime:
         problem: UFCProblem,
         solver: DistributedUFCSolver | None = None,
         network: SimulatedNetwork | None = None,
-        tracer: object | None = None,
         faults: FaultInjector | None = None,
         recovery: RecoveryPolicy | None = None,
     ) -> None:
@@ -142,7 +134,6 @@ class DistributedRuntime:
 
             network = FaultyNetwork(faults, self.recovery.retransmit)
         self.network = network if network is not None else SimulatedNetwork()
-        self.tracer = as_tracer(tracer)
         view, inputs = self.view, self.scaled_inputs
         strategy = problem.strategy
         mu_caps = strategy.effective_mu_max(view.mu_max)
@@ -195,16 +186,9 @@ class DistributedRuntime:
         """
         m = len(self.frontends)
         n = len(self.datacenters)
-        traced = self.tracer.enabled
-        fe_seconds = 0.0
-        dc_seconds = 0.0
         # Wave 1: proposals out.
         for fe in self.frontends:
-            if traced:
-                t0 = time.perf_counter()
             lam_pred, varphi = fe.propose()
-            if traced:
-                fe_seconds += time.perf_counter() - t0
             for j in range(n):
                 self.network.send(
                     RoutingProposal(
@@ -223,11 +207,7 @@ class DistributedRuntime:
                 i = int(msg.sender[2:])
                 lam_col[i] = msg.lam
                 varphi_col[i] = msg.varphi
-            if traced:
-                t0 = time.perf_counter()
             a_pred = dc.process(lam_col, varphi_col)
-            if traced:
-                dc_seconds += time.perf_counter() - t0
             for i in range(m):
                 self.network.send(
                     RoutingAssignment(
@@ -254,7 +234,6 @@ class DistributedRuntime:
             max(dc.last_mu_change for dc in self.datacenters),
             max(dc.last_nu_change for dc in self.datacenters),
         )
-        self._last_agent_seconds = (fe_seconds, dc_seconds)
         return coupling, power, routing_change, power_change
 
     def run(self) -> DistributedRun:
@@ -278,45 +257,18 @@ class DistributedRuntime:
         power_hist: list[float] = []
         converged = False
         it = 0
-        traced = self.tracer.enabled
-        with self.tracer.span(
-            "distributed.solve",
-            frontends=len(self.frontends),
-            datacenters=len(self.datacenters),
-            strategy=self.problem.strategy.name,
-        ) as solve_span:
-            for it in range(1, self.solver.max_iter + 1):
-                with self.tracer.span("distributed.round", round=it) as span:
-                    messages0 = self.network.messages_sent
-                    bytes0 = self.network.bytes_sent
-                    coupling, power, routing_change, power_change = self._round()
-                    coupling_rel = coupling / arrival_scale
-                    power_rel = power / power_scale
-                    change_rel = max(
-                        routing_change / arrival_scale, power_change / power_scale
-                    )
-                    if traced:
-                        fe_s, dc_s = self._last_agent_seconds
-                        span.set(
-                            messages=self.network.messages_sent - messages0,
-                            bytes=self.network.bytes_sent - bytes0,
-                            coupling_residual=coupling_rel,
-                            power_residual=power_rel,
-                            frontend_subproblem_s=fe_s,
-                            datacenter_subproblem_s=dc_s,
-                        )
-                coupling_hist.append(coupling_rel)
-                power_hist.append(power_rel)
-                if max(coupling_rel, power_rel, change_rel) < self.solver.tol:
-                    converged = True
-                    break
-            if traced:
-                solve_span.set(
-                    iterations=it,
-                    converged=converged,
-                    messages=self.network.messages_sent,
-                    bytes=self.network.bytes_sent,
-                )
+        for it in range(1, self.solver.max_iter + 1):
+            coupling, power, routing_change, power_change = self._round()
+            coupling_rel = coupling / arrival_scale
+            power_rel = power / power_scale
+            change_rel = max(
+                routing_change / arrival_scale, power_change / power_scale
+            )
+            coupling_hist.append(coupling_rel)
+            power_hist.append(power_rel)
+            if max(coupling_rel, power_rel, change_rel) < self.solver.tol:
+                converged = True
+                break
 
         lam_servers = (
             np.vstack([fe.lam for fe in self.frontends]) * view.workload_scale
@@ -500,135 +452,105 @@ class DistributedRuntime:
         prev_metric = math.inf
         checkpoint = self._take_checkpoint(0)
         previously_crashed: frozenset[str] = frozenset()
-        traced = self.tracer.enabled
-        with self.tracer.span(
-            "distributed.solve",
-            frontends=len(self.frontends),
-            datacenters=len(self.datacenters),
-            strategy=self.problem.strategy.name,
-            fault_plan=injector.plan.name,
-        ) as solve_span:
-            for it in range(1, self.solver.max_iter + 1):
-                stragglers = net.advance_round(it) if hasattr(
-                    net, "advance_round"
-                ) else 0
-                crashed = injector.crashed_agents(it)
-                for agent_id in sorted(crashed - previously_crashed):
-                    injector.record("crash", it, agent_id)
-                for agent_id in sorted(previously_crashed - crashed):
-                    self._restore_one_agent(agent_id, checkpoint)
+        for it in range(1, self.solver.max_iter + 1):
+            if hasattr(net, "advance_round"):
+                net.advance_round(it)
+            crashed = injector.crashed_agents(it)
+            for agent_id in sorted(crashed - previously_crashed):
+                injector.record("crash", it, agent_id)
+            for agent_id in sorted(previously_crashed - crashed):
+                self._restore_one_agent(agent_id, checkpoint)
+                injector.record(
+                    "checkpoint_restore",
+                    it,
+                    agent_id,
+                    f"rejoined from round-{checkpoint['round']} checkpoint",
+                )
+                injector.record("revive", it, agent_id)
+            previously_crashed = crashed
+            blown = False
+            try:
+                coupling, power, routing_change, power_change = (
+                    self._round_resilient(it, crashed)
+                )
+            except Exception as exc:
+                # A corrupted payload can crash a subproblem
+                # outright; that is a divergence event, not a
+                # run-killer.
+                injector.record(
+                    "round_error",
+                    it,
+                    "fleet",
+                    f"{type(exc).__name__}: {exc}",
+                )
+                blown = True
+                coupling_rel = power_rel = change_rel = math.nan
+            if not blown:
+                coupling_rel = coupling / arrival_scale
+                power_rel = power / power_scale
+                change_rel = max(
+                    routing_change / arrival_scale,
+                    power_change / power_scale,
+                )
+                coupling_hist.append(coupling_rel)
+                power_hist.append(power_rel)
+                metric = max(coupling_rel, power_rel)
+                if not math.isfinite(metric) or not self._fleet_finite():
+                    blown = True
+                elif crashed:
+                    # A half-fleet cannot be expected to
+                    # contract; growth tracking resumes once
+                    # everyone is back up.
+                    growth_streak = 0
+                    prev_metric = math.inf
+                elif (
+                    it > rec.watchdog_warmup
+                    and metric > prev_metric * rec.growth_factor
+                ):
+                    growth_streak += 1
+                    prev_metric = metric
+                else:
+                    growth_streak = 0
+                    prev_metric = metric
+            if blown or growth_streak >= rec.watchdog_window:
+                reason = (
+                    "non-finite residual" if blown
+                    else f"{growth_streak} consecutive growing rounds"
+                )
+                if restarts < rec.max_restarts:
+                    restarts += 1
+                    self._restore_fleet(checkpoint, restarts)
+                    if hasattr(net, "reset_in_flight"):
+                        net.reset_in_flight()
                     injector.record(
-                        "checkpoint_restore",
-                        it,
-                        agent_id,
-                        f"rejoined from round-{checkpoint['round']} checkpoint",
-                    )
-                    injector.record("revive", it, agent_id)
-                previously_crashed = crashed
-                with self.tracer.span("distributed.round", round=it) as span:
-                    messages0 = net.messages_sent
-                    bytes0 = net.bytes_sent
-                    blown = False
-                    try:
-                        coupling, power, routing_change, power_change = (
-                            self._round_resilient(it, crashed)
-                        )
-                    except Exception as exc:
-                        # A corrupted payload can crash a subproblem
-                        # outright; that is a divergence event, not a
-                        # run-killer.
-                        injector.record(
-                            "round_error",
-                            it,
-                            "fleet",
-                            f"{type(exc).__name__}: {exc}",
-                        )
-                        blown = True
-                        coupling_rel = power_rel = change_rel = math.nan
-                    if not blown:
-                        coupling_rel = coupling / arrival_scale
-                        power_rel = power / power_scale
-                        change_rel = max(
-                            routing_change / arrival_scale,
-                            power_change / power_scale,
-                        )
-                        coupling_hist.append(coupling_rel)
-                        power_hist.append(power_rel)
-                        metric = max(coupling_rel, power_rel)
-                        if not math.isfinite(metric) or not self._fleet_finite():
-                            blown = True
-                        elif crashed:
-                            # A half-fleet cannot be expected to
-                            # contract; growth tracking resumes once
-                            # everyone is back up.
-                            growth_streak = 0
-                            prev_metric = math.inf
-                        elif (
-                            it > rec.watchdog_warmup
-                            and metric > prev_metric * rec.growth_factor
-                        ):
-                            growth_streak += 1
-                            prev_metric = metric
-                        else:
-                            growth_streak = 0
-                            prev_metric = metric
-                    if traced:
-                        span.set(
-                            messages=net.messages_sent - messages0,
-                            bytes=net.bytes_sent - bytes0,
-                            coupling_residual=coupling_rel,
-                            power_residual=power_rel,
-                            crashed_agents=len(crashed),
-                            stragglers_applied=stragglers,
-                        )
-                if blown or growth_streak >= rec.watchdog_window:
-                    reason = (
-                        "non-finite residual" if blown
-                        else f"{growth_streak} consecutive growing rounds"
-                    )
-                    if restarts < rec.max_restarts:
-                        restarts += 1
-                        self._restore_fleet(checkpoint, restarts)
-                        if hasattr(net, "reset_in_flight"):
-                            net.reset_in_flight()
-                        injector.record(
-                            "watchdog_trip",
-                            it,
-                            "fleet",
-                            f"{reason}; restart {restarts} from round "
-                            f"{checkpoint['round']}, eps -> "
-                            f"{self.frontends[0].eps:.3f}",
-                        )
-                        injector.record(
-                            "checkpoint_restore", it, "fleet", "watchdog restart"
-                        )
-                        growth_streak = 0
-                        prev_metric = math.inf
-                        continue
-                    injector.record(
-                        "watchdog_exhausted",
+                        "watchdog_trip",
                         it,
                         "fleet",
-                        f"{reason}; restart budget ({rec.max_restarts}) spent",
+                        f"{reason}; restart {restarts} from round "
+                        f"{checkpoint['round']}, eps -> "
+                        f"{self.frontends[0].eps:.3f}",
                     )
-                    degraded = True
-                    break
-                if growth_streak == 0 and it % rec.checkpoint_every == 0:
-                    checkpoint = self._take_checkpoint(it)
-                if not crashed and max(
-                    coupling_rel, power_rel, change_rel
-                ) < self.solver.tol:
-                    converged = True
-                    break
-            if traced:
-                solve_span.set(
-                    iterations=it,
-                    converged=converged,
-                    degraded=degraded,
-                    messages=net.messages_sent,
-                    bytes=net.bytes_sent,
-                    restarts=restarts,
+                    injector.record(
+                        "checkpoint_restore", it, "fleet", "watchdog restart"
+                    )
+                    growth_streak = 0
+                    prev_metric = math.inf
+                    continue
+                injector.record(
+                    "watchdog_exhausted",
+                    it,
+                    "fleet",
+                    f"{reason}; restart budget ({rec.max_restarts}) spent",
                 )
+                degraded = True
+                break
+            if growth_streak == 0 and it % rec.checkpoint_every == 0:
+                checkpoint = self._take_checkpoint(it)
+            if not crashed and max(
+                coupling_rel, power_rel, change_rel
+            ) < self.solver.tol:
+                converged = True
+                break
 
         lam_scaled = np.vstack([fe.lam for fe in self.frontends])
         if not np.isfinite(lam_scaled).all():

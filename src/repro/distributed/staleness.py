@@ -28,7 +28,6 @@ from repro.core.problem import UFCProblem
 from repro.core.repair import polish_allocation
 from repro.core.solution import Allocation
 from repro.distributed.agents import DatacenterAgent, FrontEndAgent
-from repro.obs.spans import as_tracer
 
 __all__ = ["StaleRun", "StalenessRuntime"]
 
@@ -79,13 +78,6 @@ class StalenessRuntime:
         delay_probability: per-message chance of arriving next round.
         seed: RNG seed for delays.
         stable_rounds: consecutive below-tolerance rounds required.
-        tracer: optional :class:`~repro.obs.SpanTracer`; records one
-            ``distributed.stale_solve`` span plus per-round
-            ``distributed.stale_round`` spans carrying staleness
-            observations (messages sent/delayed this round, stragglers
-            applied at round start) and the round residual.  Tracing
-            never consumes the delay RNG, so runs are bit-identical
-            with or without it.
     """
 
     def __init__(
@@ -95,7 +87,6 @@ class StalenessRuntime:
         delay_probability: float = 0.1,
         seed: int = 0,
         stable_rounds: int = 3,
-        tracer: object | None = None,
     ) -> None:
         if not 0.0 <= delay_probability < 1.0:
             raise ValueError(
@@ -151,7 +142,6 @@ class StalenessRuntime:
         self.delayed_messages = 0
         self.total_messages = 0
         self.floats_sent = 0
-        self.tracer = as_tracer(tracer)
 
     def _transmit(self, kind: str, i: int, j: int, v1: float, v2: float = 0.0) -> bool:
         """Send one logical message; returns False when delayed."""
@@ -185,88 +175,61 @@ class StalenessRuntime:
         stable = 0
         converged = False
         it = 0
-        traced = self.tracer.enabled
-        with self.tracer.span(
-            "distributed.stale_solve",
-            frontends=m,
-            datacenters=n,
-            delay_probability=self.delay_probability,
-            stable_rounds=self.stable_rounds,
-        ) as solve_span:
-            for it in range(1, self.solver.max_iter + 1):
-                with self.tracer.span("distributed.stale_round", round=it) as span:
-                    messages0 = self.total_messages
-                    delayed0 = self.delayed_messages
-                    stragglers = len(self._pending)
-                    # Deliver last round's stragglers first.
-                    for msg in self._pending:
-                        self._apply(*msg)
-                    self._pending.clear()
+        for it in range(1, self.solver.max_iter + 1):
+            # Deliver last round's stragglers first.
+            for msg in self._pending:
+                self._apply(*msg)
+            self._pending.clear()
 
-                    # Front-ends propose against their own (fresh) state.
-                    for fe in self.frontends:
-                        lam_pred, varphi = fe.propose()
-                        for j in range(n):
-                            self._transmit(
-                                "proposal",
-                                fe.index,
-                                j,
-                                float(lam_pred[j]),
-                                float(varphi[j]),
-                            )
-                    # Datacenters act on their possibly stale views.
-                    for dc in self.datacenters:
-                        a_pred = dc.process(
-                            self._lam_view[:, dc.index].copy(),
-                            self._varphi_view[:, dc.index].copy(),
-                        )
-                        for i in range(m):
-                            self._transmit(
-                                "assignment", i, dc.index, float(a_pred[i])
-                            )
-                    # Front-ends integrate possibly stale assignment views.
-                    coupling = 0.0
-                    for fe in self.frontends:
-                        coupling = max(
-                            coupling, fe.integrate(self._a_view[fe.index].copy())
-                        )
-                    coupling_rel = coupling / arrival_scale
-                    coupling_hist.append(coupling_rel)
-                    power_rel = max(
-                        dc.last_power_residual for dc in self.datacenters
-                    ) / power_scale
-                    change_rel = max(
-                        max(fe.last_lam_change for fe in self.frontends)
-                        / arrival_scale,
-                        max(fe.last_a_change for fe in self.frontends)
-                        / arrival_scale,
-                        max(dc.last_mu_change for dc in self.datacenters)
-                        / power_scale,
-                        max(dc.last_nu_change for dc in self.datacenters)
-                        / power_scale,
+            # Front-ends propose against their own (fresh) state.
+            for fe in self.frontends:
+                lam_pred, varphi = fe.propose()
+                for j in range(n):
+                    self._transmit(
+                        "proposal",
+                        fe.index,
+                        j,
+                        float(lam_pred[j]),
+                        float(varphi[j]),
                     )
-                    if traced:
-                        span.set(
-                            messages=self.total_messages - messages0,
-                            delayed=self.delayed_messages - delayed0,
-                            stragglers_applied=stragglers,
-                            coupling_residual=coupling_rel,
-                            power_residual=power_rel,
-                        )
-                if max(coupling_rel, power_rel, change_rel) < self.solver.tol:
-                    stable += 1
-                    if stable >= self.stable_rounds:
-                        converged = True
-                        break
-                else:
-                    stable = 0
-            if traced:
-                solve_span.set(
-                    iterations=it,
-                    converged=converged,
-                    total_messages=self.total_messages,
-                    delayed_messages=self.delayed_messages,
+            # Datacenters act on their possibly stale views.
+            for dc in self.datacenters:
+                a_pred = dc.process(
+                    self._lam_view[:, dc.index].copy(),
+                    self._varphi_view[:, dc.index].copy(),
                 )
+                for i in range(m):
+                    self._transmit(
+                        "assignment", i, dc.index, float(a_pred[i])
+                    )
+            # Front-ends integrate possibly stale assignment views.
+            coupling = 0.0
+            for fe in self.frontends:
+                coupling = max(
+                    coupling, fe.integrate(self._a_view[fe.index].copy())
+                )
+            coupling_rel = coupling / arrival_scale
+            coupling_hist.append(coupling_rel)
+            power_rel = max(
+                dc.last_power_residual for dc in self.datacenters
+            ) / power_scale
+            change_rel = max(
+                max(fe.last_lam_change for fe in self.frontends)
+                / arrival_scale,
+                max(fe.last_a_change for fe in self.frontends)
+                / arrival_scale,
+                max(dc.last_mu_change for dc in self.datacenters)
+                / power_scale,
+                max(dc.last_nu_change for dc in self.datacenters)
+                / power_scale,
+            )
+            if max(coupling_rel, power_rel, change_rel) < self.solver.tol:
+                stable += 1
+                if stable >= self.stable_rounds:
+                    converged = True
+                    break
+            else:
+                stable = 0
 
         lam_servers = (
             np.vstack([fe.lam for fe in self.frontends]) * view.workload_scale

@@ -43,7 +43,7 @@ optional warm payload) → post-hoc timeout check → certify → outcome.
   client, depth-one per-slot submissions on an asynchronous one;
 - **per-slot records**: every outcome carries a
   :class:`~repro.obs.SlotTelemetry`; at harvest the parent derives
-  the ``repro_worker_*`` series and ``worker.slot`` spans from it,
+  the ``repro_worker_*`` series from it,
   :attr:`HorizonEngine.last_summary` aggregates the run, and an
   optional run ledger persists both.
 """
@@ -88,7 +88,6 @@ from repro.obs import (
     HorizonSummary,
     RunLedger,
     SlotTelemetry,
-    SpanTracer,
     interrupt_guard,
 )
 
@@ -545,7 +544,7 @@ def _solve_chunk(
     function, and the outcomes are all that comes back: each carries
     its :class:`~repro.obs.SlotTelemetry` (and, with ``certifier``,
     its certificate), from which the parent derives every per-slot
-    metric, span and ledger record.
+    metric and ledger record.
 
     The chunk runs through the per-slot :class:`_SlotStep` loop or,
     with ``batched``, through :meth:`_SlotStep.batch`.  With
@@ -724,11 +723,6 @@ class HorizonEngine:
             (and are re-certified in-process when ``certify`` is on),
             misses are solved and written back.  Degraded/fallback
             results are never stored.
-        tracer: optional :class:`~repro.obs.SpanTracer`.  Each run
-            opens an ``engine.run`` span and, at harvest, records one
-            ``worker.slot`` child per slot a worker returned, built
-            from its telemetry — so one trace covers local and remote
-            work.
         ledger: optional run ledger — a directory path (each run writes
             a fresh :class:`~repro.obs.RunLedger` there) or a
             :class:`~repro.obs.RunLedger` instance (single-use; the
@@ -762,7 +756,6 @@ class HorizonEngine:
         client: str | ExecutionClient | None = None,
         max_pending: int | None = None,
         store: ResultStore | str | os.PathLike | None = None,
-        tracer: SpanTracer | None = None,
         ledger: RunLedger | str | os.PathLike | None = None,
     ) -> None:
         if workers < 1:
@@ -797,7 +790,6 @@ class HorizonEngine:
             self.supervision = supervision
         else:
             self.supervision = None
-        self.tracer = tracer
         self.ledger = ledger
         self.last_summary: HorizonSummary | None = None
         self.last_ledger_path: Any | None = None
@@ -926,17 +918,6 @@ class HorizonEngine:
                     # SIGINT/SIGTERM/atexit leave a flushed, resumable
                     # .part ledger behind instead of an open handle.
                     stack.enter_context(interrupt_guard(ledger))
-                run_span = None
-                if self.tracer is not None:
-                    run_span = stack.enter_context(
-                        self.tracer.span(
-                            "engine.run",
-                            solver=self.solver.name,
-                            slots=len(problems),
-                            warm_start=warm_start,
-                            batched=batched,
-                        )
-                    )
                 # One key per slot, shared by the ledger header and
                 # the store probe.
                 keys: list[str] | None = None
@@ -972,12 +953,6 @@ class HorizonEngine:
                         None if stats.fleet is None else stats.fleet.to_dict()
                     ),
                 )
-                if run_span is not None:
-                    run_span.set(
-                        executor=summary.executor,
-                        failed=summary.failed_slots,
-                        store_hits=summary.store_hits,
-                    )
         except BaseException:
             if ledger is not None:
                 ledger.abandon()
@@ -1037,30 +1012,16 @@ class HorizonEngine:
         """Fold one harvested outcome into the parent-side observers.
 
         The single point where remote work meets the parent's
-        observers, all fed from the outcome's telemetry: a slot a
+        observers, both fed from the outcome's telemetry: a slot a
         worker returned (its telemetry names a host) gets its
-        ``repro_worker_*`` series and one ``worker.slot`` span under
-        the open ``engine.run`` span; every outcome is appended to the
-        run ledger (with the live pending depth when the scheduler
+        ``repro_worker_*`` series, and every outcome is appended to
+        the run ledger (with the live pending depth when the scheduler
         knows it).  Store hits and the stand-ins for lost or timed-out
-        batches name no host, so they get no worker series or span.
+        batches name no host, so they get no worker series.
         """
         tele = outcome.telemetry
-        if tele is not None and tele.host is not None:
-            if self.metrics is not None:
-                _record_worker_slot(self.metrics, tele)
-            if self.tracer is not None:
-                self.tracer.record(
-                    "worker.slot",
-                    tele.wall_s + tele.compile_s + tele.certify_s,
-                    index=outcome.index,
-                    solver=tele.solver,
-                    worker=tele.worker,
-                    host=tele.host,
-                    ok=outcome.ok,
-                    iterations=tele.iterations,
-                    converged=bool(tele.converged),
-                )
+        if self.metrics is not None and tele is not None and tele.host is not None:
+            _record_worker_slot(self.metrics, tele)
         if self._run_ledger is not None:
             self._run_ledger.record_slot(outcome, pending=pending)
 

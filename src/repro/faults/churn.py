@@ -61,9 +61,11 @@ class WorkerChurnSolver:
         self.marker_dir = marker_dir
 
     def compile(self, model: Any, strategy: Any) -> None:
+        """Nothing to compile: each solve builds its own centralized QP."""
         return None
 
     def solve(self, problem: Any, compiled: Any = None, warm: Any = None):
+        """The centralized answer, unless this slot's worker dies first."""
         digest = problem_digest(problem, self.name)
         if digest in self.die_digests:
             marker = os.path.join(self.marker_dir, digest[:24])

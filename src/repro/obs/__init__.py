@@ -1,15 +1,15 @@
-"""Opt-in observability: run ledger, metrics, spans, certificates.
+"""Opt-in observability: run ledger, metrics, summaries, certificates.
 
-The obs *primitives* — the run ledger, the metrics registry, span
-tracing, per-slot records and summaries — sit at the bottom of the
+The obs *primitives* — the run ledger, the metrics registry, per-slot
+records and summaries — sit at the bottom of the
 library (stdlib-only, importing nothing from other ``repro``
 packages).  Code above them — the solve engine, the simulator, the
 CLI, the benchmarks — records into whichever of them it was handed.
 The run ledger is the one persisted per-run event stream: a header,
-one record per slot, and the final :class:`HorizonSummary`.  Every
-channel is off by default (the span tracer's disabled form is
-:data:`NULL_TRACER`), so solves with observability off remain
-bit-identical and within noise of un-instrumented wall clock.
+one record per slot, and the final :class:`HorizonSummary`.  The
+ledger and the registry are off unless one is passed, so solves with
+observability off remain bit-identical and within noise of
+un-instrumented wall clock.
 
 The one exception is :mod:`repro.obs.certify`, which audits solutions
 against the compiled QP and therefore imports numpy/scipy and
@@ -40,7 +40,6 @@ from repro.obs.metrics import (
     parse_prometheus,
 )
 from repro.obs.records import ResidualTrace, SlotTelemetry
-from repro.obs.spans import NULL_TRACER, NullSpanTracer, Span, SpanTracer, as_tracer
 from repro.obs.summary import HorizonSummary
 
 __all__ = [
@@ -55,11 +54,6 @@ __all__ = [
     "DEFAULT_TIME_BUCKETS",
     "DEFAULT_ITERATION_BUCKETS",
     "DEFAULT_RESIDUAL_BUCKETS",
-    "Span",
-    "SpanTracer",
-    "NullSpanTracer",
-    "NULL_TRACER",
-    "as_tracer",
     "RunLedger",
     "LedgerRun",
     "new_run_id",

@@ -10,10 +10,10 @@ code asks the registry for a child and bumps it::
     reg.counter("repro_engine_slots_total", solver="centralized").inc()
     reg.histogram("repro_slot_solve_seconds").observe(0.012)
 
-Two exposition formats are supported and round-trip the same state:
+Two exposition formats expose the same state:
 
-- :meth:`MetricsRegistry.to_dict` / :meth:`MetricsRegistry.from_dict`
-  (JSON-ready nested dicts, what the CLI writes to disk);
+- :meth:`MetricsRegistry.to_dict` (JSON-ready nested dicts, what the
+  CLI writes to disk);
 - :meth:`MetricsRegistry.to_prometheus` (the Prometheus text format,
   with histograms expanded into cumulative ``_bucket``/``_sum``/
   ``_count`` samples) and :func:`parse_prometheus` to read it back.
@@ -30,12 +30,11 @@ outcomes the workers send home.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from bisect import bisect_left
 from threading import Lock
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 __all__ = [
     "Counter",
@@ -161,7 +160,9 @@ _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 class _Family:
     """One named metric with a fixed kind, label names and children."""
 
-    __slots__ = ("name", "kind", "help", "label_names", "buckets", "children")
+    __slots__ = (
+        "name", "kind", "help", "label_names", "orders", "buckets", "children"
+    )
 
     def __init__(
         self,
@@ -175,16 +176,21 @@ class _Family:
         self.kind = kind
         self.help = help
         self.label_names = label_names
+        # Label-name orders already checked against label_names.
+        self.orders: set[tuple[str, ...]] = {label_names}
         self.buckets = buckets
         self.children: dict[tuple[str, ...], Any] = {}
 
     def child(self, labels: Mapping[str, Any]):
-        names = tuple(sorted(str(k) for k in labels))
-        if names != self.label_names:
-            raise ValueError(
-                f"metric {self.name!r} was registered with labels "
-                f"{self.label_names}, got {names}"
-            )
+        order = tuple(labels)
+        if order not in self.orders:
+            names = tuple(sorted(str(k) for k in labels))
+            if names != self.label_names:
+                raise ValueError(
+                    f"metric {self.name!r} was registered with labels "
+                    f"{self.label_names}, got {names}"
+                )
+            self.orders.add(order)
         key = tuple(str(labels[k]) for k in self.label_names)
         metric = self.children.get(key)
         if metric is None:
@@ -201,7 +207,9 @@ class MetricsRegistry:
 
     Lookups are get-or-create and thread-safe; re-registering a name
     with a different kind, label set or bucket edges raises instead of
-    silently splitting the series.
+    silently splitting the series.  Names, label names and bucket
+    edges are validated once, when a family is created; later lookups
+    only check that they match it.
     """
 
     def __init__(self) -> None:
@@ -216,13 +224,41 @@ class MetricsRegistry:
         kind: str,
         help: str,
         labels: Mapping[str, Any],
-        buckets: tuple[float, ...] | None = None,
+        buckets: Sequence[float] | None = None,
     ) -> _Family:
+        family = self._families.get(name)
+        if family is None:
+            family = self._register(name, kind, help, labels, buckets)
+        if family.kind != kind:
+            raise ValueError(
+                f"metric {name!r} already registered as {family.kind}, "
+                f"cannot re-register as {kind}"
+            )
+        # tuple() of a tuple is the tuple itself, and 1 == 1.0, so the
+        # usual lookup with a bucket constant compares without copying.
+        if buckets is not None and family.buckets != tuple(buckets):
+            raise ValueError(
+                f"histogram {name!r} already registered with buckets "
+                f"{family.buckets}, got {tuple(buckets)}"
+            )
+        return family
+
+    def _register(
+        self,
+        name: str,
+        kind: str,
+        help: str,
+        labels: Mapping[str, Any],
+        buckets: Sequence[float] | None,
+    ) -> _Family:
+        """Validate and create a family (or return a racing thread's)."""
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name {name!r}")
         for label in labels:
             if not _LABEL_RE.match(str(label)):
                 raise ValueError(f"invalid label name {label!r}")
+        if buckets is not None:
+            buckets = tuple(float(e) for e in buckets)
         with self._lock:
             family = self._families.get(name)
             if family is None:
@@ -230,17 +266,6 @@ class MetricsRegistry:
                     name, kind, help, tuple(sorted(str(k) for k in labels)), buckets
                 )
                 self._families[name] = family
-            else:
-                if family.kind != kind:
-                    raise ValueError(
-                        f"metric {name!r} already registered as {family.kind}, "
-                        f"cannot re-register as {kind}"
-                    )
-                if buckets is not None and family.buckets != buckets:
-                    raise ValueError(
-                        f"histogram {name!r} already registered with buckets "
-                        f"{family.buckets}, got {buckets}"
-                    )
         return family
 
     def counter(self, name: str, help: str = "", **labels: Any) -> Counter:
@@ -259,8 +284,7 @@ class MetricsRegistry:
         **labels: Any,
     ) -> Histogram:
         """The histogram child for ``(name, labels)``, created on first use."""
-        edges = tuple(float(e) for e in buckets)
-        return self._family(name, "histogram", help, labels, edges).child(labels)
+        return self._family(name, "histogram", help, labels, buckets).child(labels)
 
     # -- canonical flat view --------------------------------------------------
 
@@ -320,62 +344,6 @@ class MetricsRegistry:
                 entry["buckets"] = list(family.buckets)
             families.append(entry)
         return {"families": families}
-
-    def to_json(self, indent: int | None = None) -> str:
-        """:meth:`to_dict` serialized to a JSON string."""
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MetricsRegistry":
-        """Reconstruct a registry from :meth:`to_dict` output."""
-        reg = cls()
-        reg.merge_samples(data)
-        return reg
-
-    # -- cross-process merging ------------------------------------------------
-
-    def merge_samples(self, data: Mapping[str, Any]) -> None:
-        """Fold a :meth:`to_dict` payload into this registry.
-
-        This is how :meth:`from_dict` rebuilds a registry and
-        :meth:`merge` combines two:
-
-        - **counters** and **histograms** accumulate (counts, sums and
-          observation counts add element-wise);
-        - **gauges** are last-write-wins, matching their local semantics;
-        - kind / label-set / bucket mismatches against an already
-          registered family raise instead of silently splitting series.
-        """
-        for entry in data.get("families", []):
-            name, kind, help_ = entry["name"], entry["kind"], entry.get("help", "")
-            buckets = tuple(entry["buckets"]) if "buckets" in entry else None
-            family = self._family(
-                name,
-                kind,
-                help_,
-                {k: "" for k in entry.get("label_names", [])},
-                buckets,
-            )
-            for child in entry.get("children", []):
-                metric = family.child(child["labels"])
-                if kind == "histogram":
-                    counts = [int(c) for c in child["counts"]]
-                    if len(counts) != len(metric.counts):
-                        raise ValueError(
-                            f"histogram {name!r} merge: bucket count mismatch "
-                            f"({len(counts)} vs {len(metric.counts)})"
-                        )
-                    metric.counts = [a + b for a, b in zip(metric.counts, counts)]
-                    metric.sum += float(child["sum"])
-                    metric.count += int(child["count"])
-                elif kind == "counter":
-                    metric.inc(float(child["value"]))
-                else:
-                    metric.set(float(child["value"]))
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's state into this one (see :meth:`merge_samples`)."""
-        self.merge_samples(other.to_dict())
 
     # -- Prometheus text exposition -------------------------------------------
 
@@ -470,11 +438,3 @@ def parse_prometheus(
             value = float(value_text)
         out[(match.group("name"), labels)] = value
     return out
-
-
-def registry_totals(samples: Iterable[tuple[str, Any, float]]) -> dict[str, float]:
-    """Sum sample values per metric name (small test/report helper)."""
-    totals: dict[str, float] = {}
-    for name, _labels, value in samples:
-        totals[name] = totals.get(name, 0.0) + value
-    return totals

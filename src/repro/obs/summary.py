@@ -74,9 +74,11 @@ class HorizonSummary:
         retries_total: extra solve attempts beyond the first, summed
             over all slots (0 on the non-resilient path).
         fallbacks_total: slots rescued by a fallback solver.
-        client: execution-client name the run solved through (None for
-            runs that bypassed the client layer, including in-process
-            warm chains).
+        client: execution-client name the run solved through
+            (``"in-process"`` for serial runs and warm chains, ``"mp"``
+            for pools, or the named client).  None only when no slot
+            reached a client: no client was named and every slot
+            resolved from the store.
         warm_started_slots: slots solved with a warm hint from the
             previous slot (0 for cold runs).
         incumbent_reuse_slots: slots resolved by re-certifying the
@@ -96,8 +98,7 @@ class HorizonSummary:
             supervised.
         worker_busy_s: summed per-slot busy seconds (solve + compile +
             certify) keyed by worker pid — the per-worker utilization
-            view ``repro top`` renders and remote merges are checked
-            against.
+            view ``repro top`` renders.
         slot_p50_s / slot_p99_s: per-slot solve-wall latency
             percentiles over all slots that reported telemetry.
     """

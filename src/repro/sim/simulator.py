@@ -103,10 +103,6 @@ class Simulator:
         store: optional persistent result store (a
             :class:`~repro.exec.ResultStore` or directory path);
             repeated runs resolve unchanged slots from disk.
-        tracer: optional :class:`~repro.obs.SpanTracer`; every run
-            opens an ``engine.run`` span with one ``worker.slot`` child
-            per slot a worker returned (one trace across local and
-            remote work).
         ledger: optional run-ledger directory (or
             :class:`~repro.obs.RunLedger`); every run persists its
             header, per-slot outcome stream and summary as a JSONL
@@ -131,7 +127,6 @@ class Simulator:
         client: str | ExecutionClient | None = None,
         max_pending: int | None = None,
         store: ResultStore | str | None = None,
-        tracer: object | None = None,
         ledger: object | None = None,
         supervision: object | None = None,
     ) -> None:
@@ -162,7 +157,6 @@ class Simulator:
         self.client = client
         self.max_pending = max_pending
         self.store = store
-        self.tracer = tracer
         self.ledger = ledger
         self.supervision = supervision
 
@@ -237,7 +231,6 @@ class Simulator:
             client=self.client,
             max_pending=self.max_pending,
             store=self.store,
-            tracer=self.tracer,
             ledger=self.ledger,
             supervision=self.supervision,
         )

@@ -29,7 +29,7 @@ from repro.engine.horizon import HorizonEngine
 from repro.engine.protocol import SlotResult
 from repro.engine.registry import create_solver
 from repro.engine.resilience import ResilienceConfig, RetryPolicy
-from repro.obs import MetricsRegistry, SpanTracer
+from repro.obs import MetricsRegistry
 from repro.sim.simulator import Simulator, build_model
 from repro.traces.datasets import default_bundle
 
@@ -163,6 +163,11 @@ def _store_runs(solver) -> str:
         )
 
 
+def _observed() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        return _lane("centralized", metrics=MetricsRegistry(), ledger=tmp)()
+
+
 def _lane(solver, *, chain=False, warm=False, **engine_kwargs):
     def digest() -> str:
         mixed, hybrid = _problems()
@@ -196,9 +201,7 @@ DIGESTS = {
     "resilience_rescue": _lane(BrokenSolver(), resilience=_RESCUE),
     "store": lambda: _store_runs("centralized"),
     "degraded_store": lambda: _store_runs(DegradedSolver()),
-    "obs_on": lambda: _lane(
-        "centralized", metrics=MetricsRegistry(), tracer=SpanTracer()
-    )(),
+    "obs_on": _observed,
     "certified": _lane("centralized", certify=True),
     "supervised_sync": _lane("centralized", supervision=True),
 }

@@ -109,8 +109,14 @@ class TestExposition:
 
     def test_json_roundtrip_preserves_samples(self):
         reg = self._populated()
-        clone = MetricsRegistry.from_dict(json.loads(reg.to_json()))
-        assert clone.samples() == reg.samples()
+        data = reg.to_dict()
+        assert json.loads(json.dumps(data)) == data
+        by_name = {f["name"]: f for f in data["families"]}
+        (solves,) = by_name["repro_solves_total"]["children"]
+        assert solves == {"labels": {"solver": "ipqp"}, "value": 7.0}
+        (hist,) = by_name["repro_solve_seconds"]["children"]
+        assert by_name["repro_solve_seconds"]["buckets"] == [0.01, 0.1, 1.0]
+        assert hist["counts"] == [1, 1, 1, 1] and hist["count"] == 4
 
     def test_prometheus_roundtrip_preserves_samples(self):
         reg = self._populated()
@@ -165,69 +171,43 @@ class TestExposition:
     def test_infinite_values_survive_both_formats(self):
         reg = MetricsRegistry()
         reg.gauge("repro_inf").set(math.inf)
-        clone = MetricsRegistry.from_dict(reg.to_dict())
-        assert clone.samples() == reg.samples()
+        (family,) = reg.to_dict()["families"]
+        assert family["children"][0]["value"] == math.inf
         parsed = parse_prometheus(reg.to_prometheus())
         assert list(parsed.values()) == [math.inf]
 
 
-class TestMerge:
-    def test_counters_and_histograms_accumulate(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        for reg, n in ((a, 2), (b, 3)):
-            reg.counter("repro_m_total", worker="7").inc(n)
-            h = reg.histogram("repro_m_seconds", buckets=(0.1, 1.0))
-            h.observe(0.05 * n)
-            h.observe(2.0)
-        a.merge_samples(b.to_dict())
-        assert a.counter("repro_m_total", worker="7").value == 5
-        merged = a.histogram("repro_m_seconds", buckets=(0.1, 1.0))
-        assert merged.count == 4
-        assert merged.sum == pytest.approx(0.1 + 0.15 + 4.0)
-        assert merged.cumulative() == [1, 2, 4]
+class TestRegisteredLookups:
+    def test_mismatched_lookups_of_an_existing_family_raise(self):
+        # Lookups of a registered family skip validation, but every
+        # kind, label and bucket mismatch against it still raises.
+        reg = MetricsRegistry()
+        reg.histogram("repro_l_seconds", buckets=(0.1, 1.0), solver="a")
+        reg.counter("repro_l_total", solver="a", worker="1")
+        for _ in range(2):  # the first lookup after creation, and a later one
+            assert reg.histogram(
+                "repro_l_seconds", buckets=[0.1, 1], solver="a"
+            ) is reg.histogram("repro_l_seconds", buckets=(0.1, 1.0), solver="a")
+            with pytest.raises(ValueError, match="already registered as"):
+                reg.counter("repro_l_seconds", solver="a")
+            with pytest.raises(ValueError, match="buckets"):
+                reg.histogram("repro_l_seconds", buckets=(0.1, 2.0), solver="a")
+            with pytest.raises(ValueError, match="labels"):
+                reg.histogram("repro_l_seconds", buckets=(0.1, 1.0), worker="a")
+            with pytest.raises(ValueError, match="labels"):
+                reg.counter("repro_l_total", solver="a")
+            # Label order does not matter; the label set does.
+            reg.counter("repro_l_total", worker="1", solver="a").inc()
+            with pytest.raises(ValueError, match="labels"):
+                reg.counter("repro_l_total", worker="1", solver="a", host="h")
+        assert reg.counter("repro_l_total", solver="a", worker="1").value == 2
 
-    def test_gauges_are_last_write_wins(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.gauge("repro_depth").set(5.0)
-        b.gauge("repro_depth").set(2.0)
-        a.merge_samples(b.to_dict())
-        assert a.gauge("repro_depth").value == 2.0
-
-    def test_merge_into_empty_reproduces_samples(self):
-        src = MetricsRegistry()
-        src.counter("repro_x_total", solver="ipqp").inc(3)
-        src.histogram("repro_x_seconds", buckets=(0.1,)).observe(0.04)
-        dst = MetricsRegistry()
-        dst.merge_samples(src.to_dict())
-        assert dst.samples() == src.samples()
-
-    def test_merge_convenience_equals_merge_samples(self):
-        a, b, c = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
-        src = MetricsRegistry()
-        src.counter("repro_y_total").inc(4)
-        for reg in (a, b, c):
-            reg.counter("repro_y_total").inc()
-        a.merge(src)
-        b.merge_samples(src.to_dict())
-        assert a.samples() == b.samples()
-
-    def test_bucket_mismatch_raises_instead_of_splitting(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.histogram("repro_h_seconds", buckets=(0.1, 1.0)).observe(0.5)
-        b.histogram("repro_h_seconds", buckets=(0.1, 1.0, 10.0)).observe(0.5)
-        with pytest.raises(ValueError):
-            a.merge_samples(b.to_dict())
-
-    def test_kind_mismatch_raises(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.counter("repro_k").inc()
-        b.gauge("repro_k").set(1.0)
-        with pytest.raises(ValueError):
-            a.merge_samples(b.to_dict())
+    def test_invalid_names_raise_at_registration(self):
+        reg = MetricsRegistry()
+        with pytest.raises(ValueError, match="metric name"):
+            reg.counter("bad-name")
+        with pytest.raises(ValueError, match="label name"):
+            reg.counter("repro_ok_total", **{"bad-label": "x"})
 
 
 class TestConcurrency:

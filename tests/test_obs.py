@@ -20,7 +20,6 @@ from repro.obs import (
     HorizonSummary,
     MetricsRegistry,
     ResidualTrace,
-    SpanTracer,
     load_run,
 )
 from repro.sim.simulator import Simulator, build_model
@@ -93,11 +92,10 @@ class TestEngineTelemetry:
         assert (summary.cache_misses, summary.cache_hits) == (1, 5)
 
     def test_telemetry_off_is_bit_identical(self, bundle, model, tmp_path):
-        # Recording the run (ledger, metrics, spans) only observes it.
+        # Recording the run (ledger, metrics) only observes it.
         plain = Simulator(model, bundle).run(HYBRID)
         observed = Simulator(
-            model, bundle, ledger=tmp_path, metrics=MetricsRegistry(),
-            tracer=SpanTracer(),
+            model, bundle, ledger=tmp_path, metrics=MetricsRegistry()
         ).run(HYBRID)
         for field in ("ufc", "energy_cost", "utility", "iterations"):
             assert (getattr(plain, field) == getattr(observed, field)).all()

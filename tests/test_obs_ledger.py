@@ -81,7 +81,7 @@ class TestRunLedgerWriter:
         assert run.header["config"] == {"workers": 2}
         assert run.header["slots_expected"] == 3
         assert [s["index"] for s in run.slots] == [0, 1, 2]
-        assert run.pending_series() == [2, 1, 0]
+        assert [s["pending"] for s in run.slots] == [2, 1, 0]
         assert run.summary["slots"] == 3
         assert run.summary["failed_slots"] == 0
 

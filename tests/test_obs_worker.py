@@ -1,9 +1,9 @@
 """Tests for worker observability derived in the parent.
 
 A worker sends home only its slot outcomes.  The parent derives the
-``repro_worker_*`` series, one ``worker.slot`` span per slot and the
-ledger's ``worker_host`` from each outcome's :class:`SlotTelemetry`,
-so in-process, mp and socket runs expose the same records.
+``repro_worker_*`` series and the ledger's per-slot records from each
+outcome's :class:`SlotTelemetry`, so in-process, mp and socket runs
+expose the same records.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.core.strategies import HYBRID
 from repro.engine import HorizonEngine
 from repro.engine.resilience import ResilienceConfig, RetryPolicy
 from repro.exec import SocketClient
-from repro.obs import MetricsRegistry, SpanTracer
+from repro.obs import MetricsRegistry
 from repro.obs.ledger import load_run
 from repro.sim.simulator import Simulator
 
@@ -59,18 +59,17 @@ def _worker_families(metrics: MetricsRegistry) -> set[str]:
 
 
 class TestReportAttachment:
-    def test_consumers_auto_enable_reports(self, problems):
-        # Metrics and spans are derived from the telemetry every
-        # outcome carries; nothing else comes home with the slot.
+    def test_consumers_auto_enable_reports(self, problems, tmp_path):
+        # Metrics and ledger records are derived from the telemetry
+        # every outcome carries; nothing else comes home with the slot.
         metrics = MetricsRegistry()
-        tracer = SpanTracer()
-        engine = HorizonEngine("centralized", metrics=metrics, tracer=tracer)
+        engine = HorizonEngine("centralized", metrics=metrics, ledger=tmp_path)
         outcomes = engine.run(problems)
         assert all(not hasattr(o, "worker_report") for o in outcomes)
         assert all(o.telemetry.host == HOST for o in outcomes)
         assert all(o.telemetry.worker > 0 for o in outcomes)
         assert _worker_slots(metrics) == len(outcomes)
-        assert len(tracer.by_name("worker.slot")) == len(outcomes)
+        assert len(load_run(engine.last_ledger_path).slots) == len(outcomes)
 
     def test_no_consumer_means_no_reports_and_identical_output(
         self, problems, baseline_ufc
@@ -97,7 +96,6 @@ class TestReportAttachment:
         engine = HorizonEngine(
             "centralized",
             metrics=MetricsRegistry(),
-            tracer=SpanTracer(),
             ledger=tmp_path,
         )
         assert [o.result.ufc for o in engine.run(problems)] == baseline_ufc
@@ -115,55 +113,47 @@ class TestMerging:
         assert merged == pytest.approx(summary.solve_s, rel=1e-9)
         assert _worker_slots(metrics) == len(outcomes)
 
-    def test_spans_adopt_under_run_span_with_trace_context(
-        self, problems, tmp_path
-    ):
-        # Every worker.slot span is a child of the run's engine.run
-        # span and carries the slot's coordinates from its telemetry.
-        tracer = SpanTracer()
-        engine = HorizonEngine("centralized", tracer=tracer, ledger=tmp_path)
+    def test_ledger_slots_carry_each_slots_telemetry(self, problems, tmp_path):
+        # One ledger record per slot, carrying the slot's coordinates
+        # and timings from its telemetry.
+        engine = HorizonEngine("centralized", ledger=tmp_path)
         outcomes = engine.run(problems)
-        (run_span,) = tracer.by_name("engine.run")
-        slot_spans = tracer.by_name("worker.slot")
-        assert len(slot_spans) == len(problems)
-        assert all(s.parent_id == run_span.span_id for s in slot_spans)
-        for span, outcome in zip(slot_spans, outcomes):
-            tele = outcome.telemetry
-            assert span.attributes["index"] == outcome.index
-            assert span.attributes["worker"] == tele.worker
-            assert span.attributes["host"] == tele.host
-            assert span.wall_s == tele.wall_s + tele.compile_s + tele.certify_s
         run = load_run(engine.last_ledger_path)
-        assert {s["worker_host"] for s in run.slots} == {
-            s.attributes["host"] for s in slot_spans
-        }
+        assert len(run.slots) == len(problems)
+        for record, outcome in zip(run.slots, outcomes):
+            tele = outcome.telemetry
+            assert record["index"] == outcome.index
+            assert record["ok"] == outcome.ok
+            assert record["worker"] == tele.worker
+            assert record["worker_host"] == tele.host == HOST
+            assert record["solver"] == tele.solver
+            assert record["iterations"] == tele.iterations
+            assert record["converged"] == tele.converged
+            assert (record["wall_s"], record["compile_s"], record["certify_s"]) == (
+                tele.wall_s, tele.compile_s, tele.certify_s
+            )
 
     def test_mp_client_ships_reports_home(self, problems, baseline_ufc):
         metrics = MetricsRegistry()
-        tracer = SpanTracer()
         engine = HorizonEngine(
             "centralized",
             client="mp",
             workers=2,
             chunk_size=2,
             metrics=metrics,
-            tracer=tracer,
         )
         outcomes = engine.run(problems)
         assert [o.result.ufc for o in outcomes] == baseline_ufc
         assert all(o.telemetry.host == HOST for o in outcomes)
         merged = sum(_worker_solve_sums(metrics).values())
         assert merged == pytest.approx(engine.last_summary.solve_s, rel=1e-9)
-        assert len(tracer.by_name("worker.slot")) == len(problems)
+        assert _worker_slots(metrics) == len(problems)
 
     def test_warm_chain_ships_reports_like_the_cold_lane(self, problems):
         metrics = MetricsRegistry()
-        tracer = SpanTracer()
-        engine = HorizonEngine(
-            "centralized-warm", metrics=metrics, tracer=tracer
-        )
+        engine = HorizonEngine("centralized-warm", metrics=metrics)
         outcomes = engine.run(problems, warm_start=True)
-        assert len(tracer.by_name("worker.slot")) == len(problems)
+        assert _worker_slots(metrics) == len(problems)
         merged = sum(_worker_solve_sums(metrics).values())
         assert merged == pytest.approx(engine.last_summary.solve_s, rel=1e-9)
         # Observability never changes the chain's arithmetic.
@@ -184,34 +174,34 @@ class TestMerging:
         table = summary.format_table()
         assert "p50" in table and "p99" in table
 
-    def test_resilient_lane_spans_per_slot(self, problems):
-        tracer = SpanTracer()
+    def test_resilient_lane_records_per_slot(self, problems, tmp_path):
+        metrics = MetricsRegistry()
         engine = HorizonEngine(
             "centralized",
-            tracer=tracer,
+            metrics=metrics,
+            ledger=tmp_path,
             resilience=ResilienceConfig(
                 retry=RetryPolicy(max_attempts=2), fallback=("proportional",)
             ),
         )
         engine.run(problems[:3])
-        slot_spans = tracer.by_name("worker.slot")
-        assert [s.attributes["index"] for s in slot_spans] == [0, 1, 2]
+        run = load_run(engine.last_ledger_path)
+        assert [s["index"] for s in run.slots] == [0, 1, 2]
+        assert [s["worker_host"] for s in run.slots] == [HOST] * 3
+        assert _worker_slots(metrics) == 3
 
-    def test_batched_lane_spans_from_telemetry(self, problems):
-        # The batched lane's slots get the same spans as the per-slot
+    def test_batched_lane_records_from_telemetry(self, problems, tmp_path):
+        # The batched lane's slots get the same records as the per-slot
         # lanes: one record per slot, whatever solved it.
-        tracer = SpanTracer()
         metrics = MetricsRegistry()
         engine = HorizonEngine(
-            "centralized-batch", tracer=tracer, metrics=metrics
+            "centralized-batch", metrics=metrics, ledger=tmp_path
         )
         outcomes = engine.run(problems)
         assert engine.last_summary.executor == "serial-batch"
-        (run_span,) = tracer.by_name("engine.run")
-        slot_spans = tracer.by_name("worker.slot")
-        assert len(slot_spans) == len(problems)
-        assert all(s.parent_id == run_span.span_id for s in slot_spans)
-        assert all("synthesized" not in s.attributes for s in slot_spans)
+        run = load_run(engine.last_ledger_path)
+        assert [s["index"] for s in run.slots] == list(range(len(problems)))
+        assert [s["worker_host"] for s in run.slots] == [HOST] * len(problems)
         merged = sum(_worker_solve_sums(metrics).values())
         assert merged == pytest.approx(engine.last_summary.solve_s, rel=1e-9)
         assert _worker_slots(metrics) == len(outcomes)
@@ -230,29 +220,26 @@ class TestWorkerPrimitives:
         sums = _worker_solve_sums(metrics)
         assert sums == {str(outcome.telemetry.worker): outcome.telemetry.wall_s}
 
-    def test_store_hits_get_no_worker_series_or_spans(self, problems, tmp_path):
+    def test_store_hits_get_no_worker_series(self, problems, tmp_path):
         HorizonEngine("centralized", store=tmp_path / "store").run(problems)
         metrics = MetricsRegistry()
-        tracer = SpanTracer()
         engine = HorizonEngine(
             "centralized",
             store=tmp_path / "store",
             metrics=metrics,
-            tracer=tracer,
             ledger=tmp_path / "ledger",
         )
         outcomes = engine.run(problems)
         assert engine.last_summary.store_hits == SLOTS
         assert all(o.telemetry.host is None for o in outcomes)
         assert not _worker_families(metrics)
-        assert not tracer.by_name("worker.slot")
         run = load_run(engine.last_ledger_path)
         assert [s["worker_host"] for s in run.slots] == [None] * SLOTS
 
 
 class TestCrossClientParity:
     """One seeded 12-slot horizon through every client: the same
-    worker series, spans and ledger fields wherever the slots ran."""
+    worker series and ledger fields wherever the slots ran."""
 
     HOURS = 12
 
@@ -269,7 +256,6 @@ class TestCrossClientParity:
                 ("socket", socket_client),
             ):
                 metrics = MetricsRegistry()
-                tracer = SpanTracer()
                 engine = HorizonEngine(
                     "centralized",
                     client=client,
@@ -277,25 +263,24 @@ class TestCrossClientParity:
                     oversubscribe=True,
                     chunk_size=3,
                     metrics=metrics,
-                    tracer=tracer,
                     ledger=tmp_path_factory.mktemp(f"ledger-{name}"),
                 )
                 outcomes = engine.run(problems)
-                runs[name] = (engine, outcomes, metrics, tracer)
+                runs[name] = (engine, outcomes, metrics)
         finally:
             socket_client.close()
         return runs
 
     def test_same_records_on_every_client(self, runs):
         reference = None
-        for name, (engine, outcomes, metrics, tracer) in runs.items():
+        for name, (engine, outcomes, metrics) in runs.items():
             assert engine.last_summary.client == name
             assert all(o.ok for o in outcomes)
             run = load_run(engine.last_ledger_path)
             record = (
                 _worker_families(metrics),
                 _worker_slots(metrics),
-                len(tracer.by_name("worker.slot")),
+                len(run.slots),
                 {frozenset(s) for s in run.slots},
                 [o.result.ufc for o in outcomes],
             )
@@ -303,15 +288,15 @@ class TestCrossClientParity:
                 reference = record
             assert record == reference, name
             assert "worker_host" in next(iter(record[3]))
-        families, slots_total, spans, _, _ = reference
-        assert slots_total == spans == self.HOURS
+        families, slots_total, records, _, _ = reference
+        assert slots_total == records == self.HOURS
         assert {
             "repro_worker_slots_total",
             "repro_worker_slot_solve_seconds_sum",
         } <= families
 
     def test_worker_solve_sums_equal_summary(self, runs):
-        for name, (engine, _, metrics, _) in runs.items():
+        for name, (engine, _, metrics) in runs.items():
             merged = sum(_worker_solve_sums(metrics).values())
             assert merged == pytest.approx(
                 engine.last_summary.solve_s, rel=1e-9
