@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.model import CloudModel
-from repro.core.problem import SlotInputs, UFCProblem
+from repro.core.problem import QPForm, SlotInputs, UFCProblem
 from repro.core.solution import Allocation
 from repro.core.strategies import HYBRID, Strategy
 from repro.optim.ipqp import IPQPTrace, solve_qp
@@ -138,13 +138,24 @@ class CentralizedSolver:
             NotImplementedError: when an emission cost is not
                 QP-representable (see :meth:`UFCProblem.to_qp`).
         """
+        return self.solve_with_qp(problem, compiled)[0]
+
+    def solve_with_qp(
+        self, problem: UFCProblem, compiled: "CompiledQPStructure | None" = None
+    ) -> tuple[CentralizedResult, QPForm | None]:
+        """:meth:`solve`, plus the dense QP it solved.
+
+        The QP is None when the block-elimination route solved the
+        slot.  A caller that audits the result (the engine's certifier)
+        reuses it instead of compiling the slot a second time.
+        """
         use_compiled = compiled is not None and compiled.matches(problem)
         if use_compiled and self.kkt_mode != "dense" and not self.trace:
             forced = self.kkt_mode == "structured"
             if forced or compiled.dim >= self.structured_cutoff:
                 result = self._solve_structured(problem, compiled, forced=forced)
                 if result is not None:
-                    return result
+                    return result, None
         if use_compiled:
             qp = compiled.qp_for(problem.inputs)
         else:
@@ -155,7 +166,7 @@ class CentralizedSolver:
             trace_every=self.trace_every, metrics=self.metrics,
         )
         alloc = qp.extract(res.x)
-        return CentralizedResult(
+        result = CentralizedResult(
             allocation=alloc,
             ufc=problem.ufc(alloc),
             iterations=res.iterations,
@@ -164,6 +175,7 @@ class CentralizedSolver:
             eq_dual=res.eq_dual,
             ineq_dual=res.ineq_dual,
         )
+        return result, qp
 
     def _solve_structured(
         self, problem: UFCProblem, compiled: "CompiledQPStructure", forced: bool

@@ -70,8 +70,11 @@ class CompiledQPStructure:
 
         m, n = model.num_frontends, model.num_datacenters
         self.m, self.n = m, n
-        self.capacities = model.capacities / self.scale
-        self.betas = model.betas * self.scale
+        #: The model's per-datacenter arrays, built once per structure
+        #: (the certifier's feasibility audit reads them too).
+        self.site = model.site_arrays()
+        self.capacities = self.site.capacities / self.scale
+        self.betas = self.site.betas * self.scale
         self.weight = model.latency_weight * self.scale
         self.include_mu = strategy.fuel_cell_enabled
         self.include_nu = strategy.grid_enabled
@@ -106,7 +109,7 @@ class CompiledQPStructure:
             if self.include_nu:
                 row[self.nu_offset + j] = -1.0
             a_rows.append(row)
-            b_rhs.append(-model.alphas[j])
+            b_rhs.append(-self.site.alphas[j])
         self._A = np.array(a_rows)
         self._b_template = np.array(b_rhs)
 
@@ -131,7 +134,7 @@ class CompiledQPStructure:
                 row = np.zeros(dim)
                 row[self.mu_offset + j] = 1.0
                 g_rows.append(row)
-                h_rhs.append(model.mu_max[j])
+                h_rhs.append(self.site.mu_max[j])
         if self.include_nu:
             for j in range(n):
                 row = np.zeros(dim)

@@ -11,7 +11,7 @@ arrive per slot via :class:`repro.core.problem.SlotInputs`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from repro.costs.carbon import EmissionCostFunction, LinearCarbonTax
 from repro.costs.energy import ServerPowerModel
 from repro.costs.latency import LatencyUtility, QuadraticLatencyUtility
 
-__all__ = ["Datacenter", "FrontEnd", "CloudModel"]
+__all__ = ["Datacenter", "FrontEnd", "CloudModel", "SiteArrays"]
 
 #: The paper's evaluation defaults (Sec. IV-A).
 DEFAULT_FUEL_CELL_PRICE = 80.0  # $/MWh
@@ -85,6 +85,15 @@ class FrontEnd:
     """One front-end proxy server aggregating a region's requests."""
 
     name: str
+
+
+class SiteArrays(NamedTuple):
+    """A model's (N,) per-datacenter arrays (see :meth:`CloudModel.site_arrays`)."""
+
+    alphas: np.ndarray
+    betas: np.ndarray
+    capacities: np.ndarray
+    mu_max: np.ndarray
 
 
 class CloudModel:
@@ -180,6 +189,21 @@ class CloudModel:
     def mu_max(self) -> np.ndarray:
         """(N,) fuel-cell capacities ``mu_j^max`` in MW."""
         return np.array([dc.mu_max_mw for dc in self.datacenters])
+
+    def site_arrays(self) -> SiteArrays:
+        """The four per-datacenter arrays, each built once for the caller.
+
+        Every property above rebuilds its array from the datacenters on
+        each access; hot loops hold on to one of these instead.  The
+        model keeps no copy: its attributes (which the result store's
+        keys fold) stay exactly the constructor's.
+        """
+        return SiteArrays(
+            alphas=self.alphas,
+            betas=self.betas,
+            capacities=self.capacities,
+            mu_max=self.mu_max,
+        )
 
     def with_emission_costs(
         self, emission_costs: EmissionCostFunction | Sequence[EmissionCostFunction]

@@ -71,7 +71,7 @@ class CentralizedSlotSolver:
     ) -> SlotResult:
         """Solve one slot with the interior-point reference solver."""
         _reject_warm(self.name, warm)
-        res = self.inner.solve(problem, compiled=compiled)
+        res, qp = self.inner.solve_with_qp(problem, compiled=compiled)
         extras: dict[str, Any] = {}
         if res.trace is not None:
             extras["ip_trace"] = res.trace
@@ -83,6 +83,7 @@ class CentralizedSlotSolver:
             iterations=res.iterations,
             converged=res.converged,
             extras=extras,
+            qp=qp,
         )
 
 

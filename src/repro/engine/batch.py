@@ -218,6 +218,7 @@ class CentralizedBatchSlotSolver:
                     "batch_size": size,
                     "batch_fallback": bool(res.fallback[pos]),
                 },
+                qp=qps[i],
             )
 
 

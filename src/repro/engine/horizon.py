@@ -252,12 +252,17 @@ def _slot_outcome(
 
     The one place a success is built, whichever lane produced it: the
     result is certified here when a certifier is attached (solver
-    duals preferred when shipped; a certification crash propagates to
-    the caller, which turns it into a failed outcome), and the outcome
-    is ``degraded`` whenever a fallback solver produced it or the
-    solver reported a degraded completion.
+    duals preferred when shipped, and the QP the solver built reused;
+    a certification crash propagates to the caller, which turns it
+    into a failed outcome), and the outcome is ``degraded`` whenever a
+    fallback solver produced it or the solver reported a degraded
+    completion.  The result's :attr:`~SlotResult.qp` is detached here,
+    so no outcome keeps a slot's QP alive.
     """
     extras = result.extras or {}
+    qp = getattr(result, "qp", None)
+    if qp is not None:
+        result.qp = None
     certificate = None
     if certifier is not None:
         certificate = certifier.certify(
@@ -266,6 +271,7 @@ def _slot_outcome(
             duals=extras.get("duals"),
             solver=solver_name,
             slot=index,
+            qp=qp,
         )
     return SlotOutcome(
         index=index,
@@ -665,9 +671,11 @@ class HorizonEngine:
             :class:`~repro.obs.certify.Certificate` to its outcome.
             ``True`` builds a default
             :class:`~repro.obs.certify.CertificationContext`; passing a
-            context (anything with a ``certify(problem, allocation,
-            ...)`` method) customizes thresholds.  Certification never
-            changes solutions — it reads them after the solver is done.
+            context (anything with a ``certify(problem, allocation, *,
+            duals, solver, slot, qp)`` method, ``qp`` being the QP the
+            solver built or None) customizes thresholds.  Certification
+            never changes solutions — it reads them after the solver is
+            done.
         metrics: optional :class:`~repro.obs.MetricsRegistry`; each run
             records slot counts, solve-time/iteration histograms and —
             with ``certify`` on — certificate residual histograms, plus

@@ -47,6 +47,11 @@ class SlotResult:
             traces (``"residual_trace"`` from ADM-G built with
             ``trace=True``, ``"ip_trace"`` from the centralized
             interior-point solver).
+        qp: the dense :class:`~repro.core.problem.QPForm` the solver
+            built for this slot (default workload scale), or None.  The
+            engine hands it to its certifier and detaches it; it is
+            never pickled, so it neither crosses a process boundary
+            nor lands in a result store.
     """
 
     allocation: Allocation
@@ -55,6 +60,12 @@ class SlotResult:
     converged: bool
     warm: Any = None
     extras: dict[str, Any] = field(default_factory=dict)
+    qp: Any = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("qp", None)
+        return state
 
 
 @runtime_checkable

@@ -178,6 +178,7 @@ class CentralizedWarmSlotSolver:
                         "iterations_saved": warm.cold_ref_iterations,
                         "certificate": cert,
                     },
+                    qp=qp,
                 )
 
         state = warm.state if warm is not None else None
@@ -225,4 +226,5 @@ class CentralizedWarmSlotSolver:
             converged=res.converged,
             warm=payload,
             extras=extras,
+            qp=qp,
         )

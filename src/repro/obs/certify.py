@@ -38,13 +38,14 @@ it.  The dependency is one-way: nothing in ``repro.core`` imports obs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
 from scipy.optimize import nnls
 
 from repro.core.compiled import CompiledQPStructure
+from repro.core.model import SiteArrays
 from repro.core.problem import QPForm, UFCProblem
 from repro.core.solution import Allocation
 
@@ -145,26 +146,27 @@ class Certificate:
 
 
 def _audit_feasibility(
-    problem: UFCProblem, alloc: Allocation
+    problem: UFCProblem, alloc: Allocation, site: SiteArrays
 ) -> tuple[dict[str, float], float, str]:
     """Per-family relative violations plus the named worst constraint.
 
     Mirrors :meth:`Allocation.check_feasibility` exactly — same
     families, same natural scales — but keeps the argmax index so the
-    doctor can say *which* constraint is the problem.
+    doctor can say *which* constraint is the problem.  ``site`` holds
+    the model's per-datacenter arrays.
     """
-    model, inputs, strategy = problem.model, problem.inputs, problem.strategy
-    arrivals = inputs.arrivals
+    arrivals = problem.inputs.arrivals
+    strategy = problem.strategy
     load = alloc.datacenter_load()
-    mu_max = strategy.effective_mu_max(model.mu_max)
+    mu_max = strategy.effective_mu_max(site.mu_max)
 
     arrival_scale = max(1.0, float(arrivals.max(initial=0.0)))
-    power_scale = max(1.0, float((model.alphas + model.betas * model.capacities).max()))
+    power_scale = max(1.0, float((site.alphas + site.betas * site.capacities).max()))
     bound_scale = max(arrival_scale, power_scale)
 
     lb_raw = np.abs(alloc.lam.sum(axis=1) - arrivals)
-    cap_raw = np.maximum(load - model.capacities, 0.0)
-    pb_raw = np.abs(model.alphas + model.betas * load - alloc.mu - alloc.nu)
+    cap_raw = np.maximum(load - site.capacities, 0.0)
+    pb_raw = np.abs(site.alphas + site.betas * load - alloc.mu - alloc.nu)
 
     bound_candidates: list[tuple[float, str]] = [
         (float(np.maximum(-alloc.lam, 0.0).max()), "lam>=0"),
@@ -352,11 +354,37 @@ def certify_solution(
         kkt_tol: relative KKT-residual acceptance threshold.
     """
     start = time.perf_counter()
-    feasibility, worst_violation, worst_constraint = _audit_feasibility(
-        problem, allocation
+    return _certify(
+        problem,
+        allocation,
+        problem.to_qp() if qp is None else qp,
+        problem.model.site_arrays(),
+        duals=duals,
+        solver=solver,
+        slot=slot,
+        feas_tol=feas_tol,
+        kkt_tol=kkt_tol,
+        start=start,
     )
-    if qp is None:
-        qp = problem.to_qp()
+
+
+def _certify(
+    problem: UFCProblem,
+    allocation: Allocation,
+    qp: QPForm,
+    site: SiteArrays,
+    *,
+    duals: tuple[np.ndarray, np.ndarray] | None,
+    solver: str,
+    slot: int,
+    feas_tol: float,
+    kkt_tol: float,
+    start: float,
+) -> Certificate:
+    """The certificate of :func:`certify_solution`, timed from ``start``."""
+    feasibility, worst_violation, worst_constraint = _audit_feasibility(
+        problem, allocation, site
+    )
     x = _embed(qp, allocation)
     stationarity, complementarity, duality_gap, dual_source = _kkt_certificate(
         qp, x, duals, kkt_tol
@@ -427,7 +455,7 @@ def certify_structured_solution(
             "fitted NNLS fallback would need the dense constraint matrix"
         )
     feasibility, worst_violation, worst_constraint = _audit_feasibility(
-        problem, allocation
+        problem, allocation, problem.model.site_arrays()
     )
     if x is None:
         lam_r = (
@@ -487,7 +515,8 @@ class CertificationContext:
     Certifying every slot of a horizon recompiles the same QP geometry
     168 times unless the slot-invariant part is shared; this context
     keeps one :class:`CompiledQPStructure` per (model, strategy) seen,
-    mirroring the engine's own compile cache.  The cache is dropped on
+    mirroring the engine's own compile cache, and takes the model's
+    per-datacenter arrays from it too.  The cache is dropped on
     pickling, so a context shipped to process-pool workers starts cold
     there and warm copies never cross process boundaries.
     """
@@ -501,13 +530,13 @@ class CertificationContext:
         self.kkt_tol = float(kkt_tol)
         self._structures: list[CompiledQPStructure] = []
 
-    def _qp_for(self, problem: UFCProblem) -> QPForm:
+    def _structure_for(self, problem: UFCProblem) -> CompiledQPStructure:
         for structure in self._structures:
             if structure.matches(problem):
-                return structure.qp_for(problem.inputs)
+                return structure
         structure = CompiledQPStructure(problem.model, problem.strategy)
         self._structures.append(structure)
-        return structure.qp_for(problem.inputs)
+        return structure
 
     def certify(
         self,
@@ -517,20 +546,28 @@ class CertificationContext:
         duals: tuple[np.ndarray, np.ndarray] | None = None,
         solver: str = "",
         slot: int = -1,
+        qp: QPForm | None = None,
     ) -> Certificate:
-        """Certify one slot through the shared structure cache."""
+        """Certify one slot through the shared structure cache.
+
+        ``qp`` is the slot's QP when the caller already built it (at
+        the default workload scale, as the producing solver does); it
+        is compiled from the cached structure otherwise.
+        """
         start = time.perf_counter()
-        cert = certify_solution(
+        structure = self._structure_for(problem)
+        return _certify(
             problem,
             allocation,
-            qp=self._qp_for(problem),
+            structure.qp_for(problem.inputs) if qp is None else qp,
+            structure.site,
             duals=duals,
             solver=solver,
             slot=slot,
             feas_tol=self.feas_tol,
             kkt_tol=self.kkt_tol,
+            start=start,
         )
-        return replace(cert, certify_s=time.perf_counter() - start)
 
     def __getstate__(self) -> Mapping[str, Any]:
         state = dict(self.__dict__)

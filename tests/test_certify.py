@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from repro.cli import main
 from repro.core.centralized import CentralizedSolver
 from repro.core.strategies import ALL_STRATEGIES, GRID, HYBRID
 from repro.costs.carbon import SteppedCarbonTax
+from repro.engine import HorizonEngine, create_solver
 from repro.obs import MetricsRegistry
 from repro.obs.certify import (
     DEFAULT_FEAS_TOL,
@@ -234,6 +236,63 @@ class TestEngineCertification:
         result = sim.run(HYBRID, hours=3)
         assert len(result.certificates) == 3
         assert all(c.solver == "distributed" for c in result.certificates)
+
+
+class TestSolverQPReuse:
+    """The engine certifies against the QP the solver built, which
+    never leaves the slot step."""
+
+    @staticmethod
+    def _without_time(cert):
+        return dataclasses.replace(cert, certify_s=0.0)
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.name)
+    def test_reused_qp_certificate_equals_fresh_one(
+        self, small_model, small_bundle, strategy
+    ):
+        sim = Simulator(small_model, small_bundle)
+        solver = create_solver("centralized")
+        compiled = solver.compile(small_model, strategy)
+        for t in range(4):
+            problem = sim.problem_for_slot(t, strategy)
+            result = solver.solve(problem, compiled=compiled)
+            assert result.qp is not None
+            duals = result.extras["duals"]
+            reused = CertificationContext().certify(
+                problem, result.allocation, duals=duals, qp=result.qp
+            )
+            fresh = CertificationContext().certify(
+                problem, result.allocation, duals=duals
+            )
+            assert self._without_time(reused) == self._without_time(fresh)
+            standalone = certify_solution(problem, result.allocation, duals=duals)
+            assert self._without_time(standalone) == self._without_time(fresh)
+
+    def test_engine_certificates_match_fresh_ones(self, small_model, small_bundle):
+        sim = Simulator(small_model, small_bundle)
+        problems = [sim.problem_for_slot(t, HYBRID) for t in range(4)]
+        outcomes = HorizonEngine("centralized", certify=True).run(problems)
+        context = CertificationContext()
+        for outcome, problem in zip(outcomes, problems):
+            assert outcome.result.qp is None  # detached in the slot step
+            fresh = context.certify(
+                problem,
+                outcome.result.allocation,
+                duals=outcome.result.extras["duals"],
+                slot=outcome.index,
+                solver="centralized",
+            )
+            assert self._without_time(outcome.certificate) == self._without_time(
+                fresh
+            )
+
+    def test_qp_never_pickled(self, slot_problem):
+        result = create_solver("centralized").solve(slot_problem)
+        assert result.qp is not None
+        with_qp = pickle.dumps(result)
+        result.qp = None
+        assert pickle.dumps(result) == with_qp
+        assert pickle.loads(with_qp).qp is None
 
 
 class TestDoctorCli:

@@ -1,21 +1,26 @@
 """Tests for the persistent result store (repro.exec.store).
 
-Round-trip persistence, content-digest invalidation when the model or
-trace changes, concurrent-writer safety, and the engine-level warm
-re-run resolving (at least) 90% of slots from disk, bit-identically.
+Round-trip persistence, the append-only segment layout (torn tails,
+flipped bytes, quarantine, concurrent writers and readers), content-
+digest invalidation when the model or trace changes, and the
+engine-level warm re-run resolving (at least) 90% of slots from disk,
+bit-identically.
 """
 
 from __future__ import annotations
 
 import pickle
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from repro.core.strategies import ALL_STRATEGIES, FUEL_CELL, HYBRID
 from repro.engine import HorizonEngine
 from repro.exec import ResultStore, problem_digest, problem_digests
-from repro.exec.store import STORE_VERSION
+from repro.exec.store import KEY_VERSION, STORE_VERSION, _frame
 from repro.sim.simulator import Simulator, build_model
 from repro.traces.datasets import default_bundle
 
@@ -24,6 +29,32 @@ from repro.traces.datasets import default_bundle
 def problems(small_model, small_bundle):
     sim = Simulator(small_model, small_bundle)
     return [sim.problem_for_slot(t, HYBRID) for t in range(12)]
+
+
+def _segments(root: Path) -> list[Path]:
+    return sorted(root.glob("*.seg"))
+
+
+def _flip(path: Path, offset: int) -> None:
+    """Flip every bit of one byte of ``path`` in place."""
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def _equal_records(store: ResultStore, count: int) -> tuple[list[str], int]:
+    """``count`` same-size records in one fresh segment: (keys, record size).
+
+    Equal payload lengths put record ``i`` at ``i * size``, and the
+    last bytes of a record are its pickle's.
+    """
+    keys = [f"{i:02d}" + "0" * 62 for i in range(count)]
+    for key in keys:
+        store.put(key, key)
+    (segment,) = _segments(store.root)
+    size, rest = divmod(segment.stat().st_size, count)
+    assert rest == 0
+    return keys, size
 
 
 class TestResultStoreBasics:
@@ -44,7 +75,8 @@ class TestResultStoreBasics:
         store = ResultStore(tmp_path)
         key = "ef" + "0" * 62
         store.put(key, [1, 2, 3])
-        store.path_for(key).write_bytes(b"\x80truncated garbage")
+        (segment,) = _segments(tmp_path)
+        _flip(segment, segment.stat().st_size - 3)
         assert store.get(key) is None
 
     def test_wrong_key_payload_is_a_miss(self, tmp_path):
@@ -52,10 +84,14 @@ class TestResultStoreBasics:
         key = "12" + "0" * 62
         other = "34" + "0" * 62
         store.put(key, "value")
-        # Simulate a mis-filed entry: bytes for one key under another.
-        store.path_for(other).parent.mkdir(parents=True, exist_ok=True)
-        store.path_for(other).write_bytes(store.path_for(key).read_bytes())
+        # Simulate a mis-filed entry: a sound record framed under one
+        # key whose payload was written for another.
+        payload = {"key": key, "version": STORE_VERSION, "result": "value"}
+        (segment,) = _segments(tmp_path)
+        with open(segment, "ab") as fh:
+            fh.write(_frame(other, pickle.dumps(payload)))
         assert store.get(other) is None
+        assert store.get(key) == "value"
 
     def test_keys_len_clear(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -66,6 +102,9 @@ class TestResultStoreBasics:
         assert len(store) == 5
         assert store.clear() == 5
         assert len(store) == 0
+        assert _segments(tmp_path) == []
+        store.put(keys[0], 0)  # a cleared store takes writes again
+        assert ResultStore(tmp_path).get(keys[0]) == 0
 
     def test_concurrent_writers_same_key(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -77,12 +116,120 @@ class TestResultStoreBasics:
                 store.put(key, payload)
             return store.get(key)
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(hammer, range(8)))
+        # A short switch interval makes threads interleave inside put.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(hammer, range(8)))
+        finally:
+            sys.setswitchinterval(interval)
         assert all(r == payload for r in results)
-        # The final entry is complete and readable.
-        with open(store.path_for(key), "rb") as fh:
-            assert pickle.load(fh)["result"] == payload
+        # Every record on disk is complete and readable.
+        reopened = ResultStore(tmp_path)
+        assert reopened.get(key) == payload
+        assert reopened.verify() == {"entries": 160, "ok": 160, "corrupt": 0}
+
+
+class TestSegments:
+    """The append-only layout: what a crash, a bad byte, another
+    process or a pickle does to a store."""
+
+    def test_truncated_tail_keeps_earlier_records(self, tmp_path):
+        keys, size = _equal_records(ResultStore(tmp_path), 3)
+        (segment,) = _segments(tmp_path)
+        with open(segment, "r+b") as fh:
+            fh.truncate(3 * size - 7)  # the last write was cut short
+        store = ResultStore(tmp_path)
+        assert [store.get(key) for key in keys] == [keys[0], keys[1], None]
+        # A torn tail is what a crash leaves, not corruption.
+        assert store.corrupt == 0
+        assert store.verify() == {"entries": 2, "ok": 2, "corrupt": 0}
+        assert not (tmp_path / "corrupt").exists()
+
+    def test_flipped_payload_byte_loses_exactly_that_record(self, tmp_path):
+        keys, size = _equal_records(ResultStore(tmp_path), 4)
+        (segment,) = _segments(tmp_path)
+        _flip(segment, 2 * size - 3)
+        # Record 1's pickle ends at 2 * size: only that record is lost.
+        store = ResultStore(tmp_path)
+        lost = [keys[0], None, keys[2], keys[3]]
+        assert [store.get(key) for key in keys] == lost
+        assert store.corrupt == 1
+        fresh = ResultStore(tmp_path)
+        assert [fresh.get(key) for key in keys] == lost
+        assert fresh.corrupt == 0  # counted once, by the first store
+        assert (tmp_path / "corrupt" / segment.name).exists()
+        assert fresh.verify() == {"entries": 3, "ok": 3, "corrupt": 0}
+
+    def test_flipped_header_byte_loses_exactly_that_record(self, tmp_path):
+        keys, size = _equal_records(ResultStore(tmp_path), 4)
+        (segment,) = _segments(tmp_path)
+        _flip(segment, size + 5)  # record 1's length field
+        store = ResultStore(tmp_path)
+        assert store.verify() == {"entries": 4, "ok": 3, "corrupt": 1}
+        assert [store.get(key) for key in keys] == [keys[0], None, keys[2], keys[3]]
+
+    def test_two_processes_write_one_root_at_once(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from repro.exec import ResultStore\n"
+            "store = ResultStore(sys.argv[1])\n"
+            "for i in range(50):\n"
+            "    store.put(f'{sys.argv[2]}{i:03d}', list(range(i)))\n"
+            "    store.put('shared', sys.argv[2])\n"
+        )
+        env = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(tmp_path), tag], env=env
+            )
+            for tag in ("a", "b")
+        ]
+        assert [writer.wait(timeout=60) for writer in writers] == [0, 0]
+        assert len(_segments(tmp_path)) == 2
+        store = ResultStore(tmp_path)
+        assert len(store) == 101
+        assert store.get("a049") == store.get("b049") == list(range(49))
+        assert store.get("shared") in ("a", "b")
+        assert store.verify() == {"entries": 200, "ok": 200, "corrupt": 0}
+
+    def test_second_store_sees_the_first_ones_records(self, tmp_path):
+        first = ResultStore(tmp_path)
+        second = ResultStore(tmp_path)  # opened before any write
+        key = "5e" + "0" * 62
+        first.put(key, {"ufc": -3.0})
+        assert key in second
+        assert second.get(key) == {"ufc": -3.0}
+        assert ResultStore(tmp_path).get(key) == {"ufc": -3.0}
+
+    def test_pickled_store_carries_no_descriptor(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key = "6f" + "0" * 62
+        store.put(key, 1)
+        assert store.get(key) == 1
+        state = store.__getstate__()
+        assert set(state) == {"root", "hits", "misses", "corrupt"}
+        clone = pickle.loads(pickle.dumps(store))
+        assert (clone.hits, clone.misses) == (1, 0)
+        assert clone.get(key) == 1
+        # The copy writes through a segment of its own.
+        clone.put("7a" + "0" * 62, 2)
+        assert len(_segments(tmp_path)) == 2
+        assert ResultStore(tmp_path).get("7a" + "0" * 62) == 2
+
+    def test_version_1_files_read_as_misses_and_clear_deletes_them(
+        self, tmp_path
+    ):
+        key = "ab" + "0" * 62
+        old = tmp_path / key[:2] / f"{key}.pkl"
+        old.parent.mkdir()
+        old.write_bytes(pickle.dumps({"key": key, "version": 1, "result": 1}))
+        store = ResultStore(tmp_path)
+        assert store.get(key) is None
+        assert len(store) == 0
+        assert store.clear() == 1
+        assert not old.parent.exists()
 
 
 class TestProblemDigest:
@@ -162,7 +309,8 @@ class TestProblemDigests:
             assert len(set(keys)) == len(batch)
 
     def test_pinned_key_still_hits(self):
-        assert STORE_VERSION == 1
+        # The record layout moved to version 2; the key recipe did not.
+        assert (KEY_VERSION, STORE_VERSION) == (1, 2)
         problem = self._fixed_problem()
         assert problem_digest(problem, "centralized") == self.PINNED
         assert problem_digests([problem], "centralized") == [self.PINNED]
@@ -269,12 +417,13 @@ class TestQuarantineAndVerify:
         store = ResultStore(tmp_path)
         key = "ab" + "1" * 62
         store.put(key, {"ufc": -2.0})
-        store.path_for(key).write_bytes(b"\x80rotten")
+        (segment,) = _segments(tmp_path)
+        _flip(segment, segment.stat().st_size - 3)
         assert store.get(key) is None
         assert store.corrupt == 1
         # Moved aside, so the next probe is a plain (cheap) miss...
-        assert not store.path_for(key).exists()
-        assert (tmp_path / "corrupt" / f"{key}.pkl").exists()
+        assert not segment.exists()
+        assert (tmp_path / "corrupt" / segment.name).exists()
         assert store.get(key) is None
         assert store.corrupt == 1  # not re-counted
         # ...and the key is writable again.
@@ -283,32 +432,31 @@ class TestQuarantineAndVerify:
 
     def test_verify_tallies_and_quarantines(self, tmp_path):
         store = ResultStore(tmp_path)
-        keys = [f"{i:02d}" + "0" * 62 for i in range(4)]
-        for key in keys:
-            store.put(key, key)
-        store.path_for(keys[0]).write_bytes(b"\x80rotten")
+        keys, size = _equal_records(store, 4)
+        (segment,) = _segments(tmp_path)
+        _flip(segment, size - 3)  # record 0's pickle
         hits_before, misses_before = store.hits, store.misses
         tally = store.verify()
         assert tally == {"entries": 4, "ok": 3, "corrupt": 1}
         # An audit is not a lookup: the lifetime counters are untouched.
         assert (store.hits, store.misses) == (hits_before, misses_before)
-        # The corrupt entry is gone from the rotation...
-        assert (tmp_path / "corrupt" / f"{keys[0]}.pkl").exists()
+        # The damaged segment is gone from the rotation, its good
+        # records rewritten to a fresh one...
+        assert (tmp_path / "corrupt" / segment.name).exists()
+        assert [store.get(key) for key in keys] == [None, *keys[1:]]
         # ...so a re-audit is clean.
         assert store.verify() == {"entries": 3, "ok": 3, "corrupt": 0}
 
     def test_cli_store_verify(self, tmp_path, capsys):
         from repro.cli import main
 
-        store = ResultStore(tmp_path)
-        keys = [f"{i:02d}" + "0" * 62 for i in range(3)]
-        for key in keys:
-            store.put(key, key)
+        keys, size = _equal_records(ResultStore(tmp_path), 3)
         assert main(["store", "verify", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "entries" in out and "corrupt" in out
 
-        store.path_for(keys[1]).write_bytes(b"\x80rotten")
+        (segment,) = _segments(tmp_path)
+        _flip(segment, 2 * size - 3)
         assert main(["store", "verify", str(tmp_path)]) == 1
 
     def test_cli_store_verify_json(self, tmp_path, capsys):

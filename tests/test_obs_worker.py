@@ -59,7 +59,7 @@ def _worker_families(metrics: MetricsRegistry) -> set[str]:
 
 
 class TestReportAttachment:
-    def test_consumers_auto_enable_reports(self, problems, tmp_path):
+    def test_consumers_derive_records_from_telemetry(self, problems, tmp_path):
         # Metrics and ledger records are derived from the telemetry
         # every outcome carries; nothing else comes home with the slot.
         metrics = MetricsRegistry()
@@ -79,7 +79,7 @@ class TestReportAttachment:
         assert all(not hasattr(o, "worker_report") for o in outcomes)
         assert [o.result.ufc for o in outcomes] == baseline_ufc
 
-    def test_worker_obs_false_overrides_consumers(
+    def test_ledger_alone_names_every_worker_host(
         self, problems, baseline_ufc, tmp_path
     ):
         # A run ledger alone still names every slot's worker host (it
@@ -133,7 +133,7 @@ class TestMerging:
                 tele.wall_s, tele.compile_s, tele.certify_s
             )
 
-    def test_mp_client_ships_reports_home(self, problems, baseline_ufc):
+    def test_mp_client_ships_telemetry_home(self, problems, baseline_ufc):
         metrics = MetricsRegistry()
         engine = HorizonEngine(
             "centralized",

@@ -16,6 +16,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.strategies import HYBRID
+from repro.exec import ResultStore
 from repro.obs.ledger import load_run
 from repro.sim import resume_run
 from repro.sim.simulator import Simulator
@@ -40,6 +41,14 @@ def finished(small_model, small_bundle, tmp_path_factory):
     sim.run(HYBRID)
     (path,) = ledgers.glob("*.jsonl")
     return {"store": store, "run": load_run(path), "lines": path.read_text()}
+
+
+def _copy_store(source, target):
+    """A copy of a store directory's segment files."""
+    target.mkdir()
+    for path in source.glob("*.seg"):
+        (target / path.name).write_bytes(path.read_bytes())
+    return target
 
 
 def _fabricate_torn_part(finished, target_dir):
@@ -103,16 +112,12 @@ class TestResume:
         self, finished, tmp_path
     ):
         _fabricate_torn_part(finished, tmp_path)
-        store_copy = tmp_path / "store"
-        store_copy.mkdir()
-        entries = []
-        for path in finished["store"].glob("??/*.pkl"):
-            dest = store_copy / path.parent.name / path.name
-            dest.parent.mkdir(exist_ok=True)
-            dest.write_bytes(path.read_bytes())
-            entries.append(dest)
-        assert len(entries) == SLOTS
-        entries[0].unlink()  # one completed slot's result vanished
+        store_copy = _copy_store(finished["store"], tmp_path / "store")
+        (segment,) = store_copy.glob("*.seg")
+        # One completed slot's result vanished: the last record lost
+        # its final byte, as a crash mid-write would leave it.
+        with open(segment, "r+b") as fh:
+            fh.truncate(segment.stat().st_size - 1)
 
         report = resume_run(
             finished["run"].run_id, tmp_path, store=store_copy
@@ -126,25 +131,24 @@ class TestResume:
         self, finished, tmp_path
     ):
         _fabricate_torn_part(finished, tmp_path)
-        store_copy = tmp_path / "store"
-        store_copy.mkdir()
-        for path in finished["store"].glob("??/*.pkl"):
-            dest = store_copy / path.parent.name / path.name
-            dest.parent.mkdir(exist_ok=True)
-            dest.write_bytes(path.read_bytes())
-        victim = next(iter(store_copy.glob("??/*.pkl")))
-        victim.write_bytes(b"\x80corrupt")
+        store_copy = _copy_store(finished["store"], tmp_path / "store")
+        (victim,) = store_copy.glob("*.seg")
+        data = bytearray(victim.read_bytes())
+        data[100] ^= 0xFF  # inside the first record's pickle
+        victim.write_bytes(bytes(data))
 
         report = resume_run(
             finished["run"].run_id, tmp_path, store=store_copy
         )
         assert report.ok
         assert report.store_hits == SLOTS - 1
-        # The bad bytes were moved aside for the post-mortem, and the
-        # re-solve wrote a fresh valid entry under the same key.
+        # The bad bytes were moved aside for the post-mortem; the good
+        # records were rewritten and the re-solve appended a fresh one.
         assert (store_copy / "corrupt" / victim.name).exists()
-        assert victim.exists()
-        assert victim.read_bytes() != b"\x80corrupt"
+        assert not victim.exists()
+        reopened = ResultStore(store_copy)
+        assert len(reopened) == SLOTS
+        assert reopened.verify() == {"entries": SLOTS, "ok": SLOTS, "corrupt": 0}
 
     def test_finalized_run_is_refused(self, finished):
         with pytest.raises(ValueError, match="already finalized"):
