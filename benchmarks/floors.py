@@ -21,7 +21,7 @@ mean of the two references around it, so the systematic warm-up drift
 within a round cancels.  A speedup floor gates the worst round: a real
 regression slows every round.
 
-The overhead of an armed but idle resilience config and of
+The overhead of an armed but idle fallback chain and of
 synchronous supervision is not timed here.  A few percent is below
 what wall-clock rounds resolve on a shared host, so
 ``tests/test_overhead_counts.py`` gates both by Python call and

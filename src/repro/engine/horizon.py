@@ -3,14 +3,13 @@
 Interactive workloads cannot be deferred, so the paper's 168 hourly
 UFC problems are independent — the horizon is an embarrassingly
 parallel map of **one per-slot step**: compile lookup → solve (with an
-optional warm payload) → post-hoc timeout check → certify → outcome.
+optional warm payload) → certify → outcome.
 :class:`HorizonEngine` runs it as a *policy layer* over the
 :mod:`repro.exec` client stack.  Concretely:
 
-- **one slot step** (:class:`_SlotStep`) walks a lane list — just the
-  primary solver, or with a :class:`ResilienceConfig` the primary ×
-  ``retry.max_attempts`` then each fallback once, with quarantine —
-  and every outcome is built by one success builder
+- **one slot step** (:class:`_SlotStep`) walks a fallback chain —
+  the primary solver once, then each ``fallback`` solver once — and
+  every outcome is built by one success builder
   (:func:`_slot_outcome`) or one failure builder
   (:func:`_failed_outcome`), whichever lane, batch, warm chain or
   store hit produced it;
@@ -35,9 +34,9 @@ optional warm payload) → post-hoc timeout check → certify → outcome.
 - an optional **persistent result store**
   (:class:`~repro.exec.store.ResultStore`): slots whose digest is
   already on disk resolve from the store instead of the solver;
-- **per-slot error capture**: a slot whose solve raises becomes a
-  failed :class:`SlotOutcome` with structured error fields instead of
-  killing the horizon;
+- **per-slot error capture**: a slot whose solve raises on every lane
+  of the chain becomes a failed :class:`SlotOutcome` with structured
+  error fields instead of killing the horizon;
 - **warm-start chaining** (``warm_start=True``): each slot resumes
   from the previous slot's payload — one chunk on a synchronous
   client, depth-one per-slot submissions on an asynchronous one;
@@ -58,12 +57,11 @@ import time
 import traceback
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.core.problem import UFCProblem
 from repro.engine.protocol import SlotResult, SlotSolver
 from repro.engine.registry import create_solver
-from repro.engine.resilience import ResilienceConfig
 from repro.exec.clients import (
     ExecutionClient,
     InProcessClient,
@@ -75,12 +73,7 @@ from repro.exec.clients import (
 )
 from repro.exec.pipeline import BatchScheduler
 from repro.exec.store import ResultStore, problem_digests
-from repro.exec.supervisor import (
-    FleetStats,
-    FleetSupervisor,
-    SupervisorConfig,
-    TaskTimeoutError,
-)
+from repro.exec.supervisor import FleetStats, FleetSupervisor, SupervisorConfig
 from repro.obs import (
     DEFAULT_ITERATION_BUCKETS,
     DEFAULT_RESIDUAL_BUCKETS,
@@ -93,7 +86,6 @@ from repro.obs import (
 
 __all__ = [
     "SlotOutcome",
-    "SlotTimeoutError",
     "CompileCache",
     "HorizonEngine",
     "usable_cpu_count",
@@ -102,16 +94,6 @@ __all__ = [
 #: This process's node name, stamped on the telemetry of every slot it
 #: solves (computed once per process).
 _HOST = platform.node() or "localhost"
-
-
-class SlotTimeoutError(RuntimeError):
-    """An attempt exceeded the per-slot wall-clock budget.
-
-    In-process solvers cannot be preempted, so the budget is enforced
-    after the attempt returns (and, for asynchronous clients, on the
-    whole pending batch at harvest time); the late result is discarded
-    and the fallback chain escalates.
-    """
 
 
 @dataclass
@@ -133,15 +115,15 @@ class SlotOutcome:
         certificate: the slot's numerical-health
             :class:`~repro.obs.certify.Certificate` when the engine ran
             with certification on; None otherwise.
-        attempts: total solve attempts this slot consumed (1 on the
-            non-resilient path; retries and fallbacks each add one).
+        attempts: solve attempts this slot consumed: 1 for the
+            primary, plus one per fallback solver tried.
         degraded: the result came from a fallback solver or the solver
             itself reported a degraded completion — flagged, never
             hidden.
         fallback_solver: name of the fallback solver that produced the
             result; None when the primary did.
-        chain_errors: one ``"solver[attempt k]: ErrType: message"``
-            entry per failed attempt along the retry/fallback chain.
+        chain_errors: one ``"solver: ErrType: message"`` entry per
+            failed lane of the fallback chain (empty without a chain).
         lineage: the fleet supervisor's retry lineage for this slot's
             chunk (attempt count, workers tried, faults, hedge
             outcome) when the slot was not first-try-clean under
@@ -340,23 +322,18 @@ def _failed_outcome(
     )
 
 
-def _failed_chunk(
-    chunk: _Chunk,
-    solver_name: str,
-    exc_type: Callable[[str], BaseException],
-    reason: str,
-) -> list[SlotOutcome]:
-    """One failed outcome per slot of a chunk that never came back.
+def _failed_chunk(chunk: _Chunk, solver_name: str, reason: str) -> list[SlotOutcome]:
+    """One failed outcome per slot of a chunk whose worker was lost.
 
-    A lost worker (``WorkerLostError``) or a batch abandoned at harvest
-    (``SlotTimeoutError``) delivers no per-slot telemetry, so every slot
-    becomes a structured failure attributed to the harvesting process —
-    not a silent gap — with no host, since no worker returned it.
+    A lost worker delivers no per-slot telemetry, so every slot becomes
+    a structured ``WorkerLostError`` failure attributed to the
+    harvesting process — not a silent gap — with no host, since no
+    worker returned it.
     """
     outcomes = []
     for offset in range(len(chunk.problems)):
         index = chunk.index(offset)
-        exc = exc_type(f"slot {index}: {reason}")
+        exc = WorkerLostError(f"slot {index}: {reason}")
         outcomes.append(
             _failed_outcome(
                 index,
@@ -372,98 +349,66 @@ def _failed_chunk(
 class _SlotStep:
     """The per-slot step every lane runs: compile lookup → solve → certify.
 
-    Built once per chunk, it owns one :class:`CompileCache` per lane.
-    Without a resilience config the lane list is just the primary
-    solver, one attempt.  With one, the primary gets
-    ``retry.max_attempts`` tries, then each fallback (instantiated once
-    per chunk) gets one; an attempt exceeding ``slot_timeout_s`` is
-    discarded as a :class:`SlotTimeoutError`; and after
-    ``quarantine_after`` consecutive slots where the primary's whole
-    budget failed, the primary is skipped for the rest of the chunk.
-    A slot only becomes a failed outcome when every lane failed.
+    Built once per chunk, it owns one :class:`CompileCache` per lane of
+    the fallback chain: the primary solver, then each ``fallback``
+    solver (instantiated once per chunk).  A slot tries each lane once,
+    in order, and the first success is its outcome; only the primary
+    sees the warm payload, since a fallback is a different solver.  A
+    slot becomes a failed outcome only when every lane failed.
     """
 
     def __init__(
         self,
         solver: SlotSolver,
         certifier: Any | None,
-        resilience: ResilienceConfig | None,
+        fallback: tuple[str, ...] = (),
     ) -> None:
         self.solver = solver
         self.certifier = certifier
-        self.resilience = resilience
         self.cache = CompileCache(solver)
-        budget = 1 if resilience is None else resilience.retry.max_attempts
-        self.lanes: list[tuple[SlotSolver, CompileCache, int]] = [
-            (solver, self.cache, budget)
-        ]
-        for name in () if resilience is None else resilience.fallback:
-            fallback = create_solver(name)
-            self.lanes.append((fallback, CompileCache(fallback), 1))
-        self.primary_failures = 0
+        self.lanes: list[tuple[SlotSolver, CompileCache]] = [(solver, self.cache)]
+        for name in fallback:
+            lane = create_solver(name)
+            self.lanes.append((lane, CompileCache(lane)))
 
     def __call__(
         self, index: int, problem: UFCProblem, warm: Any | None = None
     ) -> SlotOutcome:
         """Solve one slot, capturing any failure as a failed outcome."""
-        resilience = self.resilience
-        timeout_s = None if resilience is None else resilience.slot_timeout_s
-        after = 0 if resilience is None else resilience.quarantine_after
-        quarantined = bool(after) and self.primary_failures >= after
         chain_errors: list[str] = []
-        if quarantined:
-            chain_errors.append(
-                f"{self.solver.name}: quarantined after "
-                f"{self.primary_failures} consecutive slot failures"
-            )
-        attempts = 0
         start = time.perf_counter()
-        for lane, (solver, cache, budget) in enumerate(self.lanes):
-            if lane == 0 and quarantined:
-                continue
-            for attempt in range(1, budget + 1):
-                attempts += 1
-                cache_hit: bool | None = None
-                compile_s = 0.0
-                try:
-                    compiled, cache_hit, compile_s = cache.lookup(
-                        problem.model, problem.strategy
+        for attempt, (solver, cache) in enumerate(self.lanes, 1):
+            primary = attempt == 1
+            cache_hit: bool | None = None
+            compile_s = 0.0
+            try:
+                compiled, cache_hit, compile_s = cache.lookup(
+                    problem.model, problem.strategy
+                )
+                solve_start = time.perf_counter()
+                result = solver.solve(
+                    problem, compiled=compiled, warm=warm if primary else None
+                )
+                return _slot_outcome(
+                    index,
+                    problem,
+                    result,
+                    solver.name,
+                    self.certifier,
+                    wall_s=time.perf_counter() - solve_start,
+                    compile_s=compile_s,
+                    cache_hit=cache_hit,
+                    warm_start=primary and warm is not None,
+                    attempts=attempt,
+                    fallback_solver=None if primary else solver.name,
+                    chain_errors=tuple(chain_errors),
+                )
+            except Exception as exc:
+                failure = (exc, traceback.format_exc(), compile_s, cache_hit)
+                if len(self.lanes) > 1:
+                    chain_errors.append(
+                        f"{solver.name}: {type(exc).__name__}: {exc}"
                     )
-                    solve_start = time.perf_counter()
-                    result = solver.solve(problem, compiled=compiled, warm=warm)
-                    wall_s = time.perf_counter() - solve_start
-                    if timeout_s is not None and wall_s > timeout_s:
-                        raise SlotTimeoutError(
-                            f"slot {index}: {solver.name} attempt took "
-                            f"{wall_s:.3f}s > budget {timeout_s:.3f}s"
-                        )
-                    outcome = _slot_outcome(
-                        index,
-                        problem,
-                        result,
-                        solver.name,
-                        self.certifier,
-                        wall_s=wall_s,
-                        compile_s=compile_s,
-                        cache_hit=cache_hit,
-                        warm_start=warm is not None,
-                        attempts=attempts,
-                        fallback_solver=None if lane == 0 else solver.name,
-                        chain_errors=tuple(chain_errors),
-                    )
-                except Exception as exc:
-                    failure = (exc, traceback.format_exc(), compile_s, cache_hit)
-                    if resilience is not None:
-                        chain_errors.append(
-                            f"{solver.name}[attempt {attempt}]: "
-                            f"{type(exc).__name__}: {exc}"
-                        )
-                    continue
-                if lane == 0:
-                    self.primary_failures = 0
-                return outcome
-            if lane == 0:
-                self.primary_failures += 1
         exc, error, compile_s, cache_hit = failure
         return _failed_outcome(
             index,
@@ -474,7 +419,7 @@ class _SlotStep:
             compile_s=compile_s,
             cache_hit=cache_hit,
             warm_start=warm is not None,
-            attempts=attempts,
+            attempts=len(self.lanes),
             chain_errors=tuple(chain_errors),
         )
 
@@ -534,11 +479,22 @@ class _SlotStep:
         return [outcomes[offset] for offset in range(len(chunk.problems))]
 
 
+def _chained_warm(outcome: SlotOutcome) -> Any | None:
+    """The warm payload a slot hands the next one in a chain.
+
+    Only a primary success chains: a failed slot has no payload, and a
+    fallback solver's result is not the primary's warm state.
+    """
+    if outcome.ok and outcome.fallback_solver is None:
+        return outcome.result.warm
+    return None
+
+
 def _solve_chunk(
     solver: SlotSolver,
     chunk: _Chunk,
     certifier: Any | None = None,
-    resilience: ResilienceConfig | None = None,
+    fallback: tuple[str, ...] = (),
     batched: bool = False,
     warm_start: bool = False,
     warm: Any | None = None,
@@ -555,17 +511,18 @@ def _solve_chunk(
     The chunk runs through the per-slot :class:`_SlotStep` loop or,
     with ``batched``, through :meth:`_SlotStep.batch`.  With
     ``warm_start`` the loop chains: ``warm`` seeds the first slot and
-    each success's :attr:`SlotResult.warm` seeds the next, while a
-    failure ships no payload and cold-restarts the chain.
+    each primary success's :attr:`SlotResult.warm` seeds the next,
+    while a failure or a fallback result ships no payload and
+    cold-restarts the chain.
     """
-    step = _SlotStep(solver, certifier, resilience)
+    step = _SlotStep(solver, certifier, fallback)
     if batched:
         return step.batch(chunk)
     outcomes = []
     for offset, problem in enumerate(chunk.problems):
         outcome = step(chunk.index(offset), problem, warm)
         if warm_start:
-            warm = outcome.result.warm if outcome.ok else None
+            warm = _chained_warm(outcome)
         outcomes.append(outcome)
     return outcomes
 
@@ -682,33 +639,23 @@ class HorizonEngine:
             the ``repro_worker_*`` series of every slot a worker
             returned.  Process-local: all of it is recorded in the
             parent from the outcomes' telemetry.
-        resilience: optional
-            :class:`~repro.engine.resilience.ResilienceConfig` giving
-            every slot a retry budget, a solver fallback chain, a
-            per-attempt wall-clock budget, and quarantine for a
-            repeatedly-failing primary.  None (default) keeps the
-            original single-attempt path bit-identical.  Incompatible
-            with ``warm_start`` runs (a fallback breaks the chain's
-            state contract).  With an asynchronous client,
-            ``slot_timeout_s`` is additionally enforced on each whole
-            pending batch at harvest time: a batch still outstanding
-            after ``slot_timeout_s x slots`` seconds is abandoned and
-            every slot in it surfaces as a ``SlotTimeoutError``
-            outcome.
+        fallback: registry names of the solvers that rescue a slot
+            the primary failed, tried once each, in order (e.g.
+            ``("centralized", "proportional")``).  A rescued outcome
+            is flagged ``degraded`` with ``fallback_solver`` set, is
+            still certified, and is never stored or chained as a warm
+            payload.  The empty default runs the primary alone.
         supervision: optional
             :class:`~repro.exec.supervisor.SupervisorConfig` (or
             ``True`` for the defaults).  Wraps the run's client in a
-            :class:`~repro.exec.supervisor.FleetSupervisor`: lost or
-            timed-out batches are resubmitted to surviving workers
-            under a bounded retry budget, stragglers are hedged,
-            faulty workers quarantined, and (when configured) lost
-            loopback workers respawned.  Only asynchronous clients are
-            supervised — with a synchronous client (or ``None``,
-            default) the pre-supervision code path runs bit-identical.
-            With both ``resilience.slot_timeout_s`` and supervision
-            set, the supervisor owns the clock: each *attempt* gets
-            the per-batch budget, and only budget exhaustion surfaces
-            as ``SlotTimeoutError`` outcomes.
+            :class:`~repro.exec.supervisor.FleetSupervisor`: batches
+            lost with their worker are resubmitted to surviving
+            workers under a bounded retry budget, stragglers are
+            hedged, faulty workers quarantined, and (when configured)
+            lost loopback workers respawned.  Only asynchronous
+            clients are supervised — with a synchronous client (or
+            ``None``, default) the pre-supervision code path runs
+            bit-identical.
         client: execution backend the horizon runs through — a
             registry name (``"in-process"``, ``"mp"``, ``"socket"``;
             see :func:`repro.exec.clients.available_clients`) or an
@@ -759,7 +706,7 @@ class HorizonEngine:
         oversubscribe: bool = False,
         certify: bool | Any = False,
         metrics: Any | None = None,
-        resilience: ResilienceConfig | None = None,
+        fallback: Sequence[str] = (),
         supervision: SupervisorConfig | bool | None = None,
         client: str | ExecutionClient | None = None,
         max_pending: int | None = None,
@@ -791,7 +738,7 @@ class HorizonEngine:
         else:
             self.certifier = None
         self.metrics = metrics
-        self.resilience = resilience
+        self.fallback = tuple(fallback)
         if supervision is True:
             self.supervision: SupervisorConfig | None = SupervisorConfig()
         elif supervision:
@@ -834,15 +781,16 @@ class HorizonEngine:
         """Whether this run takes the vectorized ``solve_batch`` lane.
 
         ``None`` (default) auto-enables batching whenever the solver
-        exposes a callable ``solve_batch`` and nothing incompatible is
-        requested (warm-start chaining consumes slots sequentially;
-        resilience retries are per-slot by design).  ``True`` forces
+        exposes a callable ``solve_batch`` and the run is not a warm
+        chain (which consumes slots sequentially).  ``True`` forces
         the lane and raises on any incompatibility; ``False`` forces
-        the scalar per-slot path.
+        the scalar per-slot path.  A fallback chain works on either
+        lane: a failed batch group is re-solved slot by slot through
+        the chain.
         """
         capable = callable(getattr(self.solver, "solve_batch", None))
         if batch is None:
-            return capable and not warm_start and self.resilience is None
+            return capable and not warm_start
         if not batch:
             return False
         if not capable:
@@ -855,11 +803,6 @@ class HorizonEngine:
             raise ValueError(
                 "batch=True cannot combine with warm_start: warm chaining "
                 "consumes slots sequentially"
-            )
-        if self.resilience is not None:
-            raise ValueError(
-                "batch=True cannot combine with a resilience config: "
-                "retry/fallback budgets are per-slot; run with batch=False"
             )
         return True
 
@@ -900,12 +843,6 @@ class HorizonEngine:
                 raise ValueError(
                     f"solver {self.solver.name!r} does not support warm "
                     "starts; run with warm_start=False"
-                )
-            if self.resilience is not None:
-                raise ValueError(
-                    "warm-start chaining cannot combine with a resilience "
-                    "config: a fallback solver would break the chain's "
-                    "warm-state contract"
                 )
             if self.workers > 1:
                 raise ValueError(
@@ -999,7 +936,7 @@ class HorizonEngine:
             "chunk_size": self.chunk_size,
             "oversubscribe": self.oversubscribe,
             "certify": self.certifier is not None,
-            "resilience": self.resilience is not None,
+            "fallback": list(self.fallback),
             "supervised": self.supervision is not None,
             "client": client,
             "max_pending": self.max_pending,
@@ -1024,8 +961,8 @@ class HorizonEngine:
         worker returned (its telemetry names a host) gets its
         ``repro_worker_*`` series, and every outcome is appended to
         the run ledger (with the live pending depth when the scheduler
-        knows it).  Store hits and the stand-ins for lost or timed-out
-        batches name no host, so they get no worker series.
+        knows it).  Store hits and the stand-ins for lost batches name
+        no host, so they get no worker series.
         """
         tele = outcome.telemetry
         if self.metrics is not None and tele is not None and tele.host is not None:
@@ -1140,9 +1077,10 @@ class HorizonEngine:
         pipelines at depth one: each single-slot chunk is submitted
         only after the previous one is harvested and carries its
         :attr:`SlotResult.warm` payload, so warm hints cross process
-        and socket boundaries.  A failed slot — including a lost
-        worker — ships no payload, so the next slot cold-restarts the
-        chain; warm chains are never wrapped in a fleet supervisor.
+        and socket boundaries.  A failed or fallback-rescued slot —
+        including a lost worker — ships no payload, so the next slot
+        cold-restarts the chain; warm chains are never wrapped in a
+        fleet supervisor.
 
         Returns ``(outcomes, stats)``.
         """
@@ -1229,40 +1167,9 @@ class HorizonEngine:
                     effective,
                     1 if warm_start else self.chunk_size,
                 )
-                budget_fn = None
-                solver_name = self.solver.name
-                if (
-                    self.resilience is not None
-                    and self.resilience.slot_timeout_s is not None
-                    and asynchronous
-                ):
-                    timeout_s = self.resilience.slot_timeout_s
-
-                    def budget_fn(task: tuple[Any, ...]) -> float:
-                        return timeout_s * len(task[1].problems)
-
-                def on_timeout(task: tuple[Any, ...]) -> list[SlotOutcome]:
-                    chunk = task[1]
-                    budget_s = 0.0 if budget_fn is None else budget_fn(task)
-                    return _failed_chunk(
-                        chunk,
-                        solver_name,
-                        SlotTimeoutError,
-                        f"pending batch exceeded its harvest budget "
-                        f"({budget_s:.3f}s for {len(chunk.problems)} slots); "
-                        "the batch was abandoned and its late result discarded",
-                    )
-
                 if self.supervision is not None and asynchronous and not warm_start:
-                    # The supervisor owns the clock: each *attempt* gets
-                    # the per-batch budget, and the scheduler's own
-                    # deadline enforcement is turned off — resubmission
-                    # extends a batch's life past any single attempt.
                     supervisor = FleetSupervisor(
-                        client,
-                        self.supervision,
-                        budget_s=budget_fn,
-                        metrics=self.metrics,
+                        client, self.supervision, metrics=self.metrics
                     )
                     stats.fleet = supervisor.stats
                 scheduler = BatchScheduler(
@@ -1276,17 +1183,10 @@ class HorizonEngine:
                 ) -> list[SlotOutcome]:
                     # A lost worker becomes structured per-slot failures
                     # (the fleet already shrank); under supervision this
-                    # only fires once the retry budget is spent.  A
-                    # supervised batch whose every attempt blew its
-                    # budget gets the same timeout verdict the
-                    # scheduler's own enforcement would give.  Anything
-                    # else is a real bug and propagates as before.
+                    # only fires once the retry budget is spent.
+                    # Anything else is a real bug and propagates.
                     if isinstance(exc, WorkerLostError):
-                        return _failed_chunk(
-                            task[1], solver_name, WorkerLostError, str(exc)
-                        )
-                    if isinstance(exc, TaskTimeoutError) and supervisor is not None:
-                        return on_timeout(task)
+                        return _failed_chunk(task[1], self.solver.name, str(exc))
                     raise exc
 
                 tasks = [
@@ -1294,7 +1194,7 @@ class HorizonEngine:
                         self.solver,
                         chunk,
                         self.certifier,
-                        self.resilience,
+                        self.fallback,
                         batched,
                     )
                     for chunk in chunks
@@ -1332,12 +1232,7 @@ class HorizonEngine:
                     tasks: list[tuple[Any, ...]]
                 ) -> list[list[SlotOutcome]]:
                     return scheduler.map(
-                        _solve_chunk,
-                        tasks,
-                        budget_s=None if supervisor is not None else budget_fn,
-                        on_timeout=None if supervisor is not None else on_timeout,
-                        on_result=on_harvest,
-                        on_error=on_error,
+                        _solve_chunk, tasks, on_result=on_harvest, on_error=on_error
                     )
 
                 if warm_start:
@@ -1345,8 +1240,7 @@ class HorizonEngine:
                     warm = None
                     for task in tasks:
                         (chunk_outcomes,) = harvest([(*task, True, warm)])
-                        last = chunk_outcomes[-1]
-                        warm = last.result.warm if last.ok else None
+                        warm = _chained_warm(chunk_outcomes[-1])
                         harvested.append(chunk_outcomes)
                 else:
                     harvested = harvest(tasks)

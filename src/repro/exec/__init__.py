@@ -8,7 +8,7 @@ can stay a policy layer:
   (the latter shards across machines via
   ``python -m repro exec-worker``);
 - :mod:`repro.exec.pipeline` — :class:`BatchScheduler`, pipelined
-  pending-batch completion with per-batch harvest budgets;
+  pending-batch completion;
 - :mod:`repro.exec.store` — :class:`ResultStore`, the persistent
   (model digest, strategy, solver, slot) -> result store that lets
   sweeps and chaos runs warm-start from disk;
@@ -41,7 +41,6 @@ from repro.exec.supervisor import (
     FleetSupervisor,
     RetryBudget,
     SupervisorConfig,
-    TaskTimeoutError,
 )
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "SupervisorConfig",
     "BatchScheduler",
     "ResultStore",
-    "TaskTimeoutError",
     "WorkerLostError",
     "available_clients",
     "create_client",

@@ -117,7 +117,7 @@ class ExecutionClient(Protocol):
     Attributes:
         name: registry/display name.
         asynchronous: True when :meth:`submit` returns before the task
-            runs (so harvest-time deadlines are enforceable); the
+            runs (so a fleet supervisor can resubmit or hedge it); the
             in-process client is synchronous and reports False.
         workers: parallel task capacity (1 for in-process).
     """

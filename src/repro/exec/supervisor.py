@@ -8,22 +8,21 @@ the run ledger records them.  This module makes it *recoverable*.
 submit/wait_next/discard surface, so the batch scheduler and engine
 use it transparently, and adds four behaviors:
 
-- **Resubmission.**  A task whose worker died, or whose attempt blew
-  its per-attempt budget, is resubmitted to the surviving fleet under
-  a bounded :class:`RetryBudget` — per-task attempt cap, exponential
-  backoff, and a per-run retry ceiling.  Only when the budget is
-  exhausted does the failure propagate (with the supervisor's task id
-  attached, so the scheduler can still absorb it per-task).
+- **Resubmission.**  A task whose worker died is resubmitted to the
+  surviving fleet under a bounded :class:`RetryBudget` — per-task
+  attempt cap, exponential backoff, and a per-run retry ceiling.  Only
+  when the budget is exhausted does the failure propagate (with the
+  supervisor's task id attached, so the scheduler can still absorb it
+  per-task).
 - **Straggler hedging.**  Once enough attempts have completed to
   estimate a latency quantile, a task in flight longer than
   ``quantile * hedge_multiplier`` is speculatively duplicated on
   another worker; the first completed attempt wins and the loser is
   discarded.  Task functions are deterministic, so hedging never
   changes results — only tail latency.
-- **Worker quarantine.**  A worker that faults repeatedly
+- **Worker quarantine.**  A worker that loses tasks repeatedly
   (``quarantine_after`` times) is retired from the rotation,
-  circuit-breaker style — the fleet analogue of the engine's
-  ``ResilienceConfig.quarantine_after``.
+  circuit-breaker style.
 - **Respawn.**  When the wrapped client can grow its fleet back
   (:meth:`~repro.exec.clients.SocketClient.respawn_workers`), lost
   loopback workers are replaced up to ``max_respawns``.
@@ -48,29 +47,7 @@ __all__ = [
     "FleetSupervisor",
     "RetryBudget",
     "SupervisorConfig",
-    "TaskTimeoutError",
 ]
-
-
-class TaskTimeoutError(RuntimeError):
-    """Every attempt of a supervised task blew its per-attempt budget.
-
-    Carries ``task_id`` (the supervisor's task id) so a scheduler can
-    attribute the failure, plus the attempt count and the workers that
-    tried, for the retry lineage.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        task_id: int | None = None,
-        attempts: int = 1,
-        workers_tried: tuple[str, ...] = (),
-    ) -> None:
-        super().__init__(message)
-        self.task_id = task_id
-        self.attempts = attempts
-        self.workers_tried = workers_tried
 
 
 @dataclass(frozen=True)
@@ -123,9 +100,9 @@ class SupervisorConfig:
         hedge_min_samples: completed attempts required before the
             quantile is trusted (no hedging before that).
         max_hedges_run: ceiling on hedges across the whole run.
-        quarantine_after: faults (losses + timeouts) a single worker
-            may cause before it is retired from the rotation; 0
-            disables quarantine.
+        quarantine_after: task losses a single worker may cause
+            before it is retired from the rotation; 0 disables
+            quarantine.
         heartbeat_s: ping idle workers this often (None disables).
         respawn: replace lost workers when the client can
             (``respawn_workers``).
@@ -203,18 +180,11 @@ def _quantile(samples: list[float], q: float) -> float:
 
 
 class _Attempt:
-    __slots__ = ("inner_id", "submitted_at", "deadline", "worker", "hedge")
+    __slots__ = ("inner_id", "submitted_at", "worker", "hedge")
 
-    def __init__(
-        self,
-        inner_id: int,
-        submitted_at: float,
-        deadline: float | None,
-        hedge: bool,
-    ) -> None:
+    def __init__(self, inner_id: int, submitted_at: float, hedge: bool) -> None:
         self.inner_id = inner_id
         self.submitted_at = submitted_at
-        self.deadline = deadline
         self.worker: str | None = None
         self.hedge = hedge
 
@@ -224,7 +194,6 @@ class _TaskState:
         "outer_id",
         "fn",
         "args",
-        "budget",
         "attempts",
         "live",
         "retry_at",
@@ -233,13 +202,10 @@ class _TaskState:
         "workers_tried",
     )
 
-    def __init__(
-        self, outer_id: int, fn: Callable[..., Any], args: tuple, budget: float | None
-    ) -> None:
+    def __init__(self, outer_id: int, fn: Callable[..., Any], args: tuple) -> None:
         self.outer_id = outer_id
         self.fn = fn
         self.args = args
-        self.budget = budget
         self.attempts = 0  # total submissions, hedges included
         self.live: list[_Attempt] = []
         self.retry_at: float | None = None  # backoff-pending resubmission
@@ -263,12 +229,6 @@ class FleetSupervisor:
             client has already finished a task when submit returns, so
             there is nothing to supervise).
         config: supervision policy.
-        budget_s: optional per-attempt wall budget, computed from the
-            task's argument tuple (same shape as the scheduler's
-            ``budget_s``).  With a supervisor in place the scheduler's
-            own deadline enforcement is turned off — resubmission
-            extends a task's life past any single-attempt budget, so
-            the supervisor owns the clock.
         metrics: optional registry; maintains
             ``repro_exec_resubmits_total{reason=}``,
             ``repro_exec_hedges_total{outcome=}`` and the
@@ -281,7 +241,6 @@ class FleetSupervisor:
         self,
         client: Any,
         config: SupervisorConfig | None = None,
-        budget_s: Callable[[tuple[Any, ...]], float | None] | None = None,
         metrics: Any | None = None,
     ) -> None:
         if not getattr(client, "asynchronous", False):
@@ -291,7 +250,6 @@ class FleetSupervisor:
             )
         self.inner = client
         self.config = config or SupervisorConfig()
-        self.budget_s = budget_s
         self.metrics = metrics
         self.stats = FleetStats()
         self._tasks: dict[int, _TaskState] = {}
@@ -330,8 +288,7 @@ class FleetSupervisor:
         """Submit through the wrapped client under supervision."""
         outer_id = self._next_outer
         self._next_outer += 1
-        budget = self.budget_s(args) if self.budget_s is not None else None
-        state = _TaskState(outer_id, fn, args, budget)
+        state = _TaskState(outer_id, fn, args)
         self._tasks[outer_id] = state
         self._launch_attempt(state, hedge=False)
         return outer_id
@@ -340,11 +297,11 @@ class FleetSupervisor:
         """Deliver the next surviving result; recover along the way.
 
         Between deliveries the supervisor runs its housekeeping loop:
-        expire per-attempt budgets, flush backoff-due resubmissions,
-        launch hedges for stragglers, heartbeat idle workers, respawn
-        lost ones.  A task whose budget is exhausted raises — with the
-        supervisor's task id attached — exactly like an unsupervised
-        failure, so existing scheduler error handling applies.
+        flush backoff-due resubmissions, launch hedges for stragglers,
+        heartbeat idle workers, respawn lost ones.  A task whose retry
+        budget is exhausted raises — with the supervisor's task id
+        attached — exactly like an unsupervised failure, so existing
+        scheduler error handling applies.
         """
         caller_deadline = (
             None if timeout_s is None else time.monotonic() + timeout_s
@@ -355,7 +312,6 @@ class FleetSupervisor:
             if not self._tasks:
                 return None
             now = time.monotonic()
-            self._expire_attempts(now)  # may raise for an exhausted task
             self._flush_retries(now)
             self._launch_hedges(now)
             self._heartbeat(now)
@@ -425,8 +381,7 @@ class FleetSupervisor:
     def _launch_attempt(self, state: _TaskState, hedge: bool) -> None:
         now = time.monotonic()
         inner_id = self.inner.submit(state.fn, *state.args)
-        deadline = None if state.budget is None else now + state.budget
-        attempt = _Attempt(inner_id, now, deadline, hedge)
+        attempt = _Attempt(inner_id, now, hedge)
         state.attempts += 1
         state.live.append(attempt)
         state.retry_at = None
@@ -522,36 +477,6 @@ class FleetSupervisor:
         exc.task_id = outer_id
         exc.attempts = state.attempts
         raise exc
-
-    def _expire_attempts(self, now: float) -> None:
-        """Discard attempts past their per-attempt budget; retry or raise."""
-        for state in list(self._tasks.values()):
-            expired = [
-                a for a in state.live if a.deadline is not None and a.deadline <= now
-            ]
-            if not expired:
-                continue
-            for attempt in expired:
-                state.live.remove(attempt)
-                self._refresh_attribution(state, attempt)
-                self._inner_to_outer.pop(attempt.inner_id, None)
-                self.inner.discard(attempt.inner_id)
-                state.faults.append("SlotTimeoutError")
-                self._fault_worker(attempt.worker)
-            if state.live:
-                continue
-            if self._may_retry(state):
-                self._schedule_retry(state, reason="timeout")
-                continue
-            error = TaskTimeoutError(
-                f"task {state.outer_id} exhausted {state.attempts} attempt(s) "
-                f"of {state.budget:.3g}s each",
-                task_id=state.outer_id,
-                attempts=state.attempts,
-                workers_tried=tuple(state.workers_tried),
-            )
-            self._finish_failed(state, error)
-            raise error
 
     def _may_retry(self, state: _TaskState) -> bool:
         if state.attempts >= self.config.retry.max_attempts:
@@ -705,10 +630,6 @@ class FleetSupervisor:
             candidates.append(retry)
         if self._heartbeat_due is not None:
             candidates.append(self._heartbeat_due)
-        for state in self._tasks.values():
-            for attempt in state.live:
-                if attempt.deadline is not None:
-                    candidates.append(attempt.deadline)
         threshold = self._straggler_deadline_s()
         if threshold is not None:
             for state in self._tasks.values():

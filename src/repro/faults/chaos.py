@@ -30,7 +30,6 @@ from typing import Any, Mapping
 
 from repro.core.strategies import HYBRID, Strategy
 from repro.engine.horizon import HorizonEngine
-from repro.engine.resilience import ResilienceConfig, RetryPolicy
 from repro.faults.plan import FaultPlan, RecoveryPolicy
 from repro.faults.solver import ChaosDistributedSolver
 from repro.obs.metrics import MetricsRegistry
@@ -220,17 +219,12 @@ def run_chaos(
     chaos_solver = ChaosDistributedSolver(
         plan, recovery=recovery, escalate_degraded=bool(fallback)
     )
-    resilience = (
-        ResilienceConfig(retry=RetryPolicy(max_attempts=1), fallback=fallback)
-        if fallback
-        else None
-    )
     engine = HorizonEngine(
         chaos_solver,
         workers=1,
         certify=True,
         metrics=registry,
-        resilience=resilience,
+        fallback=fallback,
     )
     start = time.perf_counter()
     outcomes = engine.run(problems)

@@ -17,7 +17,6 @@ from repro.core.compiled import CompiledQPStructure
 from repro.core.strategies import ALL_STRATEGIES, FUEL_CELL, HYBRID
 from repro.engine import HorizonEngine, available_solvers, create_solver
 from repro.engine.batch import CentralizedBatchSlotSolver, _share_groups
-from repro.engine.resilience import ResilienceConfig
 from repro.sim.simulator import Simulator
 
 
@@ -255,19 +254,41 @@ class TestEngineLaneErrors:
         with pytest.raises(ValueError, match="warm"):
             engine.run(hybrid_problems[:2], warm_start=True, batch=True)
 
-    def test_batch_true_rejects_resilience(self, hybrid_problems):
-        engine = HorizonEngine(
-            "centralized-batch", resilience=ResilienceConfig()
-        )
-        with pytest.raises(ValueError, match="resilience"):
-            engine.run(hybrid_problems[:2], batch=True)
+    def test_idle_fallback_keeps_the_batched_lane(self, hybrid_problems):
+        plain = HorizonEngine("centralized-batch").run(hybrid_problems)
+        engine = HorizonEngine("centralized-batch", fallback=("proportional",))
+        armed = engine.run(hybrid_problems)
+        assert engine.last_summary.executor == "serial-batch"
+        for a, b in zip(plain, armed):
+            assert b.result.extras.get("batched")
+            assert b.attempts == 1 and b.fallback_solver is None
+            for name in ("lam", "mu", "nu"):
+                assert np.array_equal(
+                    getattr(a.result.allocation, name),
+                    getattr(b.result.allocation, name),
+                )
+            assert a.result.ufc == b.result.ufc
 
-    def test_resilience_auto_disables_batching(self, hybrid_problems):
-        engine = HorizonEngine(
-            "centralized-batch", resilience=ResilienceConfig()
-        )
-        engine.run(hybrid_problems[:3])
-        assert engine.last_summary.executor == "serial"
+    def test_poisoned_batch_falls_back_per_slot(self, hybrid_problems):
+        """A failed group is re-solved slot by slot through the chain."""
+
+        class PoisonedSolver(CentralizedBatchSlotSolver):
+            def solve_batch(self, problems, compiled=None):
+                raise RuntimeError("batch kernel poisoned")
+
+            def solve(self, problem, compiled=None, warm=None):
+                raise RuntimeError("scalar kernel poisoned")
+
+        engine = HorizonEngine(PoisonedSolver(), fallback=("centralized",))
+        outcomes = engine.run(hybrid_problems[:4])
+        assert engine.last_summary.executor == "serial-batch"
+        assert [o.index for o in outcomes] == [0, 1, 2, 3]
+        for o in outcomes:
+            assert o.ok and o.degraded
+            assert o.fallback_solver == "centralized"
+            assert o.attempts == 2
+            assert o.telemetry.solver == "centralized"
+        assert engine.last_summary.fallbacks_total == 4
 
     def test_poisoned_group_falls_back_per_slot(self, hybrid_problems):
         class PoisonedBatchSolver(CentralizedBatchSlotSolver):

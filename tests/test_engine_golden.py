@@ -1,8 +1,8 @@
 """Bit-level golden digests of the horizon engine's per-slot outcomes.
 
 Every lane of :class:`~repro.engine.horizon.HorizonEngine` — serial,
-process pool, named clients, batched, warm-chained, resilient, store
-and observed — runs one fixed horizon, and each outcome's exact bytes
+process pool, named clients, batched, warm-chained, fallback-rescued,
+store and observed — runs one fixed horizon, and each outcome's exact bytes
 are hashed: index, ``ok``, ``error_type``, the allocation arrays, ufc,
 iterations, convergence, warm mechanism, attempts, degraded,
 ``fallback_solver``, ``chain_errors`` and the non-timing telemetry
@@ -28,7 +28,6 @@ from repro.core.strategies import FUEL_CELL, GRID, HYBRID
 from repro.engine.horizon import HorizonEngine
 from repro.engine.protocol import SlotResult
 from repro.engine.registry import create_solver
-from repro.engine.resilience import ResilienceConfig, RetryPolicy
 from repro.obs import MetricsRegistry
 from repro.sim.simulator import Simulator, build_model
 from repro.traces.datasets import default_bundle
@@ -47,7 +46,13 @@ from repro.traces.datasets import default_bundle
 #: scipy's LAPACK rounds differently from numpy's ``gesv``.  Per slot
 #: against the previous digests' code, iterations are equal and UFC
 #: agrees within 1.4e-16 (dense) and 3.3e-13 (batched) relative; the
-#: warm lanes kept their digests.
+#: warm lanes kept their digests.  ``resilience_rescue`` was re-recorded
+#: when the engine's primary retry budget and quarantine were removed,
+#: leaving a plain fallback chain: every slot now costs two attempts
+#: (the primary once, then ``centralized``) and carries one
+#: ``"solver: ErrType: message"`` chain error, where the old lane spent
+#: three attempts on slots 0-1 and quarantined the primary from slot 2.
+#: The allocations and UFC of all 12 slots are byte-identical to before.
 GOLDEN = {
     "serial": "2511be6632bcd474228c18fb34ed40642ee91acedf1fed4f2d774cc7b950124d",
     "pool": "369ba3c4ec0982d8b73bd939a76e8bf3053c8f14c138d336b1da4547e2ce4d56",
@@ -59,7 +64,7 @@ GOLDEN = {
     "warm_mp": "fd5c50f3010c6a5a6a0bbdfacc4998e271063d782000f80fe7ee4a0f5d82a2c9",
     "warm_in_process": "382e684c11dbd4e79628a491f8613358aa2fcbe955453b71babdee041fad20a7",
     "resilience_idle": "2511be6632bcd474228c18fb34ed40642ee91acedf1fed4f2d774cc7b950124d",
-    "resilience_rescue": "ecf2311995cd58464b5adb70c1d9381a1522b78b619926a2312d2b00f8f50bfa",
+    "resilience_rescue": "5dbd390a6c456344563ff0f7ba5ac3dbc3a108d4ad051cb90bbdbd508237dc0d",
     "store": "146081f828d1f5c5dadc4d18393a3630095d3ef20f812c576212c55b19fc5c5c",
     "degraded_store": "c5077843d231e3f8f19b632063ad40e561318268263fb5753dcf6cd904e3202e",
     "obs_on": "2511be6632bcd474228c18fb34ed40642ee91acedf1fed4f2d774cc7b950124d",
@@ -178,12 +183,8 @@ def _lane(solver, *, chain=False, warm=False, **engine_kwargs):
     return digest
 
 
-_ARMED = ResilienceConfig(retry=RetryPolicy(max_attempts=2), fallback=("proportional",))
-_RESCUE = ResilienceConfig(
-    retry=RetryPolicy(max_attempts=2),
-    fallback=("centralized", "proportional"),
-    quarantine_after=2,
-)
+_ARMED = ("proportional",)
+_RESCUE = ("centralized", "proportional")
 
 DIGESTS = {
     "serial": _lane("centralized"),
@@ -197,8 +198,8 @@ DIGESTS = {
     "warm_in_process": _lane(
         "centralized-warm", chain=True, warm=True, client="in-process"
     ),
-    "resilience_idle": _lane("centralized", resilience=_ARMED),
-    "resilience_rescue": _lane(BrokenSolver(), resilience=_RESCUE),
+    "resilience_idle": _lane("centralized", fallback=_ARMED),
+    "resilience_rescue": _lane(BrokenSolver(), fallback=_RESCUE),
     "store": lambda: _store_runs("centralized"),
     "degraded_store": lambda: _store_runs(DegradedSolver()),
     "obs_on": _observed,

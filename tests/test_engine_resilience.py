@@ -1,16 +1,15 @@
-"""Tests for the engine's retry / fallback-chain / quarantine layer."""
+"""Tests for the engine's per-slot fallback chain."""
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
 
 from repro.core.strategies import HYBRID
-from repro.engine.horizon import HorizonEngine, SlotTimeoutError
+from repro.engine.horizon import HorizonEngine
 from repro.engine.protocol import SlotResult
-from repro.engine.resilience import ResilienceConfig, RetryPolicy
+from repro.engine.registry import create_solver
+from repro.obs.ledger import load_run
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.simulator import Simulator
 
@@ -41,22 +40,6 @@ class _StubSolver:
         )
 
 
-class FlakySolver(_StubSolver):
-    """Fails the first attempt on every slot, succeeds on the retry."""
-
-    name = "flaky"
-
-    def __init__(self):
-        self.calls: dict[int, int] = {}
-
-    def solve(self, problem, compiled=None, warm=None):
-        key = id(problem)
-        self.calls[key] = self.calls.get(key, 0) + 1
-        if self.calls[key] == 1:
-            raise RuntimeError("transient solver hiccup")
-        return self._result(problem)
-
-
 class BrokenSolver(_StubSolver):
     """Never succeeds."""
 
@@ -77,49 +60,32 @@ class DegradedSolver(_StubSolver):
         return result
 
 
-class SlowSolver(_StubSolver):
-    """Succeeds, but blows any sub-50ms slot budget."""
+class FailsOnceWarmSolver:
+    """The ``centralized-warm`` lane, except the slot whose arrivals
+    equal ``fail_on`` raises (picklable, so it runs in workers too)."""
 
-    name = "slow"
+    name = "fails-once-warm"
+    supports_warm_start = True
+
+    def __init__(self, fail_on):
+        self.fail_on = fail_on
+        self.inner = create_solver("centralized-warm")
+
+    def compile(self, model, strategy):
+        return self.inner.compile(model, strategy)
 
     def solve(self, problem, compiled=None, warm=None):
-        time.sleep(0.05)
-        return self._result(problem)
-
-
-class TestResilienceConfig:
-    def test_retry_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-
-    def test_timeout_validation(self):
-        with pytest.raises(ValueError):
-            ResilienceConfig(retry=RetryPolicy(), slot_timeout_s=0.0)
-
-    def test_quarantine_requires_fallback(self):
-        with pytest.raises(ValueError, match="fallback"):
-            ResilienceConfig(retry=RetryPolicy(), quarantine_after=2)
-
-    def test_warm_start_rejected(self, problems):
-        engine = HorizonEngine(
-            "distributed",
-            resilience=ResilienceConfig(retry=RetryPolicy(max_attempts=2)),
-        )
-        with pytest.raises(ValueError, match="warm-start"):
-            engine.run(problems, warm_start=True)
+        if np.array_equal(problem.inputs.arrivals, self.fail_on):
+            raise RuntimeError("primary lost slot")
+        return self.inner.solve(problem, compiled=compiled, warm=warm)
 
 
 class TestArmedButIdle:
     def test_results_bit_identical_to_plain_engine(self, problems):
-        """An armed resilience config must not perturb healthy runs."""
+        """An armed fallback chain must not perturb healthy runs."""
         plain = HorizonEngine("centralized", workers=1).run(problems)
         armed = HorizonEngine(
-            "centralized",
-            workers=1,
-            resilience=ResilienceConfig(
-                retry=RetryPolicy(max_attempts=2),
-                fallback=("proportional",),
-            ),
+            "centralized", workers=1, fallback=("proportional",)
         ).run(problems)
         for a, b in zip(plain, armed):
             assert b.ok
@@ -134,36 +100,14 @@ class TestArmedButIdle:
 
 
 class TestRetry:
-    def test_transient_failures_absorbed(self, problems):
-        solver = FlakySolver()
-        engine = HorizonEngine(
-            solver,
-            workers=1,
-            resilience=ResilienceConfig(retry=RetryPolicy(max_attempts=2)),
-        )
-        outcomes = engine.run(problems)
-        for outcome in outcomes:
-            assert outcome.ok
-            assert outcome.attempts == 2
-            assert outcome.fallback_solver is None
-            assert not outcome.degraded  # the primary recovered
-            assert len(outcome.chain_errors) == 1
-            assert "transient solver hiccup" in outcome.chain_errors[0]
-        assert engine.last_summary.retries_total == len(problems)
-        assert engine.last_summary.fallbacks_total == 0
-
     def test_budget_exhaustion_without_fallback_fails(self, problems):
-        engine = HorizonEngine(
-            BrokenSolver(),
-            workers=1,
-            resilience=ResilienceConfig(retry=RetryPolicy(max_attempts=3)),
-        )
+        engine = HorizonEngine(BrokenSolver(), workers=1)
         outcomes = engine.run(problems[:2])
         for outcome in outcomes:
             assert not outcome.ok
-            assert outcome.attempts == 3
+            assert outcome.attempts == 1
             assert outcome.error_type == "RuntimeError"
-            assert len(outcome.chain_errors) == 3
+            assert outcome.chain_errors == ()
 
 
 class TestFallbackChain:
@@ -172,10 +116,7 @@ class TestFallbackChain:
             BrokenSolver(),
             workers=1,
             certify=True,
-            resilience=ResilienceConfig(
-                retry=RetryPolicy(max_attempts=1),
-                fallback=("centralized", "proportional"),
-            ),
+            fallback=("centralized", "proportional"),
         )
         outcomes = engine.run(problems[:2])
         for outcome in outcomes:
@@ -183,7 +124,9 @@ class TestFallbackChain:
             assert outcome.degraded
             assert outcome.fallback_solver == "centralized"
             assert outcome.attempts == 2  # primary + first fallback
-            assert outcome.chain_errors and "broken" in outcome.chain_errors[0]
+            assert outcome.chain_errors == (
+                "broken: RuntimeError: hard failure",
+            )
             assert outcome.certificate is not None
             assert outcome.certificate.feasible
         summary = engine.last_summary
@@ -191,43 +134,46 @@ class TestFallbackChain:
         assert summary.degraded_slots == (0, 1)
         assert "resilience" in summary.format_table()
 
-    def test_quarantine_skips_doomed_primary(self, problems):
+    def test_ledger_header_names_the_chain(self, problems, tmp_path):
         engine = HorizonEngine(
-            BrokenSolver(),
-            workers=1,
-            resilience=ResilienceConfig(
-                retry=RetryPolicy(max_attempts=2),
-                fallback=("proportional",),
-                quarantine_after=2,
-            ),
+            "centralized", fallback=("proportional",), ledger=tmp_path
         )
-        outcomes = engine.run(problems)
-        # First two slots burn the primary's full budget before the
-        # fallback rescue; from the third on the primary is quarantined.
-        assert [o.attempts for o in outcomes] == [3, 3, 1, 1]
-        for outcome in outcomes:
-            assert outcome.ok
-            assert outcome.fallback_solver == "proportional"
-        assert any("quarantined" in e for e in outcomes[2].chain_errors)
+        engine.run(problems[:1])
+        header = load_run(engine.last_ledger_path).header
+        assert header["config"]["fallback"] == ["proportional"]
 
-    def test_timeout_escalates_to_fallback(self, problems):
+
+class TestWarmChain:
+    @pytest.mark.parametrize(
+        "client, executor",
+        [(None, "serial-warm"), ("mp", "mp-warm")],
+        ids=["serial", "mp"],
+    )
+    def test_fallback_slot_cold_restarts_the_chain(
+        self, problems, client, executor
+    ):
+        """A fallback result at slot k is not the primary's warm state,
+        so slot k + 1 starts cold and slot k + 2 chains again: in one
+        chunk, and at depth one through an asynchronous client.  The
+        fallback is itself a warm lane, so its result does carry a
+        payload; the chain must still not hand it on."""
+        solver = FailsOnceWarmSolver(fail_on=problems[1].inputs.arrivals)
         engine = HorizonEngine(
-            SlowSolver(),
-            workers=1,
-            resilience=ResilienceConfig(
-                retry=RetryPolicy(max_attempts=1),
-                fallback=("proportional",),
-                slot_timeout_s=0.005,
-            ),
+            solver, fallback=("centralized-warm",), client=client
         )
-        outcomes = engine.run(problems[:1])
-        outcome = outcomes[0]
-        assert outcome.ok
-        assert outcome.fallback_solver == "proportional"
-        assert "SlotTimeoutError" in outcome.chain_errors[0]
-
-    def test_slot_timeout_error_is_a_runtime_error(self):
-        assert issubclass(SlotTimeoutError, RuntimeError)
+        outcomes = engine.run(problems, warm_start=True)
+        assert all(o.ok for o in outcomes)
+        assert outcomes[1].result.warm is not None
+        assert [o.fallback_solver for o in outcomes] == [
+            None, "centralized-warm", None, None,
+        ]
+        # Telemetry reports whether the slot's result resumed a payload.
+        assert [o.telemetry.warm_start for o in outcomes] == [
+            False, False, False, True,
+        ]
+        assert outcomes[2].result.extras["warm_mechanism"] == "cold"
+        assert outcomes[3].result.extras["warm_mechanism"] != "cold"
+        assert engine.last_summary.executor == executor
 
 
 class TestResilienceMetrics:
@@ -237,10 +183,7 @@ class TestResilienceMetrics:
             BrokenSolver(),
             workers=1,
             metrics=registry,
-            resilience=ResilienceConfig(
-                retry=RetryPolicy(max_attempts=2),
-                fallback=("proportional",),
-            ),
+            fallback=("proportional",),
         )
         engine.run(problems[:3])
         retries = registry.counter(
@@ -254,23 +197,20 @@ class TestResilienceMetrics:
         degraded = registry.counter(
             "repro_engine_degraded_slots_total", solver="broken"
         )
-        # 3 slots x (2 failed primary attempts + 1 fallback) = 2 retries each.
-        assert retries.value == 6
+        # 3 slots x (1 failed primary attempt + 1 fallback) = 1 retry each.
+        assert retries.value == 3
         assert fallbacks.value == 3
         assert degraded.value == 3
 
 
 class TestParallelResilience:
     def test_pool_path_carries_resilience(self, problems):
-        """Fallback rescue works through the process-pool path too."""
+        """The fallback chain rides the process-pool path too."""
         engine = HorizonEngine(
             "distributed",
             workers=2,
             oversubscribe=True,
-            resilience=ResilienceConfig(
-                retry=RetryPolicy(max_attempts=1),
-                fallback=("proportional",),
-            ),
+            fallback=("proportional",),
         )
         outcomes = engine.run(problems)
         assert all(o.ok for o in outcomes)

@@ -1,9 +1,9 @@
 """Tests for the execution-client layer (repro.exec).
 
 Covers the client registry, the in-process and multiprocessing
-backends, the pipelined :class:`BatchScheduler` (including
-harvest-time batch timeouts), the engine running bit-identically
-through every client, and the ``parallel_map`` migration.
+backends, the pipelined :class:`BatchScheduler`, the engine running
+bit-identically through every client, and the ``parallel_map``
+migration.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import pytest
 
 from repro.core.strategies import HYBRID
 from repro.engine import HorizonEngine
-from repro.engine.protocol import SlotResult
-from repro.engine.resilience import ResilienceConfig, RetryPolicy
 from repro.exec import (
     BatchScheduler,
     InProcessClient,
@@ -178,11 +176,6 @@ class TestBatchScheduler:
         with pytest.raises(ValueError):
             BatchScheduler(InProcessClient(), max_pending=0)
 
-    def test_budget_requires_on_timeout(self):
-        scheduler = BatchScheduler(InProcessClient())
-        with pytest.raises(ValueError, match="on_timeout"):
-            scheduler.map(_square, [(1,)], budget_s=lambda task: 1.0)
-
     def test_pipelined_order_and_depth(self):
         client = MultiprocessingClient(workers=2, oversubscribe=True)
         try:
@@ -190,21 +183,6 @@ class TestBatchScheduler:
             results = scheduler.map(_square, [(x,) for x in range(9)])
             assert results == [x * x for x in range(9)]
             assert 1 <= scheduler.pending_max_observed <= 2
-        finally:
-            client.close()
-
-    def test_harvest_budget_abandons_slow_batches(self):
-        client = MultiprocessingClient(workers=1, oversubscribe=True)
-        try:
-            scheduler = BatchScheduler(client)
-            results = scheduler.map(
-                _sleepy,
-                [(0.0,), (0.8,)],
-                budget_s=lambda task: 0.05 if task[0] else None,
-                on_timeout=lambda task: "timed-out",
-            )
-            assert results == [0.0, "timed-out"]
-            assert scheduler.timed_out_batches == 1
         finally:
             client.close()
 
@@ -296,37 +274,6 @@ class TestBatchScheduler:
             scheduler.map(_maybe_boom, [(1,)])
 
 
-class _StubSolver:
-    """Minimal picklable SlotSolver stub over the proportional heuristic."""
-
-    supports_warm_start = False
-    name = "stub"
-
-    def compile(self, model, strategy):
-        return None
-
-    def solve(self, problem, compiled=None, warm=None):
-        from repro.engine.registry import create_solver
-
-        result = create_solver("proportional").solve(problem)
-        return SlotResult(
-            allocation=result.allocation,
-            ufc=result.ufc,
-            iterations=1,
-            converged=True,
-        )
-
-
-class _SlowSolver(_StubSolver):
-    """Succeeds, but far slower than any millisecond harvest budget."""
-
-    name = "slow"
-
-    def solve(self, problem, compiled=None, warm=None):
-        time.sleep(0.2)
-        return super().solve(problem, compiled=compiled, warm=warm)
-
-
 class TestEngineThroughClients:
     def test_bit_identical_across_clients(self, problems, serial_ufc):
         for spec in ("in-process", "mp"):
@@ -380,116 +327,6 @@ class TestEngineThroughClients:
         engine = HorizonEngine("distributed", store=tmp_path)
         with pytest.raises(ValueError, match="store"):
             engine.run(problems[:2], warm_start=True)
-
-    def test_harvest_timeout_surfaces_slot_timeout_error(self, problems):
-        engine = HorizonEngine(
-            _SlowSolver(),
-            workers=2,
-            client="mp",
-            resilience=ResilienceConfig(
-                retry=RetryPolicy(max_attempts=1), slot_timeout_s=0.01
-            ),
-        )
-        outcomes = engine.run(problems[:2])
-        assert [o.error_type for o in outcomes] == ["SlotTimeoutError"] * 2
-        assert all("harvest budget" in o.error_message for o in outcomes)
-        assert all(
-            o.telemetry.error_type == "SlotTimeoutError" for o in outcomes
-        )
-        assert engine.last_summary.error_types == {"SlotTimeoutError": 2}
-
-    def test_synchronous_client_skips_harvest_budget(self, problems):
-        # An in-process client has already finished at submit time, so
-        # the wall-clock budget cannot (and must not) be enforced.
-        engine = HorizonEngine(
-            _SlowSolver(),
-            client="in-process",
-            resilience=ResilienceConfig(
-                retry=RetryPolicy(max_attempts=1), slot_timeout_s=0.01
-            ),
-        )
-        outcomes = engine.run(problems[:1])
-        # The per-slot post-hoc check still applies on the sync path.
-        assert outcomes[0].error_type == "SlotTimeoutError"
-        assert "harvest budget" not in (outcomes[0].error_message or "")
-
-
-def _identity(x):
-    return x
-
-
-class _WedgeableClient:
-    """Asynchronous fake where one task wedges forever and the rest
-    complete at the next harvest pass.  Tracks the maximum number of
-    *live* (non-wedged) tasks in flight — the survivor concurrency."""
-
-    name = "wedgeable"
-    asynchronous = True
-    workers = 2
-
-    def __init__(self):
-        self._next_id = 0
-        self._ready: dict[int, object] = {}
-        self._wedged: set[int] = set()
-        self.discards: list[int] = []
-        self.max_live = 0
-
-    def submit(self, fn, /, *args):
-        task_id = self._next_id
-        self._next_id += 1
-        if args[0] == "wedge":
-            self._wedged.add(task_id)
-        else:
-            self._ready[task_id] = fn(*args)
-            self.max_live = max(self.max_live, len(self._ready))
-        return task_id
-
-    def wait_next(self, timeout_s=None):
-        # Results take a beat to come back — long enough that the
-        # wedged task's budget has expired by the first harvest.
-        time.sleep(0.05)
-        if self._ready:
-            task_id = next(iter(self._ready))
-            return task_id, self._ready.pop(task_id)
-        return None
-
-    def discard(self, task_id):
-        self.discards.append(task_id)
-        self._wedged.discard(task_id)
-        self._ready.pop(task_id, None)
-
-    def num_pending(self):
-        return len(self._ready) + len(self._wedged)
-
-    def close(self):
-        self._ready.clear()
-        self._wedged.clear()
-
-
-class TestPoisonedWindowRegression:
-    def test_wedged_task_releases_its_window_slot_mid_stream(self):
-        # Regression: a wedged task past its harvest budget used to
-        # keep its in-flight window slot for as long as other tasks
-        # kept delivering results (expiry only ran when the wait
-        # itself timed out), silently halving survivor concurrency
-        # with max_pending=2.  It must be expired on *every* harvest
-        # pass, so the window refills with live work.
-        client = _WedgeableClient()
-        scheduler = BatchScheduler(client, max_pending=2)
-        tasks = [("wedge",), ("a",), ("b",), ("c",), ("d",)]
-        results = scheduler.map(
-            _identity,
-            tasks,
-            budget_s=lambda task: 0.02 if task[0] == "wedge" else None,
-            on_timeout=lambda task: "timed-out",
-        )
-        assert results == ["timed-out", "a", "b", "c", "d"]
-        assert scheduler.timed_out_batches == 1
-        # The wedged task was discarded on the client, exactly once.
-        assert client.discards == [0]
-        # Survivor throughput: once the wedge expired, the window held
-        # two live tasks at once — the whole point of the fix.
-        assert client.max_live == 2
 
 
 class TestParallelMapMigration:

@@ -21,7 +21,6 @@ from repro.exec import (
     RetryBudget,
     SocketClient,
     SupervisorConfig,
-    TaskTimeoutError,
 )
 from repro.exec.store import problem_digest
 from repro.faults.churn import WorkerChurnSolver, run_worker_churn
@@ -63,18 +62,6 @@ class TestRetryPolicy:
             SupervisorConfig(hedge_quantile=1.5)
         with pytest.raises(ValueError):
             SupervisorConfig(hedge_min_samples=0)
-
-    def test_timeout_error_carries_lineage(self):
-        exc = TaskTimeoutError(
-            "slot 3 timed out",
-            task_id=3,
-            attempts=2,
-            workers_tried=("w0", "w1"),
-        )
-        assert isinstance(exc, RuntimeError)
-        assert exc.task_id == 3
-        assert exc.attempts == 2
-        assert exc.workers_tried == ("w0", "w1")
 
 
 class TestResubmission:

@@ -338,3 +338,27 @@ class TestChaosAcceptance:
         text = report.render()
         assert "verdict         : PASS" in text
         assert "checkpoint" in text
+
+    def test_bit_rot_fallback_chain(self):
+        """Every bit-rot slot completes degraded and the engine's
+        fallback chain rescues it with a local centralized solve."""
+        from repro.faults.chaos import run_chaos
+
+        report = run_chaos(
+            "bit-rot", hours=6, fallback=("centralized", "proportional")
+        )
+        assert report.degraded_slots == report.fallback_slots == 6
+        assert [s["solver"] for s in report.slots] == ["centralized"] * 6
+        fallbacks = report.metrics.counter(
+            "repro_engine_slot_fallbacks_total",
+            solver="chaos-distributed",
+            fallback="centralized",
+        )
+        assert fallbacks.value == 6
+        # A rescued slot costs at least two attempts, so six retries
+        # over six rescued slots means exactly two each: the primary,
+        # then the first fallback.
+        assert report.engine_retries == 6
+        assert report.feasible_slots == report.horizon == 6
+        assert report.failed_slots == 0
+        assert report.passed

@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.strategies import HYBRID
 from repro.engine import HorizonEngine
-from repro.engine.resilience import ResilienceConfig, RetryPolicy
 from repro.exec import SocketClient
 from repro.obs import MetricsRegistry
 from repro.obs.ledger import load_run
@@ -180,9 +179,7 @@ class TestMerging:
             "centralized",
             metrics=metrics,
             ledger=tmp_path,
-            resilience=ResilienceConfig(
-                retry=RetryPolicy(max_attempts=2), fallback=("proportional",)
-            ),
+            fallback=("proportional",),
         )
         engine.run(problems[:3])
         run = load_run(engine.last_ledger_path)
