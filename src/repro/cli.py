@@ -714,13 +714,17 @@ def _cmd_chaos(args) -> int:
     fallback = tuple(
         name.strip() for name in args.fallback.split(",") if name.strip()
     )
-    report = run_chaos(
-        plan,
-        hours=hours,
-        seed=args.seed,
-        strategy=_STRATEGIES[args.strategy],
-        fallback=fallback,
-    )
+    try:
+        report = run_chaos(
+            plan,
+            hours=hours,
+            seed=args.seed,
+            strategy=_STRATEGIES[args.strategy],
+            fallback=fallback,
+        )
+    except ValueError as exc:
+        print(f"chaos: {exc}", file=sys.stderr)
+        return 2
     print(report.render(max_events=args.events))
     if args.json:
         import json

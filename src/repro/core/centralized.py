@@ -156,15 +156,18 @@ class CentralizedSolver:
                 result = self._solve_structured(problem, compiled, forced=forced)
                 if result is not None:
                     return result, None
-        if use_compiled:
-            qp = compiled.qp_for(problem.inputs)
+        qp = compiled.qp_for(problem.inputs) if use_compiled else problem.to_qp()
+        if use_compiled and qp.A is compiled._A and qp.G is compiled._G:
+            res, _ = compiled.kernel().solve(
+                qp.P, qp.q, qp.b, qp.h, tol=self.tol, max_iter=self.max_iter,
+                trace=self.trace, trace_every=self.trace_every, metrics=self.metrics,
+            )
         else:
-            qp = problem.to_qp()
-        res = solve_qp(
-            qp.P, qp.q, A=qp.A, b=qp.b, G=qp.G, h=qp.h,
-            tol=self.tol, max_iter=self.max_iter, trace=self.trace,
-            trace_every=self.trace_every, metrics=self.metrics,
-        )
+            res = solve_qp(
+                qp.P, qp.q, A=qp.A, b=qp.b, G=qp.G, h=qp.h,
+                tol=self.tol, max_iter=self.max_iter, trace=self.trace,
+                trace_every=self.trace_every, metrics=self.metrics,
+            )
         alloc = qp.extract(res.x)
         result = CentralizedResult(
             allocation=alloc,

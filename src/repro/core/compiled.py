@@ -87,6 +87,7 @@ class CompiledQPStructure:
         # that need them rebuild from scratch via the generic path.
         self.dim = m * n + (n if self.include_mu else 0) + (n if self.include_nu else 0)
         self._structured = None
+        self._kernel = None
         self._assemble_invariants()
 
     # -- slot-invariant assembly ---------------------------------------------
@@ -178,6 +179,22 @@ class CompiledQPStructure:
                 self.model, self.strategy, reach=None, workload_scale=self.scale
             )
         return self._structured
+
+    def kernel(self):
+        """The interior-point kernel of this structure's ``A`` and ``G``.
+
+        Lazily builds and caches a :class:`~repro.optim.ipqp.QPKernel`:
+        the Ruiz coordinates and the bound/dense row split every slot's
+        dense solve derives from the constraint matrices, which
+        :meth:`qp_for` hands every slot unchanged.  The
+        centralized solver runs each slot on it, so a horizon compiles
+        them once per (model, strategy) instead of once per slot.
+        """
+        if self._kernel is None:
+            from repro.optim.ipqp import QPKernel
+
+            self._kernel = QPKernel(self._A, self._G)
+        return self._kernel
 
     def _nu_cost_terms(
         self, inputs: SlotInputs

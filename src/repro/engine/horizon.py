@@ -61,7 +61,7 @@ from typing import Any, Sequence
 
 from repro.core.problem import UFCProblem
 from repro.engine.protocol import SlotResult, SlotSolver
-from repro.engine.registry import create_solver
+from repro.engine.registry import available_solvers, create_solver
 from repro.exec.clients import (
     ExecutionClient,
     InProcessClient,
@@ -644,7 +644,9 @@ class HorizonEngine:
             ``("centralized", "proportional")``).  A rescued outcome
             is flagged ``degraded`` with ``fallback_solver`` set, is
             still certified, and is never stored or chained as a warm
-            payload.  The empty default runs the primary alone.
+            payload.  The empty default runs the primary alone; a name
+            :func:`~repro.engine.registry.available_solvers` does not
+            list raises ``ValueError`` here, before any slot runs.
         supervision: optional
             :class:`~repro.exec.supervisor.SupervisorConfig` (or
             ``True`` for the defaults).  Wraps the run's client in a
@@ -719,6 +721,12 @@ class HorizonEngine:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         if max_pending is not None and max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
+        unknown = [name for name in fallback if name not in available_solvers()]
+        if unknown:
+            raise ValueError(
+                f"unknown fallback solver(s) {', '.join(map(repr, unknown))}; "
+                f"available: {', '.join(available_solvers())}"
+            )
         self.solver = create_solver(solver)
         self.workers = int(workers)
         self.chunk_size = chunk_size

@@ -16,8 +16,10 @@ the centralized interior-point solvers it is checked against:
   piecewise-linear convex functions (stepped carbon taxes), and a
   golden-section fallback; this is the paper's ``nu``-minimization (19).
 - :mod:`repro.optim.ipqp` — the interior-point core: the one Mehrotra
-  predictor-corrector loop every QP route runs, the dense Newton
-  system, and the dense reference solver :func:`solve_qp`.
+  predictor-corrector loop every QP route runs, the :class:`QPKernel`
+  a family of QPs sharing ``A`` and ``G`` compiles once, the one
+  Newton system the dense routes run on it, and the dense reference
+  solver :func:`solve_qp`.
 - :mod:`repro.optim.warm` — :func:`solve_qp_warm`, the cross-slot
   warm ladder (active-set reuse, then the interior-point loop from a
   shifted previous iterate on cached Ruiz scalings, then a cold
@@ -40,7 +42,7 @@ from repro.optim.batch import (
     solve_capped_rank_one_qp_batch,
     solve_qp_batch,
 )
-from repro.optim.ipqp import IPQPResult, solve_qp
+from repro.optim.ipqp import IPQPResult, QPKernel, solve_qp
 from repro.optim.kkt import (
     StructuredIPQPResult,
     StructuredQPCompiler,
@@ -63,6 +65,7 @@ __all__ = [
     "BatchIPQPResult",
     "IPQPResult",
     "PiecewiseLinearConvex",
+    "QPKernel",
     "QuadraticScalar",
     "StructuredIPQPResult",
     "StructuredQPCompiler",

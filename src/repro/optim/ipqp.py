@@ -1,4 +1,4 @@
-"""The interior-point core, and the dense QP solver built on it.
+"""The interior-point core, and the QP kernel its dense routes run on.
 
 Solves problems of the form
 
@@ -12,22 +12,28 @@ convergence test, predictor, centring, corrector, fraction-to-boundary
 step and update.  It runs over a *Newton system* that solves the
 condensed KKT system of one route:
 
-- :class:`_DenseSystem` here — the full condensed KKT matrix, for
-  :func:`solve_qp` and :func:`~repro.optim.warm.solve_qp_warm`;
-- ``_SharedBatchSystem`` in :mod:`repro.optim.batch` — a batch sharing
-  one constraint structure, for
-  :func:`~repro.optim.batch.solve_qp_batch`;
+- :class:`_SharedSystem` here — QPs sharing one :class:`QPKernel`
+  (the same ``A`` and ``G``), one at a time for :func:`solve_qp` and
+  every rung of :func:`~repro.optim.warm.solve_qp_warm`, or as a
+  stack for :func:`~repro.optim.batch.solve_qp_batch`;
 - ``_BlockArrowheadSystem`` in :mod:`repro.optim.kkt` — block
   elimination of the reach-sparse UFC QP, for
   :func:`~repro.optim.kkt.solve_structured_qp`.
 
-A warm start is a starting point for the same loop
-(:func:`_warm_point`), not a loop of its own.
+A :class:`QPKernel` is compiled once per constraint structure
+(:meth:`~repro.core.compiled.CompiledQPStructure.kernel` for the
+paper's horizon): the coordinates of the factored Ruiz equilibration
+(one, six sweeps, for every dense route) and the bound-row/dense-row
+split of ``G``.  Cold solves start from the
+``W = I`` point (:meth:`_SharedSystem.start`); a warm start is another
+starting point for the same loop (:func:`_warm_point`), not a loop of
+its own; a QP without inequalities, and the warm active-set rung, are
+one equality-KKT solve (:meth:`QPKernel.solve_equality`).
 
-The dense and the shared-batch systems factor each Newton matrix once
-per iteration with LAPACK ``getrf`` (:func:`_lu`); the predictor, the
-corrector and any regularized retry back-solve against those factors
-under one residual-checked ladder, :func:`_solve_kkt`.
+Each Newton matrix is LU-factored once per iteration with LAPACK
+``getrf`` (:func:`_lu`); the predictor, the corrector and any
+regularized retry back-solve against those factors under one
+residual-checked ladder, :func:`_solve_kkt`.
 
 :func:`solve_qp` is the *centralized reference solver* the paper's
 distributed ADM-G algorithm is verified against.  It is dense and sized
@@ -42,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-__all__ = ["IPQPTrace", "IPQPResult", "solve_qp"]
+__all__ = ["IPQPTrace", "IPQPResult", "QPKernel", "solve_qp"]
 
 
 @dataclass
@@ -73,85 +79,6 @@ class IPQPTrace:
 
     def __len__(self) -> int:
         return len(self.gap)
-
-
-def _ruiz_equilibrate(
-    P: np.ndarray,
-    q: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    G: np.ndarray,
-    h: np.ndarray,
-    iterations: int = 15,
-) -> tuple[np.ndarray, ...]:
-    """Ruiz equilibration of the QP data.
-
-    Iteratively scales variables (columns) and constraint rows toward
-    unit infinity-norm, then normalizes the objective.  Returns the
-    scaled data plus the diagonal scalings needed to map the scaled
-    solution back: ``x = d * x_hat``, ``y = gamma * r_a * y_hat``,
-    ``z = gamma * r_g * z_hat``.
-    """
-    n = len(q)
-    p_rows, m_rows = A.shape[0], G.shape[0]
-    d = np.ones(n)
-    r_a = np.ones(p_rows)
-    r_g = np.ones(m_rows)
-    P = P.copy()
-    A = A.copy()
-    G = G.copy()
-    # Scratch buffers: the scaling loop is pure max/multiply arithmetic,
-    # so working in place (row scale, then column scale — the same
-    # association as the expression it replaces) is bit-identical while
-    # avoiding a dense stack copy per sweep.
-    abs_buf_p = np.empty_like(P)
-    abs_buf_a = np.empty_like(A)
-    abs_buf_g = np.empty_like(G)
-    for _ in range(iterations):
-        col_norm = np.abs(P, out=abs_buf_p).max(axis=0)
-        if p_rows:
-            np.maximum(col_norm, np.abs(A, out=abs_buf_a).max(axis=0), out=col_norm)
-        if m_rows:
-            np.maximum(col_norm, np.abs(G, out=abs_buf_g).max(axis=0), out=col_norm)
-        col_scale = 1.0 / np.sqrt(np.maximum(col_norm, 1e-12))
-        # An exactly-zero column (or row, below) must keep scale 1:
-        # the clamp would otherwise inflate it by 1e6 per sweep,
-        # compounding into astronomically scaled data that makes the
-        # solver's relative convergence test vacuously true.  Sparse
-        # reach patterns produce genuinely zero capacity rows (a
-        # datacenter no front-end reaches), so this is reachable.
-        col_scale[col_norm == 0.0] = 1.0
-        P *= col_scale[:, None]
-        P *= col_scale[None, :]
-        A *= col_scale[None, :]
-        G *= col_scale[None, :]
-        d *= col_scale
-        if p_rows:
-            row_norm = np.abs(A, out=abs_buf_a).max(axis=1)
-            row_scale = 1.0 / np.sqrt(np.maximum(row_norm, 1e-12))
-            row_scale[row_norm == 0.0] = 1.0
-            A *= row_scale[:, None]
-            r_a *= row_scale
-        if m_rows:
-            row_norm = np.abs(G, out=abs_buf_g).max(axis=1)
-            row_scale = 1.0 / np.sqrt(np.maximum(row_norm, 1e-12))
-            row_scale[row_norm == 0.0] = 1.0
-            G *= row_scale[:, None]
-            r_g *= row_scale
-    q_scaled = d * q
-    gamma = max(1e-12, np.abs(q_scaled).max(initial=0.0), np.abs(P).max(initial=0.0))
-    return (
-        P / gamma,
-        q_scaled / gamma,
-        A,
-        r_a * b,
-        G,
-        r_g * h,
-        d,
-        r_a,
-        r_g,
-        gamma,
-    )
 
 
 @dataclass(frozen=True)
@@ -302,9 +229,10 @@ def _solve_kkt(kkt: np.ndarray, rhs: np.ndarray, factors: dict | None = None) ->
             continue
         sol = dgetrs(*factors[reg], rhs)[0]
         resid = float(np.abs(kkt @ sol - rhs).max(initial=0.0))
-        if np.isfinite(resid) and resid <= _KKT_RESIDUAL_TOL * rhs_scale:
+        # A NaN residual fails both comparisons, an infinite one too.
+        if resid <= _KKT_RESIDUAL_TOL * rhs_scale:
             return sol
-        if np.isfinite(resid) and resid < best_resid:
+        if resid < best_resid:
             best, best_resid = sol, resid
     if best is None:
         raise np.linalg.LinAlgError(
@@ -401,58 +329,17 @@ class _NewtonSystem:
         return x, y, s, z
 
 
-class _DenseSystem(_NewtonSystem):
-    """The dense route: the condensed KKT matrix assembled in full,
-    LU-factored once per iteration (on the predictor's solve) and
-    solved under :func:`_solve_kkt`'s residual-checked regularization
-    ladder."""
-
-    def __init__(self, P, q, A, b, G, h) -> None:
-        self.P, self.q, self.A, self.b, self.G, self.h = P, q, A, b, G, h
-        n, p = len(q), A.shape[0]
-        self.n = n
-        self.scale = 1.0 + max(np.abs(q).max(initial=0.0), np.abs(h).max(initial=0.0),
-                               np.abs(b).max(initial=0.0))
-        # Workspaces allocated once: refilling them each iteration is
-        # bit-identical to reallocating (and to the np.block expression),
-        # without the per-iteration list/concatenate overhead.
-        self.kkt = np.empty((n + p, n + p))
-        self.rhs = np.empty(n + p)
-
-    def residuals(self, x, y, s, z):
-        r_dual = self.P @ x + self.q + self.A.T @ y + self.G.T @ z
-        return r_dual, self.A @ x - self.b, self.G @ x + s - self.h
-
-    def slack(self, x):
-        return self.h - self.G @ x
-
-    def g_mul(self, v):
-        return self.G @ v
-
-    def gt_mul(self, v):
-        return self.G.T @ v
-
-    def factor(self, it, s, z) -> None:
-        G, w = self.G, z / s
-        _fill_kkt(self.kkt, self.P + G.T @ (w[:, None] * G), self.A)
-        self.factors = {}
-
-    def solve(self, r1, r2):
-        n = self.n
-        self.rhs[:n] = r1
-        self.rhs[n:] = r2
-        sol = _solve_kkt(self.kkt, self.rhs, self.factors)
-        return sol[:n], sol[n:]
-
-
-def _newton(system, r_dual, r_eq, r_ineq, s, z, r_comp) -> tuple[np.ndarray, ...]:
+def _newton(system, r_ineq, negated, s, z, r_comp) -> tuple[np.ndarray, ...]:
     """One Newton direction: eliminate ``ds = -r_ineq - G dx`` and
     ``dz = (r_comp - z ds) / s``, solve the condensed system for
-    ``(dx, dy)``, then recover ``ds`` and ``dz``."""
+    ``(dx, dy)``, then recover ``ds`` and ``dz``.  ``negated`` is
+    ``(-r_dual, -r_eq, -r_ineq)``, formed once for the predictor and
+    the corrector."""
+    neg_dual, neg_eq, neg_ineq = negated
     dx, dy = system.solve(
-        -r_dual - system.gt_mul((r_comp + z * r_ineq) / s), -r_eq
+        neg_dual - system.gt_mul((r_comp + z * r_ineq) / s), neg_eq
     )
-    ds = -r_ineq - system.g_mul(dx)
+    ds = neg_ineq - system.g_mul(dx)
     return dx, dy, ds, (r_comp - z * ds) / s
 
 
@@ -546,15 +433,17 @@ def _mehrotra(
 
         system.factor(it, s, z)
         # Affine (predictor) direction.
-        _, _, ds_a, dz_a = _newton(system, r_dual, r_eq, r_ineq, s, z, -s * z)
+        negated = (-r_dual, -r_eq, -r_ineq)
+        neg_sz = -s * z
+        _, _, ds_a, dz_a = _newton(system, r_ineq, negated, s, z, neg_sz)
         alpha_p = _step_length(s, ds_a, 1.0, work, mask)
         alpha_d = _step_length(z, dz_a, 1.0, work, mask)
         mu_aff = _dot(s + col(alpha_p) * ds_a, z + col(alpha_d) * dz_a) / m
         sigma = _centering(mu_aff, mu)
 
         # Corrector direction and the common step.
-        r_comp = -s * z + col(sigma * mu) - ds_a * dz_a
-        dx, dy, ds, dz = _newton(system, r_dual, r_eq, r_ineq, s, z, r_comp)
+        r_comp = neg_sz + col(sigma * mu) - ds_a * dz_a
+        dx, dy, ds, dz = _newton(system, r_ineq, negated, s, z, r_comp)
         step_s = _step_length(s, ds, work=work, mask=mask)
         step_z = _step_length(z, dz, work=work, mask=mask)
         alpha = np.minimum(step_s, step_z) if batched else min(step_s, step_z)
@@ -615,37 +504,485 @@ def _warm_point(system, x, y, z, cap: float):
     return (x, y, np.maximum(slack, delta), np.maximum(z, delta)), rel
 
 
-def _closed_form(P, q, A, b, trace: bool = False) -> IPQPResult:
-    """A QP without inequalities: one (regularized) linear solve."""
-    n, p = len(q), A.shape[0]
-    if p == 0:
-        x = np.linalg.solve(P + 1e-12 * np.eye(n), -q)
-        y = np.zeros(0)
-    else:
-        kkt = np.block([[P, A.T], [A, np.zeros((p, p))]])
-        reg = 1e-12 * np.eye(n + p)
-        reg[n:, n:] *= -1.0
-        sol = np.linalg.solve(kkt + reg, np.concatenate([-q, b]))
-        x, y = sol[:n], sol[n:]
-    return IPQPResult(
-        x=x, eq_dual=y, ineq_dual=np.zeros(0), value=float(0.5 * x @ P @ x + q @ x),
-        iterations=0, converged=True, gap=0.0, trace=IPQPTrace() if trace else None,
-    )
 
 
-def _solve_dense(P, q, A, b, G, h, tol, max_iter, trace, trace_every) -> IPQPResult:
-    """The dense route from the generic well-centred cold start."""
-    system = _DenseSystem(P, q, A, b, G, h)
-    x0 = np.zeros(len(q))
-    trace_rec = IPQPTrace() if trace else None
-    x, y, _, z, it, converged, gap = _mehrotra(
-        system, x0, np.zeros(A.shape[0]), np.maximum(system.slack(x0), 1.0),
-        np.ones(G.shape[0]), tol, max_iter, trace_rec, trace_every,
-    )
-    return IPQPResult(
-        x=x, eq_dual=y, ineq_dual=z, value=float(0.5 * x @ P @ x + q @ x),
-        iterations=it, converged=converged, gap=gap, trace=trace_rec,
-    )
+#: Ruiz sweeps per equilibration.  The scalings converge geometrically;
+#: on the paper's QP six sweeps leave iteration counts and
+#: certification where fifteen put them.
+_RUIZ_SWEEPS = 6
+
+
+def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, present)`` of the runs of equal values in sorted ``keys``."""
+    if not keys.size:
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    starts = np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1))
+    return starts, keys[starts]
+
+
+def _group_max(vals: np.ndarray, groups: tuple, size: int) -> np.ndarray:
+    """Per-group max of ``vals`` (``(., nnz)``, grouped along the last
+    axis); a group with no entries reads 0."""
+    starts, present = groups
+    if present.size == size:
+        return np.maximum.reduceat(vals, starts, axis=-1)
+    out = np.zeros(vals.shape[:-1] + (size,))
+    if present.size:
+        out[..., present] = np.maximum.reduceat(vals, starts, axis=-1)
+    return out
+
+
+def _ruiz_step(norm: np.ndarray) -> np.ndarray:
+    """One sweep's scale factors ``1/sqrt(norm)``.
+
+    An exactly-zero row or column keeps scale 1: the clamp would
+    otherwise inflate it by 1e6 per sweep, and the astronomically scaled
+    data makes the relative convergence test vacuously true.  Sparse
+    reach patterns produce genuinely zero capacity rows (a datacenter no
+    front-end reaches), so this is reachable.
+    """
+    step = 1.0 / np.sqrt(np.maximum(norm, 1e-12))
+    step[norm == 0.0] = 1.0
+    return step
+
+
+class _SharedSplit:
+    """Row split of a shared inequality matrix for fast KKT assembly.
+
+    ``G^T diag(w) G = sum_i w_i g_i g_i^T``; rows with a single nonzero
+    (variable bounds — the vast majority in compiled horizon QPs)
+    contribute only to the diagonal, so they reduce to one small
+    ``(., mb) @ (mb, n)`` product against a precomputed scatter of
+    squared bound coefficients.  The remaining dense rows go through a
+    precomputed ``(md, n*n)`` outer-product matrix (one dgemm) when
+    small, or a matmul otherwise.
+    """
+
+    _OUTER_LIMIT = 4_000_000
+
+    def __init__(self, G0: np.ndarray):
+        m, n = G0.shape
+        self.n = n
+        bound = (G0 != 0).sum(axis=1) == 1
+        self.bound_rows = np.flatnonzero(bound)
+        #: Per row: the one variable a bound row holds and its
+        #: coefficient (-1 and 0 on dense rows).
+        self.bound_col = np.full(m, -1)
+        self.bound_coef = np.zeros(m)
+        if self.bound_rows.size:
+            b_cols = np.nonzero(G0[self.bound_rows])[1]
+            self.bound_col[self.bound_rows] = b_cols
+            self.bound_coef[self.bound_rows] = G0[self.bound_rows, b_cols]
+        self.dense_rows = np.flatnonzero(~bound)
+        self.Gd = G0[self.dense_rows]
+        self._products = None
+
+    def _assembly_products(self) -> tuple:
+        """The squared-bound scatter and the dense rows' outer products,
+        built on the first stacked assembly (a warm chain's kernel
+        never needs them)."""
+        if self._products is None:
+            n, rows = self.n, self.bound_rows
+            bound_sq = None
+            if rows.size:
+                bound_sq = np.zeros((rows.size, n))
+                bound_sq[np.arange(rows.size), self.bound_col[rows]] = self.bound_coef[rows] ** 2
+            outer = None
+            if self.Gd.size and self.Gd.shape[0] * n * n <= self._OUTER_LIMIT:
+                outer = (self.Gd[:, :, None] * self.Gd[:, None, :]).reshape(-1, n * n)
+            self._products = bound_sq, outer
+        return self._products
+
+    def assemble(self, Pw: np.ndarray, wt: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """``Pw + diag(d) (sum_i wt_i g_i g_i^T) diag(d)`` for a stack
+        (``wt`` of shape ``(k, m)``)."""
+        n = self.n
+        lead = wt.shape[:-1]
+        bound_sq, outer = self._assembly_products()
+        if outer is not None:
+            core = (wt[..., self.dense_rows] @ outer).reshape(lead + (n, n))
+        elif self.dense_rows.size:
+            core = np.matmul(self.Gd.T, wt[..., self.dense_rows, None] * self.Gd)
+        else:
+            core = np.zeros(lead + (n, n))
+        if bound_sq is not None:
+            diag = np.einsum("...ii->...i", core)
+            diag += wt[..., self.bound_rows] @ bound_sq
+        core *= d[..., :, None]
+        core *= d[..., None, :]
+        core += Pw
+        return core
+
+
+class QPKernel:
+    """What a family of QPs sharing ``A`` and ``G`` compiles once.
+
+    The paper's horizon compiles every slot of one (model, strategy) to
+    the same constraint matrices (see
+    :meth:`~repro.core.compiled.CompiledQPStructure.kernel`); only
+    ``P``, ``q``, ``b`` and ``h`` move.  The kernel holds what the
+    interior-point route derives from ``A`` and ``G`` alone: the
+    sparsity coordinates of the factored Ruiz sweep (the rows of
+    ``[A; G]`` and its columns, each pre-sorted so a sweep is two
+    segmented maxima) and the bound-row/dense-row split of ``G`` that
+    assembles a stack's ``G' W G`` and eliminates active bounds.  It
+    holds no per-solve state, so one kernel serves any number of
+    solves.  :meth:`solve` and :meth:`solve_equality` run one QP on it;
+    ``solve_qp_batch`` and ``solve_qp_warm`` run theirs on the same
+    kernel.
+
+    The kernel keeps its own copies of ``A`` and ``G``, so
+    :meth:`matches` compares contents and a caller that edits its arrays
+    in place gets a fresh kernel, not a stale one.
+    """
+
+    def __init__(self, A: np.ndarray, G: np.ndarray) -> None:
+        #: ``[A; G]``, a copy: the rows an equality-KKT solve borders
+        #: with; ``A`` and ``G`` are views of it.
+        self.AG = np.vstack([A, G]).astype(float, copy=False)
+        self.p, self.n = np.shape(A)
+        self.m = np.shape(G)[0]
+        self.A, self.G = self.AG[:self.p], self.AG[self.p:]
+        # Ruiz coordinates of [A; G], as indices into one scale vector
+        # [d, r_a, r_g]: row-sorted for the row phase, column-sorted
+        # for the column phase (which merges in P's entries per QP).
+        rows, cols = np.nonzero(self.AG)
+        self._row_coords = (rows + self.n, cols, np.abs(self.AG[rows, cols]), _groups(rows))
+        cols, rows = np.nonzero(self.AG.T)
+        self._col_coords = (rows + self.n, cols, np.abs(self.AG[rows, cols]))
+        self.split = _SharedSplit(self.G)
+
+    def matches(self, A: np.ndarray, G: np.ndarray) -> bool:
+        """Whether ``A`` and ``G`` hold this kernel's matrices."""
+        return (A.shape == self.A.shape and G.shape == self.G.shape
+                and np.array_equal(A, self.A) and np.array_equal(G, self.G))
+
+    def ruiz(self, P: np.ndarray, q: np.ndarray, sweeps: int = _RUIZ_SWEEPS):
+        """Ruiz scalings ``(d, r_a, r_g, gamma)`` of one QP (``P``
+        ``(n, n)``, ``q`` ``(n,)``) or of a stack (``(T, .)``, scaled per
+        instance).
+
+        Each sweep scales columns over ``[P; A; G]``, then the rows of
+        ``A`` and ``G``, toward unit infinity norm; ``gamma`` then
+        normalizes the objective.  The scaled matrices are never formed:
+        a sweep recomputes the scaled magnitudes at the sparsity
+        coordinates from the accumulated scale vectors, so it costs
+        O(nnz).  The scaled problem is ``diag(d) P diag(d) / gamma``,
+        ``d q / gamma``, ``diag(r_a) A diag(d)``, ``r_a b``,
+        ``diag(r_g) G diag(d)``, ``r_g h``, and maps back as ``x = d
+        x_hat``, ``y = gamma r_a y_hat``, ``z = gamma r_g z_hat``.
+        """
+        n, p = self.n, self.p
+        pattern = P != 0 if P.ndim == 2 else np.abs(P).max(axis=0) > 0
+        cols_p, rows_p = np.nonzero(pattern.T)
+        vals_p = np.abs(P[..., rows_p, cols_p])
+        rows_c, cols_c, base_c = self._col_coords
+        lead = q.shape[:-1]
+        order = np.argsort(np.concatenate([cols_p, cols_c]), kind="stable")
+        rows_c = np.concatenate([rows_p, rows_c])[order]
+        cols_c = np.concatenate([cols_p, cols_c])[order]
+        base_c = np.concatenate([vals_p, np.broadcast_to(base_c, lead + base_c.shape)],
+                                axis=-1)[..., order]
+        groups_c = _groups(cols_c)
+        rows_r, cols_r, base_r, groups_r = self._row_coords
+        scales = np.ones(lead + (n + p + self.m,))
+        d, r = scales[..., :n], scales[..., n:]
+        for _ in range(sweeps):
+            d *= _ruiz_step(_group_max(
+                base_c * (scales[..., rows_c] * scales[..., cols_c]), groups_c, n))
+            r *= _ruiz_step(_group_max(
+                base_r * (scales[..., rows_r] * scales[..., cols_r]), groups_r, p + self.m))
+        p_max = (vals_p * (d[..., rows_p] * d[..., cols_p])).max(axis=-1, initial=0.0)
+        gamma = np.maximum(1e-12, np.maximum(np.abs(d * q).max(axis=-1, initial=0.0),
+                                             p_max))
+        return d, r[..., :p], r[..., p:], gamma
+
+    def system(self, P, q, b, h, scalings) -> "_SharedSystem":
+        """The Newton system of the QP(s) scaled by ``scalings``."""
+        d, r_a, r_g, gamma = scalings
+        g = np.asarray(gamma)[..., None]
+        Pw = P * d[..., :, None]
+        Pw *= d[..., None, :]
+        Pw /= g[..., None]
+        return _SharedSystem(self, Pw, d * q / g, r_a * b, r_g * h, d, r_a, r_g)
+
+    def unit_scalings(self):
+        """The identity scalings: the raw, unequilibrated problem."""
+        return np.ones(self.n), np.ones(self.p), np.ones(self.m), 1.0
+
+    def solve(
+        self, P, q, b, h, tol: float = 1e-9, max_iter: int = 100,
+        equilibrate: bool = True, trace: bool = False, trace_every: int = 1,
+        metrics=None,
+    ) -> tuple[IPQPResult, tuple]:
+        """One QP on this kernel: ``(result, scalings it ran under)``.
+
+        The arguments are :func:`solve_qp`'s, on data already
+        normalized to float arrays of matching shapes.
+
+        Cold solves start from the ``W = I`` point
+        (:meth:`_SharedSystem.start`).  An equilibrated solve that does
+        not converge is retried on the raw data: equilibration helps
+        badly scaled instances but can send the Mehrotra iteration into
+        a limit cycle on small well-scaled ones (the gap orbits a
+        period-3 cycle while the KKT residual sits at 1e-12).  A
+        converged solve never gets there, so its iterates are untouched.
+        Without inequalities the minimizer is one equality-KKT solve.
+        """
+        if trace_every < 1:
+            raise ValueError(f"trace_every must be >= 1, got {trace_every}")
+        raw = self.unit_scalings()
+        if not self.m:
+            x, y, _, _ = self.solve_equality(P, q, b, h)
+            res = IPQPResult(
+                x=x, eq_dual=y, ineq_dual=np.zeros(0), value=float(0.5 * x @ P @ x + q @ x),
+                iterations=0, converged=True, gap=0.0,
+                trace=IPQPTrace() if trace else None,
+            )
+            scalings = raw
+        else:
+            scalings = self.ruiz(P, q) if equilibrate else raw
+            res = self._run(P, q, b, h, scalings, tol, max_iter, trace, trace_every)
+            if not res.converged and equilibrate:
+                retry = self._run(P, q, b, h, raw, tol, max_iter, trace, trace_every)
+                if retry.converged:
+                    res, scalings = retry, raw
+        _record_metrics(metrics, res.iterations, res.converged)
+        return res, scalings
+
+    def _run(self, P, q, b, h, scalings, tol, max_iter, trace, trace_every) -> IPQPResult:
+        """The Mehrotra loop from the cold start under ``scalings``."""
+        d, r_a, r_g, gamma = scalings
+        system = self.system(P, q, b, h, scalings)
+        trace_rec = IPQPTrace() if trace else None
+        x, y, _, z, it, converged, gap = _mehrotra(
+            system, *system.start(), tol, max_iter, trace_rec, trace_every
+        )
+        x = d * x
+        return IPQPResult(
+            x=x, eq_dual=gamma * r_a * y, ineq_dual=gamma * r_g * z,
+            value=float(0.5 * x @ P @ x + q @ x), iterations=it,
+            converged=converged, gap=gap * gamma, trace=trace_rec,
+        )
+
+    def solve_equality(self, P, q, b, h, active: np.ndarray | None = None):
+        """The QP with the inequality rows in ``active`` held at equality
+        and every other inequality row dropped: one KKT solve.
+
+        An active bound row fixes its variable, which leaves the system
+        instead of bordering it; only the equality rows and the active
+        dense rows border the Hessian of the free variables.  A bound
+        row's multiplier then follows from its variable's stationarity
+        row.  Solved under :func:`_solve_kkt`'s ladder, with the
+        condensed matrix's ``-1e-12`` multiplier diagonal.
+
+        Returns:
+            ``(x, y, z, residual)`` — ``z`` the full-length inequality
+            multipliers (zero on dropped rows, unclipped), ``residual``
+            the reduced system's max residual relative to ``1 +
+            ||rhs||_inf`` — or None when two active rows bound one
+            variable.
+
+        Raises:
+            np.linalg.LinAlgError: when the system is singular even
+                after regularization.
+        """
+        n, p, split = self.n, self.p, self.split
+        act = np.zeros(0, dtype=int) if active is None else np.flatnonzero(active)
+        cols = split.bound_col[act]
+        on_bound = cols >= 0
+        fixed, act_b = cols[on_bound], act[on_bound]
+        free = np.ones(n, dtype=bool)
+        free[fixed] = False
+        free = np.flatnonzero(free)
+        if free.size != n - fixed.size:
+            return None
+        # The bordering rows: every equality row, then the active dense rows.
+        border = np.concatenate([np.arange(p), p + act[~on_bound]])
+        rows = self.AG[border]
+        x = np.zeros(n)
+        x[fixed] = h[act_b] / split.bound_coef[act_b]
+        P_free = P[free]
+        rhs = np.concatenate([-q[free] - P_free[:, fixed] @ x[fixed],
+                              np.concatenate([b, h])[border] - rows[:, fixed] @ x[fixed]])
+        reduced = _fill_kkt(np.empty((rhs.size, rhs.size)), P_free[:, free], rows[:, free])
+        sol = _solve_kkt(reduced, rhs)
+        resid = float(np.abs(reduced @ sol - rhs).max(initial=0.0))
+        resid /= 1.0 + float(np.abs(rhs).max(initial=0.0))
+        x[free] = sol[:free.size]
+        mult = np.zeros(p + self.m)
+        mult[border] = sol[free.size:]
+        # A fixed variable's stationarity row, P x + q + A'y + G'z = 0,
+        # gives its bound row's multiplier (still zero in ``mult``).
+        grad = P[fixed] @ x + mult @ self.AG[:, fixed] + q[fixed]
+        mult[p + act_b] = -grad / split.bound_coef[act_b]
+        return x, mult[:p], mult[p:], resid
+
+
+class _SharedSystem(_NewtonSystem):
+    """The Newton system of every dense route: QPs sharing one kernel.
+
+    Runs one QP (1-D iterates, for :func:`solve_qp` and every rung of
+    ``solve_qp_warm``) or a stack of them (``(T, .)`` iterates, for
+    ``solve_qp_batch``) with their own Hessians, right-hand sides and
+    Ruiz scalings but the kernel's ``A``/``G``.  The scalings stay
+    factored (``A_t = diag(r_a[t]) A diag(d[t])`` and likewise for
+    ``G``), so constraint products are single matrix products against
+    the shared matrices, and ``G' W G`` is assembled from the kernel's
+    bound/dense split.  Each iteration LU-factors each instance's
+    condensed KKT ``[[H, A_t'], [A_t, -1e-12 I]]`` once with LAPACK
+    ``getrf``; the predictor and the corrector back-solve against it
+    with ``getrs`` under the residual-checked ladder
+    (:func:`_solve_kkt`).  A stack checks residuals for all instances at
+    once and sends only those that fail to the ladder, seeded with their
+    plain factors; :meth:`drop` removes converged instances as the batch
+    drains.
+    """
+
+    def __init__(self, kernel: QPKernel, Pw, qw, bw, hw, d, r_a, r_g) -> None:
+        self.kernel = kernel
+        self.Pw, self.qw, self.bw, self.hw = Pw, qw, bw, hw
+        self.d, self.r_a, self.r_g = d, r_a, r_g
+        self.p = kernel.p
+        #: ``A_t`` per instance; the scalings are fixed for the solve.
+        self.A_scaled = (kernel.A * d[..., None, :]) * r_a[..., :, None]
+        self.scale = 1.0 + np.maximum(
+            np.abs(qw).max(axis=-1, initial=0.0),
+            np.maximum(np.abs(hw).max(axis=-1, initial=0.0),
+                       np.abs(bw).max(axis=-1, initial=0.0)),
+        )
+        size = kernel.n + self.p
+        #: One QP's scaled ``G`` in full: at one instance a product
+        #: against it is one call, where the factored form takes three.
+        self.G_scaled = None
+        if qw.ndim == 1:
+            self.scale = float(self.scale)
+            self.G_scaled = (kernel.G * d) * r_g[:, None]
+            # The equality block of the KKT matrix is fixed for the
+            # solve; each iteration writes only the Hessian block.
+            self.kkt = _fill_kkt(np.empty((size, size)), np.zeros((kernel.n,) * 2),
+                                 self.A_scaled)
+        else:
+            self.lu = np.empty((len(qw), size, size))
+            self.piv = np.empty((len(qw), size), dtype=np.int32)
+            self.AT, self.GT = kernel.A.T.copy(), kernel.G.T.copy()
+
+    def drop(self, keep: np.ndarray) -> None:
+        for name in ("Pw", "qw", "bw", "hw", "d", "r_a", "r_g", "A_scaled", "scale"):
+            setattr(self, name, getattr(self, name)[keep])
+
+    def residuals(self, x, y, s, z):
+        if x.ndim == 1:
+            A = self.A_scaled
+            r_dual = self.Pw @ x + self.qw + z @ self.G_scaled
+            if self.p:
+                r_dual += y @ A
+            return r_dual, A @ x - self.bw, self.G_scaled @ x + s - self.hw
+        k, d, r_a, r_g = self.kernel, self.d, self.r_a, self.r_g
+        dx_ = d * x
+        r_dual = np.matmul(self.Pw, x[:, :, None])[:, :, 0]
+        r_dual += self.qw
+        r_dual += d * ((r_g * z) @ k.G)
+        if self.p:
+            r_dual += d * ((r_a * y) @ k.A)
+        return r_dual, r_a * (dx_ @ self.AT) - self.bw, r_g * (dx_ @ self.GT) + s - self.hw
+
+    def slack(self, x):
+        return self.hw - self.g_mul(x)
+
+    def g_mul(self, v):
+        if self.G_scaled is not None:
+            return self.G_scaled @ v
+        return self.r_g * ((self.d * v) @ self.GT)
+
+    def gt_mul(self, v):
+        if self.G_scaled is not None:
+            return v @ self.G_scaled
+        return self.d * ((self.r_g * v) @ self.kernel.G)
+
+    def _factor(self, H: np.ndarray) -> None:
+        """LU-factor the condensed KKT around ``H`` (one or a stack).
+
+        A stack's buffer rows hold the transposed matrices, so each
+        transpose is the matrix itself in Fortran order and ``getrf``
+        overwrites it in place with the factors :func:`_lu` would
+        compute.
+        """
+        self.H = H
+        if H.ndim == 2:
+            n = len(H)
+            self.kkt[:n, :n] = H
+            self.factors = {}
+            return
+        k = len(H)
+        kkt = _fill_kkt(self.lu[:k], H.transpose(0, 2, 1), self.A_scaled)
+        self.info = np.empty(k, dtype=int)
+        for t in range(k):
+            _, self.piv[t], self.info[t] = dgetrf(kkt[t].T, overwrite_a=1)
+        self.rescue = {}
+
+    def start(self) -> tuple[np.ndarray, ...]:
+        """The cold starting iterate: ``x`` from the ``W = I``
+        equality-regularized solve ``[[P + G'G, A'], [A, -1e-12 I]] (x,
+        y) = (G'h - q, b)`` where it is finite and moderate (zero
+        elsewhere), ``s = max(h - G x, 1)`` and ``z = 1``.  That point
+        lies near the central path's analytic region; it typically
+        removes a few interior-point iterations and never changes what
+        convergence means."""
+        qw, hw = self.qw, self.hw
+        x = np.zeros_like(qw)
+        y = np.zeros(qw.shape[:-1] + (self.p,))
+        z = np.ones_like(hw)
+        try:
+            self._factor(self._hessian(z))
+            x0, y0 = self.solve(-qw + self.gt_mul(hw), self.bw)
+        except np.linalg.LinAlgError:
+            return x, y, np.maximum(hw, 1.0), z
+        good = np.asarray(np.isfinite(x0).all(axis=-1)
+                          & (np.abs(x0).max(axis=-1, initial=0.0) < 1e6))[..., None]
+        x = np.where(good, x0, x)
+        if self.p:
+            y = np.where(good & np.isfinite(y0), y0, 0.0)
+        return x, y, np.maximum(self.slack(x), 1.0), z
+
+    def _hessian(self, w: np.ndarray) -> np.ndarray:
+        """``P + G' diag(w) G`` in scaled units: one product against the
+        scaled ``G`` for one QP, the kernel's row split for a stack."""
+        if self.G_scaled is not None:
+            return self.Pw + self.G_scaled.T @ (w[:, None] * self.G_scaled)
+        return self.kernel.split.assemble(self.Pw, w * (self.r_g * self.r_g), self.d)
+
+    def factor(self, it, s, z) -> None:
+        self._factor(self._hessian(z / s))
+
+    def solve(self, r1, r2):
+        n = r1.shape[-1]
+        rhs = np.concatenate([r1, r2], axis=-1)
+        if rhs.ndim == 1:
+            sol = _solve_kkt(self.kkt, rhs, self.factors)
+            return sol[:n], sol[n:]
+        lu, piv = self.lu, self.piv
+        sol = np.empty_like(rhs)
+        for t in range(len(rhs)):
+            sol[t] = dgetrs(lu[t].T, piv[t], rhs[t])[0]
+        dx, dy = sol[:, :n], sol[:, n:]
+        resid = np.matmul(self.H, dx[:, :, None])[:, :, 0] - r1
+        if self.p:
+            resid += np.matmul(dy[:, None, :], self.A_scaled)[:, 0]
+            resid = np.concatenate(
+                [resid, np.matmul(self.A_scaled, dx[:, :, None])[:, :, 0]
+                 - 1e-12 * dy - r2], axis=1
+            )
+        resid = np.abs(resid).max(axis=1, initial=0.0)
+        rhs_scale = 1.0 + np.abs(rhs).max(axis=1, initial=0.0)
+        ok = np.isfinite(resid) & (resid <= _KKT_RESIDUAL_TOL * rhs_scale)
+        for t in np.flatnonzero(~ok | (self.info != 0)):
+            factors = self.rescue.setdefault(
+                t, {0.0: None if self.info[t] else (lu[t].T, piv[t])}
+            )
+            kkt = _fill_kkt(np.empty(lu.shape[1:]), self.H[t], self.A_scaled[t])
+            sol[t] = _solve_kkt(kkt, rhs[t], factors)
+        return dx, dy
 
 
 def solve_qp(
@@ -680,6 +1017,10 @@ def solve_qp(
     totals and an iteration histogram — once per outer solve, not per
     equilibration retry.
 
+    This compiles a :class:`QPKernel` for ``A`` and ``G`` and runs
+    :meth:`QPKernel.solve`; a caller solving many QPs with the same
+    constraint matrices compiles the kernel once and calls it instead.
+
     Raises:
         ValueError: on inconsistent shapes, or a constraint matrix
             given without its right-hand side.
@@ -687,40 +1028,5 @@ def solve_qp(
             even after regularization.
     """
     P, q, A, b, G, h = _normalize_qp(P, q, A, b, G, h)
-    if trace_every < 1:
-        raise ValueError(f"trace_every must be >= 1, got {trace_every}")
-    if G.shape[0] == 0:
-        res = _closed_form(P, q, A, b, trace)
-    elif not equilibrate:
-        res = _solve_dense(P, q, A, b, G, h, tol, max_iter, trace, trace_every)
-    else:
-        P_s, q_s, A_s, b_s, G_s, h_s, d, r_a, r_g, gamma = _ruiz_equilibrate(
-            P, q, A, b, G, h
-        )
-        inner = _solve_dense(P_s, q_s, A_s, b_s, G_s, h_s, tol, max_iter, trace,
-                             trace_every)
-        raw = None
-        if not inner.converged:
-            # Equilibration helps badly scaled instances but can send
-            # the Mehrotra iteration into a limit cycle on small
-            # well-scaled ones (residual traces show the gap orbiting
-            # a period-3 cycle while the KKT residual sits at 1e-12).
-            # Retry on the raw data; converging solves never get here,
-            # so their iterates are untouched.
-            raw = _solve_dense(P, q, A, b, G, h, tol, max_iter, trace, trace_every)
-        if raw is not None and raw.converged:
-            res = raw
-        else:
-            x = d * inner.x
-            res = IPQPResult(
-                x=x,
-                eq_dual=gamma * r_a * inner.eq_dual,
-                ineq_dual=gamma * r_g * inner.ineq_dual,
-                value=float(0.5 * x @ P @ x + q @ x),
-                iterations=inner.iterations,
-                converged=inner.converged,
-                gap=inner.gap * gamma,
-                trace=inner.trace,
-            )
-    _record_metrics(metrics, res.iterations, res.converged)
-    return res
+    return QPKernel(A, G).solve(P, q, b, h, tol, max_iter, equilibrate, trace,
+                                trace_every, metrics)[0]

@@ -12,14 +12,16 @@ coherence preserves, strongest mechanism first:
 * **Active-set reuse.**  Hour-over-hour drift rarely changes *which*
   inequality constraints bind at the optimum.  Fixing the previous
   slot's active set turns the QP into one equality-constrained KKT
-  system: a single linear solve on the raw (unscaled) current data.
+  system on the raw (unscaled) current data, in which each active
+  variable bound fixes its variable instead of bordering the matrix
+  (:meth:`~repro.optim.ipqp.QPKernel.solve_equality`).
   The candidate is accepted only after explicit verification — the
   dropped constraints must hold, the kept multipliers must be
   non-negative, and the KKT residual must sit at solver precision —
-  with one refinement round (swap in violated constraints, drop
-  negative multipliers) before giving up.  A verified hit is an
-  *exact* KKT point, costs one factorization, and reports
-  ``iterations`` equal to the number of KKT solves (1 or 2).
+  with up to three refinement rounds (swap in violated constraints,
+  drop negative multipliers) before giving up.  A verified hit is an
+  *exact* KKT point, costs one small factorization per round, and
+  reports ``iterations`` equal to the number of KKT solves (1 to 4).
 * **Shift-initialized interior point.**  When the active set moved,
   the Mehrotra iteration is started from the previous iterates
   re-expressed in the cached Ruiz scalings (re-applying the diagonals
@@ -34,7 +36,7 @@ plain cold solve):
 
 1. an active-set candidate that fails verification — residual, primal
    feasibility of dropped rows, or dual feasibility of kept rows —
-   after one refinement round is discarded;
+   after its refinement rounds is discarded;
 2. a non-finite or shape-incompatible warm point is rejected outright;
 3. a warm point whose relative KKT residual exceeds
    :data:`WARM_REJECT_REL` is rejected — at that distance the cold
@@ -44,27 +46,25 @@ plain cold solve):
    quality than the cold one it replaced.
 
 The cold path *is* :func:`~repro.optim.ipqp.solve_qp`, bit-for-bit —
-including its equilibration-retry semantics — plus one extra
-equilibration pass to harvest the scalings for the next slot.
+including its equilibration-retry semantics — and hands the next slot
+the scalings it ran under.  Every rung runs on one
+:class:`~repro.optim.ipqp.QPKernel`, compiled on the chain's first slot
+and carried in the state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgetrs
 
 from repro.optim.ipqp import (
     IPQPResult,
-    _DenseSystem,
-    _lu,
+    QPKernel,
     _mehrotra,
     _normalize_qp,
     _record_metrics,
-    _ruiz_equilibrate,
     _warm_point,
-    solve_qp,
 )
 
 __all__ = ["WarmState", "WarmSolveInfo", "WarmSolve", "solve_qp_warm",
@@ -82,12 +82,13 @@ WARM_REJECT_REL = 0.25
 #: kept multipliers negative by at most this much, and the KKT system
 #: must be solved to this residual.  Matches the default interior-point
 #: tolerance, so a verified hit is never looser than a converged IP run.
+#: The active-set guess uses the same margin.
 ACTIVE_SET_TOL = 1e-9
 
-#: Tiny negative regularization on the multiplier block of the
-#: active-set KKT matrix, so a redundant row degrades the residual
-#: check instead of raising ``LinAlgError``.
-_ACTIVE_REG = -1e-12
+#: Refinement rounds the active-set rung may take after its first
+#: guess.  Each round is one small equality-KKT solve, a few percent of
+#: a warm interior-point run.
+_REFINE_ROUNDS = 3
 
 
 @dataclass
@@ -95,16 +96,20 @@ class WarmState:
     """Everything slot ``t`` hands slot ``t+1`` — plain arrays, picklable.
 
     Attributes:
-        d, r_a, r_g, gamma: Ruiz scalings harvested at the last cold
-            solve (variable, equality-row, inequality-row diagonals and
-            the objective normalization).
+        d, r_a, r_g, gamma: Ruiz scalings of the last cold solve, as it
+            ran them (variable, equality-row, inequality-row diagonals
+            and the objective normalization).
         x, eq_dual, ineq_dual: the previous slot's solution in
             *unscaled* units.
         slack: the previous slot's inequality slacks ``h - G x`` in
-            unscaled units; ``ineq_dual > slack`` is the active-set
-            guess for the next slot.
+            unscaled units; ``ineq_dual > slack - margin`` is the
+            active-set guess for the next slot.
         gap: the previous solve's final complementarity in scaled
             units (diagnostic; the shift is residual-driven).
+        kernel: the :class:`~repro.optim.ipqp.QPKernel` the chain runs
+            on, reused while the constraint matrices match.  It is not
+            pickled: a state that crosses a process boundary compiles
+            the kernel anew on its next slot.
     """
 
     d: np.ndarray
@@ -116,6 +121,12 @@ class WarmState:
     ineq_dual: np.ndarray
     slack: np.ndarray
     gap: float
+    kernel: QPKernel | None = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["kernel"] = None
+        return state
 
 
 @dataclass
@@ -145,97 +156,43 @@ class WarmSolve:
     info: WarmSolveInfo
 
 
-def _try_active_set(
-    P: np.ndarray,
-    q: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    G: np.ndarray,
-    h: np.ndarray,
-    active: np.ndarray,
-    tol: float,
-) -> tuple[bool, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """One equality-KKT solve with the inequality rows in ``active`` bound.
+def _active_set(kernel: QPKernel, P, q, b, h, active, tol: float, scale: float):
+    """One verified equality-KKT solve with the rows in ``active`` bound.
 
-    Returns ``None`` when the linear system is singular or its residual
-    is above solver precision; otherwise ``(ok, x, y, z, slack)`` where
-    ``ok`` reports whether the candidate passed primal/dual
-    verification.  ``z`` is the full-length multiplier vector (zeros on
-    inactive rows, negatives clipped) and ``slack = h - G x``, so a
-    failed candidate still seeds one refinement round.
+    Returns ``None`` when the system is singular, two active rows bound
+    one variable, or the residual is above solver precision; otherwise
+    ``(ok, x, y, z, slack)`` where ``ok`` reports whether the candidate
+    passed primal/dual verification.  ``z`` is the full-length
+    multiplier vector (zeros on inactive rows, negatives clipped) and
+    ``slack = h - G x``, so a failed candidate seeds the next
+    refinement round.
     """
-    n = len(q)
-    p = A.shape[0]
-    g_act = G[active]
-    h_act = h[active]
-    n_act = g_act.shape[0]
-    dim = n + p + n_act
-    kkt = np.zeros((dim, dim))
-    kkt[:n, :n] = P
-    kkt[:n, n:n + p] = A.T
-    kkt[:n, n + p:] = g_act.T
-    kkt[n:n + p, :n] = A
-    kkt[n + p:, :n] = g_act
-    idx = np.arange(n, dim)
-    kkt[idx, idx] = _ACTIVE_REG
-    rhs = np.concatenate([-q, b, h_act])
-    factors = _lu(kkt)
-    if factors is None:
+    try:
+        out = kernel.solve_equality(P, q, b, h, active)
+    except np.linalg.LinAlgError:
         return None
-    sol = dgetrs(*factors, rhs)[0]
-    resid = np.abs(kkt @ sol - rhs).max(initial=0.0)
-    resid /= 1.0 + np.abs(rhs).max(initial=0.0)
-    if not np.isfinite(resid) or resid > tol:
+    if out is None or not out[3] <= tol:
         return None
-    x = sol[:n]
-    y = sol[n:n + p]
-    z_act = sol[n + p:]
-    scale = 1.0 + max(np.abs(q).max(initial=0.0), np.abs(h).max(initial=0.0),
-                      np.abs(b).max(initial=0.0))
-    slack = h - G @ x
+    x, y, z, _ = out
+    slack = h - kernel.G @ x
     ok = bool(
         slack.min(initial=0.0) >= -tol * scale
-        and z_act.min(initial=0.0) >= -tol * scale
+        and z[active].min(initial=0.0) >= -tol * scale
     )
-    z = np.zeros(G.shape[0])
-    z[active] = np.maximum(z_act, 0.0)
-    return ok, x, y, z, slack
+    return ok, x, y, np.maximum(z, 0.0), slack
 
 
-def _cold_solve(
-    P: np.ndarray,
-    q: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    G: np.ndarray,
-    h: np.ndarray,
-    tol: float,
-    max_iter: int,
-    metrics,
-    reason: str | None,
-) -> WarmSolve:
-    """Plain :func:`solve_qp` plus a scaling harvest for the next slot."""
-    res = solve_qp(
-        P, q, A=A, b=b, G=G, h=h, tol=tol, max_iter=max_iter, metrics=metrics
-    )
+def _cold_solve(kernel: QPKernel, P, q, b, h, tol, max_iter, metrics,
+                reason: str | None) -> WarmSolve:
+    """:func:`~repro.optim.ipqp.solve_qp` on the kernel; the scalings it
+    ran under seed the next slot."""
+    res, (d, r_a, r_g, gamma) = kernel.solve(P, q, b, h, tol, max_iter, metrics=metrics)
     state = None
-    if res.converged and G.shape[0]:
-        # One extra equilibration pass to capture the diagonals the
-        # next slot will re-apply.  Cold slots are rare in steady
-        # warm-chained operation (slot 0 plus safeguard fallbacks), so
-        # the duplicate pass is paid where it does not matter.
-        scalings = _ruiz_equilibrate(P, q, A, b, G, h)
-        d, r_a, r_g, gamma = scalings[6], scalings[7], scalings[8], scalings[9]
+    if res.converged and kernel.m:
         state = WarmState(
-            d=d,
-            r_a=r_a,
-            r_g=r_g,
-            gamma=gamma,
-            x=res.x,
-            eq_dual=res.eq_dual,
-            ineq_dual=res.ineq_dual,
-            slack=h - G @ res.x,
-            gap=res.gap / gamma,
+            d=d, r_a=r_a, r_g=r_g, gamma=float(gamma),
+            x=res.x, eq_dual=res.eq_dual, ineq_dual=res.ineq_dual,
+            slack=h - kernel.G @ res.x, gap=res.gap / gamma, kernel=kernel,
         )
     return WarmSolve(result=res, state=state,
                      info=WarmSolveInfo(False, "cold", reason))
@@ -257,14 +214,15 @@ def solve_qp_warm(
     """Solve a QP, warm-started from the previous slot when possible.
 
     With ``state=None`` (or a rejected warm point) this is exactly
-    :func:`~repro.optim.ipqp.solve_qp` plus a scaling harvest.  With a
-    state, the previous active set is tried first (one verified
-    equality-KKT solve); if the active set moved, the interior-point
-    iteration starts from the shifted previous iterates on the
-    cached-scaling data.  The returned :class:`WarmSolve` carries the
-    solver result, the state to pass to the next slot (None when no
-    reusable state exists), and a :class:`WarmSolveInfo` describing
-    which path ran.
+    :func:`~repro.optim.ipqp.solve_qp`, whose scalings the returned
+    state carries.  With a state, the previous active set is tried first
+    (one verified equality-KKT solve); if the active set moved, the
+    interior-point iteration starts from the shifted previous iterates
+    on the cached-scaling data.  Every rung runs on the state's
+    :class:`~repro.optim.ipqp.QPKernel` while ``A`` and ``G`` match it.
+    The returned :class:`WarmSolve` carries the solver result, the state
+    to pass to the next slot (None when no reusable state exists), and a
+    :class:`WarmSolveInfo` describing which path ran.
 
     Raises:
         ValueError: on inconsistent shapes, or a constraint matrix
@@ -274,14 +232,18 @@ def solve_qp_warm(
     P, q, A, b, G, h = _normalize_qp(P, q, A, b, G, h)
     n = len(q)
     p, m = A.shape[0], G.shape[0]
+    if state is not None and state.kernel is not None and state.kernel.matches(A, G):
+        kernel = state.kernel
+    else:
+        kernel = QPKernel(A, G)
 
     if m == 0:
         # No barrier, nothing to warm-start: the cold path solves these
         # in one KKT solve already.
-        return _cold_solve(P, q, A, b, G, h, tol, max_iter, metrics,
+        return _cold_solve(kernel, P, q, b, h, tol, max_iter, metrics,
                            "no inequality constraints")
     if state is None:
-        return _cold_solve(P, q, A, b, G, h, tol, max_iter, metrics, None)
+        return _cold_solve(kernel, P, q, b, h, tol, max_iter, metrics, None)
     if (
         state.d.shape != (n,)
         or state.r_a.shape != (p,)
@@ -291,41 +253,50 @@ def solve_qp_warm(
         or state.ineq_dual.shape != (m,)
         or state.slack.shape != (m,)
     ):
-        return _cold_solve(P, q, A, b, G, h, tol, max_iter, metrics,
+        return _cold_solve(kernel, P, q, b, h, tol, max_iter, metrics,
                            "warm state shape mismatch")
 
     # --- Rung 1: active-set reuse -------------------------------------
     # `ineq_dual > slack` separates rows that ended the previous slot
     # bound (dual dominates) from rows that ended slack; hour-over-hour
-    # drift usually leaves that partition intact.
+    # drift usually leaves that partition intact.  A row whose dual and
+    # slack are within the verification tolerance of each other (both
+    # near zero on a degenerate row) counts as bound, so a last-bit
+    # change cannot flip the guess; a refinement round releases it if
+    # its multiplier comes out negative.
     atol = min(tol, ACTIVE_SET_TOL)
+    scale = 1.0 + max(np.abs(q).max(initial=0.0), np.abs(h).max(initial=0.0),
+                      np.abs(b).max(initial=0.0))
     kkt_solves = 1
-    candidate = _try_active_set(P, q, A, b, G, h,
-                                state.ineq_dual > state.slack, atol)
-    if candidate is not None and not candidate[0]:
-        # One refinement round: bind the violated rows, release the
-        # rows whose multiplier went negative.
+    guess = state.ineq_dual - state.slack > -atol * scale
+    candidate = _active_set(kernel, P, q, b, h, guess, atol, scale)
+    while candidate is not None and not candidate[0] and kkt_solves <= _REFINE_ROUNDS:
+        # A refinement round: bind the violated rows, release the rows
+        # whose multiplier went negative.  A round that reproduces its
+        # own active set has stalled.
         _, _, _, z_c, slack_c = candidate
-        kkt_solves = 2
-        candidate = _try_active_set(P, q, A, b, G, h,
-                                    (z_c > 0.0) | (slack_c < 0.0), atol)
+        refined = (z_c > 0.0) | (slack_c < 0.0)
+        if (refined == guess).all():
+            break
+        guess = refined
+        kkt_solves += 1
+        candidate = _active_set(kernel, P, q, b, h, guess, atol, scale)
     if candidate is not None and candidate[0]:
         _, x, y, z, slack = candidate
         gap = float(np.maximum(slack, 0.0) @ z) / m
-        iterations = kkt_solves
         result = IPQPResult(
             x=x,
             eq_dual=y,
             ineq_dual=z,
             value=float(0.5 * x @ P @ x + q @ x),
-            iterations=iterations,
+            iterations=kkt_solves,
             converged=True,
             gap=gap,
         )
-        _record_metrics(metrics, iterations, True)
+        _record_metrics(metrics, kkt_solves, True)
         new_state = WarmState(
             d=state.d, r_a=state.r_a, r_g=state.r_g, gamma=state.gamma,
-            x=x, eq_dual=y, ineq_dual=z, slack=slack, gap=gap,
+            x=x, eq_dual=y, ineq_dual=z, slack=slack, gap=gap, kernel=kernel,
         )
         return WarmSolve(result=result, state=new_state,
                          info=WarmSolveInfo(True, "active-set", None))
@@ -334,17 +305,9 @@ def solve_qp_warm(
     # --- Rung 2: shift-initialized interior point ---------------------
     # Re-apply the cached Ruiz diagonals to the *current* data.  This
     # is exact for arbitrary drift — the scaled problem is equivalent —
-    # and costs a few elementwise passes instead of 15 sweeps.
+    # and costs a few elementwise passes instead of a Ruiz equilibration.
     d, r_a, r_g, gamma = state.d, state.r_a, state.r_g, state.gamma
-    dd = d[:, None] * d[None, :]
-    P_s = P * dd / gamma
-    q_s = (d * q) / gamma
-    A_s = A * (r_a[:, None] * d[None, :]) if p else A
-    b_s = r_a * b
-    G_s = G * (r_g[:, None] * d[None, :])
-    h_s = r_g * h
-
-    system = _DenseSystem(P_s, q_s, A_s, b_s, G_s, h_s)
+    system = kernel.system(P, q, b, h, (d, r_a, r_g, gamma))
     start, rel0 = _warm_point(
         system,
         state.x / d,
@@ -355,7 +318,7 @@ def solve_qp_warm(
     if start is None:
         reason = (f"warm point too far (relative residual {rel0:.3g})"
                   if np.isfinite(rel0) else "non-finite warm point")
-        return _cold_solve(P, q, A, b, G, h, tol, max_iter, metrics,
+        return _cold_solve(kernel, P, q, b, h, tol, max_iter, metrics,
                            f"{active_reason}; {reason}")
 
     x_h, y_h, s_h, z_h, it, converged, gap_s = _mehrotra(
@@ -363,7 +326,7 @@ def solve_qp_warm(
     )
     if not converged:
         return _cold_solve(
-            P, q, A, b, G, h, tol, max_iter, metrics,
+            kernel, P, q, b, h, tol, max_iter, metrics,
             f"{active_reason}; warm iteration did not converge in {it} iterations",
         )
 
@@ -383,7 +346,7 @@ def solve_qp_warm(
     new_state = WarmState(
         d=d, r_a=r_a, r_g=r_g, gamma=gamma,
         x=x, eq_dual=eq_dual, ineq_dual=ineq_dual,
-        slack=s_h / r_g, gap=gap_s,
+        slack=s_h / r_g, gap=gap_s, kernel=kernel,
     )
     return WarmSolve(result=result, state=new_state,
                      info=WarmSolveInfo(True, "warm-ipm", None))

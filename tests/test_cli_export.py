@@ -75,6 +75,12 @@ class TestCommands:
         assert main(["--hours", "3", "convergence"]) == 0
         assert "CDF" in capsys.readouterr().out
 
+    def test_chaos_unknown_fallback_is_a_usage_error(self, capsys):
+        argv = ["chaos", "--scenario", "bit-rot", "--horizon", "2", "--fallback", "bogus"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "unknown fallback solver(s) 'bogus'" in err
+
     def test_report_fast(self, capsys):
         assert main(["--hours", "3", "report", "--fast"]) == 0
         out = capsys.readouterr().out

@@ -29,17 +29,23 @@ from repro.optim.warm import solve_qp_warm
 from repro.sim.simulator import build_model
 from repro.traces.datasets import default_bundle
 
-#: Digests re-recorded when the dense route moved from
-#: ``np.linalg.solve`` to one ``scipy.linalg.lapack`` ``getrf`` per
-#: iteration with ``getrs`` back-solves: scipy's LAPACK rounds
-#: differently from numpy's ``gesv``.  Against the previous digests'
-#: code every case kept its iteration counts and warm rungs; values
-#: agree within 4e-15 relative, except warm-chain slot 12, which is
-#: past capacity and stops at the iteration cap on a different point.
+#: Digests re-recorded when the dense route became the shared-structure
+#: route at one instance: one factored 6-sweep Ruiz instead of 15 dense
+#: sweeps, the W = I cold start instead of x = 0, s = max(h, 1), z = 1,
+#: ``G' W G`` from the bound/dense row split, the active-set rung's
+#: equality-KKT solve with active bounds eliminated (its guess now with
+#: a margin, up to three refinement rounds) and the closed form on the
+#: same solve.  Total iterations against the previous digests' code:
+#: paper_week 706 -> 622, ipqp_fuzz 279 -> 257, warm_chain 222 -> 210
+#: (two slots moved from warm-IPM to the active-set rung).  Values agree
+#: within 2.1e-7 relative on the paper week, 2.6e-9 on the converged
+#: fuzz solves and 1.1e-8 on the warm chain, except its slot 12, which is
+#: past capacity and stops at the iteration cap on a different point,
+#: and the ``max_iter=3`` fuzz solves, which stop unconverged.
 GOLDEN = {
-    "paper_week": "c61a4ed0b2b940d5f721a710646b85a76e7a702304f592a5c8cf5745705f8722",
-    "ipqp_fuzz": "ac11b7a9e78b6ecbcc8feb5732f5e43127feb2247eddc86d56a8da8d820a6f9f",
-    "warm_chain": "bd988f300bdf243fec925fb3c98a12179ddddd9ffb7d4c45914d6df9578b9a90",
+    "paper_week": "ac8739de33c457906a6c8ad41f87fc95f68c5c001b2d90a54ed264d5590a4f0b",
+    "ipqp_fuzz": "3e8402e5588dd141f1c0c92184240f6472a5763edc10940c1f31a56bdd8d4889",
+    "warm_chain": "2a9f5c6a534cbb6ded21e22c0df109b46db8f4f8f62829631ab31c8863802c6f",
 }
 
 

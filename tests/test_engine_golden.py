@@ -53,23 +53,32 @@ from repro.traces.datasets import default_bundle
 #: ``"solver: ErrType: message"`` chain error, where the old lane spent
 #: three attempts on slots 0-1 and quarantined the primary from slot 2.
 #: The allocations and UFC of all 12 slots are byte-identical to before.
+#: Every lane that runs the dense route (all but the batched lanes and
+#: ``degraded_store``) was re-recorded when that route became the
+#: shared-structure route at one instance (factored 6-sweep Ruiz, the
+#: W = I cold start, the active-set rung's equality-KKT solve with
+#: active bounds eliminated).  Against the previous digests' code the
+#: 12 mixed slots take 107 iterations instead of 122, with UFC within
+#: 9.8e-8 relative; the 6-slot warm chain takes 38 instead of 39, with
+#: the same rungs (cold, two active-set, three warm-IPM) and UFC within
+#: 4.1e-9.  The batched lanes kept their digests.
 GOLDEN = {
-    "serial": "2511be6632bcd474228c18fb34ed40642ee91acedf1fed4f2d774cc7b950124d",
-    "pool": "369ba3c4ec0982d8b73bd939a76e8bf3053c8f14c138d336b1da4547e2ce4d56",
-    "client_in_process": "1a982f961235e8807d2a5a6bc20335a34f18f614c2599e6ea605eed80a062d89",
-    "client_mp": "98aa39d463adaebdf2b40ed265cca0d095870b7b104e4bf9a64cb8b73c190205",
+    "serial": "5838459587cd3ccec338a0425d3aa855684f82a34e1cb630cbc96e22865349a8",
+    "pool": "86d9a257888dcfe7f1a68a049e3c8e68b653043848aaafedc598037c4179d7ea",
+    "client_in_process": "f47b737d24c29ae2db36f9abd7c1012a1bc1602529a09b451bbf98c3f4544fea",
+    "client_mp": "c62ee77b3dfb2df85b9642b1eec427429179c0f6fa22a9a5faaed077d8261e73",
     "batched_serial": "6828cb7f3425e09462c6a512803998a8e19d4573efcea989d5e7971c17303620",
     "batched_pool": "0767b99bf1e00ffbc9f5de0ac132b66c0ae0165348391a3026851ee741b4594d",
-    "warm_serial": "67fc0137f7080d0b8a84eb02ef7ea3365f09d74cb01e639b342445fd97069d2d",
-    "warm_mp": "fd5c50f3010c6a5a6a0bbdfacc4998e271063d782000f80fe7ee4a0f5d82a2c9",
-    "warm_in_process": "382e684c11dbd4e79628a491f8613358aa2fcbe955453b71babdee041fad20a7",
-    "resilience_idle": "2511be6632bcd474228c18fb34ed40642ee91acedf1fed4f2d774cc7b950124d",
-    "resilience_rescue": "5dbd390a6c456344563ff0f7ba5ac3dbc3a108d4ad051cb90bbdbd508237dc0d",
-    "store": "146081f828d1f5c5dadc4d18393a3630095d3ef20f812c576212c55b19fc5c5c",
+    "warm_serial": "2a06819cd687c0b94e6bed9f73541ab625a5710bd40943130ed49bf7084643ed",
+    "warm_mp": "db73ba4a85c30b8f1d0bed7c56a67252f2167bb760681b1f3beeda6f88d5865a",
+    "warm_in_process": "58aa808cda7b880685e0f0be38791dfc83914e532bc98e4f1869dfdc6a31b0a3",
+    "resilience_idle": "5838459587cd3ccec338a0425d3aa855684f82a34e1cb630cbc96e22865349a8",
+    "resilience_rescue": "fa29ab1d904bdccf339c117186a4604a3f612299885979341620afe810f0775a",
+    "store": "0df99d8091c85d5fb3af256c4cb41a638bc4dda4e0f76499f64168c14f0a07fb",
     "degraded_store": "c5077843d231e3f8f19b632063ad40e561318268263fb5753dcf6cd904e3202e",
-    "obs_on": "2511be6632bcd474228c18fb34ed40642ee91acedf1fed4f2d774cc7b950124d",
-    "certified": "2511be6632bcd474228c18fb34ed40642ee91acedf1fed4f2d774cc7b950124d",
-    "supervised_sync": "2511be6632bcd474228c18fb34ed40642ee91acedf1fed4f2d774cc7b950124d",
+    "obs_on": "5838459587cd3ccec338a0425d3aa855684f82a34e1cb630cbc96e22865349a8",
+    "certified": "5838459587cd3ccec338a0425d3aa855684f82a34e1cb630cbc96e22865349a8",
+    "supervised_sync": "5838459587cd3ccec338a0425d3aa855684f82a34e1cb630cbc96e22865349a8",
 }
 
 

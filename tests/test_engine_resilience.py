@@ -134,6 +134,10 @@ class TestFallbackChain:
         assert summary.degraded_slots == (0, 1)
         assert "resilience" in summary.format_table()
 
+    def test_unknown_fallback_name_rejected_up_front(self):
+        with pytest.raises(ValueError, match="unknown fallback solver.*'bogus'"):
+            HorizonEngine("centralized", fallback=("proportional", "bogus"))
+
     def test_ledger_header_names_the_chain(self, problems, tmp_path):
         engine = HorizonEngine(
             "centralized", fallback=("proportional",), ledger=tmp_path

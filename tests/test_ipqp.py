@@ -173,11 +173,11 @@ class TestEquilibration:
 class TestEquilibrationCycleFallback:
     def test_limit_cycle_instance_converges(self):
         # Regression: on this instance (hypothesis seed=57 of the
-        # simplex cross-check) the equilibrated Mehrotra iteration
-        # enters a period-3 limit cycle and stalls at value 72.4; the
-        # raw data converges in ~10 iterations to the true optimum
-        # 19.6.  A non-converged equilibrated solve must fall back to
-        # the raw data.
+        # simplex cross-check) the 15-sweep equilibration sent the
+        # Mehrotra iteration into a period-3 limit cycle that stalled at
+        # value 72.4, and only the raw-data retry found the true optimum
+        # 19.6.  The 6-sweep Ruiz and the W = I start converge on the
+        # equilibrated data, to the raw data's optimum.
         rng = np.random.default_rng(57)
         n = int(rng.integers(2, 7))
         half = rng.normal(size=(n, n))
@@ -190,6 +190,27 @@ class TestEquilibrationCycleFallback:
         raw = solve_qp(
             P, q, A=A, b=b, G=-np.eye(n), h=np.zeros(n), equilibrate=False
         )
+        assert raw.converged
+        assert res.value == pytest.approx(raw.value, rel=1e-12)
+        np.testing.assert_allclose(res.x, raw.x, atol=1e-8)
+
+    def test_unconverged_equilibrated_solve_retries_raw(self):
+        # A non-converged equilibrated solve falls back to the raw data.
+        # On the seed-57 instance the equilibrated run needs one
+        # iteration more than the raw one, so a cap between the two
+        # makes the retry answer, bit for bit.
+        rng = np.random.default_rng(57)
+        n = int(rng.integers(2, 7))
+        half = rng.normal(size=(n, n))
+        P = half @ half.T + 0.05 * np.eye(n)
+        q = rng.normal(size=n) * 3
+        kwargs = dict(A=np.ones((1, n)), b=np.array([7.0]), G=-np.eye(n),
+                      h=np.zeros(n))
+        raw = solve_qp(P, q, equilibrate=False, **kwargs)
+        assert raw.converged
+        assert solve_qp(P, q, max_iter=raw.iterations + 1, **kwargs).iterations > raw.iterations
+        res = solve_qp(P, q, max_iter=raw.iterations, **kwargs)
+        assert res.converged
         assert res.value == raw.value
         assert (res.x == raw.x).all()
 
@@ -206,6 +227,33 @@ class TestEquilibrationCycleFallback:
         assert res.converged
         assert res.trace is not None
         assert len(res.trace) == res.iterations
+
+
+class TestGenericStartCycle:
+    def test_seed_294_simplex_qp_converges(self):
+        # Regression: on this simplex QP (hypothesis seed=294, total=10
+        # of the simplex cross-check) the Mehrotra iteration from the
+        # generic cold start (x = 0, s = max(h, 1), z = 1) reached
+        # primal-dual feasibility (residual 1e-12) and then orbited a
+        # period-3 cycle of the gap (56.7, 5.79, 40.9) to the iteration
+        # cap at value 65.53, on the equilibrated and on the raw data
+        # alike.  From the W = I point it converges on both.
+        from repro.optim.simplex import minimize_qp_simplex
+
+        rng = np.random.default_rng(294)
+        n = int(rng.integers(2, 7))
+        half = rng.normal(size=(n, n))
+        H = half @ half.T + 0.05 * np.eye(n)
+        q = rng.normal(size=n) * 3
+        kwargs = dict(A=np.ones((1, n)), b=np.array([10.0]), G=-np.eye(n),
+                      h=np.zeros(n))
+        exact = minimize_qp_simplex(H, q, 10.0)
+        assert exact.value == pytest.approx(-23.1234, abs=1e-4)
+        for equilibrate in (True, False):
+            res = solve_qp(H, q, equilibrate=equilibrate, **kwargs)
+            assert res.converged
+            assert res.value == pytest.approx(exact.value, rel=1e-9)
+            np.testing.assert_allclose(res.x, [8.497, 1.503], atol=1e-3)
 
 
 class TestWorkspaceReuse:
@@ -276,7 +324,8 @@ class TestKKTResidualSafeguard:
 
         # The predictor and the corrector back-solve against one LU:
         # one getrf per Newton step, i.e. every iteration but the final
-        # one, which only tests convergence.
+        # one, which only tests convergence, plus one for the W = I
+        # starting point.
         calls = []
         real = ipqp.dgetrf
 
@@ -294,7 +343,7 @@ class TestKKTResidualSafeguard:
         res = solve_qp(half @ half.T + np.eye(n), rng.normal(size=n), A=A, b=A @ x0,
                        G=G, h=G @ x0 + 1.0)
         assert res.converged and res.iterations > 3
-        assert len(calls) == res.iterations - 1
+        assert len(calls) == res.iterations
 
     def test_bad_residual_triggers_regularized_retry(self):
         from repro.optim.ipqp import _solve_kkt
@@ -356,14 +405,15 @@ class TestZeroRowEquilibration:
         return P, q, A, b, G, h
 
     def test_zero_row_stays_zero_after_equilibration(self):
-        from repro.optim.ipqp import _ruiz_equilibrate
+        from repro.optim.ipqp import QPKernel
 
+        # The scaled row is r_g * G * d: it stays zero whatever r_g is,
+        # and its right-hand side r_g * h keeps its value only if the
+        # zero row keeps unit scale.
         P, q, A, b, G, h = self._instance_with_zero_row()
-        _P, _q, _A, _b, G_s, h_s, _d, _ra, _rg, _g = _ruiz_equilibrate(
-            P, q, A, b, G, h
-        )
-        assert (G_s[-1] == 0).all()
-        assert h_s[-1] == 5.0
+        _d, _ra, r_g, _g = QPKernel(A, G).ruiz(P, q)
+        assert r_g[-1] == 1.0
+        assert r_g[-1] * h[-1] == 5.0
 
     def test_solve_with_vacuous_row_matches_without(self):
         P, q, A, b, G, h = self._instance_with_zero_row()

@@ -17,12 +17,11 @@ import pytest
 
 from repro.optim.batch import (
     BatchIPQPResult,
-    _ruiz_scales_shared,
     project_simplex_batch,
     solve_capped_rank_one_qp_batch,
     solve_qp_batch,
 )
-from repro.optim.ipqp import solve_qp
+from repro.optim.ipqp import QPKernel, solve_qp
 from repro.optim.rank_one import solve_capped_rank_one_qp
 from repro.optim.simplex import project_simplex
 
@@ -236,7 +235,7 @@ class TestSolveQPBatchShared:
         A, b = np.ones((1, n)), np.ones((T, 1))
         G = np.vstack([-np.eye(n), np.zeros((1, n))])
         h = np.array([0.0, 0.0, 0.0, 1.0])
-        _d, _r_a, r_g, _gamma = _ruiz_scales_shared(P, q, A, G)
+        _d, _r_a, r_g, _gamma = QPKernel(A, G).ruiz(P, q)
         np.testing.assert_array_equal(r_g[:, -1], 1.0)
         res = solve_qp_batch(P, q, A=A, b=b, G=G, h=h)
         assert res.converged.all()
@@ -252,7 +251,6 @@ class TestSharedLadder:
     def test_batched_rescue_is_the_dense_ladder(self):
         from scipy.linalg.lapack import dgetrf, dgetrs
 
-        from repro.optim.batch import _SharedBatchSystem
         from repro.optim.ipqp import _solve_kkt
 
         # Instance 1 is test_ipqp's ill-conditioned matrix (condition
@@ -266,9 +264,8 @@ class TestSharedLadder:
         good = 2.0 * np.eye(n) + 0.1 * r.normal(size=(n, n))
         H = np.stack([good, bad])
         ones, empty = np.ones((2, n)), np.zeros((2, 0))
-        system = _SharedBatchSystem(
-            H, np.zeros((2, n)), np.zeros((0, n)), empty, -np.eye(n), ones,
-            ones, empty, ones,
+        system = QPKernel(np.zeros((0, n)), -np.eye(n)).system(
+            H, np.zeros((2, n)), empty, ones, (ones, empty, ones, np.ones(2))
         )
         system._factor(H)
         dx, dy = system.solve(np.stack([rhs, rhs]), empty)

@@ -27,6 +27,7 @@ import cProfile
 import pstats
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.core.strategies import HYBRID
@@ -105,3 +106,26 @@ def test_per_slot_overhead_within_budget(config, problems, plain_counts, tmp_pat
         f"{config}: {extra_blocks:.2f} extra retained blocks per slot "
         f"> {block_budget}"
     )
+
+
+def test_qp_kernel_compiled_once_per_structure(small_model, small_bundle, monkeypatch):
+    """A 24-slot paper run through ``centralized`` compiles the QP
+    kernel (Ruiz coordinates, bound/dense split) once per (model,
+    strategy), not once per slot."""
+    from repro.core.strategies import ALL_STRATEGIES
+    from repro.optim import ipqp
+
+    builds = []
+    compile_kernel = ipqp.QPKernel.__init__
+
+    def counting(self, A, G):
+        builds.append(np.shape(G))
+        compile_kernel(self, A, G)
+
+    monkeypatch.setattr(ipqp.QPKernel, "__init__", counting)
+    sim = Simulator(small_model, small_bundle)
+    problems = [sim.problem_for_slot(t, strategy)
+                for strategy in ALL_STRATEGIES for t in range(SLOTS)]
+    outcomes = HorizonEngine("centralized").run(problems)
+    assert all(o.ok and o.result.converged for o in outcomes)
+    assert len(builds) == len(ALL_STRATEGIES)

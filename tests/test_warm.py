@@ -178,6 +178,36 @@ class TestWarmLadder:
         rel = abs(ws.result.value - cold.value) / max(1.0, abs(cold.value))
         assert rel <= 1e-6
 
+    def test_active_set_guess_ignores_last_bit_changes(self, chain_problems):
+        # A row whose carried dual and slack are equal (a degenerate
+        # row, both near zero) must not switch between the bound and
+        # the free set when either moves by one ulp: the rung, its KKT
+        # solve count and the result stay the same.
+        seed_qp = self._qp(chain_problems[0])
+        seed = solve_qp_warm(seed_qp.P, seed_qp.q, A=seed_qp.A, b=seed_qp.b,
+                             G=seed_qp.G, h=seed_qp.h)
+        qp = self._qp(chain_problems[1])
+        # The nonnegativity rows of routes the previous slot left empty.
+        rows = np.flatnonzero((seed.state.slack < 1e-9) & (seed.state.ineq_dual > 1e-6))
+        assert rows.size
+        runs = []
+        for bump in ("none", "dual", "slack"):
+            z, slack = seed.state.ineq_dual.copy(), seed.state.slack.copy()
+            z[rows] = slack[rows] = 1e-12
+            if bump == "dual":
+                z[rows] = np.nextafter(z[rows], np.inf)
+            elif bump == "slack":
+                slack[rows] = np.nextafter(slack[rows], np.inf)
+            state = dataclasses.replace(seed.state, ineq_dual=z, slack=slack)
+            runs.append(solve_qp_warm(qp.P, qp.q, A=qp.A, b=qp.b, G=qp.G, h=qp.h,
+                                      state=state))
+        first = runs[0]
+        assert first.info.mechanism == "active-set"
+        for ws in runs[1:]:
+            assert ws.info.mechanism == first.info.mechanism
+            assert ws.result.iterations == first.result.iterations
+            assert (ws.result.x == first.result.x).all()
+
     def test_mismatched_state_shapes_fall_back_cold(self, chain_problems):
         qp = self._qp(chain_problems[0])
         seed = solve_qp_warm(qp.P, qp.q, A=qp.A, b=qp.b, G=qp.G, h=qp.h)
