@@ -8,7 +8,8 @@ and fails when the lane is slower than its floor allows:
   order-balanced rounds;
 - ``warm_chain`` — the ``centralized-warm`` chain is at least 1.5x
   faster than the cold serial cached lane, on the worst round (1 round
-  on a short horizon, 3 on the full week);
+  on a short horizon, 3 on the full week); the record also counts the
+  slots each rung of the chain answered (``rungs``);
 - ``structured_warm`` — on the 20x100 generated instance, re-solving
   12 perturbed slots warm (previous iterates plus the per-iteration
   factor cache) is faster per slot than re-solving them cold;
@@ -43,6 +44,7 @@ Exits 1 when any floor fails.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
 import os
@@ -202,6 +204,16 @@ def structured_warm_floor(seed: int = SEED) -> dict:
     return record
 
 
+def warm_rungs(problems: list) -> dict:
+    """Slots of one untimed warm-chain run answered by each rung."""
+    outcomes = HorizonEngine("centralized-warm").run(problems, warm_start=True)
+    rungs = collections.Counter(
+        o.result.extras.get("warm_mechanism", "failed") if o.ok else "failed"
+        for o in outcomes
+    )
+    return dict(sorted(rungs.items()))
+
+
 def store_warm_floor(problems: list, floor: float = 5.0) -> dict:
     """A cold run that fills a fresh result store, then the re-run."""
     store_dir = tempfile.mkdtemp(prefix="repro-floors-store-")
@@ -233,6 +245,7 @@ def run_floors(hours: int = WEEK_HOURS, seed: int = SEED) -> dict:
         "structured_warm": structured_warm_floor(seed=seed),
         "store_warm": store_warm_floor(problems),
     }
+    floors["warm_chain"]["rungs"] = warm_rungs(problems)
     return {
         "hours": hours,
         "seed": seed,
@@ -250,10 +263,13 @@ def render(payload: dict) -> str:
     ]
     for name, f in payload["floors"].items():
         rounds = ", ".join(f"{r:.3f}" for r in f["rounds"])
-        lines.append(
+        line = (
             f"  {name:<17}: {f['statistic']} {f['value']:.3f} vs "
             f"{f['threshold']} -> {'ok' if f['passed'] else 'FAIL'}  [{rounds}]"
         )
+        if "rungs" in f:
+            line += "  rungs " + ", ".join(f"{k} {v}" for k, v in f["rungs"].items())
+        lines.append(line)
     lines.append(f"  verdict          : {'PASS' if payload['passed'] else 'FAIL'}")
     return "\n".join(lines)
 

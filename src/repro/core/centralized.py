@@ -158,7 +158,7 @@ class CentralizedSolver:
                     return result, None
         qp = compiled.qp_for(problem.inputs) if use_compiled else problem.to_qp()
         if use_compiled and qp.A is compiled._A and qp.G is compiled._G:
-            res, _ = compiled.kernel().solve(
+            res = compiled.kernel().solve(
                 qp.P, qp.q, qp.b, qp.h, tol=self.tol, max_iter=self.max_iter,
                 trace=self.trace, trace_every=self.trace_every, metrics=self.metrics,
             )

@@ -234,12 +234,13 @@ def _slot_outcome(
 
     The one place a success is built, whichever lane produced it: the
     result is certified here when a certifier is attached (solver
-    duals preferred when shipped, and the QP the solver built reused;
-    a certification crash propagates to the caller, which turns it
-    into a failed outcome), and the outcome is ``degraded`` whenever a
-    fallback solver produced it or the solver reported a degraded
-    completion.  The result's :attr:`~SlotResult.qp` is detached here,
-    so no outcome keeps a slot's QP alive.
+    duals preferred when shipped, and the QP the solver built and the
+    UFC it computed reused; a certification crash propagates to the
+    caller, which turns it into a failed outcome), and the outcome is
+    ``degraded`` whenever a fallback solver produced it or the solver
+    reported a degraded completion.  The result's
+    :attr:`~SlotResult.qp` is detached here, so no outcome keeps a
+    slot's QP alive.
     """
     extras = result.extras or {}
     qp = getattr(result, "qp", None)
@@ -254,6 +255,7 @@ def _slot_outcome(
             solver=solver_name,
             slot=index,
             qp=qp,
+            ufc=result.ufc,
         )
     return SlotOutcome(
         index=index,
@@ -1031,10 +1033,6 @@ class HorizonEngine:
             result = outcome.result
             extras = result.extras if result is not None else None
             if extras:
-                if extras.get("incumbent_reuse"):
-                    reg.counter(
-                        "repro_incumbent_reuse_total", solver=solver
-                    ).inc()
                 saved = extras.get("iterations_saved")
                 if saved is not None:
                     reg.histogram(

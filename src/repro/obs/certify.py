@@ -338,6 +338,7 @@ def certify_solution(
     slot: int = -1,
     feas_tol: float = DEFAULT_FEAS_TOL,
     kkt_tol: float = DEFAULT_KKT_TOL,
+    ufc: float | None = None,
 ) -> Certificate:
     """Audit one slot's allocation and issue a :class:`Certificate`.
 
@@ -352,6 +353,8 @@ def certify_solution(
         slot: horizon index recorded on the certificate.
         feas_tol: relative feasibility acceptance threshold.
         kkt_tol: relative KKT-residual acceptance threshold.
+        ufc: ``problem.ufc(allocation)`` when the caller already has
+            it; computed here otherwise.
     """
     start = time.perf_counter()
     return _certify(
@@ -364,6 +367,7 @@ def certify_solution(
         slot=slot,
         feas_tol=feas_tol,
         kkt_tol=kkt_tol,
+        ufc=ufc,
         start=start,
     )
 
@@ -379,6 +383,7 @@ def _certify(
     slot: int,
     feas_tol: float,
     kkt_tol: float,
+    ufc: float | None,
     start: float,
 ) -> Certificate:
     """The certificate of :func:`certify_solution`, timed from ``start``."""
@@ -401,7 +406,7 @@ def _certify(
         kkt_residual=max(stationarity, complementarity),
         duality_gap=duality_gap,
         dual_source=dual_source,
-        ufc=float(problem.ufc(allocation)),
+        ufc=float(problem.ufc(allocation) if ufc is None else ufc),
         feas_tol=feas_tol,
         kkt_tol=kkt_tol,
         certify_s=time.perf_counter() - start,
@@ -547,12 +552,14 @@ class CertificationContext:
         solver: str = "",
         slot: int = -1,
         qp: QPForm | None = None,
+        ufc: float | None = None,
     ) -> Certificate:
         """Certify one slot through the shared structure cache.
 
         ``qp`` is the slot's QP when the caller already built it (at
         the default workload scale, as the producing solver does); it
-        is compiled from the cached structure otherwise.
+        is compiled from the cached structure otherwise.  ``ufc`` is
+        the allocation's UFC when the caller already computed it.
         """
         start = time.perf_counter()
         structure = self._structure_for(problem)
@@ -566,6 +573,7 @@ class CertificationContext:
             slot=slot,
             feas_tol=self.feas_tol,
             kkt_tol=self.kkt_tol,
+            ufc=ufc,
             start=start,
         )
 

@@ -81,8 +81,6 @@ class HorizonSummary:
             resolved from the store.
         warm_started_slots: slots solved with a warm hint from the
             previous slot (0 for cold runs).
-        incumbent_reuse_slots: slots resolved by re-certifying the
-            incumbent allocation instead of solving.
         warm_iterations_saved: summed solver iterations avoided by
             warm starts, measured against each chain's most recent
             cold-solve iteration count.
@@ -132,7 +130,6 @@ class HorizonSummary:
     fallbacks_total: int = 0
     client: str | None = None
     warm_started_slots: int = 0
-    incumbent_reuse_slots: int = 0
     warm_iterations_saved: int = 0
     max_pending_observed: int = 0
     store_hits: int = 0
@@ -167,7 +164,7 @@ class HorizonSummary:
         hits = misses = iterations = converged = failed = certified = 0
         worst_violation = worst_kkt = 0.0
         retries = fallbacks = 0
-        warm_started = incumbent_reuse = warm_saved = 0
+        warm_started = warm_saved = 0
         suspect: list[int] = []
         degraded: list[int] = []
         error_types: dict[str, int] = {}
@@ -195,8 +192,6 @@ class HorizonSummary:
             result = getattr(outcome, "result", None)
             extras = getattr(result, "extras", None) if result is not None else None
             if extras:
-                if extras.get("incumbent_reuse"):
-                    incumbent_reuse += 1
                 warm_saved += int(extras.get("iterations_saved") or 0)
             if tele is None:
                 continue
@@ -249,7 +244,6 @@ class HorizonSummary:
             fallbacks_total=fallbacks,
             client=client,
             warm_started_slots=warm_started,
-            incumbent_reuse_slots=incumbent_reuse,
             warm_iterations_saved=warm_saved,
             max_pending_observed=max_pending_observed,
             store_hits=store_hits,
@@ -344,11 +338,10 @@ class HorizonSummary:
                     "store_misses": self.store_misses,
                 }
             )
-        if self.warm_started_slots or self.incumbent_reuse_slots:
+        if self.warm_started_slots:
             out.update(
                 {
                     "warm_started_slots": self.warm_started_slots,
-                    "incumbent_reuse_slots": self.incumbent_reuse_slots,
                     "warm_iterations_saved": self.warm_iterations_saved,
                 }
             )
@@ -392,10 +385,9 @@ class HorizonSummary:
             f"  iterations     : total {self.iterations_total}, "
             f"converged {self.converged_slots}/{self.slots}",
         ]
-        if self.warm_started_slots or self.incumbent_reuse_slots:
+        if self.warm_started_slots:
             lines.append(
                 f"  warm starts    : {self.warm_started_slots} slots, "
-                f"{self.incumbent_reuse_slots} incumbent reuses, "
                 f"{self.warm_iterations_saved} iterations saved"
             )
         if len(self.worker_busy_s) > 1:

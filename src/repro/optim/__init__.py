@@ -21,9 +21,8 @@ the centralized interior-point solvers it is checked against:
   Newton system the dense routes run on it, and the dense reference
   solver :func:`solve_qp`.
 - :mod:`repro.optim.warm` — :func:`solve_qp_warm`, the cross-slot
-  warm ladder (active-set reuse, then the interior-point loop from a
-  shifted previous iterate on cached Ruiz scalings, then a cold
-  solve).
+  warm re-solve: a parametric active-set homotopy from the previous
+  slot's KKT point, with a cold solve as its fallback.
 - :mod:`repro.optim.batch` — :func:`solve_qp_batch`, the
   interior-point loop over a batch of QPs sharing one constraint
   structure (one in-place LAPACK LU per instance and iteration), plus row-wise

@@ -256,7 +256,8 @@ def solve_qp_batch(
     fallback = np.zeros(batch, dtype=bool)
     if m == 0:
         for t in range(batch):
-            x[t], y[t], _, _ = kernel.solve_equality(P[t], q[t], b2[t], h2[t])
+            kkt = kernel.equality_kkt(P[t])
+            x[t], y[t], _, _ = kernel.solve_equality(kkt, q[t], b2[t], h2[t])
         conv[:] = True
     elif batch:
         try:
@@ -272,7 +273,7 @@ def solve_qp_batch(
         except np.linalg.LinAlgError:
             pass
         for t in np.nonzero(~conv)[0]:
-            res, _ = kernel.solve(P[t], q[t], b2[t], h2[t], tol, max_iter)
+            res = kernel.solve(P[t], q[t], b2[t], h2[t], tol, max_iter)
             x[t], y[t], z[t] = res.x, res.eq_dual, res.ineq_dual
             iters[t] = res.iterations
             conv[t] = res.converged

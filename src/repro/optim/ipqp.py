@@ -14,7 +14,7 @@ condensed KKT system of one route:
 
 - :class:`_SharedSystem` here — QPs sharing one :class:`QPKernel`
   (the same ``A`` and ``G``), one at a time for :func:`solve_qp` and
-  every rung of :func:`~repro.optim.warm.solve_qp_warm`, or as a
+  the cold rung of :func:`~repro.optim.warm.solve_qp_warm`, or as a
   stack for :func:`~repro.optim.batch.solve_qp_batch`;
 - ``_BlockArrowheadSystem`` in :mod:`repro.optim.kkt` — block
   elimination of the reach-sparse UFC QP, for
@@ -25,10 +25,11 @@ A :class:`QPKernel` is compiled once per constraint structure
 paper's horizon): the coordinates of the factored Ruiz equilibration
 (one, six sweeps, for every dense route) and the bound-row/dense-row
 split of ``G``.  Cold solves start from the
-``W = I`` point (:meth:`_SharedSystem.start`); a warm start is another
-starting point for the same loop (:func:`_warm_point`), not a loop of
-its own; a QP without inequalities, and the warm active-set rung, are
-one equality-KKT solve (:meth:`QPKernel.solve_equality`).
+``W = I`` point (:meth:`_SharedSystem.start`); the structured lane's
+warm start is another starting point for the same loop
+(:func:`_warm_point`), not a loop of its own.  A QP without
+inequalities is one equality-KKT solve (:meth:`QPKernel.solve_equality`),
+and the warm chain's active-set homotopy is a sequence of them.
 
 Each Newton matrix is LU-factored once per iteration with LAPACK
 ``getrf`` (:func:`_lu`); the predictor, the corrector and any
@@ -706,16 +707,12 @@ class QPKernel:
         Pw /= g[..., None]
         return _SharedSystem(self, Pw, d * q / g, r_a * b, r_g * h, d, r_a, r_g)
 
-    def unit_scalings(self):
-        """The identity scalings: the raw, unequilibrated problem."""
-        return np.ones(self.n), np.ones(self.p), np.ones(self.m), 1.0
-
     def solve(
         self, P, q, b, h, tol: float = 1e-9, max_iter: int = 100,
         equilibrate: bool = True, trace: bool = False, trace_every: int = 1,
         metrics=None,
-    ) -> tuple[IPQPResult, tuple]:
-        """One QP on this kernel: ``(result, scalings it ran under)``.
+    ) -> IPQPResult:
+        """One QP on this kernel.
 
         The arguments are :func:`solve_qp`'s, on data already
         normalized to float arrays of matching shapes.
@@ -731,24 +728,23 @@ class QPKernel:
         """
         if trace_every < 1:
             raise ValueError(f"trace_every must be >= 1, got {trace_every}")
-        raw = self.unit_scalings()
         if not self.m:
-            x, y, _, _ = self.solve_equality(P, q, b, h)
+            x, y, _, _ = self.solve_equality(self.equality_kkt(P), q, b, h)
             res = IPQPResult(
                 x=x, eq_dual=y, ineq_dual=np.zeros(0), value=float(0.5 * x @ P @ x + q @ x),
                 iterations=0, converged=True, gap=0.0,
                 trace=IPQPTrace() if trace else None,
             )
-            scalings = raw
         else:
+            raw = np.ones(self.n), np.ones(self.p), np.ones(self.m), 1.0
             scalings = self.ruiz(P, q) if equilibrate else raw
             res = self._run(P, q, b, h, scalings, tol, max_iter, trace, trace_every)
             if not res.converged and equilibrate:
                 retry = self._run(P, q, b, h, raw, tol, max_iter, trace, trace_every)
                 if retry.converged:
-                    res, scalings = retry, raw
+                    res = retry
         _record_metrics(metrics, res.iterations, res.converged)
-        return res, scalings
+        return res
 
     def _run(self, P, q, b, h, scalings, tol, max_iter, trace, trace_every) -> IPQPResult:
         """The Mehrotra loop from the cold start under ``scalings``."""
@@ -765,7 +761,13 @@ class QPKernel:
             converged=converged, gap=gap * gamma, trace=trace_rec,
         )
 
-    def solve_equality(self, P, q, b, h, active: np.ndarray | None = None):
+    def equality_kkt(self, P: np.ndarray) -> np.ndarray:
+        """The bordered KKT matrix ``[[P, AG'], [AG, -1e-12 I]]`` that
+        :meth:`solve_equality` gathers its reduced systems from, built
+        once for any number of working sets under one Hessian ``P``."""
+        return _fill_kkt(np.empty((self.n + len(self.AG),) * 2), P, self.AG)
+
+    def solve_equality(self, kkt, q, b, h, active: np.ndarray | None = None):
         """The QP with the inequality rows in ``active`` held at equality
         and every other inequality row dropped: one KKT solve.
 
@@ -773,8 +775,9 @@ class QPKernel:
         instead of bordering it; only the equality rows and the active
         dense rows border the Hessian of the free variables.  A bound
         row's multiplier then follows from its variable's stationarity
-        row.  Solved under :func:`_solve_kkt`'s ladder, with the
-        condensed matrix's ``-1e-12`` multiplier diagonal.
+        row.  The reduced matrix is gathered from ``kkt``
+        (:meth:`equality_kkt` of the QP's Hessian) and solved under
+        :func:`_solve_kkt`'s ladder.
 
         Returns:
             ``(x, y, z, residual)`` — ``z`` the full-length inequality
@@ -792,37 +795,35 @@ class QPKernel:
         cols = split.bound_col[act]
         on_bound = cols >= 0
         fixed, act_b = cols[on_bound], act[on_bound]
-        free = np.ones(n, dtype=bool)
-        free[fixed] = False
-        free = np.flatnonzero(free)
+        keep = np.ones(n, dtype=bool)
+        keep[fixed] = False
+        free = np.flatnonzero(keep)
         if free.size != n - fixed.size:
             return None
-        # The bordering rows: every equality row, then the active dense rows.
-        border = np.concatenate([np.arange(p), p + act[~on_bound]])
-        rows = self.AG[border]
+        # The unknowns: the free variables, then the bordering rows'
+        # multipliers (every equality row, then the active dense rows).
+        idx = np.concatenate([free, n + np.arange(p), n + p + act[~on_bound]])
         x = np.zeros(n)
         x[fixed] = h[act_b] / split.bound_coef[act_b]
-        P_free = P[free]
-        rhs = np.concatenate([-q[free] - P_free[:, fixed] @ x[fixed],
-                              np.concatenate([b, h])[border] - rows[:, fixed] @ x[fixed]])
-        reduced = _fill_kkt(np.empty((rhs.size, rhs.size)), P_free[:, free], rows[:, free])
+        rhs = (np.concatenate([-q, b, h]) - kkt[:, :n] @ x)[idx]
+        reduced = kkt.take(idx, 0).take(idx, 1)
         sol = _solve_kkt(reduced, rhs)
         resid = float(np.abs(reduced @ sol - rhs).max(initial=0.0))
         resid /= 1.0 + float(np.abs(rhs).max(initial=0.0))
-        x[free] = sol[:free.size]
-        mult = np.zeros(p + self.m)
-        mult[border] = sol[free.size:]
+        full = np.zeros(len(kkt))
+        full[:n] = x
+        full[idx] = sol
         # A fixed variable's stationarity row, P x + q + A'y + G'z = 0,
-        # gives its bound row's multiplier (still zero in ``mult``).
-        grad = P[fixed] @ x + mult @ self.AG[:, fixed] + q[fixed]
-        mult[p + act_b] = -grad / split.bound_coef[act_b]
-        return x, mult[:p], mult[p:], resid
+        # gives its bound row's multiplier (still zero in ``full``).
+        grad = (kkt[:n] @ full)[fixed] + q[fixed]
+        full[n + p + act_b] = -grad / split.bound_coef[act_b]
+        return full[:n], full[n:n + p], full[n + p:], resid
 
 
 class _SharedSystem(_NewtonSystem):
     """The Newton system of every dense route: QPs sharing one kernel.
 
-    Runs one QP (1-D iterates, for :func:`solve_qp` and every rung of
+    Runs one QP (1-D iterates, for :func:`solve_qp` and the cold rung of
     ``solve_qp_warm``) or a stack of them (``(T, .)`` iterates, for
     ``solve_qp_batch``) with their own Hessians, right-hand sides and
     Ruiz scalings but the kernel's ``A``/``G``.  The scalings stay
@@ -1029,4 +1030,4 @@ def solve_qp(
     """
     P, q, A, b, G, h = _normalize_qp(P, q, A, b, G, h)
     return QPKernel(A, G).solve(P, q, b, h, tol, max_iter, equilibrate, trace,
-                                trace_every, metrics)[0]
+                                trace_every, metrics)

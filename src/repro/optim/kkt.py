@@ -907,10 +907,10 @@ class _BlockArrowheadSystem(_NewtonSystem):
 
     #: Warm-point acceptance cap (see
     #: :func:`~repro.optim.ipqp._warm_point`).  It is far looser than
-    #: the dense route's 0.25: this route runs on raw data with
-    #: per-step refinement, and measured on the 20x100 scale lane a warm
-    #: point even at relative residual ~1 both cuts iterations by a
-    #: third and *restores* convergence on slots where the cold start
+    #: the 0.25 the dense warm start used: this route runs on raw data
+    #: with per-step refinement, and measured on the 20x100 scale lane a
+    #: warm point even at relative residual ~1 both cuts iterations by
+    #: a third and *restores* convergence on slots where the cold start
     #: stalls at its accuracy floor (the shift re-centres, so a far
     #: point degrades gracefully into roughly the cold iteration count).
     warm_reject_rel = 4.0

@@ -136,12 +136,10 @@ def health_dashboard(
                 line += ")"
             lines.append(line)
         warm = getattr(summary, "warm_started_slots", 0)
-        reused = getattr(summary, "incumbent_reuse_slots", 0)
-        if warm or reused:
+        if warm:
             lines.append(
-                f"warm starts         : {warm} slots, {reused} incumbent "
-                f"reuses, {getattr(summary, 'warm_iterations_saved', 0)} "
-                "iterations saved"
+                f"warm starts         : {warm} slots, "
+                f"{getattr(summary, 'warm_iterations_saved', 0)} iterations saved"
             )
         hits = getattr(summary, "store_hits", 0)
         misses = getattr(summary, "store_misses", 0)

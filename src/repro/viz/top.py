@@ -143,11 +143,8 @@ def render_top(
     )
     warm = sum(1 for s in slots if s.get("warm_start"))
     if warm:
-        reused = sum(1 for s in slots if s.get("incumbent_reuse"))
         saved = sum(int(s.get("iterations_saved", 0)) for s in slots)
-        lines.append(
-            f"warm chain | {warm} warm slots, {reused} incumbent reuses, "
-            f"{saved} iterations saved"
+        lines.append(f"warm chain | {warm} warm slots, {saved} iterations saved"
         )
     lineages = [s["lineage"] for s in slots if s.get("lineage")]
     fleet = run.summary.get("fleet") if run.summary else None

@@ -61,7 +61,13 @@ from repro.traces.datasets import default_bundle
 #: 12 mixed slots take 107 iterations instead of 122, with UFC within
 #: 9.8e-8 relative; the 6-slot warm chain takes 38 instead of 39, with
 #: the same rungs (cold, two active-set, three warm-IPM) and UFC within
-#: 4.1e-9.  The batched lanes kept their digests.
+#: 4.1e-9.  The batched lanes kept their digests.  The three warm lanes
+#: were re-recorded again when the warm rungs became one parametric
+#: active-set homotopy (guess-and-refine and the warm-IPM rung
+#: deleted): the 6-slot chain now runs cold then five active-set slots
+#: (10 + 2 + 1 + 7 + 4 + 4 = 28 iterations, the active-set ones counting
+#: KKT solves) where it ran cold, two active-set and three warm-IPM
+#: slots in 38, with UFC within 2.0e-8 relative.
 GOLDEN = {
     "serial": "5838459587cd3ccec338a0425d3aa855684f82a34e1cb630cbc96e22865349a8",
     "pool": "86d9a257888dcfe7f1a68a049e3c8e68b653043848aaafedc598037c4179d7ea",
@@ -69,9 +75,9 @@ GOLDEN = {
     "client_mp": "c62ee77b3dfb2df85b9642b1eec427429179c0f6fa22a9a5faaed077d8261e73",
     "batched_serial": "6828cb7f3425e09462c6a512803998a8e19d4573efcea989d5e7971c17303620",
     "batched_pool": "0767b99bf1e00ffbc9f5de0ac132b66c0ae0165348391a3026851ee741b4594d",
-    "warm_serial": "2a06819cd687c0b94e6bed9f73541ab625a5710bd40943130ed49bf7084643ed",
-    "warm_mp": "db73ba4a85c30b8f1d0bed7c56a67252f2167bb760681b1f3beeda6f88d5865a",
-    "warm_in_process": "58aa808cda7b880685e0f0be38791dfc83914e532bc98e4f1869dfdc6a31b0a3",
+    "warm_serial": "60604703c7b4476857e43015a80ee7771f61808b5f3212b8e670b54be494e30e",
+    "warm_mp": "dcd0051d9767960e50b97abc25d8a89f486e209da2ad6fea7ed950bc7802a380",
+    "warm_in_process": "3f287403c2afa447f660a3574a2a483d3267d47116228bac169cc44153bf84c5",
     "resilience_idle": "5838459587cd3ccec338a0425d3aa855684f82a34e1cb630cbc96e22865349a8",
     "resilience_rescue": "fa29ab1d904bdccf339c117186a4604a3f612299885979341620afe810f0775a",
     "store": "0df99d8091c85d5fb3af256c4cb41a638bc4dda4e0f76499f64168c14f0a07fb",

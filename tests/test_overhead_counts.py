@@ -129,3 +129,23 @@ def test_qp_kernel_compiled_once_per_structure(small_model, small_bundle, monkey
     outcomes = HorizonEngine("centralized").run(problems)
     assert all(o.ok and o.result.converged for o in outcomes)
     assert len(builds) == len(ALL_STRATEGIES)
+
+
+def test_certified_slot_computes_ufc_once(problems, monkeypatch):
+    """A certified ``centralized`` slot evaluates the UFC once: the
+    certificate takes the value the solver computed from the same
+    allocation instead of recomputing it."""
+    from repro.core.problem import UFCProblem
+
+    calls = []
+    ufc = UFCProblem.ufc
+
+    def counting(self, allocation):
+        calls.append(1)
+        return ufc(self, allocation)
+
+    monkeypatch.setattr(UFCProblem, "ufc", counting)
+    outcomes = HorizonEngine("centralized", certify=True).run(problems)
+    assert all(o.ok and o.certificate.ok for o in outcomes)
+    assert all(o.certificate.ufc == o.result.ufc for o in outcomes)
+    assert len(calls) == SLOTS

@@ -1,17 +1,19 @@
 """Tests for the temporal warm-start plane.
 
-Covers the optimizer-level warm ladder (:mod:`repro.optim.warm`), the
-``centralized-warm`` engine lane with its incumbent early-exit
-(:mod:`repro.engine.warm`), warm chaining through the pipelined
-execution clients (warm hints must survive the RPC boundary), the
-structured-KKT warm path with its per-iteration factor cache, and the
-warm observability surface (summary fields, counters, ledger keys).
+Covers the optimizer-level active-set homotopy (:mod:`repro.optim.warm`),
+the ``centralized-warm`` engine lane (:mod:`repro.engine.warm`), warm
+chaining through the pipelined execution clients (warm hints must
+survive the RPC boundary), the structured-KKT warm path with its
+per-iteration factor cache, and the warm observability surface
+(summary fields, counters, ledger keys).
 
 The load-bearing invariants:
 
 - warm results match cold results within certificate tolerance across
   randomized perturbation magnitudes, and an adversarial perturbation
   degrades gracefully to the cold rung (never to a wrong answer);
+- the homotopy pivots through the bang-bang fuel-cell/grid split that
+  a singular Hessian leaves, instead of falling back cold;
 - with ``warm_start`` off, the ``centralized-warm`` lane is
   bit-identical to ``centralized`` (the cold rung *is* ``solve_qp``);
 - a warm payload pickled through a process or socket boundary chains
@@ -27,12 +29,10 @@ import pytest
 
 from repro.core.compiled import CompiledQPStructure
 from repro.core.problem import SlotInputs, UFCProblem
-from repro.core.solution import Allocation
 from repro.core.strategies import ALL_STRATEGIES, HYBRID
 from repro.engine import HorizonEngine, create_solver
-from repro.engine.warm import CentralizedWarmSlotSolver
 from repro.obs import MetricsRegistry, load_run
-from repro.obs.certify import certify_structured_solution
+from repro.obs.certify import certify_solution, certify_structured_solution
 from repro.optim.ipqp import solve_qp
 from repro.optim.kkt import (
     StructuredQPCompiler,
@@ -41,6 +41,8 @@ from repro.optim.kkt import (
 )
 from repro.optim.warm import solve_qp_warm
 from repro.instances import ScaleSpec, generate_instance
+from repro.sim.simulator import build_model
+from repro.traces.datasets import default_bundle
 
 
 def _problems(bundle, model, hours, strategy=HYBRID):
@@ -84,7 +86,7 @@ def day_chains(small_bundle, small_model):
 
 
 class TestWarmLadder:
-    """solve_qp_warm: the three-rung ladder at the optimizer level."""
+    """solve_qp_warm: the homotopy and its cold rung at the optimizer level."""
 
     def _qp(self, problem):
         return CompiledQPStructure(problem.model, problem.strategy).qp_for(
@@ -219,6 +221,67 @@ class TestWarmLadder:
         assert ws.result.converged
 
 
+def _rel(a: float, b: float) -> float:
+    return abs(a - b) / max(1.0, abs(b))
+
+
+class TestHomotopy:
+    """The walk pivots where guess-and-refine could not: through the
+    singular directions of the paper's Hessian."""
+
+    def _solve_pair(self, compiled, before, after):
+        seed_qp = compiled.qp_for(before)
+        seed = solve_qp_warm(seed_qp.P, seed_qp.q, A=seed_qp.A, b=seed_qp.b,
+                             G=seed_qp.G, h=seed_qp.h)
+        qp = compiled.qp_for(after)
+        ws = solve_qp_warm(qp.P, qp.q, A=qp.A, b=qp.b, G=qp.G, h=qp.h,
+                           state=seed.state)
+        cold = solve_qp(qp.P, qp.q, A=qp.A, b=qp.b, G=qp.G, h=qp.h)
+        return qp, ws, cold
+
+    def test_grid_price_crossing_fuel_cell_price(self):
+        # Between t-1 and t every grid price moves from below the fuel
+        # cell price to above it, so each datacenter's power flips from
+        # grid to fuel cell: with linear power costs the split has zero
+        # curvature, and the homotopy must drop a bound along it.
+        bundle = default_bundle(hours=168, seed=2014)
+        model = build_model(bundle)
+        t = 100
+        slots = [bundle.slot(t - 1), bundle.slot(t)]
+        before, after = (
+            SlotInputs(arrivals=slot["arrivals"],
+                       prices=np.full_like(slot["prices"], model.fuel_cell_price * factor),
+                       carbon_rates=slot["carbon_rates"])
+            for slot, factor in zip(slots, (0.8, 1.25))
+        )
+        compiled = CompiledQPStructure(model, HYBRID)
+        qp, ws, cold = self._solve_pair(compiled, before, after)
+        assert ws.info.mechanism == "active-set", ws.info.fallback_reason
+        problem = UFCProblem(model, after, strategy=HYBRID)
+        allocation = qp.extract(ws.result.x)
+        assert _rel(problem.ufc(allocation), problem.ufc(qp.extract(cold.x))) <= 1e-6
+        cert = certify_solution(problem, allocation, qp=qp,
+                                duals=(ws.result.eq_dual, ws.result.ineq_dual))
+        assert cert.ok
+
+    def test_two_source_split_with_zero_hessian(self):
+        # Variables (w, mu, nu): demand 1 + w/2 is met by mu (capped at
+        # 1.2) and nu; only w has curvature.  Swapping the two sources'
+        # prices moves the optimum along the flat mu/nu direction.
+        P = np.diag([1.0, 0.0, 0.0])
+        A, b = np.array([[-0.5, 1.0, 1.0]]), np.array([1.0])
+        G = np.array([[-1.0, 0, 0], [0, -1.0, 0], [0, 1.0, 0], [0, 0, -1.0]])
+        h = np.array([0.0, 0.0, 1.2, 0.0])
+        seed = solve_qp_warm(P, np.array([-1.0, 2.0, 1.0]), A=A, b=b, G=G, h=h)
+        q = np.array([-1.0, 1.0, 2.0])
+        ws = solve_qp_warm(P, q, A=A, b=b, G=G, h=h, state=seed.state)
+        cold = solve_qp(P, q, A=A, b=b, G=G, h=h)
+        assert ws.info.mechanism == "active-set", ws.info.fallback_reason
+        np.testing.assert_allclose(ws.result.x, cold.x, atol=1e-7)
+        np.testing.assert_allclose(ws.result.x[1:], [1.2, 1.0 + cold.x[0] / 2 - 1.2],
+                                   atol=1e-7)
+
+
 class TestEngineWarmLane:
     """The centralized-warm lane through the horizon engine."""
 
@@ -255,17 +318,28 @@ class TestEngineWarmLane:
             assert summary.executor == "serial-warm"
             assert summary.warm_started_slots == len(problems) - 1
             assert summary.warm_iterations_saved > 0
-            # Only the chain's first slot is solved on the cold rung.
+            # Only the chain's first slot is solved on the cold rung;
+            # at least 90% of the others are answered by active set.
             cold_rung = [
                 o for o in warm
                 if o.result.extras.get("warm_mechanism", "cold") == "cold"
             ]
             assert len(cold_rung) <= 1, strategy
+            active = [o for o in warm
+                      if o.result.extras.get("warm_mechanism") == "active-set"]
+            assert len(active) >= 0.9 * (len(problems) - 1), strategy
             iters_cold += sum(o.result.iterations for o in cold)
             iters_warm += sum(o.result.iterations for o in warm)
         # The chains cut the mean interior-point iteration count by at
         # least 30% over re-solving every slot cold.
         assert 1.0 - iters_warm / iters_cold >= 0.30
+
+    def test_repeated_slot_answers_by_active_set(self, chain_problems):
+        base = chain_problems[0]
+        outcomes = HorizonEngine("centralized-warm").run(
+            [base, base], warm_start=True
+        )
+        assert outcomes[1].result.extras.get("warm_mechanism") == "active-set"
 
     def test_warm_metrics_and_ledger(self, chain_problems, tmp_path):
         reg = MetricsRegistry()
@@ -283,69 +357,6 @@ class TestEngineWarmLane:
         warm_slots = [s for s in run.slots if s.get("warm_start")]
         assert len(warm_slots) == len(chain_problems) - 1
         assert all("warm_mechanism" in s for s in warm_slots)
-
-
-class TestIncumbentEarlyExit:
-    """Tiny perturbations re-certify the incumbent instead of solving."""
-
-    def _creep_problems(self, base, scales):
-        rng = np.random.default_rng(41)
-        out = [base]
-        for scale in scales:
-            out.append(_perturbed(base, scale, rng))
-        return out
-
-    def test_incumbent_reuse_on_tiny_drift(self, chain_problems):
-        base = chain_problems[0]
-        problems = self._creep_problems(base, [1e-8, 1e-8, 1e-8])
-        solver = create_solver("centralized-warm", incumbent_tol=1e-6)
-        engine = HorizonEngine(solver, certify=True)
-        outcomes = engine.run(problems, warm_start=True)
-        assert all(o.ok for o in outcomes)
-        reused = [o for o in outcomes if o.result.extras.get("incumbent_reuse")]
-        assert len(reused) == len(problems) - 1
-        for o in reused:
-            assert o.result.iterations == 0
-            assert o.result.extras["certificate"].ok
-        assert engine.last_summary.incumbent_reuse_slots == len(problems) - 1
-
-    def test_drift_creep_forces_resolve(self, chain_problems):
-        # The drift reference is pinned to the incumbent's own inputs,
-        # so consecutive nudges accumulate: a final slot past the
-        # threshold must re-solve even though each step is small.
-        base = chain_problems[0]
-        problems = self._creep_problems(base, [1e-9, 1e-3])
-        solver = create_solver("centralized-warm", incumbent_tol=1e-6)
-        outcomes = HorizonEngine(solver).run(problems, warm_start=True)
-        assert outcomes[1].result.extras.get("incumbent_reuse")
-        assert not outcomes[2].result.extras.get("incumbent_reuse")
-        assert outcomes[2].result.iterations > 0
-
-    def test_failed_certificate_falls_through_to_solve(self, chain_problems):
-        base = chain_problems[0]
-        solver = CentralizedWarmSlotSolver(incumbent_tol=1e-6)
-        first = solver.solve(base)
-        payload = first.warm
-        good = payload.allocation
-        corrupted = dataclasses.replace(
-            payload,
-            allocation=Allocation(
-                lam=good.lam * 1.5, mu=good.mu * 1.5, nu=good.nu * 1.5
-            ),
-        )
-        res = solver.solve(base, warm=corrupted)
-        assert not res.extras.get("incumbent_reuse")
-        assert res.converged
-        denom = max(1.0, abs(first.ufc))
-        assert abs(res.ufc - first.ufc) / denom <= 1e-6
-
-    def test_incumbent_disabled_by_default(self, chain_problems):
-        base = chain_problems[0]
-        outcomes = HorizonEngine("centralized-warm").run(
-            [base, base], warm_start=True
-        )
-        assert not outcomes[1].result.extras.get("incumbent_reuse")
-        assert outcomes[1].result.extras.get("warm_mechanism") == "active-set"
 
 
 class TestWarmThroughClients:
