@@ -5,7 +5,8 @@ and fails when the lane is slower than its floor allows:
 
 - ``batched`` — the ``centralized-batch`` lane is at least 1.5x faster
   than the serial cached ``centralized`` lane, on the worst of 3
-  order-balanced rounds;
+  order-balanced rounds; the record also counts its anchors and walked
+  slots by rung (``rungs``);
 - ``warm_chain`` — the ``centralized-warm`` chain is at least 1.5x
   faster than the cold serial cached lane, on the worst round (1 round
   on a short horizon, 3 on the full week); the record also counts the
@@ -204,9 +205,10 @@ def structured_warm_floor(seed: int = SEED) -> dict:
     return record
 
 
-def warm_rungs(problems: list) -> dict:
-    """Slots of one untimed warm-chain run answered by each rung."""
-    outcomes = HorizonEngine("centralized-warm").run(problems, warm_start=True)
+def rungs(problems: list, solver: str, **run: bool) -> dict:
+    """Slots of one untimed run of a lane answered by each rung (the
+    ``warm_mechanism`` a slot records)."""
+    outcomes = HorizonEngine(solver).run(problems, **run)
     rungs = collections.Counter(
         o.result.extras.get("warm_mechanism", "failed") if o.ok else "failed"
         for o in outcomes
@@ -245,7 +247,8 @@ def run_floors(hours: int = WEEK_HOURS, seed: int = SEED) -> dict:
         "structured_warm": structured_warm_floor(seed=seed),
         "store_warm": store_warm_floor(problems),
     }
-    floors["warm_chain"]["rungs"] = warm_rungs(problems)
+    floors["batched"]["rungs"] = rungs(problems, "centralized-batch")
+    floors["warm_chain"]["rungs"] = rungs(problems, "centralized-warm", warm_start=True)
     return {
         "hours": hours,
         "seed": seed,

@@ -1,4 +1,4 @@
-"""The batched centralized solver lane: whole-horizon vectorized IPQP.
+"""The batched centralized solver lane: stacked cold anchors and walks.
 
 :class:`CentralizedBatchSlotSolver` is the registered
 ``"centralized-batch"`` solver.  It speaks the same
@@ -10,23 +10,33 @@ and adds one method the :class:`~repro.engine.horizon.HorizonEngine`
 batch lane discovers by duck typing:
 
 - :meth:`CentralizedBatchSlotSolver.solve_batch` compiles every slot's
-  QP (through the shared compiled structure when it matches), groups
-  the QPs by shared constraint structure, and hands each group to
-  :func:`~repro.optim.batch.solve_qp_batch` as one stacked
-  ``(T, n, n)`` solve.  Each slot comes back as an ordinary
+  QP (through the shared compiled structure when it matches) and groups
+  the QPs by shared constraint structure.  In each group every
+  :data:`ANCHOR_SPACING`-th slot, one per diurnal day, is an anchor,
+  solved cold by :func:`~repro.optim.batch.solve_qp_batch` as
+  one interior-point stack, and the slots between two anchors are
+  walked from the earlier one, slot by slot, by the parametric
+  active-set homotopy of the warm lane
+  (:func:`~repro.optim.warm.solve_qp_warm`).  Anchors and walks run
+  on the structure's one :class:`~repro.optim.ipqp.QPKernel`.  Each
+  slot comes back as an ordinary
   :class:`~repro.engine.protocol.SlotResult` carrying its own duals,
   iteration count and convergence flag, so certification, telemetry
   and metrics downstream are oblivious to the batching.
 
-Instances the batched iteration cannot converge are re-solved by the
-scalar interior-point solver inside :func:`solve_qp_batch` (flagged
-``"batch_fallback"`` in the result extras); a whole-group failure is
-handled one level up by the engine, which re-runs the group's slots
-through the scalar :meth:`solve` path.
+Every slot's ``extras["warm_mechanism"]`` says what answered it:
+``"batch"`` (an anchor), ``"batch-scalar-fallback"`` (an anchor the
+batched iteration did not converge, re-solved by the scalar
+interior-point solver inside :func:`solve_qp_batch`), ``"active-set"``
+(a walked slot) or ``"cold"`` (a walk that gave up and solved the slot
+on the scalar path; its ``"warm_fallback_reason"`` says why).  A
+whole-group failure is handled one level up by the engine, which
+re-runs the group's slots through the scalar :meth:`solve` path.
 
-Batched solves agree with the scalar path to solver tolerance (see
-:mod:`repro.optim.batch`); per-iteration ``ip_trace`` diagnostics are
-a scalar-path-only feature and are not recorded here.
+Anchors agree with the scalar path to solver tolerance (see
+:mod:`repro.optim.batch`) and walked slots are verified KKT points at
+the same tolerance; per-iteration ``ip_trace`` diagnostics are a
+scalar-path-only feature and are not recorded here.
 """
 
 from __future__ import annotations
@@ -44,8 +54,17 @@ from repro.engine.adapters import CentralizedSlotSolver
 from repro.engine.protocol import SlotResult
 from repro.engine.registry import register_solver
 from repro.optim.batch import solve_qp_batch
+from repro.optim.ipqp import QPKernel
+from repro.optim.warm import WarmSolve, cold_state, solve_qp_warm
 
-__all__ = ["CentralizedBatchSlotSolver"]
+__all__ = ["CentralizedBatchSlotSolver", "ANCHOR_SPACING"]
+
+#: Slots between two cold anchors of a group: one anchor per diurnal
+#: day of hourly slots.  On the paper weeks the walk cost per slot
+#: barely grows with the distance from its anchor, while each anchor
+#: costs a full interior-point solve; see ``docs/performance.md`` for
+#: the measured counts behind the choice.
+ANCHOR_SPACING = 24
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -102,10 +121,10 @@ def _share_groups(qps: list[QPForm]) -> list[list[int]]:
 
 
 class CentralizedBatchSlotSolver:
-    """Interior-point solver that solves whole horizons in one batch.
+    """Centralized solver that solves whole horizons as anchors and walks.
 
     Scalar ``solve`` calls delegate to the plain centralized adapter
-    (bit-identical results); ``solve_batch`` is the vectorized lane.
+    (bit-identical results); ``solve_batch`` is the anchor-and-walk lane.
 
     Args:
         inner: pre-configured :class:`CentralizedSolver`; built from
@@ -137,19 +156,20 @@ class CentralizedBatchSlotSolver:
         problems: Sequence[UFCProblem],
         compiled: CompiledQPStructure | None = None,
     ) -> list[SlotResult]:
-        """Solve a run of slots as stacked batched interior-point QPs.
+        """Solve a run of slots as cold anchors and walks between them.
 
         Args:
             problems: the slots to solve (any mix; QPs are grouped by
-                shared constraint structure internally).
+                shared constraint structure internally, and each group
+                keeps its slots' input order).
             compiled: optional compiled structure; used for every
                 problem it :meth:`~CompiledQPStructure.matches`.
 
         Returns:
             One :class:`SlotResult` per problem, in input order.  Each
             carries ``extras["duals"]`` for certification plus
-            ``"batched"``, ``"batch_size"`` and ``"batch_fallback"``
-            diagnostics.
+            ``"batched"``, ``"batch_size"``, ``"batch_fallback"`` and
+            ``"warm_mechanism"`` diagnostics.
 
         Raises:
             NotImplementedError: when a slot's emission cost is not
@@ -181,7 +201,10 @@ class CentralizedBatchSlotSolver:
         ]
         results: list[SlotResult | None] = [None] * len(problems)
         for members in _share_groups(qps):
-            self._solve_group(problems, qps, members, results)
+            rep = qps[members[0]]
+            kernel = (compiled.kernel() if forms[members[0]] is not None
+                      else QPKernel(rep.A, rep.G))
+            self._solve_group(problems, qps, members, results, kernel)
         return results  # type: ignore[return-value]
 
     def _solve_group(
@@ -190,34 +213,60 @@ class CentralizedBatchSlotSolver:
         qps: list[QPForm],
         members: list[int],
         results: list[SlotResult | None],
+        kernel: QPKernel,
     ) -> None:
         """Solve one shared-structure group and fill its results."""
         rep = qps[members[0]]
-        p, m = rep.A.shape[0], rep.G.shape[0]
-        res = solve_qp_batch(
-            _stack([qps[i].P for i in members]),
-            _stack([qps[i].q for i in members]),
-            A=rep.A if p else None,
-            b=_stack([qps[i].b for i in members]) if p else None,
-            G=rep.G if m else None,
-            h=np.stack([qps[i].h for i in members]) if m else None,
-            tol=self.inner.tol,
-            max_iter=self.inner.max_iter,
-        )
+        P = _stack([qps[i].P for i in members])
+        q = _stack([qps[i].q for i in members])
         size = len(members)
-        for pos, i in enumerate(members):
-            alloc = qps[i].extract(res.x[pos])
+        b = _stack([qps[i].b for i in members]) if kernel.p else np.zeros((size, 0))
+        h = np.stack([qps[i].h for i in members])
+        tol, max_iter = self.inner.tol, self.inner.max_iter
+        # Without inequality rows every slot is one closed-form solve,
+        # so every slot is an anchor.
+        spacing = ANCHOR_SPACING if kernel.m else 1
+        # Views, not copies: the anchors are every spacing-th row.
+        every = slice(None, None, spacing)
+        res = solve_qp_batch(
+            P[every], q[every],
+            A=rep.A if kernel.p else None, b=b[every] if kernel.p else None,
+            G=rep.G if kernel.m else None, h=h[every] if kernel.m else None,
+            tol=tol, max_iter=max_iter, kernel=kernel,
+        )
+        cold = [res.instance(pos) for pos in range(len(res))]
+        walks: dict[int, WarmSolve] = {}
+        for a, anchor in zip(range(0, size, spacing), cold):
+            state = cold_state(kernel, anchor, q[a], b[a], h[a], tol)
+            for t in range(a + 1, min(a + spacing, size)):
+                walks[t] = solve_qp_warm(
+                    P[t], q[t], A=rep.A, b=b[t], G=rep.G, h=h[t],
+                    state=state, tol=tol, max_iter=max_iter,
+                )
+                state = walks[t].state
+        for t, i in enumerate(members):
+            extras: dict[str, Any] = {"batched": True, "batch_size": size,
+                                      "batch_fallback": False}
+            if t % spacing == 0:
+                out = cold[t // spacing]
+                if res.fallback[t // spacing]:
+                    extras["batch_fallback"] = True
+                    extras["warm_mechanism"] = "batch-scalar-fallback"
+                else:
+                    extras["warm_mechanism"] = "batch"
+            else:
+                out = walks[t].result
+                extras["warm_mechanism"] = walks[t].info.mechanism
+                if walks[t].info.fallback_reason:
+                    extras["warm_fallback_reason"] = walks[t].info.fallback_reason
+            extras["duals"] = (out.eq_dual, out.ineq_dual)
+            alloc = qps[i].extract(out.x)
             results[i] = SlotResult(
                 allocation=alloc,
                 ufc=problems[i].ufc(alloc),
-                iterations=int(res.iterations[pos]),
-                converged=bool(res.converged[pos]),
-                extras={
-                    "duals": (res.eq_dual[pos], res.ineq_dual[pos]),
-                    "batched": True,
-                    "batch_size": size,
-                    "batch_fallback": bool(res.fallback[pos]),
-                },
+                iterations=int(out.iterations),
+                converged=bool(out.converged),
+                extras=extras,
                 qp=qps[i],
             )
 

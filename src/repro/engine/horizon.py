@@ -39,7 +39,8 @@ optional warm payload) → certify → outcome.
   error fields instead of killing the horizon;
 - **warm-start chaining** (``warm_start=True``): each slot resumes
   from the previous slot's payload — one chunk on a synchronous
-  client, depth-one per-slot submissions on an asynchronous one;
+  client, depth-one per-slot submissions on an asynchronous one (a
+  batched lane chains its slots inside ``solve_batch`` instead);
 - **per-slot records**: every outcome carries a
   :class:`~repro.obs.SlotTelemetry`; at harvest the parent derives
   the ``repro_worker_*`` series from it,
@@ -787,34 +788,28 @@ class HorizonEngine:
             return effective, "pool:clamped-to-cpus", usable
         return effective, "pool:requested", usable
 
-    def _plan_batch(self, batch: bool | None, warm_start: bool) -> bool:
+    def _plan_batch(self, batch: bool | None) -> bool:
         """Whether this run takes the vectorized ``solve_batch`` lane.
 
         ``None`` (default) auto-enables batching whenever the solver
-        exposes a callable ``solve_batch`` and the run is not a warm
-        chain (which consumes slots sequentially).  ``True`` forces
-        the lane and raises on any incompatibility; ``False`` forces
-        the scalar per-slot path.  A fallback chain works on either
-        lane: a failed batch group is re-solved slot by slot through
-        the chain.
+        exposes a callable ``solve_batch``.  ``True`` forces the lane
+        and raises when the solver has none; ``False`` forces the
+        scalar per-slot path.  A fallback chain works on either lane: a
+        failed batch group is re-solved slot by slot through the chain.
+        A batched lane chains slots inside ``solve_batch`` (the
+        ``centralized-batch`` lane walks each slot from a cold anchor),
+        so a warm-start request needs nothing more of it.
         """
         capable = callable(getattr(self.solver, "solve_batch", None))
         if batch is None:
-            return capable and not warm_start
-        if not batch:
-            return False
-        if not capable:
+            return capable
+        if batch and not capable:
             raise ValueError(
                 f"solver {self.solver.name!r} has no solve_batch; use a "
                 "batch-capable solver (e.g. 'centralized-batch') or "
                 "run with batch=False"
             )
-        if warm_start:
-            raise ValueError(
-                "batch=True cannot combine with warm_start: warm chaining "
-                "consumes slots sequentially"
-            )
-        return True
+        return bool(batch)
 
     def run(
         self,
@@ -833,12 +828,13 @@ class HorizonEngine:
                 asynchronous one at pipeline depth one: slot
                 ``t + 1``'s submission carries slot ``t``'s harvested
                 payload, so warm hints survive process and socket
-                boundaries.
+                boundaries.  On the batched lane the solver chains
+                the slots itself, so the flag asks nothing more.
             batch: take the vectorized ``solve_batch`` lane.  None
                 (default) auto-enables it for batch-capable solvers
-                (see :meth:`_plan_batch`); True forces it (raising on
-                an incompatible configuration); False forces the
-                scalar per-slot path.
+                (see :meth:`_plan_batch`); True forces it (raising
+                when the solver has no ``solve_batch``); False forces
+                the scalar per-slot path.
 
         Raises:
             ValueError: for warm-start or batch requests the
@@ -847,7 +843,10 @@ class HorizonEngine:
         """
         problems = list(problems)
         start = time.perf_counter()
-        batched = self._plan_batch(batch, warm_start)
+        batched = self._plan_batch(batch)
+        # The batched lane chains inside solve_batch; the engine chains
+        # only the per-slot lane.
+        warm_start = warm_start and not batched
         if warm_start:
             if not self.solver.supports_warm_start:
                 raise ValueError(

@@ -1,19 +1,21 @@
 """Batched solver kernels over stacked slot instances.
 
-The horizon's T slot QPs are independent and share one compiled
-structure — only the parameter vectors differ hour to hour.  Solving
-them one by one pays the Python/numpy dispatch overhead of every small
-linear-algebra call T times per iteration; driving one *masked*
-Mehrotra iteration over the whole batch pays it once.  This module
-provides
+Independent QPs that share one compiled structure differ only in
+their parameter vectors.  Solving them one by one pays the
+Python/numpy dispatch overhead of every small linear-algebra call once
+per QP and iteration; driving one *masked* Mehrotra iteration over the
+whole stack pays it once per iteration.  This module provides
 
 - :func:`solve_qp_batch` — the interior-point loop of
-  :mod:`repro.optim.ipqp` over a batch sharing one constraint
+  :mod:`repro.optim.ipqp` over a stack sharing one constraint
   structure, with per-instance step lengths, per-instance convergence
   masking (converged instances are frozen and the active set shrinks as
   the batch drains), per-instance Ruiz scalings, and a per-instance
   fallback to the scalar :func:`~repro.optim.ipqp.solve_qp` semantics
-  (on the batch's kernel) for instances that fail to converge;
+  (on the batch's kernel) for instances that fail to converge.  The
+  ``centralized-batch`` engine lane (:mod:`repro.engine.batch`) solves
+  its cold anchors, one slot per day of each strategy's horizon, as
+  one such stack and walks the slots between them by active set;
 - :func:`project_simplex_batch` — row-wise simplex projection over
   ``(T, M)`` matrices (each row bit-identical to the scalar call);
 - :func:`solve_capped_rank_one_qp_batch` — the ADM-G per-datacenter
@@ -27,8 +29,8 @@ BLAS calls that round differently from the scalar matvecs, so batched
 IPQP solutions agree with the scalar path to solver tolerance rather
 than bit-for-bit.
 
-The batch runs on the same :class:`~repro.optim.ipqp.QPKernel` and
-Newton system as the one-QP route (``_SharedSystem`` in
+The batch runs on the same :class:`~repro.optim.ipqp.QPKernel` (the
+caller's, when it holds one) and Newton system as the one-QP route (``_SharedSystem`` in
 :mod:`repro.optim.ipqp`, with ``(T, .)`` iterates): the constraint
 matrices are the same arrays for every slot, so residuals collapse to
 single dgemms against the shared matrix with per-instance Ruiz
@@ -198,6 +200,7 @@ def solve_qp_batch(
     h: np.ndarray | None = None,
     tol: float = 1e-9,
     max_iter: int = 100,
+    kernel: QPKernel | None = None,
 ) -> BatchIPQPResult:
     """Solve T independent convex QPs sharing one constraint structure.
 
@@ -226,10 +229,15 @@ def solve_qp_batch(
         h: inequality rhs, (m,) shared or (T, m); required with ``G``.
         tol: per-instance convergence tolerance (scalar semantics).
         max_iter: per-instance iteration cap.
+        kernel: the :class:`~repro.optim.ipqp.QPKernel` of ``A`` and
+            ``G`` when the caller holds one (a compiled horizon's
+            :meth:`~repro.core.compiled.CompiledQPStructure.kernel`);
+            built here otherwise.
 
     Raises:
         ValueError: on inconsistent shapes, a constraint matrix that is
-            not 2-D, or one given without its right-hand side.
+            not 2-D, one given without its right-hand side, or a
+            ``kernel`` of other matrices.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2:
@@ -246,7 +254,10 @@ def solve_qp_batch(
     G0, h2 = _constraint_block(G, h, n, "G", batch)
     p, m = A0.shape[0], G0.shape[0]
 
-    kernel = QPKernel(A0, G0)
+    if kernel is None:
+        kernel = QPKernel(A0, G0)
+    elif not kernel.matches(A0, G0):
+        raise ValueError("kernel was compiled for other constraint matrices")
     x = np.zeros((batch, n))
     y = np.zeros((batch, p))
     z = np.zeros((batch, m))

@@ -14,7 +14,12 @@ active-set strategy of Ferreau, Bock and Diehl (IJRNC 2008):
   -P x - A'y - G'z``, ``b' = A x``, and ``h'`` equal to ``G x`` on
   ``W`` and to ``h`` elsewhere.  Only the point is carried — no old
   data, no scalings — so the walk starts the same way after a cold
-  slot as after a warm one.
+  slot as after a warm one.  A point from an interior-point solve
+  (:func:`cold_state`) first has its working set reduced to
+  independent rows.  If the first working set still has no KKT
+  solution, the start lies inside a flat face of optima; it moves
+  along the face at no cost until a row blocks, and that row joins
+  (:func:`_flat_step`).
 * **Segments.**  With ``W`` fixed, the KKT point is affine in the data,
   so one equality-KKT solve of the slot's own data
   (:meth:`~repro.optim.ipqp.QPKernel.solve_equality`) fixes the whole
@@ -40,8 +45,12 @@ inconsistent, an infeasible one (no held row can make way for a
 joining duplicate) or an unbounded drop direction sends the slot to
 the cold rung:
 :func:`~repro.optim.ipqp.solve_qp`, bit-for-bit, on the chain's
-:class:`~repro.optim.ipqp.QPKernel`, compiled on the chain's first
-slot and carried in the state.
+:class:`~repro.optim.ipqp.QPKernel`, carried in the state (compiled on
+the chain's first slot, or the one :func:`cold_state` was given).
+
+The ``centralized-warm`` lane walks one chain through a horizon; the
+``centralized-batch`` lane (:mod:`repro.engine.batch`) walks from each
+of its cold anchors to the slots up to the next one.
 """
 
 from __future__ import annotations
@@ -53,7 +62,7 @@ import numpy as np
 from repro.optim.ipqp import IPQPResult, QPKernel, _normalize_qp, _record_metrics
 
 __all__ = ["WarmState", "WarmSolveInfo", "WarmSolve", "solve_qp_warm",
-           "ACTIVE_SET_TOL"]
+           "cold_state", "ACTIVE_SET_TOL"]
 
 
 #: Verification tolerance of the homotopy, relative to ``1 + max(|q|,
@@ -69,6 +78,11 @@ ACTIVE_SET_TOL = 1e-9
 #: paper slot takes a handful; a cycle among degenerate rows takes
 #: them all.
 _MAX_SOLVES = 40
+
+#: A working-set row whose distance from the span of the rows before
+#: it is at most this fraction of its norm is a combination of them; a
+#: singular value at most this fraction of the largest is zero.
+_DEPENDENT_TOL = 1e-9
 
 
 @dataclass
@@ -200,6 +214,42 @@ def _exchange(kernel: QPKernel, kkt, work, value, k: int, tol: float):
     return None
 
 
+def _flat_step(kernel: QPKernel, P, work, value, tol: float):
+    """Move along a direction of zero curvature until a row blocks, and
+    hold that row.
+
+    Called when the walk's first working set has no KKT solution.  The
+    paper's optimum need not be unique (the Hessian is singular), and
+    an interior-point answer lies inside the face of optima — load and
+    its power moved between two datacenters of equal marginal cost, or
+    power between grid and fuel cell.  Its held rows then leave a
+    direction ``d`` with ``P d = 0``, ``A d = 0`` and every held row
+    constant: the right singular vector of ``[P; A; G_W]`` whose
+    singular value vanishes.  Along ``d`` the start stays a KKT point
+    of its shifted problem at no cost, so ``x`` moves (whichever way
+    meets a row sooner) until a row outside the set blocks; that row
+    joins with multiplier zero.  Updates ``work`` and ``value`` in
+    place; returns None, or the reason the walk must stop.
+    """
+    _, sv, vt = np.linalg.svd(np.vstack([P, kernel.A, kernel.G[work]]), full_matrices=False)
+    if not sv[-1] <= _DEPENDENT_TOL * sv[0]:
+        return "inconsistent working set"
+    rate = kernel.G @ vt[-1]
+    reach = np.full(kernel.m, np.inf)
+    up, down = ~work & (rate > tol), ~work & (rate < -tol)
+    reach[up] = value[up] / rate[up]
+    reach[down] = value[down] / -rate[down]
+    j = int(np.argmin(reach))
+    t = reach[j]
+    if not np.isfinite(t):
+        return "inconsistent working set"
+    step = t if rate[j] > 0 else -t
+    value[~work] = np.maximum(value[~work] - step * rate[~work], 0.0)
+    value[j] = 0.0
+    work[j] = True
+    return None
+
+
 def _homotopy(kernel: QPKernel, P, q, b, h, state: WarmState, tol: float, scale: float):
     """Walk from the carried KKT point to this slot's.
 
@@ -226,7 +276,12 @@ def _homotopy(kernel: QPKernel, P, q, b, h, state: WarmState, tol: float, scale:
         end = _active_set(kernel, kkt, q, b, h, work, tol, scale)
         if end is None:
             if toggled is None:
-                return "inconsistent working set", solves
+                # No toggle to undo: the set leaves a flat direction.
+                solves += 1
+                reason = _flat_step(kernel, P, work, value, tol)
+                if reason is not None:
+                    return reason, solves
+                continue
             work[toggled] = not work[toggled]
             solves += 1
             reason = _exchange(kernel, kkt, work, value, toggled, tol)
@@ -253,16 +308,74 @@ def _homotopy(kernel: QPKernel, P, q, b, h, state: WarmState, tol: float, scale:
     return f"no verified endpoint in {_MAX_SOLVES} KKT solves", solves
 
 
+def _scale(q, b, h) -> float:
+    """``1 + max(|q|, |h|, |b|)``: what the walk's tolerances scale by."""
+    return 1.0 + max(np.abs(q).max(initial=0.0), np.abs(h).max(initial=0.0),
+                     np.abs(b).max(initial=0.0))
+
+
+def _independent(kernel: QPKernel, work: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """``(y, z)`` with the working set ``work`` (row indices) reduced to
+    independent rows.
+
+    An interior-point answer can split one multiplier between rows that
+    are one constraint given the others — a datacenter's capacity row
+    and its fuel-cell cap, once the power balance holds — and a walk
+    started on such a set finds its first KKT system inconsistent.  The
+    rows are taken in order, the equality rows first; a working row
+    that is a combination of the rows before it is dropped, and its
+    multiplier moves onto those rows by the same combination, so
+    stationarity still holds and the point stays a KKT point.
+    """
+    if not work.size:
+        return y, z
+    rows = np.vstack([kernel.A, kernel.G[work]])
+    norms = np.linalg.norm(rows, axis=1)
+    keep = np.ones(len(rows), dtype=bool)
+    while True:
+        kept = np.flatnonzero(keep)
+        # Householder QR in row order: a row's distance from the span
+        # of the rows before it is its diagonal entry of R (zero past
+        # the n-th row), exact up to the first dependent row.
+        r = np.linalg.qr(rows[kept].T, mode="r")
+        dist = np.zeros(kept.size)
+        dist[:min(r.shape)] = np.abs(np.diagonal(r))
+        dependent = np.flatnonzero(dist <= _DEPENDENT_TOL * norms[kept])
+        if not dependent.size or dependent[0] < kernel.p:
+            break
+        keep[kept[dependent[0]]] = False
+    if keep.all():
+        return y, z
+    dropped = work[~keep[kernel.p:]]
+    move = np.linalg.lstsq(rows[keep].T, kernel.G[dropped].T, rcond=None)[0] @ z[dropped]
+    z = z.copy()
+    z[work[keep[kernel.p:]]] += move[kernel.p:]
+    z[dropped] = 0.0
+    return y + move[:kernel.p], z
+
+
+def cold_state(kernel: QPKernel, result: IPQPResult, q, b, h,
+               tol: float = ACTIVE_SET_TOL) -> WarmState | None:
+    """The state a walk starts from after an interior-point solve of
+    the QP ``(q, b, h)`` on ``kernel``: its KKT point, with the working
+    set reduced to independent rows (:func:`_independent`).  None when
+    the solve did not converge or the QP has no inequality rows."""
+    if not (result.converged and kernel.m):
+        return None
+    x, z = result.x, result.ineq_dual
+    slack = h - kernel.G @ x
+    floor = -min(tol, ACTIVE_SET_TOL) * _scale(q, b, h)
+    work = np.flatnonzero((z > 0.0) & (z - slack > floor))
+    y, z = _independent(kernel, work, result.eq_dual, z)
+    return WarmState(x=x, eq_dual=y, ineq_dual=z, slack=slack, kernel=kernel)
+
+
 def _cold_solve(kernel: QPKernel, P, q, b, h, tol, max_iter, metrics,
                 reason: str | None) -> WarmSolve:
     """:func:`~repro.optim.ipqp.solve_qp` on the kernel; its KKT point
     starts the next slot's walk."""
     res = kernel.solve(P, q, b, h, tol, max_iter, metrics=metrics)
-    state = None
-    if res.converged and kernel.m:
-        state = WarmState(x=res.x, eq_dual=res.eq_dual, ineq_dual=res.ineq_dual,
-                          slack=h - kernel.G @ res.x, kernel=kernel)
-    return WarmSolve(result=res, state=state,
+    return WarmSolve(result=res, state=cold_state(kernel, res, q, b, h, tol),
                      info=WarmSolveInfo(False, "cold", reason))
 
 
@@ -320,9 +433,7 @@ def solve_qp_warm(
                            "warm state shape mismatch")
 
     atol = min(tol, ACTIVE_SET_TOL)
-    scale = 1.0 + max(np.abs(q).max(initial=0.0), np.abs(h).max(initial=0.0),
-                      np.abs(b).max(initial=0.0))
-    answer, solves = _homotopy(kernel, P, q, b, h, state, atol, scale)
+    answer, solves = _homotopy(kernel, P, q, b, h, state, atol, _scale(q, b, h))
     if isinstance(answer, str):
         return _cold_solve(kernel, P, q, b, h, tol, max_iter, metrics, answer)
     x, y, z, slack = answer

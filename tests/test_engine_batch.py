@@ -16,7 +16,8 @@ import pytest
 from repro.core.compiled import CompiledQPStructure
 from repro.core.strategies import ALL_STRATEGIES, FUEL_CELL, HYBRID
 from repro.engine import HorizonEngine, available_solvers, create_solver
-from repro.engine.batch import CentralizedBatchSlotSolver, _share_groups
+from repro.engine.batch import ANCHOR_SPACING, CentralizedBatchSlotSolver, _share_groups
+from repro.obs import load_run
 from repro.sim.simulator import Simulator
 
 
@@ -91,8 +92,8 @@ class TestSolveBatch:
         assert batched.ufc == pytest.approx(scalar.ufc, rel=1e-6, abs=1e-3)
 
     def test_group_hessians_are_not_copied(self, hybrid_problems, monkeypatch):
-        """A group of consecutive compiled slots hands solve_qp_batch the
-        stack qp_for_batch built, not a second copy of it."""
+        """A group of consecutive compiled slots hands solve_qp_batch its
+        anchors as rows of the stack qp_for_batch built, not a copy."""
         import repro.engine.batch as engine_batch
 
         solver = CentralizedBatchSlotSolver()
@@ -116,7 +117,9 @@ class TestSolveBatch:
         results = solver.solve_batch(problems, compiled=compiled)
         assert all(r.converged for r in results)
         [(P, q, b)] = seen
-        for t, form in enumerate(forms):
+        anchors = forms[::ANCHOR_SPACING]
+        assert len(P) == len(anchors)
+        for t, form in enumerate(anchors):
             assert np.shares_memory(P[t], form.P)
             assert np.shares_memory(q[t], form.q)
             assert np.shares_memory(b[t], form.b)
@@ -193,8 +196,8 @@ class TestEngineLane:
 
     def test_parity_with_scalar_lane(self, sim):
         # The paper's three strategies over one day, as one batched
-        # run: every slot converges and certifies, and no UFC moves by
-        # 1e-2 or more from the scalar lane's.
+        # run: every slot converges and certifies, and every UFC is
+        # within 1e-6 relative of the scalar lane's.
         problems = [
             sim.problem_for_slot(t, strategy)
             for strategy in ALL_STRATEGIES
@@ -207,7 +210,21 @@ class TestEngineLane:
         for b, s in zip(batched, scalar):
             assert b.result.converged and s.result.converged
             assert b.certificate is not None and b.certificate.ok
-            assert abs(b.result.ufc - s.result.ufc) < 1e-2
+            assert b.result.ufc == pytest.approx(s.result.ufc, rel=1e-6)
+
+    def test_batch_true_with_warm_start_walks(self, hybrid_problems):
+        # The batched lane chains its slots itself: asking for warm
+        # starts too runs the same lane, anchor then walks.
+        engine = HorizonEngine("centralized-batch", certify=True)
+        outcomes = engine.run(hybrid_problems, warm_start=True, batch=True)
+        plain = HorizonEngine("centralized-batch").run(hybrid_problems, batch=True)
+        assert engine.last_summary.executor == "serial-batch"
+        mechanisms = [o.result.extras["warm_mechanism"] for o in outcomes]
+        assert mechanisms[0] == "batch"
+        assert mechanisms[1:].count("active-set") >= 0.9 * (len(outcomes) - 1)
+        for a, b in zip(plain, outcomes):
+            assert b.certificate.ok
+            assert a.result.ufc == b.result.ufc
 
     def test_mixed_strategies_group_per_structure(self, mixed_problems):
         engine = HorizonEngine("centralized-batch")
@@ -243,16 +260,60 @@ class TestEngineLane:
         assert [o.index for o in outcomes] == list(range(HOURS))
 
 
+class TestAnchorsAndWalks:
+    """Cold anchors, one per ANCHOR_SPACING slots, and walks between them."""
+
+    MECHANISMS = {"batch", "batch-scalar-fallback", "active-set", "cold"}
+
+    def test_every_slot_records_its_mechanism(self, sim, tmp_path):
+        problems = [sim.problem_for_slot(t, strategy)
+                    for strategy in ALL_STRATEGIES for t in range(HOURS)]
+        engine = HorizonEngine("centralized-batch", ledger=tmp_path)
+        outcomes = engine.run(problems)
+        records = load_run(engine.last_ledger_path).slots
+        assert len(records) == len(outcomes)
+        for o, record in zip(outcomes, records):
+            mechanism = o.result.extras["warm_mechanism"]
+            assert mechanism in self.MECHANISMS
+            assert record["warm_mechanism"] == mechanism
+            # Each strategy's day is one group: its first slot is the
+            # anchor, the others are walked from it.
+            anchor = o.index % HOURS % ANCHOR_SPACING == 0
+            assert (mechanism in ("batch", "batch-scalar-fallback")) == anchor
+            if mechanism == "cold":
+                assert o.result.extras["warm_fallback_reason"]
+        walked = [o for o in outcomes if o.index % HOURS % ANCHOR_SPACING]
+        active = [o for o in walked if o.result.extras["warm_mechanism"] == "active-set"]
+        assert len(active) >= 0.9 * len(walked)
+
+    def test_anchors_every_spacing_slots(self, hybrid_problems, monkeypatch):
+        """A group longer than the spacing gets one anchor per spacing."""
+        import repro.engine.batch as engine_batch
+
+        problems = hybrid_problems * 3
+        seen = []
+        real = engine_batch.solve_qp_batch
+
+        def spy(P, q, **kwargs):
+            seen.append(len(q))
+            return real(P, q, **kwargs)
+
+        monkeypatch.setattr(engine_batch, "solve_qp_batch", spy)
+        solver = CentralizedBatchSlotSolver()
+        compiled = solver.compile(problems[0].model, problems[0].strategy)
+        results = solver.solve_batch(problems, compiled=compiled)
+        assert seen == [-(-len(problems) // ANCHOR_SPACING)]
+        for t, res in enumerate(results):
+            assert res.converged
+            anchor = res.extras["warm_mechanism"] in ("batch", "batch-scalar-fallback")
+            assert anchor == (t % ANCHOR_SPACING == 0)
+
+
 class TestEngineLaneErrors:
     def test_batch_true_requires_capable_solver(self, hybrid_problems):
         engine = HorizonEngine("centralized")
         with pytest.raises(ValueError, match="solve_batch"):
             engine.run(hybrid_problems[:2], batch=True)
-
-    def test_batch_true_rejects_warm_start(self, hybrid_problems):
-        engine = HorizonEngine("centralized-batch")
-        with pytest.raises(ValueError, match="warm"):
-            engine.run(hybrid_problems[:2], warm_start=True, batch=True)
 
     def test_idle_fallback_keeps_the_batched_lane(self, hybrid_problems):
         plain = HorizonEngine("centralized-batch").run(hybrid_problems)
@@ -342,4 +403,4 @@ class TestSolverStrategies:
         scalar = HorizonEngine("centralized").run(problems)
         for b, s in zip(batched, scalar):
             assert b.certificate.ok
-            assert b.result.ufc == pytest.approx(s.result.ufc, rel=1e-4, abs=1e-2)
+            assert b.result.ufc == pytest.approx(s.result.ufc, rel=1e-6)

@@ -67,14 +67,23 @@ from repro.traces.datasets import default_bundle
 #: deleted): the 6-slot chain now runs cold then five active-set slots
 #: (10 + 2 + 1 + 7 + 4 + 4 = 28 iterations, the active-set ones counting
 #: KKT solves) where it ran cold, two active-set and three warm-IPM
-#: slots in 38, with UFC within 2.0e-8 relative.
+#: slots in 38, with UFC within 2.0e-8 relative.  The two batched lanes
+#: were re-recorded when ``centralized-batch`` became cold anchors (one
+#: per 24 slots of a group) with walks between them, and every batched
+#: slot began to record its ``warm_mechanism``.  ``batched_serial`` runs
+#: three 4-slot groups: 3 anchors (``"batch"``) and 9 walked slots
+#: (``"active-set"``), 59 iterations instead of 107, with the largest
+#: per-slot UFC change 1.2e-7 relative.  ``batched_pool`` splits the
+#: horizon into 2-slot chunks whose groups hold one slot each, so all 12
+#: slots are anchors (``"batch"``): iterations, allocations and UFC are
+#: byte-identical to before, and only the recorded mechanism is new.
 GOLDEN = {
     "serial": "5838459587cd3ccec338a0425d3aa855684f82a34e1cb630cbc96e22865349a8",
     "pool": "86d9a257888dcfe7f1a68a049e3c8e68b653043848aaafedc598037c4179d7ea",
     "client_in_process": "f47b737d24c29ae2db36f9abd7c1012a1bc1602529a09b451bbf98c3f4544fea",
     "client_mp": "c62ee77b3dfb2df85b9642b1eec427429179c0f6fa22a9a5faaed077d8261e73",
-    "batched_serial": "6828cb7f3425e09462c6a512803998a8e19d4573efcea989d5e7971c17303620",
-    "batched_pool": "0767b99bf1e00ffbc9f5de0ac132b66c0ae0165348391a3026851ee741b4594d",
+    "batched_serial": "a2823c3ef20c99959c4a6ab70344bea14f2fb1c025aa46a180e396b3bfefc8b2",
+    "batched_pool": "4c6d871a49293c3b7caf5186337a64d25b54216f7ff8d9215e2206495a8a4533",
     "warm_serial": "60604703c7b4476857e43015a80ee7771f61808b5f3212b8e670b54be494e30e",
     "warm_mp": "dcd0051d9767960e50b97abc25d8a89f486e209da2ad6fea7ed950bc7802a380",
     "warm_in_process": "3f287403c2afa447f660a3574a2a483d3267d47116228bac169cc44153bf84c5",

@@ -131,6 +131,31 @@ def test_qp_kernel_compiled_once_per_structure(small_model, small_bundle, monkey
     assert len(builds) == len(ALL_STRATEGIES)
 
 
+def test_batched_lane_compiles_one_kernel_per_structure(small_model, small_bundle,
+                                                        monkeypatch):
+    """A 24-slot paper run per strategy through ``centralized-batch``
+    builds one QP kernel per (model, strategy): the anchors' stacked
+    interior-point solve and the walks between them both run on the
+    compiled structure's kernel."""
+    from repro.core.strategies import ALL_STRATEGIES
+    from repro.optim import ipqp
+
+    builds = []
+    compile_kernel = ipqp.QPKernel.__init__
+
+    def counting(self, A, G):
+        builds.append(np.shape(G))
+        compile_kernel(self, A, G)
+
+    monkeypatch.setattr(ipqp.QPKernel, "__init__", counting)
+    sim = Simulator(small_model, small_bundle)
+    problems = [sim.problem_for_slot(t, strategy)
+                for strategy in ALL_STRATEGIES for t in range(SLOTS)]
+    outcomes = HorizonEngine("centralized-batch").run(problems, batch=True)
+    assert all(o.ok and o.result.converged for o in outcomes)
+    assert len(builds) == len(ALL_STRATEGIES)
+
+
 def test_certified_slot_computes_ufc_once(problems, monkeypatch):
     """A certified ``centralized`` slot evaluates the UFC once: the
     certificate takes the value the solver computed from the same

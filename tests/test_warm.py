@@ -29,8 +29,8 @@ import pytest
 
 from repro.core.compiled import CompiledQPStructure
 from repro.core.problem import SlotInputs, UFCProblem
-from repro.core.strategies import ALL_STRATEGIES, HYBRID
-from repro.engine import HorizonEngine, create_solver
+from repro.core.strategies import ALL_STRATEGIES, FUEL_CELL, GRID, HYBRID
+from repro.engine import HorizonEngine
 from repro.obs import MetricsRegistry, load_run
 from repro.obs.certify import certify_solution, certify_structured_solution
 from repro.optim.ipqp import solve_qp
@@ -39,7 +39,7 @@ from repro.optim.kkt import (
     StructuredWarmState,
     solve_structured_qp,
 )
-from repro.optim.warm import solve_qp_warm
+from repro.optim.warm import cold_state, solve_qp_warm
 from repro.instances import ScaleSpec, generate_instance
 from repro.sim.simulator import build_model
 from repro.traces.datasets import default_bundle
@@ -280,6 +280,58 @@ class TestHomotopy:
         np.testing.assert_allclose(ws.result.x, cold.x, atol=1e-7)
         np.testing.assert_allclose(ws.result.x[1:], [1.2, 1.0 + cold.x[0] / 2 - 1.2],
                                    atol=1e-7)
+
+
+class TestInteriorPointStart:
+    """A walk from an interior-point answer: independent rows, and a way
+    off a flat face of optima."""
+
+    @staticmethod
+    def _pair(seed, strategy, t):
+        bundle = default_bundle(hours=168, seed=seed)
+        model = build_model(bundle)
+        return _problems(bundle, model, t + 2, strategy)[t:]
+
+    def test_seed_state_drops_a_dependent_row_and_stays_kkt(self):
+        # Slot 0 of the seed-10 week under Fuel cell: the cold answer
+        # splits a datacenter's multiplier between its capacity row and
+        # its fuel-cell cap, which are one constraint once the power
+        # balance holds.
+        problem, _ = self._pair(10, FUEL_CELL, 0)
+        compiled = CompiledQPStructure(problem.model, FUEL_CELL)
+        qp = compiled.qp_for(problem.inputs)
+        kernel = compiled.kernel()
+        cold = kernel.solve(qp.P, qp.q, qp.b, qp.h)
+        state = cold_state(kernel, cold, qp.q, qp.b, qp.h)
+
+        def held(z, slack):
+            rows = (z > 0.0) & (z - slack > -1e-9)
+            return np.vstack([qp.A, qp.G[rows]])
+
+        raw = held(cold.ineq_dual, state.slack)
+        assert np.linalg.matrix_rank(raw) < len(raw)
+        seeded = held(state.ineq_dual, state.slack)
+        assert np.linalg.matrix_rank(seeded) == len(seeded)
+        # The moved multiplier keeps stationarity and stays non-negative.
+        assert (state.ineq_dual >= 0.0).all()
+        for y, z in ((cold.eq_dual, cold.ineq_dual), (state.eq_dual, state.ineq_dual)):
+            stationarity = qp.P @ cold.x + qp.q + qp.A.T @ y + qp.G.T @ z
+            assert np.abs(stationarity).max() <= 1e-6 * (1.0 + np.abs(qp.q).max())
+
+    @pytest.mark.parametrize("seed, strategy, t, lane", [
+        (10, FUEL_CELL, 0, "centralized-warm"),   # a dependent row
+        (10, FUEL_CELL, 72, "centralized-batch"),  # the same, at an anchor
+        (9, GRID, 72, "centralized-batch"),       # an anchor on a flat face
+    ], ids=["warm-dependent", "anchor-dependent", "anchor-flat"])
+    def test_slot_after_interior_point_answer_walks(self, seed, strategy, t, lane):
+        problems = self._pair(seed, strategy, t)
+        engine = HorizonEngine(lane, certify=True)
+        outcomes = engine.run(problems, warm_start=True)
+        extras = outcomes[1].result.extras
+        assert extras["warm_mechanism"] == "active-set", extras.get("warm_fallback_reason")
+        assert all(o.certificate.ok for o in outcomes)
+        cold = HorizonEngine("centralized").run(problems)
+        assert _rel(outcomes[1].result.ufc, cold[1].result.ufc) <= 1e-6
 
 
 class TestEngineWarmLane:
