@@ -7,10 +7,13 @@ and fails when the lane is slower than its floor allows:
   than the serial cached ``centralized`` lane, on the worst of 3
   order-balanced rounds; the record also counts its anchors and walked
   slots by rung (``rungs``);
-- ``warm_chain`` — the ``centralized-warm`` chain is at least 1.5x
-  faster than the cold serial cached lane, on the worst round (1 round
-  on a short horizon, 3 on the full week); the record also counts the
-  slots each rung of the chain answered (``rungs``);
+- ``warm_chain`` — the ``centralized-warm`` lane, which is the
+  anchor-and-walk lane of ``centralized-batch`` under its warm name
+  (``run(warm_start=True)``), is at least 1.5x faster than the cold
+  serial cached lane, on the worst round (1 round on a short horizon,
+  3 on the full week); the record also counts the slots each rung
+  answered (``rungs``: ``batch`` anchors and walked ``active-set``
+  slots, plus any ``cold`` walk);
 - ``structured_warm`` — on the 20x100 generated instance, re-solving
   12 perturbed slots warm (previous iterates plus the per-iteration
   factor cache) is faster per slot than re-solving them cold;

@@ -5,9 +5,12 @@ One protocol (:class:`~repro.engine.protocol.SlotSolver`), one factory
 (:class:`~repro.engine.horizon.HorizonEngine`): every per-slot UFC
 solver in the library — centralized interior-point, distributed ADM-G,
 dual subgradient, routing heuristics — plugs in behind the same
-``solve(problem, warm=...) -> SlotResult`` surface, with slot-invariant
-compiled structure built once per horizon and slots mapped over a
-serial or process-pool executor.
+``solve(problem, compiled=None) -> SlotResult`` surface, with
+slot-invariant compiled structure built once per horizon and slots
+mapped over a serial or process-pool executor.  Slots that chain (the
+``centralized-batch`` and ``centralized-warm`` lanes, which walk each
+slot from a cold anchor) chain inside the solver's ``solve_batch``, not
+in the engine.
 """
 
 from repro.engine.adapters import (
@@ -21,7 +24,6 @@ from repro.engine.horizon import CompileCache, HorizonEngine, SlotOutcome
 
 # Re-exported from their home in the execution layer.
 from repro.exec import parallel_map, usable_cpu_count
-from repro.engine.warm import CentralizedWarmSlotSolver, WarmPayload
 from repro.engine.protocol import SlotResult, SlotSolver
 from repro.engine.registry import available_solvers, create_solver, register_solver
 
@@ -35,11 +37,9 @@ __all__ = [
     "usable_cpu_count",
     "CentralizedBatchSlotSolver",
     "CentralizedSlotSolver",
-    "CentralizedWarmSlotSolver",
     "DistributedSlotSolver",
     "DualSubgradientSlotSolver",
     "HeuristicSlotSolver",
-    "WarmPayload",
     "available_solvers",
     "create_solver",
     "register_solver",

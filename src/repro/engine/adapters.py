@@ -13,7 +13,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.admg.solver import ADMGState, DistributedUFCSolver, ScaledView
+from repro.admg.solver import DistributedUFCSolver, ScaledView
 from repro.baselines.dual_subgradient import DualSubgradientSolver
 from repro.baselines.heuristics import (
     cheapest_power_routing,
@@ -37,24 +37,13 @@ __all__ = [
 ]
 
 
-def _reject_warm(name: str, warm: Any) -> None:
-    if warm is not None:
-        raise ValueError(
-            f"solver {name!r} does not support warm starts; "
-            "run with warm_start=False (see Simulator docs)"
-        )
-
-
 class CentralizedSlotSolver:
     """Interior-point reference solver behind the SlotSolver protocol.
 
-    The interior-point method re-solves each slot from its own
-    well-centered starting point, so warm starts are rejected rather
-    than silently ignored.
+    Each slot is solved from its own well-centered starting point.
     """
 
     name = "centralized"
-    supports_warm_start = False
 
     def __init__(self, inner: CentralizedSolver | None = None, **kwargs: Any) -> None:
         self.inner = inner if inner is not None else CentralizedSolver(**kwargs)
@@ -67,10 +56,8 @@ class CentralizedSlotSolver:
         self,
         problem: UFCProblem,
         compiled: CompiledQPStructure | None = None,
-        warm: Any | None = None,
     ) -> SlotResult:
         """Solve one slot with the interior-point reference solver."""
-        _reject_warm(self.name, warm)
         res, qp = self.inner.solve_with_qp(problem, compiled=compiled)
         extras: dict[str, Any] = {}
         if res.trace is not None:
@@ -111,8 +98,6 @@ class StructuredCentralizedSolver:
     the slot without ever forming a dense QP.
     """
 
-    supports_warm_start = False
-
     def __init__(
         self,
         reach: np.ndarray | None = None,
@@ -138,17 +123,11 @@ class StructuredCentralizedSolver:
 
         return StructuredQPCompiler(model, strategy, reach=self.reach)
 
-    def solve(
-        self,
-        problem: UFCProblem,
-        compiled: Any | None = None,
-        warm: Any | None = None,
-    ) -> SlotResult:
+    def solve(self, problem: UFCProblem, compiled: Any | None = None) -> SlotResult:
         """Solve one slot through the reduced (reach-restricted) QP."""
         from repro.optim.ipqp import solve_qp
         from repro.optim.kkt import StructuredQPCompiler, solve_structured_qp
 
-        _reject_warm(self.name, warm)
         if compiled is None or not compiled.matches(problem):
             compiled = self.compile(problem.model, problem.strategy)
         assert isinstance(compiled, StructuredQPCompiler)
@@ -184,12 +163,11 @@ class StructuredCentralizedSolver:
 class DistributedSlotSolver:
     """The paper's 4-block ADM-G solver behind the SlotSolver protocol.
 
-    Warm payloads are :class:`ADMGState` iterates; the compiled
-    structure is the slot-invariant :class:`ScaledView`.
+    The compiled structure is the slot-invariant :class:`ScaledView`;
+    every slot starts cold, as the paper's Fig. 11 counts do.
     """
 
     name = "distributed"
-    supports_warm_start = True
 
     def __init__(self, inner: DistributedUFCSolver | None = None, **kwargs: Any) -> None:
         self.inner = inner if inner is not None else DistributedUFCSolver(**kwargs)
@@ -202,10 +180,9 @@ class DistributedSlotSolver:
         self,
         problem: UFCProblem,
         compiled: ScaledView | None = None,
-        warm: ADMGState | None = None,
     ) -> SlotResult:
-        """Solve one slot with ADM-G, optionally warm-started."""
-        res = self.inner.solve(problem, initial=warm, context=compiled)
+        """Solve one slot with ADM-G."""
+        res = self.inner.solve(problem, context=compiled)
         extras = {
             "coupling_residuals": res.coupling_residuals,
             "power_residuals": res.power_residuals,
@@ -217,7 +194,6 @@ class DistributedSlotSolver:
             ufc=res.ufc,
             iterations=res.iterations,
             converged=res.converged,
-            warm=res.state,
             extras=extras,
         )
 
@@ -226,7 +202,6 @@ class DualSubgradientSlotSolver:
     """The Fig. 11 dual-subgradient comparator behind the protocol."""
 
     name = "dual-subgradient"
-    supports_warm_start = False
 
     def __init__(self, inner: DualSubgradientSolver | None = None, **kwargs: Any) -> None:
         self.inner = inner if inner is not None else DualSubgradientSolver(**kwargs)
@@ -235,14 +210,8 @@ class DualSubgradientSlotSolver:
         """No slot-invariant structure: the solver is matrix-free."""
         return None
 
-    def solve(
-        self,
-        problem: UFCProblem,
-        compiled: Any | None = None,
-        warm: Any | None = None,
-    ) -> SlotResult:
+    def solve(self, problem: UFCProblem, compiled: Any | None = None) -> SlotResult:
         """Solve one slot with the dual-subgradient comparator."""
-        _reject_warm(self.name, warm)
         res = self.inner.solve(problem)
         return SlotResult(
             allocation=res.allocation,
@@ -263,8 +232,6 @@ class HeuristicSlotSolver:
     construction (the policies always emit feasible routings).
     """
 
-    supports_warm_start = False
-
     def __init__(self, policy: Callable[[UFCProblem], np.ndarray], name: str) -> None:
         self.policy = policy
         self.name = name
@@ -273,14 +240,8 @@ class HeuristicSlotSolver:
         """No slot-invariant structure: policies are closed-form."""
         return None
 
-    def solve(
-        self,
-        problem: UFCProblem,
-        compiled: Any | None = None,
-        warm: Any | None = None,
-    ) -> SlotResult:
+    def solve(self, problem: UFCProblem, compiled: Any | None = None) -> SlotResult:
         """Route with the policy, then split power optimally."""
-        _reject_warm(self.name, warm)
         res = solve_heuristic(problem, self.policy, name=self.name)
         return SlotResult(
             allocation=res.allocation,

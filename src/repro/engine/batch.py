@@ -1,7 +1,9 @@
 """The batched centralized solver lane: stacked cold anchors and walks.
 
 :class:`CentralizedBatchSlotSolver` is the registered
-``"centralized-batch"`` solver.  It speaks the same
+``"centralized-batch"`` solver, and the same class answers to
+``"centralized-warm"``: slots chain inside the solver, so the warm lane
+is this lane under its warm name.  It speaks the same
 :class:`~repro.engine.protocol.SlotSolver` protocol as every other
 solver — ``compile`` returns the identical
 :class:`~repro.core.compiled.CompiledQPStructure`, ``solve`` delegates
@@ -16,13 +18,12 @@ batch lane discovers by duck typing:
   solved cold by :func:`~repro.optim.batch.solve_qp_batch` as
   one interior-point stack, and the slots between two anchors are
   walked from the earlier one, slot by slot, by the parametric
-  active-set homotopy of the warm lane
-  (:func:`~repro.optim.warm.solve_qp_warm`).  Anchors and walks run
-  on the structure's one :class:`~repro.optim.ipqp.QPKernel`.  Each
-  slot comes back as an ordinary
-  :class:`~repro.engine.protocol.SlotResult` carrying its own duals,
-  iteration count and convergence flag, so certification, telemetry
-  and metrics downstream are oblivious to the batching.
+  active-set homotopy (:func:`~repro.optim.warm.solve_qp_warm`).
+  Anchors and walks run on the structure's one
+  :class:`~repro.optim.ipqp.QPKernel`.  Each slot comes back as an
+  ordinary :class:`~repro.engine.protocol.SlotResult` carrying its own
+  duals, iteration count and convergence flag, so certification,
+  telemetry and metrics downstream are oblivious to the batching.
 
 Every slot's ``extras["warm_mechanism"]`` says what answered it:
 ``"batch"`` (an anchor), ``"batch-scalar-fallback"`` (an anchor the
@@ -125,6 +126,8 @@ class CentralizedBatchSlotSolver:
 
     Scalar ``solve`` calls delegate to the plain centralized adapter
     (bit-identical results); ``solve_batch`` is the anchor-and-walk lane.
+    Registered as ``"centralized-batch"`` and, with ``name`` set to it,
+    as ``"centralized-warm"``.
 
     Args:
         inner: pre-configured :class:`CentralizedSolver`; built from
@@ -132,7 +135,6 @@ class CentralizedBatchSlotSolver:
     """
 
     name = "centralized-batch"
-    supports_warm_start = False
 
     def __init__(self, inner: CentralizedSolver | None = None, **kwargs: Any) -> None:
         self._scalar = CentralizedSlotSolver(inner=inner, **kwargs)
@@ -146,10 +148,9 @@ class CentralizedBatchSlotSolver:
         self,
         problem: UFCProblem,
         compiled: CompiledQPStructure | None = None,
-        warm: Any | None = None,
     ) -> SlotResult:
         """Solve one slot through the scalar interior-point path."""
-        return self._scalar.solve(problem, compiled=compiled, warm=warm)
+        return self._scalar.solve(problem, compiled=compiled)
 
     def solve_batch(
         self,
@@ -271,4 +272,12 @@ class CentralizedBatchSlotSolver:
             )
 
 
+def _warm_lane(**kwargs: Any) -> CentralizedBatchSlotSolver:
+    """The anchor-and-walk lane under its ``"centralized-warm"`` name."""
+    solver = CentralizedBatchSlotSolver(**kwargs)
+    solver.name = "centralized-warm"
+    return solver
+
+
 register_solver("centralized-batch", CentralizedBatchSlotSolver)
+register_solver("centralized-warm", _warm_lane)

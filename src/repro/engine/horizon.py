@@ -2,8 +2,8 @@
 
 Interactive workloads cannot be deferred, so the paper's 168 hourly
 UFC problems are independent — the horizon is an embarrassingly
-parallel map of **one per-slot step**: compile lookup → solve (with an
-optional warm payload) → certify → outcome.
+parallel map of **one per-slot step**: compile lookup → solve →
+certify → outcome.
 :class:`HorizonEngine` runs it as a *policy layer* over the
 :mod:`repro.exec` client stack.  Concretely:
 
@@ -11,12 +11,12 @@ optional warm payload) → certify → outcome.
   the primary solver once, then each ``fallback`` solver once — and
   every outcome is built by one success builder
   (:func:`_slot_outcome`) or one failure builder
-  (:func:`_failed_outcome`), whichever lane, batch, warm chain or
-  store hit produced it;
+  (:func:`_failed_outcome`), whichever lane, batch or store hit
+  produced it;
 - **one chunk task** (:func:`_solve_chunk`) is what every execution
-  client runs, cold or warm: a per-slot loop (chaining the warm
-  payload when asked) or the (model, strategy)-grouped ``solve_batch``
-  lane, whose outcomes are the only thing a worker sends home;
+  client runs: a per-slot loop or the (model, strategy)-grouped
+  ``solve_batch`` lane, whose outcomes are the only thing a worker
+  sends home;
 - **executors**: a serial in-process client (``workers=1``) or a
   chunked multiprocessing pool (``workers>1``), or any registered
   client (``"mp"``, ``"socket"``, a custom
@@ -37,10 +37,10 @@ optional warm payload) → certify → outcome.
 - **per-slot error capture**: a slot whose solve raises on every lane
   of the chain becomes a failed :class:`SlotOutcome` with structured
   error fields instead of killing the horizon;
-- **warm-start chaining** (``warm_start=True``): each slot resumes
-  from the previous slot's payload — one chunk on a synchronous
-  client, depth-one per-slot submissions on an asynchronous one (a
-  batched lane chains its slots inside ``solve_batch`` instead);
+- **slot chaining inside the solver**: the engine hands slots over
+  independently; a solver whose slots chain (``centralized-batch``,
+  ``centralized-warm``) walks them inside ``solve_batch``, so chaining
+  works with pools, clients and a store like any other batched run;
 - **per-slot records**: every outcome carries a
   :class:`~repro.obs.SlotTelemetry`; at harvest the parent derives
   the ``repro_worker_*`` series from it,
@@ -225,7 +225,6 @@ def _slot_outcome(
     wall_s: float,
     compile_s: float = 0.0,
     cache_hit: bool | None = None,
-    warm_start: bool = False,
     store_hit: bool = False,
     attempts: int = 1,
     fallback_solver: str | None = None,
@@ -274,7 +273,6 @@ def _slot_outcome(
             converged=result.converged,
             cache_hit=cache_hit,
             worker=os.getpid(),
-            warm_start=warm_start,
             store_hit=store_hit,
             certify_s=0.0 if certificate is None else certificate.certify_s,
             host=None if store_hit else _HOST,
@@ -291,7 +289,6 @@ def _failed_outcome(
     wall_s: float = 0.0,
     compile_s: float = 0.0,
     cache_hit: bool | None = None,
-    warm_start: bool = False,
     attempts: int = 1,
     chain_errors: tuple[str, ...] = (),
     host: str | None = _HOST,
@@ -318,7 +315,6 @@ def _failed_outcome(
             converged=False,
             cache_hit=cache_hit,
             worker=os.getpid(),
-            warm_start=warm_start,
             error_type=type(exc).__name__,
             host=host,
         ),
@@ -355,9 +351,8 @@ class _SlotStep:
     Built once per chunk, it owns one :class:`CompileCache` per lane of
     the fallback chain: the primary solver, then each ``fallback``
     solver (instantiated once per chunk).  A slot tries each lane once,
-    in order, and the first success is its outcome; only the primary
-    sees the warm payload, since a fallback is a different solver.  A
-    slot becomes a failed outcome only when every lane failed.
+    in order, and the first success is its outcome.  A slot becomes a
+    failed outcome only when every lane failed.
     """
 
     def __init__(
@@ -374,14 +369,11 @@ class _SlotStep:
             lane = create_solver(name)
             self.lanes.append((lane, CompileCache(lane)))
 
-    def __call__(
-        self, index: int, problem: UFCProblem, warm: Any | None = None
-    ) -> SlotOutcome:
+    def __call__(self, index: int, problem: UFCProblem) -> SlotOutcome:
         """Solve one slot, capturing any failure as a failed outcome."""
         chain_errors: list[str] = []
         start = time.perf_counter()
         for attempt, (solver, cache) in enumerate(self.lanes, 1):
-            primary = attempt == 1
             cache_hit: bool | None = None
             compile_s = 0.0
             try:
@@ -389,9 +381,7 @@ class _SlotStep:
                     problem.model, problem.strategy
                 )
                 solve_start = time.perf_counter()
-                result = solver.solve(
-                    problem, compiled=compiled, warm=warm if primary else None
-                )
+                result = solver.solve(problem, compiled=compiled)
                 return _slot_outcome(
                     index,
                     problem,
@@ -401,9 +391,8 @@ class _SlotStep:
                     wall_s=time.perf_counter() - solve_start,
                     compile_s=compile_s,
                     cache_hit=cache_hit,
-                    warm_start=primary and warm is not None,
                     attempts=attempt,
-                    fallback_solver=None if primary else solver.name,
+                    fallback_solver=None if attempt == 1 else solver.name,
                     chain_errors=tuple(chain_errors),
                 )
             except Exception as exc:
@@ -421,7 +410,6 @@ class _SlotStep:
             wall_s=time.perf_counter() - start,
             compile_s=compile_s,
             cache_hit=cache_hit,
-            warm_start=warm is not None,
             attempts=len(self.lanes),
             chain_errors=tuple(chain_errors),
         )
@@ -482,52 +470,32 @@ class _SlotStep:
         return [outcomes[offset] for offset in range(len(chunk.problems))]
 
 
-def _chained_warm(outcome: SlotOutcome) -> Any | None:
-    """The warm payload a slot hands the next one in a chain.
-
-    Only a primary success chains: a failed slot has no payload, and a
-    fallback solver's result is not the primary's warm state.
-    """
-    if outcome.ok and outcome.fallback_solver is None:
-        return outcome.result.warm
-    return None
-
-
 def _solve_chunk(
     solver: SlotSolver,
     chunk: _Chunk,
     certifier: Any | None = None,
     fallback: tuple[str, ...] = (),
     batched: bool = False,
-    warm_start: bool = False,
-    warm: Any | None = None,
 ) -> list[SlotOutcome]:
     """Solve one chunk of slots: the task every execution client runs.
 
-    Module-level so process and socket clients can pickle it.  Cold
-    and warm runs, serial and pooled, observed or not, submit this one
-    function, and the outcomes are all that comes back: each carries
+    Module-level so process and socket clients can pickle it.  Serial
+    and pooled, batched or not, observed or not, every run submits this
+    one function, and the outcomes are all that comes back: each carries
     its :class:`~repro.obs.SlotTelemetry` (and, with ``certifier``,
     its certificate), from which the parent derives every per-slot
     metric and ledger record.
 
     The chunk runs through the per-slot :class:`_SlotStep` loop or,
-    with ``batched``, through :meth:`_SlotStep.batch`.  With
-    ``warm_start`` the loop chains: ``warm`` seeds the first slot and
-    each primary success's :attr:`SlotResult.warm` seeds the next,
-    while a failure or a fallback result ships no payload and
-    cold-restarts the chain.
+    with ``batched``, through :meth:`_SlotStep.batch`.
     """
     step = _SlotStep(solver, certifier, fallback)
     if batched:
         return step.batch(chunk)
-    outcomes = []
-    for offset, problem in enumerate(chunk.problems):
-        outcome = step(chunk.index(offset), problem, warm)
-        if warm_start:
-            warm = _chained_warm(outcome)
-        outcomes.append(outcome)
-    return outcomes
+    return [
+        step(chunk.index(offset), problem)
+        for offset, problem in enumerate(chunk.problems)
+    ]
 
 
 def _record_worker_slot(reg: Any, tele: SlotTelemetry) -> None:
@@ -646,8 +614,8 @@ class HorizonEngine:
             the primary failed, tried once each, in order (e.g.
             ``("centralized", "proportional")``).  A rescued outcome
             is flagged ``degraded`` with ``fallback_solver`` set, is
-            still certified, and is never stored or chained as a warm
-            payload.  The empty default runs the primary alone; a name
+            still certified, and is never stored.  The empty default
+            runs the primary alone; a name that
             :func:`~repro.engine.registry.available_solvers` does not
             list raises ``ValueError`` here, before any slot runs.
         supervision: optional
@@ -788,7 +756,7 @@ class HorizonEngine:
             return effective, "pool:clamped-to-cpus", usable
         return effective, "pool:requested", usable
 
-    def _plan_batch(self, batch: bool | None) -> bool:
+    def _plan_batch(self, batch: bool | None, warm_start: bool) -> bool:
         """Whether this run takes the vectorized ``solve_batch`` lane.
 
         ``None`` (default) auto-enables batching whenever the solver
@@ -796,18 +764,25 @@ class HorizonEngine:
         and raises when the solver has none; ``False`` forces the
         scalar per-slot path.  A fallback chain works on either lane: a
         failed batch group is re-solved slot by slot through the chain.
-        A batched lane chains slots inside ``solve_batch`` (the
-        ``centralized-batch`` lane walks each slot from a cold anchor),
-        so a warm-start request needs nothing more of it.
+        Slots chain only inside ``solve_batch`` (the
+        ``centralized-batch`` and ``centralized-warm`` lanes walk each
+        slot from a cold anchor), so ``warm_start`` asks for the
+        batched lane and raises with a solver that has none or with
+        ``batch=False``.
         """
         capable = callable(getattr(self.solver, "solve_batch", None))
         if batch is None:
-            return capable
+            batch = warm_start or capable
         if batch and not capable:
             raise ValueError(
                 f"solver {self.solver.name!r} has no solve_batch; use a "
                 "batch-capable solver (e.g. 'centralized-batch') or "
-                "run with batch=False"
+                "run with batch=False and warm_start=False"
+            )
+        if warm_start and not batch:
+            raise ValueError(
+                "warm_start=True chains slots inside solve_batch; run "
+                "with batch=None or batch=True"
             )
         return bool(batch)
 
@@ -821,15 +796,9 @@ class HorizonEngine:
 
         Args:
             problems: the horizon's slot problems.
-            warm_start: chain each slot from the previous slot's warm
-                payload.  Requires a warm-start-capable solver and
-                ``workers=1`` (the chain is sequential by nature).
-                A synchronous client runs the chain as one chunk; an
-                asynchronous one at pipeline depth one: slot
-                ``t + 1``'s submission carries slot ``t``'s harvested
-                payload, so warm hints survive process and socket
-                boundaries.  On the batched lane the solver chains
-                the slots itself, so the flag asks nothing more.
+            warm_start: chain slots: asks for the batched lane, whose
+                solver walks each slot from a cold anchor inside
+                ``solve_batch`` (see :meth:`_plan_batch`).
             batch: take the vectorized ``solve_batch`` lane.  None
                 (default) auto-enables it for batch-capable solvers
                 (see :meth:`_plan_batch`); True forces it (raising
@@ -837,33 +806,12 @@ class HorizonEngine:
                 the scalar per-slot path.
 
         Raises:
-            ValueError: for warm-start or batch requests the
-                configuration cannot honor (clear error instead of
-                silent fallback).
+            ValueError: for warm-start or batch requests the solver
+                cannot honor (clear error instead of silent fallback).
         """
         problems = list(problems)
         start = time.perf_counter()
-        batched = self._plan_batch(batch)
-        # The batched lane chains inside solve_batch; the engine chains
-        # only the per-slot lane.
-        warm_start = warm_start and not batched
-        if warm_start:
-            if not self.solver.supports_warm_start:
-                raise ValueError(
-                    f"solver {self.solver.name!r} does not support warm "
-                    "starts; run with warm_start=False"
-                )
-            if self.workers > 1:
-                raise ValueError(
-                    "warm-start chaining is sequential; use workers=1 "
-                    "(the Fig. 11 iteration counts are cold-started anyway)"
-                )
-            if self.store is not None:
-                raise ValueError(
-                    "warm-start chaining cannot combine with a result "
-                    "store: a store hit would break the chain's "
-                    "warm-state hand-off"
-                )
+        batched = self._plan_batch(batch, warm_start)
         ledger = self._open_ledger()
         self._run_ledger = ledger
         try:
@@ -880,14 +828,12 @@ class HorizonEngine:
                 if ledger is not None:
                     ledger.write_header(
                         solver=self.solver.name,
-                        config=self._ledger_config(warm_start, batched),
+                        config=self._ledger_config(batched),
                         digests=self._ledger_digests(keys),
                         environment=_ledger_environment(),
                         slots_expected=len(problems),
                     )
-                outcomes, stats = self._run_horizon(
-                    problems, batched, warm_start, keys
-                )
+                outcomes, stats = self._run_horizon(problems, batched, keys)
                 wall_s = time.perf_counter() - start
                 summary = HorizonSummary.from_outcomes(
                     outcomes,
@@ -934,7 +880,7 @@ class HorizonEngine:
             return self.ledger
         return RunLedger(self.ledger)
 
-    def _ledger_config(self, warm_start: bool, batched: bool) -> dict[str, Any]:
+    def _ledger_config(self, batched: bool) -> dict[str, Any]:
         """The run's engine configuration, JSON-ready, for the header."""
         client = self.client
         if client is not None and not isinstance(client, str):
@@ -950,7 +896,6 @@ class HorizonEngine:
             "client": client,
             "max_pending": self.max_pending,
             "store": self.store is not None,
-            "warm_start": warm_start,
             "batched": batched,
         }
 
@@ -1003,6 +948,10 @@ class HorizonEngine:
             "repro_engine_slot_iterations", buckets=DEFAULT_ITERATION_BUCKETS,
             solver=solver,
         )
+        if summary.warm_started_slots:
+            reg.counter("repro_warm_starts_total", solver=solver).inc(
+                summary.warm_started_slots
+            )
         for outcome in outcomes:
             reg.counter("repro_engine_slots_total", solver=solver).inc()
             if not outcome.ok:
@@ -1025,20 +974,6 @@ class HorizonEngine:
             if tele is not None:
                 solve_hist.observe(tele.wall_s)
                 iter_hist.observe(tele.iterations)
-                if tele.warm_start:
-                    reg.counter(
-                        "repro_warm_starts_total", solver=solver
-                    ).inc()
-            result = outcome.result
-            extras = result.extras if result is not None else None
-            if extras:
-                saved = extras.get("iterations_saved")
-                if saved is not None:
-                    reg.histogram(
-                        "repro_warm_iterations_saved",
-                        buckets=DEFAULT_ITERATION_BUCKETS,
-                        solver=solver,
-                    ).observe(saved)
             cert = outcome.certificate
             if cert is not None:
                 reg.histogram(
@@ -1059,33 +994,20 @@ class HorizonEngine:
         self,
         problems: list[UFCProblem],
         batched: bool,
-        warm_start: bool,
         keys: list[str] | None,
     ) -> tuple[list[SlotOutcome], _ExecStats]:
         """Solve a horizon through the execution-client layer.
 
-        The one client-driven lane, cold or warm.  With ``client=None``
-        the worker plan picks the in-process or multiprocessing backend
-        and keeps the historical executor strings (``"serial"``,
-        ``"pool"``, …); an explicit client is named verbatim
+        The one client-driven lane.  With ``client=None`` the worker
+        plan picks the in-process or multiprocessing backend and keeps
+        the historical executor strings (``"serial"``, ``"pool"``,
+        …); an explicit client is named verbatim
         (``executor=client.name``, ``decision="client:<name>"``).
         When a result store is attached, every slot is probed in the
         parent under its key in ``keys`` (the run's
         :func:`~repro.exec.store.problem_digests`) before anything is
         scheduled; only misses reach the client, and fresh non-degraded
         results are written back after harvest.
-
-        A warm chain submits the same :func:`_solve_chunk` task with
-        the chain's payload.  A synchronous client gets the whole
-        horizon as one chunk, exactly like the cold serial lane, so
-        its compile cache spans the horizon.  An asynchronous client
-        pipelines at depth one: each single-slot chunk is submitted
-        only after the previous one is harvested and carries its
-        :attr:`SlotResult.warm` payload, so warm hints cross process
-        and socket boundaries.  A failed or fallback-rescued slot —
-        including a lost worker — ships no payload, so the next slot
-        cold-restarts the chain; warm chains are never wrapped in a
-        fleet supervisor.
 
         Returns ``(outcomes, stats)``.
         """
@@ -1153,9 +1075,7 @@ class HorizonEngine:
             elif spec not in available_clients():
                 raise KeyError(f"unknown execution client {spec!r}")
             name = spec if client is None else client.name
-            effective = 1
-            if client is not None and not warm_start:
-                effective = getattr(client, "workers", 1)
+            effective = 1 if client is None else getattr(client, "workers", 1)
             stats.decision = f"client:{name}"
             stats.executor = stats.client = name
         stats.effective = effective
@@ -1166,13 +1086,9 @@ class HorizonEngine:
         try:
             if to_solve:
                 chunks = self._chunk_tasks(
-                    to_solve,
-                    len(problems),
-                    asynchronous,
-                    effective,
-                    1 if warm_start else self.chunk_size,
+                    to_solve, len(problems), asynchronous, effective
                 )
-                if self.supervision is not None and asynchronous and not warm_start:
+                if self.supervision is not None and asynchronous:
                     supervisor = FleetSupervisor(
                         client, self.supervision, metrics=self.metrics
                     )
@@ -1233,22 +1149,9 @@ class HorizonEngine:
                         ):
                             self.store.put(keys[outcome.index], outcome.result)
 
-                def harvest(
-                    tasks: list[tuple[Any, ...]]
-                ) -> list[list[SlotOutcome]]:
-                    return scheduler.map(
-                        _solve_chunk, tasks, on_result=on_harvest, on_error=on_error
-                    )
-
-                if warm_start:
-                    harvested = []
-                    warm = None
-                    for task in tasks:
-                        (chunk_outcomes,) = harvest([(*task, True, warm)])
-                        warm = _chained_warm(chunk_outcomes[-1])
-                        harvested.append(chunk_outcomes)
-                else:
-                    harvested = harvest(tasks)
+                harvested = scheduler.map(
+                    _solve_chunk, tasks, on_result=on_harvest, on_error=on_error
+                )
                 for chunk_outcomes in harvested:
                     for outcome in chunk_outcomes:
                         outcomes[outcome.index] = outcome
@@ -1259,11 +1162,6 @@ class HorizonEngine:
 
         if batched:
             stats.executor += "-batch"
-        if warm_start:
-            stats.executor += "-warm"
-            stats.decision = (
-                "serial:warm-start" if spec is None else f"{stats.decision}:warm-chain"
-            )
         return [outcome for outcome in outcomes if outcome is not None], stats
 
     def _chunk_tasks(
@@ -1272,14 +1170,13 @@ class HorizonEngine:
         total: int,
         asynchronous: bool,
         effective: int,
-        chunk_size: int | None,
     ) -> list[_Chunk]:
         """Split pending (index, problem) pairs into solver batches.
 
         A synchronous single-worker client gets ONE chunk — that is
         the serial lane, and one chunk is what lets its
         :class:`CompileCache` span the whole horizon.  Everything else
-        uses ``chunk_size`` or, when that is None, the classic pool
+        uses ``self.chunk_size`` or, when that is None, the classic pool
         rule ``ceil(T / (4 * workers))``.  Chunks over a contiguous
         zero-based range skip the explicit index list (matching the
         historical pool task payloads); store-thinned runs carry their
@@ -1289,7 +1186,7 @@ class HorizonEngine:
         if effective <= 1 and not asynchronous:
             size = len(to_solve)
         else:
-            size = chunk_size
+            size = self.chunk_size
             if size is None:
                 size = max(1, -(-len(to_solve) // (4 * max(1, effective))))
         chunks = []

@@ -9,9 +9,10 @@ and the benchmarks never branch on solver kind again:
   structure once per (model, strategy): the compiled QP skeleton for
   the centralized solver, the rescaled model view for ADM-G.  Solvers
   without reusable structure return None.
-- :meth:`SlotSolver.solve` solves one slot, optionally resuming from
-  the previous slot's opaque ``warm`` payload (only solvers with
-  ``supports_warm_start`` accept one).
+- :meth:`SlotSolver.solve` solves one slot on its own.  A solver whose
+  slots chain across a horizon does it inside an optional
+  ``solve_batch(problems, compiled=None)``, which the engine's batched
+  lane discovers by duck typing (see :mod:`repro.engine.batch`).
 
 Results come back as :class:`SlotResult`, a solver-agnostic record of
 the allocation plus convergence bookkeeping.
@@ -40,8 +41,6 @@ class SlotResult:
         iterations: solver iterations used (0 for non-iterative
             solvers such as routing heuristics).
         converged: whether the solver met its own stopping criterion.
-        warm: opaque warm-start payload for the *next* slot (None when
-            the solver does not support warm starts).
         extras: solver-specific diagnostics, safe to ignore — e.g.
             ADM-G residual histories, and the opt-in per-iteration
             traces (``"residual_trace"`` from ADM-G built with
@@ -58,7 +57,6 @@ class SlotResult:
     ufc: float
     iterations: int
     converged: bool
-    warm: Any = None
     extras: dict[str, Any] = field(default_factory=dict)
     qp: Any = field(default=None, repr=False, compare=False)
 
@@ -74,23 +72,14 @@ class SlotSolver(Protocol):
 
     Attributes:
         name: registry/display name.
-        supports_warm_start: whether :meth:`solve` accepts a ``warm``
-            payload from the previous slot's :class:`SlotResult`.
     """
 
     name: str
-    supports_warm_start: bool
 
     def compile(self, model: CloudModel, strategy: Strategy) -> Any | None:
         """Slot-invariant structure for (model, strategy), or None."""
         ...
 
-    def solve(
-        self,
-        problem: UFCProblem,
-        compiled: Any | None = None,
-        warm: Any | None = None,
-    ) -> SlotResult:
-        """Solve one slot, optionally using compiled structure and a
-        warm-start payload from the previous slot."""
+    def solve(self, problem: UFCProblem, compiled: Any | None = None) -> SlotResult:
+        """Solve one slot, optionally using compiled structure."""
         ...

@@ -26,7 +26,6 @@ from repro.engine.adapters import (
     StructuredCentralizedSolver,
 )
 from repro.engine.protocol import SlotSolver
-from repro.engine.warm import CentralizedWarmSlotSolver
 
 __all__ = ["available_solvers", "create_solver", "register_solver"]
 
@@ -94,7 +93,6 @@ def create_solver(spec: str | SlotSolver | Any = "centralized", **kwargs: Any) -
 
 register_solver("centralized", CentralizedSlotSolver)
 register_solver("centralized-structured", StructuredCentralizedSolver)
-register_solver("centralized-warm", CentralizedWarmSlotSolver)
 register_solver("distributed", DistributedSlotSolver)
 register_solver("dual-subgradient", DualSubgradientSlotSolver)
 for _name, _policy in HEURISTIC_POLICIES.items():

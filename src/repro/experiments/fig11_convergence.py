@@ -59,7 +59,7 @@ def run_fig11(
     """
     bundle, model = evaluation_setup(hours=hours, seed=seed)
     solver = DistributedUFCSolver(rho=rho, tol=tol, max_iter=max_iter)
-    sim = Simulator(model, bundle, solver=solver, warm_start=False, workers=workers)
+    sim = Simulator(model, bundle, solver=solver, workers=workers)
     result = sim.run(HYBRID)
     counts, fractions = iteration_cdf(result.iterations)
     return Fig11Result(

@@ -53,7 +53,6 @@ class WorkerChurnSolver:
     answer, so outcomes are bit-identical to a fault-free run.
     """
 
-    supports_warm_start = False
     name = "worker-churn"
 
     def __init__(self, die_digests: frozenset[str], marker_dir: str) -> None:
@@ -64,7 +63,7 @@ class WorkerChurnSolver:
         """Nothing to compile: each solve builds its own centralized QP."""
         return None
 
-    def solve(self, problem: Any, compiled: Any = None, warm: Any = None):
+    def solve(self, problem: Any, compiled: Any = None):
         """The centralized answer, unless this slot's worker dies first."""
         digest = problem_digest(problem, self.name)
         if digest in self.die_digests:

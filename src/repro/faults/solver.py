@@ -62,7 +62,6 @@ class ChaosDistributedSolver:
     """
 
     name = "chaos-distributed"
-    supports_warm_start = False
 
     def __init__(
         self,
@@ -83,12 +82,7 @@ class ChaosDistributedSolver:
         """No slot-invariant structure: each slot builds fresh agents."""
         return None
 
-    def solve(
-        self,
-        problem: UFCProblem,
-        compiled: Any | None = None,
-        warm: Any | None = None,
-    ) -> SlotResult:
+    def solve(self, problem: UFCProblem, compiled: Any | None = None) -> SlotResult:
         """Solve the next slot under its derived fault injector.
 
         Raises:

@@ -172,17 +172,9 @@ class RunLedger:
                 worker_host=tele.host,
                 store_hit=tele.store_hit,
             )
-            if tele.warm_start:
-                record["warm_start"] = True
-        result = getattr(outcome, "result", None)
-        extras = getattr(result, "extras", None) if result is not None else None
-        if extras:
-            mechanism = extras.get("warm_mechanism")
-            if mechanism is not None:
-                record["warm_mechanism"] = mechanism
-            saved = extras.get("iterations_saved")
-            if saved is not None:
-                record["iterations_saved"] = int(saved)
+        extras = getattr(getattr(outcome, "result", None), "extras", None)
+        if extras and extras.get("warm_mechanism") is not None:
+            record["warm_mechanism"] = extras["warm_mechanism"]
         self._write(record)
         self._slots += 1
 

@@ -34,8 +34,6 @@ class SlotTelemetry:
             that raised).
         worker: OS pid of the process that solved the slot.  Serial
             runs report the parent pid; pool runs report worker pids.
-        warm_start: whether the slot actually resumed from a previous
-            slot's warm payload.
         error_type: exception class name when the slot failed, else
             None.
         certify_s: seconds spent certifying the slot's solution (0.0
@@ -56,7 +54,6 @@ class SlotTelemetry:
     converged: bool
     cache_hit: bool | None
     worker: int | None
-    warm_start: bool
     error_type: str | None = None
     certify_s: float = 0.0
     store_hit: bool = False

@@ -47,8 +47,8 @@ class HorizonSummary:
             ``"pool"`` (multiprocessing) or, with an explicit client,
             its name (``"in-process"``, ``"mp"``, ``"socket"``, ...),
             suffixed ``"-batch"`` for the vectorized ``solve_batch``
-            lane or ``"-warm"`` for a warm-start chain (e.g.
-            ``"pool-batch"``, ``"serial-warm"``, ``"mp-warm"``).
+            lane (e.g. ``"serial-batch"``, ``"pool-batch"``,
+            ``"mp-batch"``).
         decision: why that executor ran (e.g.
             ``"serial:fallback-single-cpu"``, ``"pool:clamped-to-cpus"``).
         workers_requested / workers_effective: pool sizing before and
@@ -75,15 +75,14 @@ class HorizonSummary:
             over all slots (0 on the non-resilient path).
         fallbacks_total: slots rescued by a fallback solver.
         client: execution-client name the run solved through
-            (``"in-process"`` for serial runs and warm chains, ``"mp"``
-            for pools, or the named client).  None only when no slot
+            (``"in-process"`` for serial runs, ``"mp"`` for pools, or
+            the named client).  None only when no slot
             reached a client: no client was named and every slot
             resolved from the store.
-        warm_started_slots: slots solved with a warm hint from the
-            previous slot (0 for cold runs).
-        warm_iterations_saved: summed solver iterations avoided by
-            warm starts, measured against each chain's most recent
-            cold-solve iteration count.
+        warm_started_slots: slots this run solved by walking the
+            active-set homotopy from an earlier slot's KKT point (their
+            ``warm_mechanism`` is ``"active-set"``; store hits do not
+            count).
         max_pending_observed: deepest in-flight batch window the
             pipelined scheduler reached (0 when nothing was
             scheduled).
@@ -130,7 +129,6 @@ class HorizonSummary:
     fallbacks_total: int = 0
     client: str | None = None
     warm_started_slots: int = 0
-    warm_iterations_saved: int = 0
     max_pending_observed: int = 0
     store_hits: int = 0
     store_misses: int = 0
@@ -164,7 +162,7 @@ class HorizonSummary:
         hits = misses = iterations = converged = failed = certified = 0
         worst_violation = worst_kkt = 0.0
         retries = fallbacks = 0
-        warm_started = warm_saved = 0
+        warm_started = 0
         suspect: list[int] = []
         degraded: list[int] = []
         error_types: dict[str, int] = {}
@@ -190,12 +188,11 @@ class HorizonSummary:
                 if not cert.ok:
                     suspect.append(getattr(outcome, "index", cert.slot))
             result = getattr(outcome, "result", None)
-            extras = getattr(result, "extras", None) if result is not None else None
-            if extras:
-                warm_saved += int(extras.get("iterations_saved") or 0)
+            extras = getattr(result, "extras", None)
             if tele is None:
                 continue
-            warm_started += bool(tele.warm_start)
+            if extras and not tele.store_hit:
+                warm_started += extras.get("warm_mechanism") == "active-set"
             compile_s += tele.compile_s
             solve_s += tele.wall_s
             walls.append(tele.wall_s)
@@ -244,7 +241,6 @@ class HorizonSummary:
             fallbacks_total=fallbacks,
             client=client,
             warm_started_slots=warm_started,
-            warm_iterations_saved=warm_saved,
             max_pending_observed=max_pending_observed,
             store_hits=store_hits,
             store_misses=store_misses,
@@ -339,12 +335,7 @@ class HorizonSummary:
                 }
             )
         if self.warm_started_slots:
-            out.update(
-                {
-                    "warm_started_slots": self.warm_started_slots,
-                    "warm_iterations_saved": self.warm_iterations_saved,
-                }
-            )
+            out["warm_started_slots"] = self.warm_started_slots
         if self.fleet is not None:
             out["fleet"] = dict(self.fleet)
         out["slot_p50_s"] = round(self.slot_p50_s, 6)
@@ -387,8 +378,8 @@ class HorizonSummary:
         ]
         if self.warm_started_slots:
             lines.append(
-                f"  warm starts    : {self.warm_started_slots} slots, "
-                f"{self.warm_iterations_saved} iterations saved"
+                f"  warm starts    : {self.warm_started_slots} slots walked "
+                "by active set"
             )
         if len(self.worker_busy_s) > 1:
             busiest = sorted(

@@ -199,7 +199,9 @@ def _lu(kkt: np.ndarray, reg: float = 0.0):
     return (lu, piv) if info == 0 else None
 
 
-def _solve_kkt(kkt: np.ndarray, rhs: np.ndarray, factors: dict | None = None) -> np.ndarray:
+def _solve_kkt(
+    kkt: np.ndarray, rhs: np.ndarray, factors: dict | None = None
+) -> tuple[np.ndarray, float]:
     """Solve the Newton KKT system with a residual safeguard.
 
     A nearly singular KKT matrix (e.g. a degenerate slot whose active
@@ -214,6 +216,10 @@ def _solve_kkt(kkt: np.ndarray, rhs: np.ndarray, factors: dict | None = None) ->
     perturbs.  ``factors`` caches :func:`_lu`'s factors per
     regularization level (0.0 for the plain matrix), so every solve
     against one matrix shares one factorization of each level.
+
+    Returns:
+        ``(sol, resid)`` — the solution and its residual
+        ``||KKT sol - rhs||_inf``.
 
     Raises:
         np.linalg.LinAlgError: when every attempt is exactly singular.
@@ -232,7 +238,7 @@ def _solve_kkt(kkt: np.ndarray, rhs: np.ndarray, factors: dict | None = None) ->
         resid = float(np.abs(kkt @ sol - rhs).max(initial=0.0))
         # A NaN residual fails both comparisons, an infinite one too.
         if resid <= _KKT_RESIDUAL_TOL * rhs_scale:
-            return sol
+            return sol, resid
         if resid < best_resid:
             best, best_resid = sol, resid
     if best is None:
@@ -241,7 +247,7 @@ def _solve_kkt(kkt: np.ndarray, rhs: np.ndarray, factors: dict | None = None) ->
         )
     # No attempt met the threshold: return the least-bad direction and
     # let the interior-point globalization (step-length cut) cope.
-    return best
+    return best, best_resid
 
 
 def _record_metrics(metrics, iterations: int, converged: bool) -> None:
@@ -807,8 +813,7 @@ class QPKernel:
         x[fixed] = h[act_b] / split.bound_coef[act_b]
         rhs = (np.concatenate([-q, b, h]) - kkt[:, :n] @ x)[idx]
         reduced = kkt.take(idx, 0).take(idx, 1)
-        sol = _solve_kkt(reduced, rhs)
-        resid = float(np.abs(reduced @ sol - rhs).max(initial=0.0))
+        sol, resid = _solve_kkt(reduced, rhs)
         resid /= 1.0 + float(np.abs(rhs).max(initial=0.0))
         full = np.zeros(len(kkt))
         full[:n] = x
@@ -960,7 +965,7 @@ class _SharedSystem(_NewtonSystem):
         n = r1.shape[-1]
         rhs = np.concatenate([r1, r2], axis=-1)
         if rhs.ndim == 1:
-            sol = _solve_kkt(self.kkt, rhs, self.factors)
+            sol = _solve_kkt(self.kkt, rhs, self.factors)[0]
             return sol[:n], sol[n:]
         lu, piv = self.lu, self.piv
         sol = np.empty_like(rhs)
@@ -982,7 +987,7 @@ class _SharedSystem(_NewtonSystem):
                 t, {0.0: None if self.info[t] else (lu[t].T, piv[t])}
             )
             kkt = _fill_kkt(np.empty(lu.shape[1:]), self.H[t], self.A_scaled[t])
-            sol[t] = _solve_kkt(kkt, rhs[t], factors)
+            sol[t] = _solve_kkt(kkt, rhs[t], factors)[0]
         return dx, dy
 
 

@@ -44,13 +44,16 @@ and only with an endpoint that passed :func:`_active_set`'s check at
 inconsistent, an infeasible one (no held row can make way for a
 joining duplicate) or an unbounded drop direction sends the slot to
 the cold rung:
-:func:`~repro.optim.ipqp.solve_qp`, bit-for-bit, on the chain's
-:class:`~repro.optim.ipqp.QPKernel`, carried in the state (compiled on
-the chain's first slot, or the one :func:`cold_state` was given).
+:func:`~repro.optim.ipqp.solve_qp`, bit-for-bit, on the
+:class:`~repro.optim.ipqp.QPKernel` carried in the state (the one
+:func:`cold_state` was given, or a fresh one when the state carries
+none or one whose constraint matrices differ).
 
-The ``centralized-warm`` lane walks one chain through a horizon; the
-``centralized-batch`` lane (:mod:`repro.engine.batch`) walks from each
-of its cold anchors to the slots up to the next one.
+``centralized-warm`` and ``centralized-batch`` are two registry names
+for the one anchor-and-walk lane of :mod:`repro.engine.batch`: it
+solves its cold anchors as an interior-point stack and walks from each
+to the slots up to the next one, on the kernel of the compiled
+structure, handed to every walk by :func:`cold_state`.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ _DEPENDENT_TOL = 1e-9
 
 @dataclass
 class WarmState:
-    """Everything slot ``t`` hands slot ``t+1`` — plain arrays, picklable.
+    """Everything slot ``t`` hands slot ``t+1``.
 
     Attributes:
         x, eq_dual, ineq_dual: the previous slot's KKT point.
@@ -95,9 +98,7 @@ class WarmState:
             ``ineq_dual > slack - margin`` is the working set the next
             slot's walk starts from.
         kernel: the :class:`~repro.optim.ipqp.QPKernel` the chain runs
-            on, reused while the constraint matrices match.  It is not
-            pickled: a state that crosses a process boundary compiles
-            the kernel anew on its next slot.
+            on, reused while the constraint matrices match.
     """
 
     x: np.ndarray
@@ -105,11 +106,6 @@ class WarmState:
     ineq_dual: np.ndarray
     slack: np.ndarray
     kernel: QPKernel | None = field(default=None, repr=False, compare=False)
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["kernel"] = None
-        return state
 
 
 @dataclass
@@ -423,6 +419,8 @@ def solve_qp_warm(
                            "no inequality constraints")
     if state is None:
         return _cold_solve(kernel, P, q, b, h, tol, max_iter, metrics, None)
+    # A caller may hand a state built by hand (no kernel) or carried
+    # from a problem of another size; its point cannot start a walk.
     if (
         state.x.shape != (n,)
         or state.eq_dual.shape != (p,)

@@ -71,14 +71,6 @@ class Simulator:
             ``"dual-subgradient"``, ``"nearest"``, ``"cheapest-power"``,
             ``"proportional"``), a pre-built solver instance, or any
             :class:`~repro.engine.protocol.SlotSolver`.
-        warm_start: reuse each slot's final solver state to initialize
-            the next slot.  Only warm-start-capable solvers (the
-            distributed ADM-G) accept this; any other solver raises a
-            clear ``ValueError`` instead of silently cold-starting.
-            The paper's Fig. 11 iteration counts are *cold-started*
-            (168 independent runs), so the default is False; warm
-            starts also force serial execution (the chain is
-            sequential), so they cannot combine with ``workers > 1``.
         workers: default worker processes for :meth:`run` /
             :meth:`compare_strategies`; 1 solves in-process.  The
             engine clamps the count to usable CPUs and falls back to
@@ -119,7 +111,6 @@ class Simulator:
         model: CloudModel,
         bundle: TraceBundle,
         solver: str | SlotSolver | object = "centralized",
-        warm_start: bool = False,
         workers: int = 1,
         oversubscribe: bool = False,
         certify: bool | object = False,
@@ -143,13 +134,6 @@ class Simulator:
         self.model = model
         self.bundle = bundle
         self.solver: SlotSolver = create_solver(solver)
-        if warm_start and not self.solver.supports_warm_start:
-            raise ValueError(
-                f"solver {self.solver.name!r} does not support warm starts; "
-                "use warm_start=False (only the distributed ADM-G solver "
-                "keeps reusable state between slots)"
-            )
-        self.warm_start = warm_start
         self.workers = int(workers)
         self.oversubscribe = bool(oversubscribe)
         self.certify = certify
@@ -309,7 +293,7 @@ class Simulator:
         problems = [self.problem_for_slot(t, strategy) for t in range(horizon)]
         engine = self._engine(workers)
         engine.ledger = self._run_ledger((strategy,), horizon)
-        outcomes = engine.run(problems, warm_start=self.warm_start)
+        outcomes = engine.run(problems)
         result = self._collect(strategy, problems, outcomes)
         result.horizon_summary = engine.last_summary
         return result
@@ -328,13 +312,6 @@ class Simulator:
         three results.
         """
         strategies = (GRID, FUEL_CELL, HYBRID)
-        if self.warm_start:
-            # Warm chains must not cross strategies: run them apart.
-            grid, fuel_cell, hybrid = (
-                self.run(s, hours=hours, workers=workers)
-                for s in strategies
-            )
-            return StrategyComparison(grid=grid, fuel_cell=fuel_cell, hybrid=hybrid)
         horizon = self._horizon(hours)
         problems = [
             self.problem_for_slot(t, strategy)

@@ -137,10 +137,7 @@ def health_dashboard(
             lines.append(line)
         warm = getattr(summary, "warm_started_slots", 0)
         if warm:
-            lines.append(
-                f"warm starts         : {warm} slots, "
-                f"{getattr(summary, 'warm_iterations_saved', 0)} iterations saved"
-            )
+            lines.append(f"warm starts         : {warm} slots walked by active set")
         hits = getattr(summary, "store_hits", 0)
         misses = getattr(summary, "store_misses", 0)
         if hits or misses:

@@ -141,11 +141,12 @@ def render_top(
         f"outcomes   | failed {failed}, retries {retries}, "
         f"fallbacks {fallbacks}, degraded {degraded}, store hits {store_hits}"
     )
-    warm = sum(1 for s in slots if s.get("warm_start"))
+    warm = sum(
+        1 for s in slots
+        if s.get("warm_mechanism") == "active-set" and not s.get("store_hit")
+    )
     if warm:
-        saved = sum(int(s.get("iterations_saved", 0)) for s in slots)
-        lines.append(f"warm chain | {warm} warm slots, {saved} iterations saved"
-        )
+        lines.append(f"warm chain | {warm} slots walked by active set")
     lineages = [s["lineage"] for s in slots if s.get("lineage")]
     fleet = run.summary.get("fleet") if run.summary else None
     if lineages or fleet:

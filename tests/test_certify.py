@@ -230,12 +230,12 @@ class TestEngineCertification:
 
     def test_warm_path_certifies(self, small_model, small_bundle):
         sim = Simulator(
-            small_model, small_bundle, solver="distributed",
-            warm_start=True, certify=True,
+            small_model, small_bundle, solver="centralized-warm", certify=True,
         )
         result = sim.run(HYBRID, hours=3)
         assert len(result.certificates) == 3
-        assert all(c.solver == "distributed" for c in result.certificates)
+        assert all(c.solver == "centralized-warm" for c in result.certificates)
+        assert all(c.ok for c in result.certificates)
 
 
 class TestSolverQPReuse:

@@ -252,7 +252,6 @@ class _TrippingSolver:
     """
 
     name = "tripping"
-    supports_warm_start = False
 
     def __init__(self, poison_arrivals: np.ndarray) -> None:
         self.poison_arrivals = np.asarray(poison_arrivals)
@@ -262,11 +261,11 @@ class _TrippingSolver:
         """Delegate to the wrapped centralized solver."""
         return self.inner.compile(model, strategy)
 
-    def solve(self, problem, compiled=None, warm=None):
+    def solve(self, problem, compiled=None):
         """Raise on poisoned slots, delegate otherwise."""
         if np.array_equal(problem.inputs.arrivals, self.poison_arrivals):
             raise RuntimeError("poisoned slot")
-        return self.inner.solve(problem, compiled=compiled, warm=warm)
+        return self.inner.solve(problem, compiled=compiled)
 
 
 class TestPoisonedSlot:
@@ -304,34 +303,42 @@ class TestPoisonedSlot:
 
 
 class TestWarmStart:
-    def test_centralized_rejects_warm_start(self, week_bundle, week_model):
-        with pytest.raises(ValueError, match="warm"):
-            Simulator(week_model, week_bundle, warm_start=True)
+    """``warm_start=True`` asks for the batched lane, whose solver walks
+    the slots; a solver without ``solve_batch`` refuses it."""
 
-    def test_engine_rejects_warm_start_without_support(self, week_bundle, week_model):
+    @staticmethod
+    def _problems(week_bundle, week_model, hours=2):
         sim = Simulator(week_model, week_bundle)
-        problems = [sim.problem_for_slot(t, HYBRID) for t in range(2)]
-        with pytest.raises(ValueError, match="warm"):
+        return [sim.problem_for_slot(t, HYBRID) for t in range(hours)]
+
+    def test_centralized_rejects_warm_start(self, week_bundle, week_model):
+        problems = self._problems(week_bundle, week_model)
+        with pytest.raises(ValueError, match="solve_batch"):
             HorizonEngine("centralized").run(problems, warm_start=True)
 
-    def test_warm_start_requires_serial_execution(self, week_bundle, week_model):
-        sim = Simulator(week_model, week_bundle)
-        problems = [sim.problem_for_slot(t, HYBRID) for t in range(2)]
-        with pytest.raises(ValueError, match="workers=1"):
-            HorizonEngine("distributed", workers=2).run(problems, warm_start=True)
+    def test_engine_rejects_warm_start_without_support(self, week_bundle, week_model):
+        problems = self._problems(week_bundle, week_model)
+        with pytest.raises(ValueError, match="solve_batch"):
+            HorizonEngine("distributed").run(problems, warm_start=True)
 
-    def test_distributed_warm_chain_runs(self, week_bundle, week_model):
-        sim = Simulator(
-            week_model, week_bundle, solver="distributed", warm_start=True
+    def test_warm_start_rejects_the_per_slot_path(self, week_bundle, week_model):
+        problems = self._problems(week_bundle, week_model)
+        with pytest.raises(ValueError, match="batch=None"):
+            HorizonEngine("centralized-warm").run(
+                problems, warm_start=True, batch=False
+            )
+
+    def test_warm_start_runs_on_a_pool(self, week_bundle, week_model):
+        problems = self._problems(week_bundle, week_model, hours=8)
+        engine = HorizonEngine(
+            "centralized-warm", workers=2, oversubscribe=True, certify=True
         )
-        result = sim.run(HYBRID, hours=4)
-        assert result.converged.all()
-        # Consecutive slots are similar, so resuming from the previous
-        # iterate must not be slower than the paper's cold starts.
-        cold = Simulator(week_model, week_bundle, solver="distributed").run(
-            HYBRID, hours=4
-        )
-        assert result.iterations[1:].sum() <= cold.iterations[1:].sum()
+        outcomes = engine.run(problems, warm_start=True)
+        assert engine.last_summary.executor == "pool-batch"
+        dense = HorizonEngine("centralized").run(problems)
+        for a, b in zip(dense, outcomes):
+            assert b.certificate.ok
+            assert b.result.ufc == pytest.approx(a.result.ufc, rel=1e-6)
 
 
 class TestPoolPolicy:

@@ -337,7 +337,7 @@ class TestEngineLaneErrors:
             def solve_batch(self, problems, compiled=None):
                 raise RuntimeError("batch kernel poisoned")
 
-            def solve(self, problem, compiled=None, warm=None):
+            def solve(self, problem, compiled=None):
                 raise RuntimeError("scalar kernel poisoned")
 
         engine = HorizonEngine(PoisonedSolver(), fallback=("centralized",))
@@ -372,10 +372,10 @@ class TestEngineLaneErrors:
             def solve_batch(self, problems, compiled=None):
                 raise RuntimeError("force scalar fallback")
 
-            def solve(self, problem, compiled=None, warm=None):
+            def solve(self, problem, compiled=None):
                 if problem.inputs.arrivals[0] < 0:
                     raise RuntimeError("poisoned slot")
-                return super().solve(problem, compiled=compiled, warm=warm)
+                return super().solve(problem, compiled=compiled)
 
         problems = [sim.problem_for_slot(t, HYBRID) for t in range(3)]
         bad = problems[1]

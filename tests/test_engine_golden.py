@@ -1,13 +1,13 @@
 """Bit-level golden digests of the horizon engine's per-slot outcomes.
 
 Every lane of :class:`~repro.engine.horizon.HorizonEngine` — serial,
-process pool, named clients, batched, warm-chained, fallback-rescued,
-store and observed — runs one fixed horizon, and each outcome's exact bytes
-are hashed: index, ``ok``, ``error_type``, the allocation arrays, ufc,
-iterations, convergence, warm mechanism, attempts, degraded,
-``fallback_solver``, ``chain_errors`` and the non-timing telemetry
-fields (solver, iterations, converged, cache hit, warm start, store
-hit, error type), plus the run summary's executor and decision
+process pool, named clients, batched, warm (anchor and walks),
+fallback-rescued, store and observed — runs one fixed horizon, and
+each outcome's exact bytes are hashed: index, ``ok``, ``error_type``,
+the allocation arrays, ufc, iterations, convergence, warm mechanism,
+attempts, degraded, ``fallback_solver``, ``chain_errors`` and the
+non-timing telemetry fields (solver, iterations, converged, cache hit,
+store hit, error type), plus the run summary's executor and decision
 strings.  Pids and timings are excluded.
 
 The bytes depend on the numpy/BLAS build.  After an intentional change
@@ -77,23 +77,35 @@ from repro.traces.datasets import default_bundle
 #: horizon into 2-slot chunks whose groups hold one slot each, so all 12
 #: slots are anchors (``"batch"``): iterations, allocations and UFC are
 #: byte-identical to before, and only the recorded mechanism is new.
+#: Every digest was re-recorded when the ``warm_start`` telemetry field
+#: was deleted (slots chain inside the solver, so the engine no longer
+#: marks them): the digests of every lane but the warm ones were first
+#: recorded on the previous code with that field dropped from the hash,
+#: and this code reproduces each of them.  ``warm_mp`` and
+#: ``warm_in_process`` were deleted with the engine's client chain.
+#: ``warm_serial`` now runs ``centralized-warm`` as the anchor-and-walk
+#: lane: rungs one ``"batch"`` anchor and five ``"active-set"`` walks
+#: (was one ``"cold"`` slot and five walks), the same 28 iterations,
+#: executor ``serial-batch [serial:requested]`` (was ``serial-warm
+#: [serial:warm-start]``).  Every slot's UFC is byte-identical, so the
+#: largest UFC change is 0; the walked slots' allocations are
+#: byte-identical too, and the anchor's routing moves by at most 9.4e-8
+#: (absolute) along its face of optima.
 GOLDEN = {
-    "serial": "5838459587cd3ccec338a0425d3aa855684f82a34e1cb630cbc96e22865349a8",
-    "pool": "86d9a257888dcfe7f1a68a049e3c8e68b653043848aaafedc598037c4179d7ea",
-    "client_in_process": "f47b737d24c29ae2db36f9abd7c1012a1bc1602529a09b451bbf98c3f4544fea",
-    "client_mp": "c62ee77b3dfb2df85b9642b1eec427429179c0f6fa22a9a5faaed077d8261e73",
-    "batched_serial": "a2823c3ef20c99959c4a6ab70344bea14f2fb1c025aa46a180e396b3bfefc8b2",
-    "batched_pool": "4c6d871a49293c3b7caf5186337a64d25b54216f7ff8d9215e2206495a8a4533",
-    "warm_serial": "60604703c7b4476857e43015a80ee7771f61808b5f3212b8e670b54be494e30e",
-    "warm_mp": "dcd0051d9767960e50b97abc25d8a89f486e209da2ad6fea7ed950bc7802a380",
-    "warm_in_process": "3f287403c2afa447f660a3574a2a483d3267d47116228bac169cc44153bf84c5",
-    "resilience_idle": "5838459587cd3ccec338a0425d3aa855684f82a34e1cb630cbc96e22865349a8",
-    "resilience_rescue": "fa29ab1d904bdccf339c117186a4604a3f612299885979341620afe810f0775a",
-    "store": "0df99d8091c85d5fb3af256c4cb41a638bc4dda4e0f76499f64168c14f0a07fb",
-    "degraded_store": "c5077843d231e3f8f19b632063ad40e561318268263fb5753dcf6cd904e3202e",
-    "obs_on": "5838459587cd3ccec338a0425d3aa855684f82a34e1cb630cbc96e22865349a8",
-    "certified": "5838459587cd3ccec338a0425d3aa855684f82a34e1cb630cbc96e22865349a8",
-    "supervised_sync": "5838459587cd3ccec338a0425d3aa855684f82a34e1cb630cbc96e22865349a8",
+    "serial": "fd4256322bd9ca9ff70c464f760631b5c6f1857f5f424d3c891d7a52b2c35ba5",
+    "pool": "4fd1f3788a9e7add3dd7c08ab367a6a11c8bdaba64e43655b2bf95c029c77611",
+    "client_in_process": "3ef7dac7da90c860bdb7264a8ec55b6060e60243d7b81b97ed90edae8f0b5422",
+    "client_mp": "be89297b509badfb9bdb821282eed914493a6cbd5ed3cc07169eca700c177ff8",
+    "batched_serial": "4d06c60ece07d8f300536b29704a69417a239b33059639cad827ec5d72ee2742",
+    "batched_pool": "28cd9cfdf6ee7982c2e507584768e3d133d8e81164bf6b815b68bcab827bf6e1",
+    "warm_serial": "9c3fb1c31696cf50c334a59386d4f0b56250456318e68b1ec2588e47ec741cb6",
+    "resilience_idle": "fd4256322bd9ca9ff70c464f760631b5c6f1857f5f424d3c891d7a52b2c35ba5",
+    "resilience_rescue": "5b2598cc7c3751c8791c38a3701b9ef9f57b014c280873602aa1197ad95be0e0",
+    "store": "65b33bbc20ac3b24b7661fb99e3d30242529505883feef2a2fbcabe65b9ad58d",
+    "degraded_store": "f342bee3bc9def509b362f6a3fbe34aeb660a6f2828e4733ddd179009fc8aca7",
+    "obs_on": "fd4256322bd9ca9ff70c464f760631b5c6f1857f5f424d3c891d7a52b2c35ba5",
+    "certified": "fd4256322bd9ca9ff70c464f760631b5c6f1857f5f424d3c891d7a52b2c35ba5",
+    "supervised_sync": "fd4256322bd9ca9ff70c464f760631b5c6f1857f5f424d3c891d7a52b2c35ba5",
 }
 
 
@@ -113,12 +125,11 @@ class BrokenSolver:
     """A primary that never succeeds."""
 
     name = "golden-broken"
-    supports_warm_start = False
 
     def compile(self, model, strategy):
         return None
 
-    def solve(self, problem, compiled=None, warm=None):
+    def solve(self, problem, compiled=None):
         raise RuntimeError("hard failure")
 
 
@@ -126,12 +137,11 @@ class DegradedSolver:
     """Succeeds, but flags every result as a degraded completion."""
 
     name = "golden-degraded"
-    supports_warm_start = False
 
     def compile(self, model, strategy):
         return None
 
-    def solve(self, problem, compiled=None, warm=None):
+    def solve(self, problem, compiled=None):
         result = create_solver("proportional").solve(problem)
         return SlotResult(
             allocation=result.allocation,
@@ -158,7 +168,7 @@ def _feed(digest, engine, outcomes) -> None:
             digest.update(
                 repr((
                     tele.solver, tele.iterations, tele.converged,
-                    tele.cache_hit, tele.warm_start, tele.store_hit,
+                    tele.cache_hit, tele.store_hit,
                     tele.error_type,
                 )).encode()
             )
@@ -218,10 +228,6 @@ DIGESTS = {
     "batched_serial": _lane("centralized-batch"),
     "batched_pool": _lane("centralized-batch", workers=2, oversubscribe=True),
     "warm_serial": _lane("centralized-warm", chain=True, warm=True),
-    "warm_mp": _lane("centralized-warm", chain=True, warm=True, client="mp"),
-    "warm_in_process": _lane(
-        "centralized-warm", chain=True, warm=True, client="in-process"
-    ),
     "resilience_idle": _lane("centralized", fallback=_ARMED),
     "resilience_rescue": _lane(BrokenSolver(), fallback=_RESCUE),
     "store": lambda: _store_runs("centralized"),

@@ -8,7 +8,6 @@ import pytest
 from repro.core.strategies import HYBRID
 from repro.engine.horizon import HorizonEngine
 from repro.engine.protocol import SlotResult
-from repro.engine.registry import create_solver
 from repro.obs.ledger import load_run
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.simulator import Simulator
@@ -22,8 +21,6 @@ def problems(small_model, small_bundle):
 
 class _StubSolver:
     """Base stub satisfying the SlotSolver protocol."""
-
-    supports_warm_start = False
 
     def compile(self, model, strategy):
         return None
@@ -45,7 +42,7 @@ class BrokenSolver(_StubSolver):
 
     name = "broken"
 
-    def solve(self, problem, compiled=None, warm=None):
+    def solve(self, problem, compiled=None):
         raise RuntimeError("hard failure")
 
 
@@ -54,30 +51,10 @@ class DegradedSolver(_StubSolver):
 
     name = "degraded"
 
-    def solve(self, problem, compiled=None, warm=None):
+    def solve(self, problem, compiled=None):
         result = self._result(problem)
         result.extras["degraded"] = True
         return result
-
-
-class FailsOnceWarmSolver:
-    """The ``centralized-warm`` lane, except the slot whose arrivals
-    equal ``fail_on`` raises (picklable, so it runs in workers too)."""
-
-    name = "fails-once-warm"
-    supports_warm_start = True
-
-    def __init__(self, fail_on):
-        self.fail_on = fail_on
-        self.inner = create_solver("centralized-warm")
-
-    def compile(self, model, strategy):
-        return self.inner.compile(model, strategy)
-
-    def solve(self, problem, compiled=None, warm=None):
-        if np.array_equal(problem.inputs.arrivals, self.fail_on):
-            raise RuntimeError("primary lost slot")
-        return self.inner.solve(problem, compiled=compiled, warm=warm)
 
 
 class TestArmedButIdle:
@@ -145,39 +122,6 @@ class TestFallbackChain:
         engine.run(problems[:1])
         header = load_run(engine.last_ledger_path).header
         assert header["config"]["fallback"] == ["proportional"]
-
-
-class TestWarmChain:
-    @pytest.mark.parametrize(
-        "client, executor",
-        [(None, "serial-warm"), ("mp", "mp-warm")],
-        ids=["serial", "mp"],
-    )
-    def test_fallback_slot_cold_restarts_the_chain(
-        self, problems, client, executor
-    ):
-        """A fallback result at slot k is not the primary's warm state,
-        so slot k + 1 starts cold and slot k + 2 chains again: in one
-        chunk, and at depth one through an asynchronous client.  The
-        fallback is itself a warm lane, so its result does carry a
-        payload; the chain must still not hand it on."""
-        solver = FailsOnceWarmSolver(fail_on=problems[1].inputs.arrivals)
-        engine = HorizonEngine(
-            solver, fallback=("centralized-warm",), client=client
-        )
-        outcomes = engine.run(problems, warm_start=True)
-        assert all(o.ok for o in outcomes)
-        assert outcomes[1].result.warm is not None
-        assert [o.fallback_solver for o in outcomes] == [
-            None, "centralized-warm", None, None,
-        ]
-        # Telemetry reports whether the slot's result resumed a payload.
-        assert [o.telemetry.warm_start for o in outcomes] == [
-            False, False, False, True,
-        ]
-        assert outcomes[2].result.extras["warm_mechanism"] == "cold"
-        assert outcomes[3].result.extras["warm_mechanism"] != "cold"
-        assert engine.last_summary.executor == executor
 
 
 class TestResilienceMetrics:

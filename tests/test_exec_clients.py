@@ -313,20 +313,18 @@ class TestEngineThroughClients:
         with pytest.raises(ValueError):
             HorizonEngine("centralized", max_pending=0)
 
-    def test_warm_start_chains_through_client_but_rejects_store(
-        self, problems, tmp_path
-    ):
-        # Warm chaining routes through execution clients at pipeline
-        # depth one (the payload rides each next submission); only the
-        # result store remains incompatible with a sequential chain.
-        engine = HorizonEngine("distributed", client="in-process")
+    def test_warm_start_runs_through_client_and_store(self, problems, tmp_path):
+        # Slots chain inside the solver, so a warm run goes through a
+        # client and a store like any batched run; the re-run resolves
+        # every slot from disk.
+        engine = HorizonEngine("centralized-warm", client="in-process", store=tmp_path)
         outcomes = engine.run(problems[:2], warm_start=True)
         assert all(o.ok for o in outcomes)
-        assert engine.last_summary.executor == "in-process-warm"
-        assert engine.last_summary.decision == "client:in-process:warm-chain"
-        engine = HorizonEngine("distributed", store=tmp_path)
-        with pytest.raises(ValueError, match="store"):
-            engine.run(problems[:2], warm_start=True)
+        assert engine.last_summary.executor == "in-process-batch"
+        assert engine.last_summary.decision == "client:in-process"
+        again = engine.run(problems[:2], warm_start=True)
+        assert engine.last_summary.store_hits == 2
+        assert [o.result.ufc for o in again] == [o.result.ufc for o in outcomes]
 
 
 class TestParallelMapMigration:

@@ -153,7 +153,6 @@ class _KamikazeSolver:
     process (``os._exit``, no cleanup, no result) on one poisoned slot
     — a deterministic stand-in for a worker machine dying mid-batch."""
 
-    supports_warm_start = False
     name = "kamikaze"
 
     def __init__(self, die_digest: str) -> None:
@@ -162,7 +161,7 @@ class _KamikazeSolver:
     def compile(self, model, strategy):
         return None
 
-    def solve(self, problem, compiled=None, warm=None):
+    def solve(self, problem, compiled=None):
         if problem_digest(problem, self.name) == self.die_digest:
             os._exit(1)
         from repro.engine.registry import create_solver

@@ -155,7 +155,6 @@ class _StragglerSolver:
     hedge deterministically wins the race.
     """
 
-    supports_warm_start = False
     name = "straggler"
 
     def __init__(self, stall_digest: str, marker_dir: str, stall_s: float) -> None:
@@ -166,7 +165,7 @@ class _StragglerSolver:
     def compile(self, model, strategy):
         return None
 
-    def solve(self, problem, compiled=None, warm=None):
+    def solve(self, problem, compiled=None):
         if problem_digest(problem, self.name) == self.stall_digest:
             marker = os.path.join(self.marker_dir, "stalled")
             try:

@@ -316,7 +316,7 @@ class TestKKTResidualSafeguard:
         lu, piv, info = dgetrf(kkt)
         assert info == 0
         np.testing.assert_array_equal(
-            _solve_kkt(kkt, rhs), dgetrs(lu, piv, rhs)[0]
+            _solve_kkt(kkt, rhs)[0], dgetrs(lu, piv, rhs)[0]
         )
 
     def test_healthy_solve_factors_once_per_iteration(self, monkeypatch):
@@ -361,9 +361,10 @@ class TestKKTResidualSafeguard:
         raw = np.linalg.solve(kkt, rhs)
         raw_resid = np.abs(kkt @ raw - rhs).max()
         assert raw_resid > 1.0  # the unguarded direction really is bad
-        sol = _solve_kkt(kkt, rhs)
+        sol, resid = _solve_kkt(kkt, rhs)
         assert np.isfinite(sol).all()
-        assert np.abs(kkt @ sol - rhs).max() < raw_resid / 10
+        # The returned residual is the returned direction's own.
+        assert resid == np.abs(kkt @ sol - rhs).max() < raw_resid / 10
 
     def test_exactly_singular_consistent_rhs_recovers(self):
         from repro.optim.ipqp import _solve_kkt
@@ -371,7 +372,7 @@ class TestKKTResidualSafeguard:
         # Exactly singular (LinAlgError path) with a consistent rhs:
         # the regularized retry produces an accurate direction.
         kkt = np.ones((2, 2))
-        sol = _solve_kkt(kkt, rhs=np.array([1.0, 1.0]))
+        sol, _ = _solve_kkt(kkt, rhs=np.array([1.0, 1.0]))
         assert np.abs(kkt @ sol - np.array([1.0, 1.0])).max() < 1e-6
 
     def test_exactly_singular_after_regularization_raises(self):

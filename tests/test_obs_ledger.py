@@ -51,7 +51,6 @@ def _fake_outcome(index, wall_s=0.004, worker=1234, error=None):
             converged=error is None,
             cache_hit=True,
             worker=worker,
-            warm_start=False,
             error_type=None if error is None else "RuntimeError",
         ),
     )

@@ -160,7 +160,10 @@ class TestMerging:
         for a, b in zip(plain, outcomes):
             assert (a.result.allocation.lam == b.result.allocation.lam).all()
             assert a.result.ufc == b.result.ufc
-            assert a.telemetry.warm_start == b.telemetry.warm_start
+            assert (
+                a.result.extras["warm_mechanism"]
+                == b.result.extras["warm_mechanism"]
+            )
 
     def test_summary_latency_and_busy_fields(self, problems):
         engine = HorizonEngine("centralized", metrics=MetricsRegistry())

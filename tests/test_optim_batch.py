@@ -271,7 +271,7 @@ class TestSharedLadder:
         dx, dy = system.solve(np.stack([rhs, rhs]), empty)
         assert dy.shape == (2, 0)
         assert np.abs(bad @ dgetrs(*dgetrf(bad)[:2], rhs)[0] - rhs).max() > 1.0
-        np.testing.assert_array_equal(dx[1], _solve_kkt(bad, rhs))
+        np.testing.assert_array_equal(dx[1], _solve_kkt(bad, rhs)[0])
         np.testing.assert_array_equal(dx[0], dgetrs(*dgetrf(good)[:2], rhs)[0])
 
     def test_singular_instance_rescued_alone(self):

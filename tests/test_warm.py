@@ -1,11 +1,11 @@
 """Tests for the temporal warm-start plane.
 
 Covers the optimizer-level active-set homotopy (:mod:`repro.optim.warm`),
-the ``centralized-warm`` engine lane (:mod:`repro.engine.warm`), warm
-chaining through the pipelined execution clients (warm hints must
-survive the RPC boundary), the structured-KKT warm path with its
-per-iteration factor cache, and the warm observability surface
-(summary fields, counters, ledger keys).
+the ``centralized-warm`` engine lane (the anchor-and-walk lane of
+:mod:`repro.engine.batch` under its warm name) through pools, clients
+and a result store, the structured-KKT warm path with its
+per-iteration factor cache, ADM-G's own warm start, and the warm
+observability surface (summary fields, counters, ledger keys).
 
 The load-bearing invariants:
 
@@ -14,10 +14,10 @@ The load-bearing invariants:
   degrades gracefully to the cold rung (never to a wrong answer);
 - the homotopy pivots through the bang-bang fuel-cell/grid split that
   a singular Hessian leaves, instead of falling back cold;
-- with ``warm_start`` off, the ``centralized-warm`` lane is
-  bit-identical to ``centralized`` (the cold rung *is* ``solve_qp``);
-- a warm payload pickled through a process or socket boundary chains
-  exactly like the in-process sequential loop.
+- on the per-slot path (``batch=False``) the ``centralized-warm`` lane
+  is bit-identical to ``centralized``;
+- every chunk of a pooled, client-driven or store-thinned run walks
+  from its own anchors, and certifies within 1e-6 of the dense lane.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.admg.solver import DistributedUFCSolver
 from repro.core.compiled import CompiledQPStructure
 from repro.core.problem import SlotInputs, UFCProblem
 from repro.core.strategies import ALL_STRATEGIES, FUEL_CELL, GRID, HYBRID
@@ -339,7 +340,7 @@ class TestEngineWarmLane:
 
     def test_warm_off_is_bit_identical_to_centralized(self, chain_problems):
         cold = HorizonEngine("centralized").run(chain_problems)
-        warm_off = HorizonEngine("centralized-warm").run(chain_problems)
+        warm_off = HorizonEngine("centralized-warm").run(chain_problems, batch=False)
         for a, b in zip(cold, warm_off):
             assert (a.result.allocation.lam == b.result.allocation.lam).all()
             assert (a.result.allocation.mu == b.result.allocation.mu).all()
@@ -349,7 +350,7 @@ class TestEngineWarmLane:
 
     def test_warm_chain_certified_and_matches_cold(self, day_chains):
         # Every strategy of the default comparison over the full day,
-        # one chain per strategy.
+        # one anchor and 23 walked slots per strategy.
         iters_cold = iters_warm = 0
         for strategy, problems in day_chains.items():
             cold = HorizonEngine("centralized").run(problems)
@@ -359,31 +360,21 @@ class TestEngineWarmLane:
             assert all(
                 o.certificate is not None and o.certificate.ok for o in warm
             ), strategy
-            for o in warm:
-                cert = o.result.extras.get("certificate")
-                if cert is not None:
-                    assert cert.ok
             for a, b in zip(cold, warm):
-                denom = max(1.0, abs(a.result.ufc))
-                assert abs(a.result.ufc - b.result.ufc) / denom <= 1e-6
+                assert _rel(a.result.ufc, b.result.ufc) <= 1e-6
+            # The day's one anchor is the only slot solved from scratch:
+            # every walk is answered by active set, none falls back cold.
+            mechanisms = [o.result.extras["warm_mechanism"] for o in warm]
+            assert mechanisms == (
+                ["batch"] + ["active-set"] * (len(problems) - 1)
+            ), strategy
             summary = engine.last_summary
-            assert summary.executor == "serial-warm"
+            assert summary.executor == "serial-batch"
             assert summary.warm_started_slots == len(problems) - 1
-            assert summary.warm_iterations_saved > 0
-            # Only the chain's first slot is solved on the cold rung;
-            # at least 90% of the others are answered by active set.
-            cold_rung = [
-                o for o in warm
-                if o.result.extras.get("warm_mechanism", "cold") == "cold"
-            ]
-            assert len(cold_rung) <= 1, strategy
-            active = [o for o in warm
-                      if o.result.extras.get("warm_mechanism") == "active-set"]
-            assert len(active) >= 0.9 * (len(problems) - 1), strategy
             iters_cold += sum(o.result.iterations for o in cold)
             iters_warm += sum(o.result.iterations for o in warm)
-        # The chains cut the mean interior-point iteration count by at
-        # least 30% over re-solving every slot cold.
+        # The walks cut the mean iteration count by at least 30% over
+        # re-solving every slot cold.
         assert 1.0 - iters_warm / iters_cold >= 0.30
 
     def test_repeated_slot_answers_by_active_set(self, chain_problems):
@@ -406,39 +397,48 @@ class TestEngineWarmLane:
         }
         assert counted and sum(counted.values()) == len(chain_problems) - 1
         run = load_run(engine.last_ledger_path)
-        warm_slots = [s for s in run.slots if s.get("warm_start")]
-        assert len(warm_slots) == len(chain_problems) - 1
-        assert all("warm_mechanism" in s for s in warm_slots)
+        mechanisms = [s["warm_mechanism"] for s in run.slots]
+        assert mechanisms == ["batch"] + ["active-set"] * (len(chain_problems) - 1)
+        assert "warm_start" not in run.header["config"]
+        assert run.summary["warm_started_slots"] == len(chain_problems) - 1
+
+    def test_pool_chunks_walk_from_their_own_anchors(self, day_chains):
+        problems = day_chains["Hybrid"]
+        engine = HorizonEngine(
+            "centralized-warm", workers=2, oversubscribe=True, certify=True
+        )
+        outcomes = engine.run(problems, warm_start=True)
+        assert engine.last_summary.executor == "pool-batch"
+        _assert_certified_near_dense(outcomes, problems)
+        # The pool splits the day into ceil(24 / 8) = 3-slot chunks;
+        # each chunk's first slot is an anchor and the rest walk.
+        mechanisms = [o.result.extras["warm_mechanism"] for o in outcomes]
+        assert mechanisms[::3] == ["batch"] * 8
+        assert "batch" not in mechanisms[1::3] + mechanisms[2::3]
+
+
+def _assert_certified_near_dense(outcomes, problems):
+    """Every slot certifies and lies within 1e-6 relative UFC of the
+    dense ``centralized`` lane."""
+    dense = HorizonEngine("centralized").run(problems)
+    assert len(outcomes) == len(dense)
+    for a, b in zip(dense, outcomes):
+        assert b.ok and b.certificate is not None and b.certificate.ok
+        assert _rel(a.result.ufc, b.result.ufc) <= 1e-6
 
 
 class TestWarmThroughClients:
-    """Warm hints must survive the RPC boundary of the exec clients."""
+    """The warm lane through execution clients and the result store."""
 
     @pytest.mark.parametrize("spec", ["mp", "socket"])
     def test_warm_chain_through_client(self, chain_problems, spec):
         problems = chain_problems[:4]
-        serial_engine = HorizonEngine("centralized-warm")
-        serial = serial_engine.run(problems, warm_start=True)
-
-        engine = HorizonEngine("centralized-warm", client=spec)
+        engine = HorizonEngine("centralized-warm", client=spec, certify=True)
         outcomes = engine.run(problems, warm_start=True)
-        assert all(o.ok for o in outcomes)
         summary = engine.last_summary
-        assert summary.executor == f"{spec}-warm"
-        assert summary.decision == f"client:{spec}:warm-chain"
-        assert summary.warm_started_slots == len(problems) - 1
-        # The chained payloads crossed the boundary intact: every slot
-        # after the chain start solved warm, with the same mechanisms
-        # and arithmetic as the in-process chain.
-        for a, b in zip(serial, outcomes):
-            assert b.telemetry.warm_start == a.telemetry.warm_start
-            assert (
-                b.result.extras.get("warm_mechanism")
-                == a.result.extras.get("warm_mechanism")
-            )
-            assert b.result.iterations == a.result.iterations
-            assert (a.result.allocation.lam == b.result.allocation.lam).all()
-            assert a.result.ufc == b.result.ufc
+        assert summary.executor == f"{spec}-batch"
+        assert summary.decision == f"client:{spec}"
+        _assert_certified_near_dense(outcomes, problems)
 
     def test_synchronous_client_chain_compiles_once(self, chain_problems):
         serial = HorizonEngine("centralized-warm").run(
@@ -447,7 +447,7 @@ class TestWarmThroughClients:
         engine = HorizonEngine("centralized-warm", client="in-process")
         outcomes = engine.run(chain_problems, warm_start=True)
         summary = engine.last_summary
-        assert summary.executor == "in-process-warm"
+        assert summary.executor == "in-process-batch"
         assert summary.cache_misses == 1
         for a, b in zip(serial, outcomes):
             assert (a.result.allocation.lam == b.result.allocation.lam).all()
@@ -455,12 +455,24 @@ class TestWarmThroughClients:
             assert (a.result.allocation.nu == b.result.allocation.nu).all()
             assert a.result.ufc == b.result.ufc
 
-    def test_store_rejects_warm_chain(self, chain_problems, tmp_path):
-        engine = HorizonEngine(
-            "centralized-warm", store=tmp_path / "results.jsonl"
+    def test_store_thinned_horizon_walks_across_gaps(self, chain_problems, tmp_path):
+        # Fill the store with the even slots, then run the whole chain:
+        # the odd slots miss, and the misses walk from their own anchor
+        # across the stored gaps.
+        store = tmp_path / "results"
+        HorizonEngine("centralized-warm", store=store).run(
+            chain_problems[::2], warm_start=True
         )
-        with pytest.raises(ValueError, match="store"):
-            engine.run(chain_problems[:2], warm_start=True)
+        engine = HorizonEngine("centralized-warm", store=store, certify=True)
+        outcomes = engine.run(chain_problems, warm_start=True)
+        summary = engine.last_summary
+        assert (summary.store_hits, summary.store_misses) == (3, 3)
+        assert [o.telemetry.store_hit for o in outcomes] == [True, False] * 3
+        _assert_certified_near_dense(outcomes, chain_problems)
+        mechanisms = [o.result.extras["warm_mechanism"] for o in outcomes[1::2]]
+        assert mechanisms == ["batch", "active-set", "active-set"]
+        # Store hits are not walks of this run.
+        assert summary.warm_started_slots == 2
 
 
 class TestStructuredWarm:
@@ -569,16 +581,18 @@ class TestStructuredWarm:
 
 
 class TestDistributedWarm:
-    """ADM-G multiplier/allocation warm starts across the chain."""
+    """ADM-G's own warm start: ``solve(initial=)`` from the previous
+    slot's final state."""
 
     def test_admg_warm_reduces_outer_iterations(self, small_bundle, small_model):
         problems = _problems(small_bundle, small_model, hours=4)
-        cold = HorizonEngine("distributed").run(problems)
-        warm = HorizonEngine("distributed").run(problems, warm_start=True)
-        assert all(o.ok for o in warm)
-        iters_cold = sum(o.result.iterations for o in cold)
-        iters_warm = sum(o.result.iterations for o in warm)
-        assert iters_warm < iters_cold
+        solver = DistributedUFCSolver()
+        cold = [solver.solve(problem) for problem in problems]
+        warm, state = [], None
+        for problem in problems:
+            warm.append(solver.solve(problem, initial=state))
+            state = warm[-1].state
+        assert all(res.converged for res in warm)
+        assert sum(r.iterations for r in warm) < sum(r.iterations for r in cold)
         for a, b in zip(cold, warm):
-            denom = max(1.0, abs(a.result.ufc))
-            assert abs(a.result.ufc - b.result.ufc) / denom <= 1e-4
+            assert _rel(a.ufc, b.ufc) <= 1e-4
