@@ -3,20 +3,12 @@
 Each floor times one lane against a reference lane on the same slots
 and fails when the lane is slower than its floor allows:
 
-- ``batched`` — the ``centralized-batch`` lane is at least 1.5x faster
+- ``batched`` — the ``centralized-batch`` lane, whose anchors and walks
+  are also the ``centralized-warm`` lane, is at least 1.5x faster
   than the serial cached ``centralized`` lane, on the worst of 3
-  order-balanced rounds; the record also counts its anchors and walked
-  slots by rung (``rungs``);
-- ``warm_chain`` — the ``centralized-warm`` lane, which is the
-  anchor-and-walk lane of ``centralized-batch`` under its warm name
-  (``run(warm_start=True)``), is at least 1.5x faster than the cold
-  serial cached lane, on the worst round (1 round on a short horizon,
-  3 on the full week); the record also counts the slots each rung
+  order-balanced rounds; the record also counts the slots each rung
   answered (``rungs``: ``batch`` anchors and walked ``active-set``
   slots, plus any ``cold`` walk);
-- ``structured_warm`` — on the 20x100 generated instance, re-solving
-  12 perturbed slots warm (previous iterates plus the per-iteration
-  factor cache) is faster per slot than re-solving them cold;
 - ``store_warm`` — re-running a horizon against the result store it
   just filled is at least 5x faster than the run that filled it.
 
@@ -34,8 +26,7 @@ retained-allocation counts per slot instead.
 
 The paper week is the workload: 3 strategies x ``--hours`` slots of
 the default bundle.  Correctness of every lane (bit-identity, parity,
-certification) is tier-1's job; this script times, and only checks
-that the structured re-solves it times converged.
+certification) is tier-1's job; this script only times.
 
 Usage (from the repository root)::
 
@@ -49,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import dataclasses
 import json
 import os
 import shutil
@@ -59,25 +49,13 @@ import time
 from functools import partial
 from typing import Callable
 
-import numpy as np
-
-from repro.core.strategies import ALL_STRATEGIES, HYBRID
+from repro.core.strategies import ALL_STRATEGIES
 from repro.engine import HorizonEngine
-from repro.instances import ScaleSpec, generate_instance
-from repro.optim.kkt import (
-    StructuredQPCompiler,
-    StructuredWarmState,
-    solve_structured_qp,
-)
 from repro.sim.simulator import Simulator, build_model
 from repro.traces.datasets import default_bundle
 
 SEED = 2014
 WEEK_HOURS = 168
-
-#: Interior-point tolerance of the structured 20x100 re-solves.
-STRUCTURED_TOL = 1e-8
-STRUCTURED_SLOTS = 12
 
 
 def week_problems(hours: int, seed: int = SEED) -> list:
@@ -92,13 +70,12 @@ def week_problems(hours: int, seed: int = SEED) -> list:
 
 
 def engine_seconds(
-    problems: list, solver: str = "centralized", warm_start: bool = False,
-    **engine_kwargs,
+    problems: list, solver: str = "centralized", **engine_kwargs
 ) -> float:
     """Wall seconds of one engine run over ``problems``."""
     engine = HorizonEngine(solver, **engine_kwargs)
     start = time.perf_counter()
-    engine.run(problems, warm_start=warm_start)
+    engine.run(problems)
     return time.perf_counter() - start
 
 
@@ -151,67 +128,10 @@ def speedup_floor(rounds: int, reference, lane, floor: float) -> dict:
     )
 
 
-def structured_warm_floor(seed: int = SEED) -> dict:
-    """20x100 perturbed re-solves, cold vs warm, summed over 12 slots.
-
-    Each slot is solved once to seed the warm state and factor cache,
-    then its inputs are perturbed by 1e-4 relative noise and the
-    perturbed slot is re-solved cold (fresh cache) and warm (the seed
-    solve's iterates and factors); only the re-solves are timed.  The
-    floor also fails unless every re-solve converged, so a warm path
-    that stops early cannot pass as a faster one.
-    """
-    inst = generate_instance(
-        ScaleSpec(
-            num_datacenters=20, num_frontends=100, hours=STRUCTURED_SLOTS,
-            fan_in=6, seed=seed,
-        )
-    )
-    compiler = StructuredQPCompiler(inst.model, HYBRID, reach=inst.reach)
-    rng = np.random.default_rng(seed + 1)
-    cold_s = warm_s = 0.0
-    converged = True
-    for t in range(STRUCTURED_SLOTS):
-        inputs = inst.inputs(t)
-        sqp = compiler.structured_qp_for(inputs)
-        cache: dict = {}
-        seed_res = solve_structured_qp(sqp, tol=STRUCTURED_TOL, factor_cache=cache)
-        noise = rng.standard_normal
-        perturbed = dataclasses.replace(
-            inputs,
-            arrivals=inputs.arrivals * (1.0 + 1e-4 * noise(inputs.arrivals.shape)),
-            prices=inputs.prices * (1.0 + 1e-4 * noise(inputs.prices.shape)),
-        )
-        sqp_p = compiler.structured_qp_for(perturbed)
-        start = time.perf_counter()
-        cold = solve_structured_qp(sqp_p, tol=STRUCTURED_TOL, factor_cache={})
-        cold_s += time.perf_counter() - start
-        warm = StructuredWarmState(
-            x=seed_res.x,
-            y=seed_res.eq_dual,
-            s=sqp.ineq_slack(seed_res.x),
-            z=seed_res.ineq_dual,
-        )
-        start = time.perf_counter()
-        res = solve_structured_qp(
-            sqp_p, tol=STRUCTURED_TOL, initial=warm, factor_cache=cache
-        )
-        warm_s += time.perf_counter() - start
-        converged &= bool(cold.converged and res.converged)
-    speedup = cold_s / warm_s
-    record = _record(
-        f"speedup over {STRUCTURED_SLOTS} slots", [speedup], speedup, 1.0,
-        speedup > 1.0 and converged,
-        cold_s, warm_s,
-    )
-    record["converged_all"] = converged
-    return record
-
-
-def rungs(problems: list, solver: str, **run: bool) -> dict:
+def rungs(problems: list, solver: str) -> dict:
     """Slots of one untimed run of a lane answered by each rung (the
     ``warm_mechanism`` a slot records)."""
-    outcomes = HorizonEngine(solver).run(problems, **run)
+    outcomes = HorizonEngine(solver).run(problems)
     rungs = collections.Counter(
         o.result.extras.get("warm_mechanism", "failed") if o.ok else "failed"
         for o in outcomes
@@ -241,17 +161,9 @@ def run_floors(hours: int = WEEK_HOURS, seed: int = SEED) -> dict:
         "batched": speedup_floor(
             3, serial, partial(serial, "centralized-batch"), 1.5
         ),
-        "warm_chain": speedup_floor(
-            3 if hours >= WEEK_HOURS else 1,
-            serial,
-            partial(serial, "centralized-warm", warm_start=True),
-            1.5,
-        ),
-        "structured_warm": structured_warm_floor(seed=seed),
         "store_warm": store_warm_floor(problems),
     }
     floors["batched"]["rungs"] = rungs(problems, "centralized-batch")
-    floors["warm_chain"]["rungs"] = rungs(problems, "centralized-warm", warm_start=True)
     return {
         "hours": hours,
         "seed": seed,

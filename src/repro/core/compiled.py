@@ -86,7 +86,6 @@ class CompiledQPStructure:
         # case — quadratic and single-segment emission costs).  Slots
         # that need them rebuild from scratch via the generic path.
         self.dim = m * n + (n if self.include_mu else 0) + (n if self.include_nu else 0)
-        self._structured = None
         self._kernel = None
         self._assemble_invariants()
 
@@ -161,24 +160,6 @@ class CompiledQPStructure:
     def matches(self, problem: UFCProblem) -> bool:
         """Whether this structure was compiled for ``problem``'s shape."""
         return problem.model is self.model and problem.strategy == self.strategy
-
-    def structured_compiler(self):
-        """The block-sparse twin of this structure (full reach pattern).
-
-        Lazily builds and caches a
-        :class:`~repro.optim.kkt.StructuredQPCompiler` with the same
-        model, strategy and workload scale.  The structured compiler
-        emits the same QP in block form — same coefficients, same
-        scaling — which is what lets the centralized solver switch to
-        the block-elimination KKT path when the dimension warrants it.
-        """
-        if self._structured is None:
-            from repro.optim.kkt import StructuredQPCompiler
-
-            self._structured = StructuredQPCompiler(
-                self.model, self.strategy, reach=None, workload_scale=self.scale
-            )
-        return self._structured
 
     def kernel(self):
         """The interior-point kernel of this structure's ``A`` and ``G``.

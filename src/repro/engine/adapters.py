@@ -60,8 +60,6 @@ class CentralizedSlotSolver:
         """Solve one slot with the interior-point reference solver."""
         res, qp = self.inner.solve_with_qp(problem, compiled=compiled)
         extras: dict[str, Any] = {}
-        if res.trace is not None:
-            extras["ip_trace"] = res.trace
         if res.eq_dual is not None and res.ineq_dual is not None:
             extras["duals"] = (res.eq_dual, res.ineq_dual)
         return SlotResult(
@@ -86,36 +84,25 @@ class StructuredCentralizedSolver:
     solutions agree with the dense ``"centralized"`` lane to solver
     tolerance.
 
-    ``mode="dense"`` materializes the same reduced QP via
-    :meth:`StructuredSlotQP.to_dense` and solves it with the dense
-    Mehrotra factorization — the apples-to-apples baseline the
-    benchmark's speedup gate compares against (same variables, same
-    coefficients, only the KKT linear algebra differs).
-
     Extras carry ``structured_qp`` and ``duals`` (reduced-layout
     equality/inequality multipliers) so
     :func:`repro.obs.certify.certify_structured_solution` can audit
     the slot without ever forming a dense QP.
     """
 
+    name = "centralized-structured"
+
     def __init__(
         self,
         reach: np.ndarray | None = None,
-        mode: str = "block",
         tol: float = 1e-9,
         max_iter: int = 120,
         metrics: Any | None = None,
     ) -> None:
-        if mode not in ("block", "dense"):
-            raise ValueError(f"mode must be 'block' or 'dense', got {mode!r}")
         self.reach = reach
-        self.mode = mode
         self.tol = tol
         self.max_iter = max_iter
         self.metrics = metrics
-        self.name = (
-            "centralized-structured" if mode == "block" else "centralized-structured-dense"
-        )
 
     def compile(self, model: CloudModel, strategy: Strategy) -> Any:
         """The slot-invariant block-sparse compiler for (model, strategy)."""
@@ -125,32 +112,21 @@ class StructuredCentralizedSolver:
 
     def solve(self, problem: UFCProblem, compiled: Any | None = None) -> SlotResult:
         """Solve one slot through the reduced (reach-restricted) QP."""
-        from repro.optim.ipqp import solve_qp
         from repro.optim.kkt import StructuredQPCompiler, solve_structured_qp
 
         if compiled is None or not compiled.matches(problem):
             compiled = self.compile(problem.model, problem.strategy)
         assert isinstance(compiled, StructuredQPCompiler)
         sqp = compiled.structured_qp_for(problem.inputs)
-        if self.mode == "block":
-            res = solve_structured_qp(
-                sqp, tol=self.tol, max_iter=self.max_iter, metrics=self.metrics
-            )
-            x, eq_dual, ineq_dual = res.x, res.eq_dual, res.ineq_dual
-        else:
-            p_mat, q_vec, a_mat, b_vec, g_mat, h_vec = sqp.to_dense()
-            res = solve_qp(
-                p_mat, q_vec, A=a_mat, b=b_vec, G=g_mat, h=h_vec,
-                tol=self.tol, max_iter=self.max_iter, metrics=self.metrics,
-            )
-            x, eq_dual, ineq_dual = res.x, res.eq_dual, res.ineq_dual
-        alloc = sqp.extract(x)
+        res = solve_structured_qp(
+            sqp, tol=self.tol, max_iter=self.max_iter, metrics=self.metrics
+        )
+        alloc = sqp.extract(res.x)
         extras: dict[str, Any] = {
             "structured_qp": sqp,
-            "structured_x": x,
+            "structured_x": res.x,
+            "duals": (res.eq_dual, res.ineq_dual),
         }
-        if eq_dual is not None and ineq_dual is not None:
-            extras["duals"] = (eq_dual, ineq_dual)
         return SlotResult(
             allocation=alloc,
             ufc=problem.ufc(alloc),

@@ -36,8 +36,7 @@ re-runs the group's slots through the scalar :meth:`solve` path.
 
 Anchors agree with the scalar path to solver tolerance (see
 :mod:`repro.optim.batch`) and walked slots are verified KKT points at
-the same tolerance; per-iteration ``ip_trace`` diagnostics are a
-scalar-path-only feature and are not recorded here.
+the same tolerance.
 """
 
 from __future__ import annotations
@@ -186,16 +185,11 @@ class CentralizedBatchSlotSolver:
                 if compiled.matches(problem)
             ]
             if matched:
-                batch_compile = getattr(compiled, "qp_for_batch", None)
-                if batch_compile is not None:
-                    compiled_forms = batch_compile(
-                        [problems[i].inputs for i in matched]
-                    )
-                    for i, form in zip(matched, compiled_forms):
-                        forms[i] = form
-                else:
-                    for i in matched:
-                        forms[i] = compiled.qp_for(problems[i].inputs)
+                compiled_forms = compiled.qp_for_batch(
+                    [problems[i].inputs for i in matched]
+                )
+                for i, form in zip(matched, compiled_forms):
+                    forms[i] = form
         qps: list[QPForm] = [
             form if form is not None else problems[i].to_qp()
             for i, form in enumerate(forms)
@@ -203,8 +197,13 @@ class CentralizedBatchSlotSolver:
         results: list[SlotResult | None] = [None] * len(problems)
         for members in _share_groups(qps):
             rep = qps[members[0]]
-            kernel = (compiled.kernel() if forms[members[0]] is not None
-                      else QPKernel(rep.A, rep.G))
+            # Epigraph slots come back from the compiled structure with
+            # constraint matrices of their own; only the structure's
+            # own A and G run on its kernel.
+            if compiled is not None and rep.A is compiled._A and rep.G is compiled._G:
+                kernel = compiled.kernel()
+            else:
+                kernel = QPKernel(rep.A, rep.G)
             self._solve_group(problems, qps, members, results, kernel)
         return results  # type: ignore[return-value]
 

@@ -43,9 +43,7 @@ class SlotResult:
         converged: whether the solver met its own stopping criterion.
         extras: solver-specific diagnostics, safe to ignore — e.g.
             ADM-G residual histories, and the opt-in per-iteration
-            traces (``"residual_trace"`` from ADM-G built with
-            ``trace=True``, ``"ip_trace"`` from the centralized
-            interior-point solver).
+            ``"residual_trace"`` from ADM-G built with ``trace=True``.
         qp: the dense :class:`~repro.core.problem.QPForm` the solver
             built for this slot (default workload scale), or None.  The
             engine hands it to its certifier and detaches it; it is

@@ -32,7 +32,9 @@ the centralized interior-point solvers it is checked against:
   interior-point loop over the block-arrowhead Newton system (block
   elimination into a small dense Schur complement), which makes
   hyperscale instances (hundreds of datacenters, thousands of
-  front-ends) tractable.
+  front-ends) tractable.  It is the one route of the
+  ``centralized-structured`` lane, and every solve on it starts cold;
+  the dense lanes never take it.
 """
 
 from repro.optim.batch import (
@@ -43,10 +45,8 @@ from repro.optim.batch import (
 )
 from repro.optim.ipqp import IPQPResult, QPKernel, solve_qp
 from repro.optim.kkt import (
-    StructuredIPQPResult,
     StructuredQPCompiler,
     StructuredSlotQP,
-    StructuredWarmState,
     full_reach,
     solve_structured_qp,
 )
@@ -66,10 +66,8 @@ __all__ = [
     "PiecewiseLinearConvex",
     "QPKernel",
     "QuadraticScalar",
-    "StructuredIPQPResult",
     "StructuredQPCompiler",
     "StructuredSlotQP",
-    "StructuredWarmState",
     "WarmSolve",
     "WarmSolveInfo",
     "WarmState",

@@ -25,9 +25,7 @@ A :class:`QPKernel` is compiled once per constraint structure
 paper's horizon): the coordinates of the factored Ruiz equilibration
 (one, six sweeps, for every dense route) and the bound-row/dense-row
 split of ``G``.  Cold solves start from the
-``W = I`` point (:meth:`_SharedSystem.start`); the structured lane's
-warm start is another starting point for the same loop
-(:func:`_warm_point`), not a loop of its own.  A QP without
+``W = I`` point (:meth:`_SharedSystem.start`).  A QP without
 inequalities is one equality-KKT solve (:meth:`QPKernel.solve_equality`),
 and the warm chain's active-set homotopy is a sequence of them.
 
@@ -44,42 +42,12 @@ slot), trading sparsity for robustness and simplicity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-__all__ = ["IPQPTrace", "IPQPResult", "QPKernel", "solve_qp"]
-
-
-@dataclass
-class IPQPTrace:
-    """Per-iteration interior-point diagnostics (``trace=True``).
-
-    ``gap`` and ``residual`` are recorded at the top of each iteration
-    (including the final, converged one), so their length equals the
-    reported iteration count; the step-size series are recorded after
-    the direction computation, so on a converged solve they are one
-    entry shorter.  With ``trace_every=k > 1`` only every k-th
-    iteration is kept (same phase for all four series), bounding trace
-    memory on long horizons.  On equilibrated solves the values are in the
-    scaled problem's units — shapes and trends are what matter.
-
-    Attributes:
-        gap: average complementarity ``s^T z / m`` per iteration.
-        residual: max KKT residual (dual, equality, inequality) per
-            iteration.
-        alpha_affine: predictor step length ``min(alpha_p, alpha_d)``.
-        alpha: corrector (actual) step length.
-    """
-
-    gap: list[float] = field(default_factory=list)
-    residual: list[float] = field(default_factory=list)
-    alpha_affine: list[float] = field(default_factory=list)
-    alpha: list[float] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.gap)
+__all__ = ["IPQPResult", "QPKernel", "solve_qp"]
 
 
 @dataclass(frozen=True)
@@ -95,9 +63,6 @@ class IPQPResult:
         converged: True when all residuals and the duality gap met the
             tolerance; False means the iterate at the cap is returned.
         gap: final average complementarity ``s^T z / m`` (0 if m == 0).
-        trace: per-iteration :class:`IPQPTrace` when the solve was
-            called with ``trace=True``; None otherwise (the hot loop
-            stays allocation-free by default).
     """
 
     x: np.ndarray
@@ -107,7 +72,6 @@ class IPQPResult:
     iterations: int
     converged: bool
     gap: float
-    trace: IPQPTrace | None = None
 
 
 def _dot(a: np.ndarray, b: np.ndarray):
@@ -312,12 +276,11 @@ class _NewtonSystem:
 
     A route supplies ``scale`` (the convergence test's reference
     magnitude), ``residuals(x, y, s, z)`` returning ``(r_dual, r_eq,
-    r_ineq)``, ``slack(x) = h - G x`` (for warm points), the products
-    ``g_mul(v) = G v`` and ``gt_mul(v) = G' v``, and a factor/solve
-    pair for the condensed system ``[[P + G' W G, A'], [A, -delta]]
-    (dx, dy) = (r1, r2)`` with ``W = diag(z / s)``: ``factor(it, s,
-    z)`` once per iteration, then ``solve(r1, r2)`` for the predictor
-    and the corrector.  The loop does everything else.  The hooks
+    r_ineq)``, the products ``g_mul(v) = G v`` and ``gt_mul(v) = G' v``,
+    and a factor/solve pair for the condensed system ``[[P + G' W G,
+    A'], [A, -delta]] (dx, dy) = (r1, r2)`` with ``W = diag(z / s)``:
+    ``factor(s, z)`` once per iteration, then ``solve(r1, r2)`` for the
+    predictor and the corrector.  The loop does everything else.  The hooks
     below are no-ops here; a route whose accuracy floors before the
     convergence test can fire overrides them with its own safeguards.
     """
@@ -358,8 +321,6 @@ def _mehrotra(
     z: np.ndarray,
     tol: float,
     max_iter: int,
-    trace: IPQPTrace | None = None,
-    trace_every: int = 1,
 ) -> tuple:
     """The Mehrotra predictor-corrector loop every route of
     :mod:`repro.optim` runs, from the given (strictly interior) iterate.
@@ -405,9 +366,6 @@ def _mehrotra(
     for it in range(1, max_iter + 1):
         r_dual, r_eq, r_ineq = system.residuals(x, y, s, z)
         mu = _dot(s, z) / m
-        if trace is not None and (it - 1) % trace_every == 0:
-            trace.gap.append(mu)
-            trace.residual.append(max(_norm(r_dual), _norm(r_eq), _norm(r_ineq)))
 
         thr = tol * system.scale
         if not batched:
@@ -438,7 +396,7 @@ def _mehrotra(
         if system.stalled((r_dual, r_eq, r_ineq), mu, x, y, s, z):
             break
 
-        system.factor(it, s, z)
+        system.factor(s, z)
         # Affine (predictor) direction.
         negated = (-r_dual, -r_eq, -r_ineq)
         neg_sz = -s * z
@@ -455,9 +413,6 @@ def _mehrotra(
         step_z = _step_length(z, dz, work=work, mask=mask)
         alpha = np.minimum(step_s, step_z) if batched else min(step_s, step_z)
         alpha = system.cut_step(alpha, s, ds, z, dz, mu)
-        if trace is not None and (it - 1) % trace_every == 0:
-            trace.alpha_affine.append(min(alpha_p, alpha_d))
-            trace.alpha.append(alpha)
 
         step = col(alpha)
         x = x + step * dx
@@ -473,44 +428,6 @@ def _mehrotra(
         return (*out, iters, conv, gaps)
     x, y, s, z = system.finish(x, y, s, z, converged)
     return x, y, s, z, it, converged, _dot(s, z) / m
-
-
-#: Floor applied to carried inequality duals before a warm point is
-#: measured (previously inactive duals underflow toward zero).
-_DUAL_FLOOR = 1e-10
-
-#: Smallest centring shift: even a perfectly coherent warm point is
-#: pushed this far off the boundary so the first Mehrotra step is not
-#: crushed by zero slacks.
-_SHIFT_FLOOR = 1e-7
-
-
-def _warm_point(system, x, y, z, cap: float):
-    """A carried iterate made into a starting point for :func:`_mehrotra`.
-
-    Floors the duals, measures the point's relative KKT residual on the
-    system's current data (dual and equality residuals, and how far the
-    slacks ``h - G x`` go negative, over ``system.scale``) and rejects
-    it above ``cap`` — at that distance a cold start converges as fast
-    and more robustly.  An accepted point gets a centring shift: slacks
-    and duals are pushed at least ``delta`` off the boundary, with
-    ``delta`` proportional to the residual, so a tiny drift starts
-    almost converged and a larger one with a commensurate barrier.
-
-    Returns:
-        ``((x, y, s, z) or None, relative residual)``.
-    """
-    z = np.maximum(z, _DUAL_FLOOR)
-    slack = system.slack(x)
-    r_dual, r_eq, _ = system.residuals(x, y, slack, z)
-    viol = max(_norm(r_dual), _norm(r_eq), max(0.0, -float(slack.min(initial=0.0))))
-    rel = viol / system.scale
-    if not rel <= cap:
-        return None, rel
-    delta = min(1.0, max(_SHIFT_FLOOR, rel))
-    return (x, y, np.maximum(slack, delta), np.maximum(z, delta)), rel
-
-
 
 
 #: Ruiz sweeps per equilibration.  The scalings converge geometrically;
@@ -715,8 +632,7 @@ class QPKernel:
 
     def solve(
         self, P, q, b, h, tol: float = 1e-9, max_iter: int = 100,
-        equilibrate: bool = True, trace: bool = False, trace_every: int = 1,
-        metrics=None,
+        equilibrate: bool = True, metrics=None,
     ) -> IPQPResult:
         """One QP on this kernel.
 
@@ -732,39 +648,33 @@ class QPKernel:
         converged solve never gets there, so its iterates are untouched.
         Without inequalities the minimizer is one equality-KKT solve.
         """
-        if trace_every < 1:
-            raise ValueError(f"trace_every must be >= 1, got {trace_every}")
         if not self.m:
             x, y, _, _ = self.solve_equality(self.equality_kkt(P), q, b, h)
             res = IPQPResult(
                 x=x, eq_dual=y, ineq_dual=np.zeros(0), value=float(0.5 * x @ P @ x + q @ x),
                 iterations=0, converged=True, gap=0.0,
-                trace=IPQPTrace() if trace else None,
             )
         else:
             raw = np.ones(self.n), np.ones(self.p), np.ones(self.m), 1.0
             scalings = self.ruiz(P, q) if equilibrate else raw
-            res = self._run(P, q, b, h, scalings, tol, max_iter, trace, trace_every)
+            res = self._run(P, q, b, h, scalings, tol, max_iter)
             if not res.converged and equilibrate:
-                retry = self._run(P, q, b, h, raw, tol, max_iter, trace, trace_every)
+                retry = self._run(P, q, b, h, raw, tol, max_iter)
                 if retry.converged:
                     res = retry
         _record_metrics(metrics, res.iterations, res.converged)
         return res
 
-    def _run(self, P, q, b, h, scalings, tol, max_iter, trace, trace_every) -> IPQPResult:
+    def _run(self, P, q, b, h, scalings, tol, max_iter) -> IPQPResult:
         """The Mehrotra loop from the cold start under ``scalings``."""
         d, r_a, r_g, gamma = scalings
         system = self.system(P, q, b, h, scalings)
-        trace_rec = IPQPTrace() if trace else None
-        x, y, _, z, it, converged, gap = _mehrotra(
-            system, *system.start(), tol, max_iter, trace_rec, trace_every
-        )
+        x, y, _, z, it, converged, gap = _mehrotra(system, *system.start(), tol, max_iter)
         x = d * x
         return IPQPResult(
             x=x, eq_dual=gamma * r_a * y, ineq_dual=gamma * r_g * z,
             value=float(0.5 * x @ P @ x + q @ x), iterations=it,
-            converged=converged, gap=gap * gamma, trace=trace_rec,
+            converged=converged, gap=gap * gamma,
         )
 
     def equality_kkt(self, P: np.ndarray) -> np.ndarray:
@@ -958,7 +868,7 @@ class _SharedSystem(_NewtonSystem):
             return self.Pw + self.G_scaled.T @ (w[:, None] * self.G_scaled)
         return self.kernel.split.assemble(self.Pw, w * (self.r_g * self.r_g), self.d)
 
-    def factor(self, it, s, z) -> None:
+    def factor(self, s, z) -> None:
         self._factor(self._hessian(z / s))
 
     def solve(self, r1, r2):
@@ -1001,8 +911,6 @@ def solve_qp(
     tol: float = 1e-9,
     max_iter: int = 100,
     equilibrate: bool = True,
-    trace: bool = False,
-    trace_every: int = 1,
     metrics=None,
 ) -> IPQPResult:
     """Solve a dense convex QP with a Mehrotra predictor-corrector method.
@@ -1012,12 +920,7 @@ def solve_qp(
     minimizer is returned via one linear solve.  By default the data is
     Ruiz-equilibrated first, which makes the solver robust to badly
     scaled problems (the UFC QP mixes workload variables ~1e4 with
-    power variables ~1 and couplings ~1e-4).  With ``trace=True`` the
-    result carries a per-iteration :class:`IPQPTrace` (duality gap,
-    KKT residual, step lengths); the iterates themselves are identical
-    with tracing on or off.  ``trace_every=k`` keeps only every k-th
-    iteration of the trace, bounding memory on long traced horizons.
-    ``metrics`` accepts a duck-typed
+    power variables ~1 and couplings ~1e-4).  ``metrics`` accepts a duck-typed
     :class:`~repro.obs.metrics.MetricsRegistry` (anything with
     ``counter``/``histogram``) and records solve counts, iteration
     totals and an iteration histogram — once per outer solve, not per
@@ -1034,5 +937,4 @@ def solve_qp(
             even after regularization.
     """
     P, q, A, b, G, h = _normalize_qp(P, q, A, b, G, h)
-    return QPKernel(A, G).solve(P, q, b, h, tol, max_iter, equilibrate, trace,
-                                trace_every, metrics)
+    return QPKernel(A, G).solve(P, q, b, h, tol, max_iter, equilibrate, metrics)

@@ -42,11 +42,8 @@ Three public layers:
   the structured twin of
   :class:`~repro.core.compiled.CompiledQPStructure`.
 
-With a full reach pattern (every front-end sees every datacenter) the
-reduced layout coincides with the dense compiled layout coordinate for
-coordinate, so results can be handed back to the dense certification
-path unchanged (:meth:`StructuredSlotQP.ineq_dual_to_dense` maps the
-multiplier ordering).
+This is the one route of the ``centralized-structured`` lane; the
+dense ``centralized`` lane never takes it.  Every solve starts cold.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from repro.optim.ipqp import _mehrotra, _NewtonSystem, _record_metrics, _warm_point
+from repro.optim.ipqp import IPQPResult, _mehrotra, _NewtonSystem, _record_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.model import CloudModel
@@ -66,10 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "StructuredSlotQP",
-    "StructuredIPQPResult",
     "StructuredQPCompiler",
-    "StructuredWarmState",
-    "FACTOR_DRIFT_TOL",
     "solve_structured_qp",
     "full_reach",
 ]
@@ -174,7 +168,7 @@ class StructuredSlotQP:
     mu <= mu_max (N); nu >= 0 (N)]`` (mu/nu families only when the
     block is enabled).  With a full reach pattern this is the dense
     compiled layout up to the interleaving of the two mu bound
-    families (see :meth:`ineq_dual_to_dense`).
+    families.
 
     All workload quantities are in scaled routing units
     (``lam_scale`` servers per unit), exactly like the dense
@@ -404,9 +398,9 @@ class StructuredSlotQP:
     def to_dense(self) -> tuple[np.ndarray, ...]:
         """``(P, q, A, b, G, h)`` of the reduced QP, canonical row order.
 
-        For parity tests and the dense comparison lane only — this
-        materializes O(dim^2) arrays and defeats the whole point at
-        hyperscale.
+        For parity tests and the scale benchmark's same-QP dense
+        baseline only — this materializes O(dim^2) arrays and defeats
+        the whole point at hyperscale.
         """
         m, n, k = self.num_frontends, self.num_datacenters, self.fan_in
         dim = self.dim
@@ -478,45 +472,6 @@ class StructuredSlotQP:
             nu=np.maximum(nu, 0.0) if nu is not None else np.zeros(n),
         )
 
-    def ineq_dual_to_dense(self, z: np.ndarray) -> np.ndarray:
-        """Map canonical inequality multipliers to the dense compiled
-        row order (mu lower/upper bounds interleaved per datacenter).
-
-        Only meaningful for a full reach pattern, where the two
-        layouts cover the same rows.
-        """
-        if self.fan_in != self.num_datacenters:
-            raise ValueError(
-                "dense multiplier ordering requires a full reach pattern"
-            )
-        if not self.include_mu:
-            return z.copy()
-        n, head = self.num_datacenters, self.num_datacenters + self.num_frontends * self.fan_in
-        out = np.empty_like(z)
-        out[:head] = z[:head]
-        out[head : head + 2 * n : 2] = z[head : head + n]
-        out[head + 1 : head + 2 * n : 2] = z[head + n : head + 2 * n]
-        out[head + 2 * n :] = z[head + 2 * n :]
-        return out
-
-
-@dataclass(frozen=True)
-class StructuredIPQPResult:
-    """Result of a structured interior-point solve.
-
-    Same contract as :class:`~repro.optim.ipqp.IPQPResult` with the
-    vectors in the reduced canonical layout.
-    """
-
-    x: np.ndarray
-    eq_dual: np.ndarray
-    ineq_dual: np.ndarray
-    value: float
-    iterations: int
-    converged: bool
-    gap: float
-    warm_used: bool = False
-
 
 class _BlockKKTFactor:
     """One factorization of the condensed structured KKT system.
@@ -562,9 +517,13 @@ class _BlockKKTFactor:
     """
 
     def __init__(self, sqp: StructuredSlotQP, w: np.ndarray, reg: float = 0.0) -> None:
-        self.reg = reg
+        self.sqp, self.reg = sqp, reg
         self.d_mu = self.d_nu = None
-        self.rebind(sqp, w)
+        self.w_cap, self.w_lam, w_mulo, w_muhi, w_nulo = sqp.split_ineq(w)
+        if sqp.include_mu:
+            self.d_mu = w_mulo + w_muhi + reg
+        if sqp.include_nu:
+            self.d_nu = sqp.p_nu + w_nulo + reg
         m, n, k = sqp.num_frontends, sqp.num_datacenters, sqp.fan_in
 
         # The closed-form block inverses (class docstring), swept in a
@@ -616,8 +575,7 @@ class _BlockKKTFactor:
             d_power = d_power + 1.0 / self.d_mu
         if sqp.include_nu:
             d_power = d_power + 1.0 / self.d_nu
-        # Factor-time pieces of the power-multiplier elimination; a
-        # rebound factor keeps them, with the LU, as its preconditioner.
+        # Factor-time pieces of the power-multiplier elimination.
         self.d1 = 1.0 / (self.w_cap + reg)
         self.den = d_power + sqp.betas**2 * self.d1
         idx = np.arange(n)
@@ -633,59 +591,6 @@ class _BlockKKTFactor:
         # :meth:`enable_extended`.
         self._ld_lu: tuple[np.ndarray, np.ndarray] | None = None
         self.use_extended = False
-        # Signature of the system this factorization was built from,
-        # used by :meth:`drift` to gate cross-slot reuse.
-        self._sig_w = w.copy()
-        self._sig_coef = sqp.h_coef
-        self._sig_vec = sqp.h_vec
-        self._sig_diag = sqp.h_diag
-        self._sig_reach = sqp.reach
-        self._sig_layout = (n, sqp.include_mu, sqp.include_nu)
-
-    def drift(self, sqp: StructuredSlotQP, w: np.ndarray) -> float:
-        """Worst per-entry relative drift of the condensed system's
-        defining data (barrier weights and Hessian blocks) since this
-        factorization was built; ``inf`` for a QP of another layout
-        (reach pattern, utility directions or diagonal, datacenter
-        count or mu/nu blocks).
-
-        A Hessian entry moves by ``|dc| l_a l_b / (1 + |c0| l_a l_b)``,
-        which grows with ``l_a l_b``, so each front end's worst entry
-        sits at ``L = max_a l_a^2``."""
-        if (
-            self._sig_layout != (sqp.num_datacenters, sqp.include_mu, sqp.include_nu)
-            or not np.array_equal(self._sig_reach, sqp.reach)
-            or not np.array_equal(self._sig_vec, sqp.h_vec)
-            or not np.array_equal(self._sig_diag, sqp.h_diag)
-        ):
-            return np.inf
-        dw = np.abs(w - self._sig_w) / (1.0 + np.abs(self._sig_w))
-        big = (sqp.h_vec * sqp.h_vec).max(axis=1)
-        dh = np.abs(sqp.h_coef - self._sig_coef) * big / (
-            1.0 + np.abs(self._sig_coef) * big
-        )
-        return max(float(dw.max(initial=0.0)), float(dh.max(initial=0.0)))
-
-    def rebind(self, sqp: StructuredSlotQP, w: np.ndarray) -> None:
-        """Retarget this factorization at a drifted slot's system.
-
-        The expensive pieces — the per-front-end block inverses and
-        the Schur LU — are kept as a *preconditioner*; the cheap
-        diagonals (``w_cap``, ``w_lam``, ``d_mu``, ``d_nu``) and the
-        ``sqp`` reference are re-pointed at the current slot so
-        :meth:`residual_vec` measures the residual of the *true*
-        current system.  :meth:`solve_refined` then converges to the
-        exact Newton direction whenever the drift keeps the error
-        contraction below one; callers gate on :meth:`drift` and fall
-        back to a fresh factorization when refinement cannot meet its
-        residual target.  The constructor binds its own system the same
-        way."""
-        self.sqp = sqp
-        self.w_cap, self.w_lam, w_mulo, w_muhi, w_nulo = sqp.split_ineq(w)
-        if sqp.include_mu:
-            self.d_mu = w_mulo + w_muhi + self.reg
-        if sqp.include_nu:
-            self.d_nu = sqp.p_nu + w_nulo + self.reg
 
     def enable_extended(self) -> None:
         """Switch the Schur solve to an extended-precision LU.
@@ -869,31 +774,6 @@ _TINY = float(np.finfo(float).tiny)
 _W_CEILING = 1e16
 
 
-#: Maximum per-entry relative drift of the condensed-system data under
-#: which a cached factorization from an earlier slot is rebound and
-#: reused as a refinement preconditioner instead of rebuilt.  The gate
-#: is deliberately tight: refinement contracts the error by roughly
-#: the drift per sweep, and one sweep costs about as much as a fresh
-#: build (the build is closed-form block inverses plus an N x N LU, the
-#: sweep is batched solves plus scatter/gather matvecs), so reuse only
-#: pays when a sweep or two recovers full accuracy.
-FACTOR_DRIFT_TOL = 0.02
-
-@dataclass
-class StructuredWarmState:
-    """Iterates slot ``t`` hands slot ``t+1`` — plain arrays, picklable.
-
-    The factorization cache travels separately (a ``factor_cache``
-    dict threaded by the caller) because LU factors are in-process
-    state, not something to ship over an RPC boundary.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    s: np.ndarray
-    z: np.ndarray
-
-
 class _BlockArrowheadSystem(_NewtonSystem):
     """The block-arrowhead Newton system of one :class:`StructuredSlotQP`.
 
@@ -905,21 +785,9 @@ class _BlockArrowheadSystem(_NewtonSystem):
     the complementarity floor and the barrier-weight clamp.
     """
 
-    #: Warm-point acceptance cap (see
-    #: :func:`~repro.optim.ipqp._warm_point`).  It is far looser than
-    #: the 0.25 the dense warm start used: this route runs on raw data
-    #: with per-step refinement, and measured on the 20x100 scale lane a
-    #: warm point even at relative residual ~1 both cuts iterations by
-    #: a third and *restores* convergence on slots where the cold start
-    #: stalls at its accuracy floor (the shift re-centres, so a far
-    #: point degrades gracefully into roughly the cold iteration count).
-    warm_reject_rel = 4.0
-
-    def __init__(
-        self, sqp: StructuredSlotQP, tol: float, factor_cache: dict | None
-    ) -> None:
-        self.sqp, self.tol, self.cache = sqp, tol, factor_cache
-        self.g_mul, self.gt_mul, self.slack = sqp.g_mul, sqp.gt_mul, sqp.ineq_slack
+    def __init__(self, sqp: StructuredSlotQP, tol: float) -> None:
+        self.sqp, self.tol = sqp, tol
+        self.g_mul, self.gt_mul = sqp.g_mul, sqp.gt_mul
         q_max = max(
             float(np.abs(sqp.q_lam).max(initial=0.0)),
             float(np.abs(sqp.q_mu).max(initial=0.0)) if sqp.include_mu else 0.0,
@@ -972,8 +840,8 @@ class _BlockArrowheadSystem(_NewtonSystem):
             return self.best
         return x, y, s, z
 
-    def factor(self, it, s, z) -> None:
-        sqp, cache = self.sqp, self.cache
+    def factor(self, s, z) -> None:
+        sqp = self.sqp
         # Slacks can underflow to exact zero in the final iterations
         # (mu is far below tolerance by then); clamping keeps the
         # barrier weights finite without affecting healthy iterations.
@@ -985,30 +853,7 @@ class _BlockArrowheadSystem(_NewtonSystem):
             sqp.h_vec * sqp.h_vec
         ).max(axis=1)
         diag_scale = 1.0 + max(float(w.max(initial=0.0)), float(h_max.max(initial=0.0)))
-        block = None
-        if cache is not None:
-            # Factors are keyed by iteration index: a re-solve of a
-            # drifted slot walks nearly the same barrier-weight
-            # trajectory as the solve that seeded the cache, so
-            # iteration k's weights here resemble iteration k's
-            # weights there — while a factor from a *different*
-            # iteration is orders of magnitude away in w and never
-            # passes the drift gate.
-            cached = cache.setdefault("factors", {}).get(it)
-            if cached is not None and cached.drift(sqp, w) <= FACTOR_DRIFT_TOL:
-                # Reuse the cached factorization as a refinement
-                # preconditioner.  solve()'s residual gate and
-                # regularization ladder still apply, so a stale factor
-                # that fails to contract is replaced, not trusted.
-                cached.rebind(sqp, w)
-                block = cached
-                cache["reused"] = cache.get("reused", 0) + 1
-        if block is None:
-            block = _BlockKKTFactor(sqp, w)
-            if cache is not None:
-                cache["built"] = cache.get("built", 0) + 1
-        self.block, self.w, self.diag_scale = block, w, diag_scale
-        self.cache_key = it if cache is not None else None
+        self.block, self.w, self.diag_scale = _BlockKKTFactor(sqp, w), w, diag_scale
 
     def solve(self, r1, r2):
         rhs_scale = 1.0 + max(
@@ -1032,12 +877,6 @@ class _BlockArrowheadSystem(_NewtonSystem):
                     # No attempt met the threshold: take the least-bad
                     # direction and let the step-length cut cope.
                     dx, dy, resid = best
-        if self.cache_key is not None:
-            # Cache whatever factorization survived the predictor's
-            # residual gate (a reused factor that had to be replaced
-            # self-heals the cache here).
-            self.cache["factors"][self.cache_key] = self.block
-            self.cache_key = None
         return dx, dy
 
     def cut_step(self, alpha, s, ds, z, dz, mu):
@@ -1064,9 +903,7 @@ def solve_structured_qp(
     tol: float = 1e-9,
     max_iter: int = 120,
     metrics=None,
-    initial: StructuredWarmState | None = None,
-    factor_cache: dict | None = None,
-) -> StructuredIPQPResult:
+) -> IPQPResult:
     """Solve a reach-sparse UFC slot QP by block-elimination Mehrotra.
 
     This is :func:`~repro.optim.ipqp._mehrotra`, the loop behind
@@ -1082,44 +919,19 @@ def solve_structured_qp(
     before being accepted.
 
     ``metrics`` is the same duck-typed registry the dense solver
-    accepts; structured solves share its counters.
-
-    With ``initial`` (a :class:`StructuredWarmState` from the previous
-    slot) the iteration starts from the shifted previous iterates when
-    their relative KKT residual on the current data is below the warm
-    acceptance cap; a farther point silently falls back to the cold
-    start, so warm solves are never worse than cold ones.  With
-    ``factor_cache`` (a plain dict the caller threads across related
-    solves) each iteration reuses the same-index factorization from
-    the seeding solve as a refinement preconditioner while its
-    :meth:`~_BlockKKTFactor.drift` stays under
-    :data:`FACTOR_DRIFT_TOL`; the cache records ``reused`` /
-    ``built`` counters.  Both default to None, which is bit-identical
-    to the legacy cold path.
+    accepts; structured solves share its counters.  Every solve starts
+    cold from ``x = 0``, ``s = max(h, 1)``, ``z = 1``.  The result is
+    the dense solver's :class:`~repro.optim.ipqp.IPQPResult`, its
+    vectors in the reduced canonical layout.
     """
-    system = _BlockArrowheadSystem(sqp, tol, factor_cache)
+    system = _BlockArrowheadSystem(sqp, tol)
     x0 = np.zeros(sqp.dim)
-    start = (x0, np.zeros(sqp.num_eq), np.maximum(sqp.ineq_slack(x0), 1.0),
-             np.ones(sqp.num_ineq))
-    warm_used = False
-    if (
-        initial is not None
-        and initial.x.shape == x0.shape
-        and initial.y.shape == (sqp.num_eq,)
-        and initial.z.shape == (sqp.num_ineq,)
-    ):
-        point, _ = _warm_point(
-            system,
-            np.array(initial.x, dtype=float),
-            np.array(initial.y, dtype=float),
-            np.asarray(initial.z, dtype=float),
-            system.warm_reject_rel,
-        )
-        if point is not None:
-            start, warm_used = point, True
-    x, y, s, z, it, converged, gap = _mehrotra(system, *start, tol, max_iter)
+    x, y, s, z, it, converged, gap = _mehrotra(
+        system, x0, np.zeros(sqp.num_eq), np.maximum(sqp.ineq_slack(x0), 1.0),
+        np.ones(sqp.num_ineq), tol, max_iter,
+    )
     _record_metrics(metrics, it, converged)
-    return StructuredIPQPResult(
+    return IPQPResult(
         x=x,
         eq_dual=y,
         ineq_dual=z,
@@ -1127,7 +939,6 @@ def solve_structured_qp(
         iterations=it,
         converged=converged,
         gap=gap,
-        warm_used=warm_used,
     )
 
 
@@ -1146,11 +957,9 @@ class StructuredQPCompiler:
         model: the static cloud model.
         strategy: operating strategy (decides the mu/nu blocks).
         reach: (M, k) integer fan-in pattern, or None for full reach.
-        workload_scale: servers per routing unit; None applies the
-            model default.
 
     Raises:
-        ValueError: for an invalid reach pattern or workload scale.
+        ValueError: for an invalid reach pattern.
     """
 
     def __init__(
@@ -1158,14 +967,9 @@ class StructuredQPCompiler:
         model: "CloudModel",
         strategy: "Strategy",
         reach: np.ndarray | None = None,
-        workload_scale: float | None = None,
     ) -> None:
         from repro.core.compiled import default_workload_scale
 
-        if workload_scale is None:
-            workload_scale = default_workload_scale(model)
-        if workload_scale <= 0:
-            raise ValueError(f"workload_scale must be positive, got {workload_scale}")
         m, n = model.num_frontends, model.num_datacenters
         if reach is None:
             reach = full_reach(m, n)
@@ -1177,7 +981,7 @@ class StructuredQPCompiler:
         self.model = model
         self.strategy = strategy
         self.reach = reach
-        self.scale = float(workload_scale)
+        self.scale = float(default_workload_scale(model))
         self.capacities = model.capacities / self.scale
         self.betas = model.betas * self.scale
         self.weight = model.latency_weight * self.scale

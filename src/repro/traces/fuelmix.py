@@ -42,6 +42,9 @@ REGION_FUEL_MIXES: Mapping[str, Mapping[str, float]] = {
     "pittsburgh": {"coal": 0.52, "gas": 0.21, "nuclear": 0.24, "hydro": 0.03},
 }
 
+#: The regions defined above; a scenario may register more in the table.
+BUILTIN_MIX_REGIONS: tuple[str, ...] = tuple(REGION_FUEL_MIXES)
+
 _REGION_UTC_OFFSET = {
     "calgary": -7,
     "san_jose": -8,

@@ -101,6 +101,9 @@ REGION_PRICE_PRESETS: Mapping[str, RegionPricePreset] = {
     ),
 }
 
+#: The regions defined above; a scenario may register more in the table.
+BUILTIN_PRICE_REGIONS: tuple[str, ...] = tuple(REGION_PRICE_PRESETS)
+
 
 def lmp_series(
     region: str,

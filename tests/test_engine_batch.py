@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from repro.core.compiled import CompiledQPStructure
-from repro.core.strategies import ALL_STRATEGIES, FUEL_CELL, HYBRID
+from repro.core.problem import UFCProblem
+from repro.core.strategies import ALL_STRATEGIES, FUEL_CELL, GRID, HYBRID
+from repro.costs.carbon import SteppedCarbonTax
 from repro.engine import HorizonEngine, available_solvers, create_solver
 from repro.engine.batch import ANCHOR_SPACING, CentralizedBatchSlotSolver, _share_groups
 from repro.obs import load_run
@@ -307,6 +309,32 @@ class TestAnchorsAndWalks:
             assert res.converged
             anchor = res.extras["warm_mechanism"] in ("batch", "batch-scalar-fallback")
             assert anchor == (t % ANCHOR_SPACING == 0)
+
+    @pytest.mark.parametrize("strategy", [HYBRID, GRID], ids=lambda s: s.name)
+    def test_epigraph_slots_run_on_their_own_kernel(self, sim, strategy):
+        """A stepped carbon tax gives every slot epigraph variables, so
+        the compiled structure hands out QPs with constraint matrices of
+        their own: the lane must solve them on a kernel of those
+        matrices, not the structure's, and not drop to the scalar path."""
+        model = sim.model.with_emission_costs(
+            SteppedCarbonTax(thresholds_kg=[0, 500], rates_per_tonne=[25, 60])
+        )
+        problems = [
+            UFCProblem(model, p.inputs, strategy=strategy)
+            for p in (sim.problem_for_slot(t, strategy) for t in range(HOURS))
+        ]
+        solver = CentralizedBatchSlotSolver()
+        compiled = solver.compile(model, strategy)
+        assert compiled.qp_for(problems[0].inputs).A is not compiled._A
+        assert len(solver.solve_batch(problems, compiled=compiled)) == HOURS
+
+        outcomes = HorizonEngine("centralized-batch", certify=True).run(problems)
+        reference = HorizonEngine("centralized").run(problems)
+        assert len(outcomes) == HOURS
+        for o, ref in zip(outcomes, reference):
+            assert o.result.extras["warm_mechanism"] in self.MECHANISMS, o.index
+            assert o.certificate is not None and o.certificate.ok, o.index
+            assert abs(o.result.ufc - ref.result.ufc) <= 1e-6 * abs(ref.result.ufc)
 
 
 class TestEngineLaneErrors:

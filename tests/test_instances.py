@@ -8,6 +8,7 @@ import pytest
 from repro.core.centralized import CentralizedSolver
 from repro.core.compiled import CompiledQPStructure
 from repro.core.strategies import GRID, HYBRID
+from repro.engine import create_solver
 from repro.instances import ScaleSpec, generate_instance
 from repro.optim.kkt import StructuredQPCompiler, solve_structured_qp
 
@@ -42,6 +43,19 @@ class TestGenerator:
         again = generate_instance(small_instance.spec)
         np.testing.assert_array_equal(again.reach, small_instance.reach)
         np.testing.assert_array_equal(again.arrivals, small_instance.arrivals)
+        np.testing.assert_array_equal(again.prices, small_instance.prices)
+        np.testing.assert_array_equal(
+            again.carbon_rates, small_instance.carbon_rates
+        )
+
+    def test_registered_scenario_regions_do_not_change_instances(self, small_instance):
+        # The Europe scenario adds its sites to the shared region
+        # tables; a spec must still generate the same instance.
+        from repro.traces.scenarios import europe_bundle
+
+        europe_bundle(hours=24)
+        again = generate_instance(small_instance.spec)
+        np.testing.assert_array_equal(again.reach, small_instance.reach)
         np.testing.assert_array_equal(again.prices, small_instance.prices)
         np.testing.assert_array_equal(
             again.carbon_rates, small_instance.carbon_rates
@@ -144,12 +158,8 @@ class TestScaleSolves:
         inst = small_instance
         problem = inst.problem(5)
         compiled = CompiledQPStructure(inst.model, HYBRID)
-        dense = CentralizedSolver(tol=1e-8, kkt_mode="dense").solve(
-            problem, compiled
-        )
-        structured = CentralizedSolver(tol=1e-8, kkt_mode="structured").solve(
-            problem, compiled
-        )
+        dense = CentralizedSolver(tol=1e-8).solve(problem, compiled)
+        structured = create_solver("centralized-structured", tol=1e-8).solve(problem)
         assert dense.converged and structured.converged
         scale = 1.0 + abs(dense.ufc)
         assert abs(structured.ufc - dense.ufc) <= 1e-4 * scale

@@ -214,20 +214,6 @@ class TestEquilibrationCycleFallback:
         assert res.value == raw.value
         assert (res.x == raw.x).all()
 
-    def test_fallback_reports_trace_of_returned_solve(self):
-        rng = np.random.default_rng(57)
-        n = int(rng.integers(2, 7))
-        half = rng.normal(size=(n, n))
-        P = half @ half.T + 0.05 * np.eye(n)
-        q = rng.normal(size=n) * 3
-        res = solve_qp(
-            P, q, A=np.ones((1, n)), b=np.array([7.0]),
-            G=-np.eye(n), h=np.zeros(n), trace=True,
-        )
-        assert res.converged
-        assert res.trace is not None
-        assert len(res.trace) == res.iterations
-
 
 class TestGenericStartCycle:
     def test_seed_294_simplex_qp_converges(self):
@@ -290,13 +276,6 @@ class TestWorkspaceReuse:
         assert res.converged
         for original, copy in zip((P, q, A, b, G, h), copies):
             assert (original == copy).all()
-
-    def test_trace_does_not_change_iterates(self):
-        P, q, A, b, G, h = self._instance(seed=5)
-        plain = solve_qp(P, q, A=A, b=b, G=G, h=h)
-        traced = solve_qp(P, q, A=A, b=b, G=G, h=h, trace=True)
-        assert (plain.x == traced.x).all()
-        assert plain.iterations == traced.iterations
 
 
 class TestKKTResidualSafeguard:

@@ -13,7 +13,6 @@ import json
 import pytest
 
 from repro.admg.solver import DistributedUFCSolver
-from repro.core.centralized import CentralizedSolver
 from repro.core.strategies import HYBRID
 from repro.engine import HorizonEngine
 from repro.obs import (
@@ -155,27 +154,6 @@ class TestResidualTraces:
         assert plain.ufc == traced.ufc
         assert plain.iterations == traced.iterations
 
-    def test_ipqp_trace_matches_iterations(self, slot_problem):
-        res = CentralizedSolver(trace=True).solve(slot_problem)
-        trace = res.trace
-        assert trace is not None
-        assert res.iterations > 0
-        # Gap/residual are recorded at the top of every iteration; the
-        # step sizes only on iterations that took a step.
-        assert len(trace) == len(trace.residual) == res.iterations
-        assert len(trace.alpha) == len(trace.alpha_affine)
-        assert len(trace.alpha) in (res.iterations, res.iterations - 1)
-        assert trace.gap[-1] <= trace.gap[0]
-        assert all(0.0 < a <= 1.0 for a in trace.alpha)
-
-    def test_ipqp_solution_identical_with_tracing(self, slot_problem):
-        plain = CentralizedSolver().solve(slot_problem)
-        traced = CentralizedSolver(trace=True).solve(slot_problem)
-        assert (plain.allocation.lam == traced.allocation.lam).all()
-        assert plain.ufc == traced.ufc
-        assert plain.iterations == traced.iterations
-        assert CentralizedSolver().solve(slot_problem).trace is None
-
     def test_traces_surface_through_engine_extras(self, bundle, model):
         sim = Simulator(model, bundle)
         problems = [sim.problem_for_slot(t, HYBRID) for t in range(2)]
@@ -185,9 +163,6 @@ class TestResidualTraces:
         for outcome in dist:
             trace = outcome.result.extras["residual_trace"]
             assert len(trace) == outcome.result.iterations
-        cent = HorizonEngine(CentralizedSolver(trace=True)).run(problems)
-        for outcome in cent:
-            assert len(outcome.result.extras["ip_trace"]) == outcome.result.iterations
         # No trace flag, no extras entry -- the default stays lean.
         plain = HorizonEngine("distributed").run(problems[:1])
         assert "residual_trace" not in plain[0].result.extras
@@ -313,16 +288,6 @@ class TestTraceDownsampling:
         # And never perturbs the iterates.
         assert (sampled.allocation.lam == full.allocation.lam).all()
 
-    def test_ipqp_trace_every(self, slot_problem):
-        full = CentralizedSolver(trace=True).solve(slot_problem)
-        sampled = CentralizedSolver(trace=True, trace_every=3).solve(slot_problem)
-        assert sampled.iterations == full.iterations
-        assert len(sampled.trace) == -(-full.iterations // 3)
-        assert sampled.trace.gap == full.trace.gap[::3]
-        assert (sampled.allocation.lam == full.allocation.lam).all()
-
-    def test_trace_every_validates(self, slot_problem):
+    def test_trace_every_validates(self):
         with pytest.raises(ValueError):
             DistributedUFCSolver(trace_every=0)
-        with pytest.raises(ValueError):
-            CentralizedSolver(trace_every=-1).solve(slot_problem)

@@ -100,7 +100,10 @@ class TestReportAttachment:
         assert [o.result.ufc for o in engine.run(problems)] == baseline_ufc
 
 
-class TestMerging:
+class TestParentDerivedRecords:
+    """Worker metric series and ledger records, derived in the parent
+    from each slot's telemetry whatever lane or client ran it."""
+
     def test_merged_metrics_account_for_all_solve_wall(self, problems):
         metrics = MetricsRegistry()
         engine = HorizonEngine("centralized", metrics=metrics)
@@ -148,7 +151,7 @@ class TestMerging:
         assert merged == pytest.approx(engine.last_summary.solve_s, rel=1e-9)
         assert _worker_slots(metrics) == len(problems)
 
-    def test_warm_chain_ships_reports_like_the_cold_lane(self, problems):
+    def test_warm_lane_derives_series_like_the_cold_lane(self, problems):
         metrics = MetricsRegistry()
         engine = HorizonEngine("centralized-warm", metrics=metrics)
         outcomes = engine.run(problems, warm_start=True)

@@ -3,8 +3,7 @@
 Covers the optimizer-level active-set homotopy (:mod:`repro.optim.warm`),
 the ``centralized-warm`` engine lane (the anchor-and-walk lane of
 :mod:`repro.engine.batch` under its warm name) through pools, clients
-and a result store, the structured-KKT warm path with its
-per-iteration factor cache, ADM-G's own warm start, and the warm
+and a result store, ADM-G's own warm start, and the warm
 observability surface (summary fields, counters, ledger keys).
 
 The load-bearing invariants:
@@ -33,15 +32,9 @@ from repro.core.problem import SlotInputs, UFCProblem
 from repro.core.strategies import ALL_STRATEGIES, FUEL_CELL, GRID, HYBRID
 from repro.engine import HorizonEngine
 from repro.obs import MetricsRegistry, load_run
-from repro.obs.certify import certify_solution, certify_structured_solution
+from repro.obs.certify import certify_solution
 from repro.optim.ipqp import solve_qp
-from repro.optim.kkt import (
-    StructuredQPCompiler,
-    StructuredWarmState,
-    solve_structured_qp,
-)
 from repro.optim.warm import cold_state, solve_qp_warm
-from repro.instances import ScaleSpec, generate_instance
 from repro.sim.simulator import build_model
 from repro.traces.datasets import default_bundle
 
@@ -473,111 +466,6 @@ class TestWarmThroughClients:
         assert mechanisms == ["batch", "active-set", "active-set"]
         # Store hits are not walks of this run.
         assert summary.warm_started_slots == 2
-
-
-class TestStructuredWarm:
-    """Warm iterates + factor cache on the structured-KKT path."""
-
-    @pytest.fixture(scope="class")
-    def inst(self):
-        return generate_instance(
-            ScaleSpec(
-                num_datacenters=6, num_frontends=20, hours=2, fan_in=3, seed=11
-            )
-        )
-
-    def _sqp_pair(self, inst, scale=1e-4):
-        sc = StructuredQPCompiler(inst.model, HYBRID, reach=inst.reach)
-        inputs = inst.inputs(0)
-        rng = np.random.default_rng(5)
-        perturbed = dataclasses.replace(
-            inputs,
-            arrivals=np.abs(
-                inputs.arrivals
-                * (1.0 + scale * rng.standard_normal(inputs.arrivals.shape))
-            ),
-        )
-        return sc.structured_qp_for(inputs), sc.structured_qp_for(perturbed), perturbed
-
-    def test_structured_warm_matches_cold_and_saves_iterations(self, inst):
-        sqp, sqp_p, perturbed = self._sqp_pair(inst)
-        seed_cache: dict = {}
-        seed = solve_structured_qp(sqp, tol=1e-8, factor_cache=seed_cache)
-        cold_cache: dict = {}
-        cold = solve_structured_qp(sqp_p, tol=1e-8, factor_cache=cold_cache)
-        seed_cache["built"] = 0
-        seed_cache["reused"] = 0
-        warm = solve_structured_qp(
-            sqp_p,
-            tol=1e-8,
-            initial=StructuredWarmState(
-                x=seed.x,
-                y=seed.eq_dual,
-                s=sqp.ineq_slack(seed.x),
-                z=seed.ineq_dual,
-            ),
-            factor_cache=seed_cache,
-        )
-        assert warm.converged
-        assert warm.warm_used
-        assert warm.iterations < cold.iterations
-        # The warm path builds fewer KKT factors than the cold re-solve.
-        assert seed_cache["built"] < cold_cache["built"]
-        problem = UFCProblem(inst.model, perturbed, strategy=HYBRID)
-        ufc_c = problem.ufc(sqp_p.extract(cold.x))
-        ufc_w = problem.ufc(sqp_p.extract(warm.x))
-        assert abs(ufc_w - ufc_c) / max(1.0, abs(ufc_c)) <= 1e-6
-        cert = certify_structured_solution(
-            sqp_p,
-            problem,
-            sqp_p.extract(warm.x),
-            x=warm.x,
-            duals=(warm.eq_dual, warm.ineq_dual),
-            solver="structured-warm",
-        )
-        assert cert.ok
-
-    def test_trajectory_matched_resolve_reuses_factors(self, inst):
-        # A cold re-solve of the perturbed slot walks nearly the seed
-        # solve's barrier path, so the seed's per-iteration factors
-        # pass the drift gate and are reused rather than rebuilt.
-        sqp, sqp_p, _ = self._sqp_pair(inst)
-        seed_cache: dict = {}
-        solve_structured_qp(sqp, tol=1e-8, factor_cache=seed_cache)
-        cache = {"factors": dict(seed_cache["factors"])}
-        res = solve_structured_qp(sqp_p, tol=1e-8, factor_cache=cache)
-        assert res.converged
-        assert cache.get("reused", 0) > 0
-
-    def test_fresh_factor_cache_is_bit_identical(self, inst):
-        # A fresh cache on a cold solve only records factors; it can
-        # never be hit, so the trajectory must not move at all.
-        sqp, _, _ = self._sqp_pair(inst)
-        plain = solve_structured_qp(sqp, tol=1e-8)
-        cache: dict = {}
-        cached = solve_structured_qp(sqp, tol=1e-8, factor_cache=cache)
-        assert cached.iterations == plain.iterations
-        assert (cached.x == plain.x).all()
-        assert cache.get("built", 0) > 0
-        assert cache.get("reused", 0) == 0
-
-    def test_adversarial_structured_warm_falls_back(self, inst):
-        sqp, sqp_p, _ = self._sqp_pair(inst)
-        seed = solve_structured_qp(sqp, tol=1e-8)
-        n = len(seed.x)
-        garbage = StructuredWarmState(
-            x=seed.x + 1e6,
-            y=seed.eq_dual,
-            s=np.full_like(sqp.ineq_slack(seed.x), 1e6),
-            z=seed.ineq_dual + 1e6,
-        )
-        cold = solve_structured_qp(sqp_p, tol=1e-8)
-        warm = solve_structured_qp(sqp_p, tol=1e-8, initial=garbage)
-        assert not warm.warm_used
-        assert warm.converged
-        assert warm.iterations == cold.iterations
-        assert (warm.x == cold.x).all()
-        assert n == len(warm.x)
 
 
 class TestDistributedWarm:
