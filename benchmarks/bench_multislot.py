@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.strategies import HYBRID
+from repro.engine.horizon import HorizonEngine
 from repro.experiments.common import evaluation_setup
 from repro.extensions.multislot import solve_multislot
 from repro.extensions.ramping import RampingSimulator
@@ -30,9 +31,9 @@ def test_greedy_vs_exact_lookahead(run_once, bench_workers):
         greedy = RampingSimulator(model, bundle, ramp_mw_per_hour=RAMP).run(
             HYBRID, hours=HOURS
         )
-        unconstrained = Simulator(model, bundle, workers=bench_workers).run(
-            HYBRID, hours=HOURS
-        )
+        unconstrained = Simulator(
+            model, bundle, HorizonEngine(workers=bench_workers)
+        ).run(HYBRID, hours=HOURS)
         return exact, greedy, unconstrained
 
     exact, greedy, unconstrained = run_once(compare)

@@ -21,6 +21,7 @@ import argparse
 from repro import (
     CapAndTrade,
     HYBRID,
+    HorizonEngine,
     LinearCarbonTax,
     NoEmissionCost,
     Simulator,
@@ -39,7 +40,7 @@ def main() -> None:
         help="solve with the paper's ADM-G instead of the centralized QP",
     )
     args = parser.parse_args()
-    solver = "distributed" if args.distributed else "centralized"
+    engine = HorizonEngine("distributed" if args.distributed else "centralized")
 
     bundle = default_bundle(hours=args.hours, seed=args.seed)
     base_model = build_model(bundle)
@@ -66,7 +67,7 @@ def main() -> None:
           f"{'energy $':>10} {'FC util':>8} {'latency':>8}")
     for name, policy in policies.items():
         model = base_model.with_emission_costs(policy)
-        result = Simulator(model, bundle, solver=solver).run(HYBRID)
+        result = Simulator(model, bundle, engine).run(HYBRID)
         print(
             f"{name:<26} {result.total_carbon_tonnes():>10.1f} "
             f"{result.carbon_cost.sum():>10.0f} "

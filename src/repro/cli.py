@@ -34,6 +34,7 @@ import sys
 import numpy as np
 
 from repro.core.strategies import FUEL_CELL, GRID, HYBRID, Strategy
+from repro.engine.horizon import HorizonEngine
 from repro.engine.registry import available_solvers, create_solver
 from repro.exec import available_clients
 from repro.sim.simulator import Simulator, build_model
@@ -82,16 +83,6 @@ def _add_exec_args(cmd: argparse.ArgumentParser) -> None:
     )
 
 
-def _exec_kwargs(args) -> dict:
-    """Simulator/engine kwargs from the ``_add_exec_args`` flags."""
-    return {
-        "client": args.client,
-        "max_pending": args.max_pending,
-        "store": args.store,
-        "supervision": True if args.supervise else None,
-    }
-
-
 def _add_obs_args(cmd: argparse.ArgumentParser) -> None:
     """The observability-plane knobs shared by the solving subcommands."""
     cmd.add_argument(
@@ -112,21 +103,28 @@ def _add_obs_args(cmd: argparse.ArgumentParser) -> None:
     )
 
 
-def _obs_kwargs(args, metrics=None):
-    """Simulator kwargs from the ``_add_obs_args`` flags.
+def _engine(args, solver="centralized", certify=False, metrics=None):
+    """The :class:`HorizonEngine` of a solving subcommand's flags.
 
     ``--metrics-out`` needs a registry to merge into; the caller's own
     registry wins (the doctor already keeps one), otherwise a fresh one
-    is created when any obs flag asks for it.
+    is created when the flag asks for it.
     """
     if metrics is None and args.metrics_out:
         from repro.obs import MetricsRegistry
 
         metrics = MetricsRegistry()
-    return {
-        "ledger": args.ledger,
-        "metrics": metrics,
-    }
+    return HorizonEngine(
+        solver,
+        workers=args.workers,
+        certify=certify,
+        metrics=metrics,
+        supervision=True if args.supervise else None,
+        client=args.client,
+        max_pending=args.max_pending,
+        store=args.store,
+        ledger=args.ledger,
+    )
 
 
 def _write_metrics_out(args, metrics) -> None:
@@ -471,30 +469,19 @@ def _cmd_simulate(args) -> int:
     bundle = default_bundle(hours=args.hours, seed=args.seed)
     model = build_model(bundle)
     solver_kwargs = {"rho": args.rho} if args.solver == "distributed" else {}
-    solver = create_solver(args.solver, **solver_kwargs)
-    obs = _obs_kwargs(args)
-    sim = Simulator(
-        model,
-        bundle,
-        solver=solver,
-        workers=args.workers,
-        **_exec_kwargs(args),
-        **obs,
-    )
-    result = sim.run(_STRATEGIES[args.strategy])
+    engine = _engine(args, create_solver(args.solver, **solver_kwargs))
+    result = Simulator(model, bundle, engine).run(_STRATEGIES[args.strategy])
     print(result.summary())
     _print_profile(args, result.horizon_summary)
-    _write_metrics_out(args, obs["metrics"])
+    _write_metrics_out(args, engine.metrics)
     return 0
 
 
 def _cmd_compare(args) -> int:
     bundle = default_bundle(hours=args.hours, seed=args.seed)
     model = build_model(bundle)
-    obs = _obs_kwargs(args)
-    comp = Simulator(
-        model, bundle, **_exec_kwargs(args), **obs
-    ).compare_strategies(workers=args.workers)
+    engine = _engine(args)
+    comp = Simulator(model, bundle, engine).compare_strategies()
     for result in (comp.grid, comp.fuel_cell, comp.hybrid):
         print(result.summary())
         print()
@@ -504,7 +491,7 @@ def _cmd_compare(args) -> int:
     print(f"mean hybrid-over-grid UFC improvement: {100 * gain:+.1f}%")
     # All three strategies share one engine pass, hence one summary.
     _print_profile(args, comp.hybrid.horizon_summary)
-    _write_metrics_out(args, obs["metrics"])
+    _write_metrics_out(args, engine.metrics)
     return 0
 
 
@@ -599,16 +586,8 @@ def _cmd_doctor(args) -> int:
         feas_tol=args.feas_tol, kkt_tol=args.kkt_tol
     )
     metrics = MetricsRegistry()
-    sim = Simulator(
-        model,
-        bundle,
-        solver=solver,
-        workers=args.workers,
-        certify=certifier,
-        **_exec_kwargs(args),
-        **_obs_kwargs(args, metrics=metrics),
-    )
-    result = sim.run(_STRATEGIES[args.strategy])
+    engine = _engine(args, solver, certify=certifier, metrics=metrics)
+    result = Simulator(model, bundle, engine).run(_STRATEGIES[args.strategy])
     certs = result.certificates or ()
     if not certs:
         print("doctor: no certificates produced", file=sys.stderr)
@@ -923,7 +902,6 @@ def _cmd_runs(args) -> int:
 
 
 def _cmd_resume(args) -> int:
-    from repro.exec import SupervisorConfig
     from repro.sim.resume import resume_run
 
     try:
@@ -931,7 +909,7 @@ def _cmd_resume(args) -> int:
             args.run,
             args.ledger_dir,
             store=args.store,
-            supervision=SupervisorConfig() if args.supervise else None,
+            supervision=True if args.supervise else None,
         )
     except (FileNotFoundError, ValueError) as exc:
         print(f"resume: {exc}", file=sys.stderr)

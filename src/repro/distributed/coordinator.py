@@ -38,9 +38,33 @@ from repro.distributed.messages import (
     RoutingProposal,
     SimulatedNetwork,
 )
-from repro.faults.plan import FaultEvent, FaultInjector, RecoveryPolicy
+from repro.faults.plan import FaultEvent, FaultInjector
 
 __all__ = ["DistributedRun", "DistributedRuntime"]
+
+# Recovery budgets of the self-healing round loop.
+#: Snapshot the fleet every this many healthy rounds.
+CHECKPOINT_EVERY = 1
+#: The watchdog trips after this many *consecutive* rounds of growing
+#: residual (NaN/Inf trips immediately).
+WATCHDOG_WINDOW = 4
+#: Rounds to ignore before growth counting starts (the first
+#: iterations climb out of the zero start).
+WATCHDOG_WARMUP = 10
+#: A round only counts toward the growth streak when its residual
+#: exceeds the previous round's by this factor: plain packet loss makes
+#: residuals *oscillate*, and the watchdog must not mistake that for
+#: divergence.  Growth tracking is also suspended while any agent is
+#: crashed (a half-fleet cannot be expected to contract).
+GROWTH_FACTOR = 1.2
+#: Every agent's Gaussian back-substitution step ``eps`` is multiplied
+#: by this on each watchdog restart ...
+DAMPING = 0.9
+#: ... down to this floor (ADM-G theory wants ``eps > 0.5``).
+MIN_EPS = 0.55
+#: Watchdog restarts before the runtime stops restoring and completes
+#: degraded.
+MAX_RESTARTS = 3
 
 
 @dataclass
@@ -110,10 +134,9 @@ class DistributedRuntime:
     messages.  The solver object supplies the hyper-parameters.
 
     Pass a :class:`~repro.faults.plan.FaultInjector` as ``faults`` to
-    run the self-healing loop under injected faults; ``recovery``
-    configures its checkpoint/watchdog/retransmit budgets.  With
-    ``faults=None`` (the default) the original synchronous path runs
-    unchanged.
+    run the self-healing loop under injected faults, with the recovery
+    budgets above.  With ``faults=None`` (the default) the original
+    synchronous path runs unchanged.
     """
 
     def __init__(
@@ -122,17 +145,15 @@ class DistributedRuntime:
         solver: DistributedUFCSolver | None = None,
         network: SimulatedNetwork | None = None,
         faults: FaultInjector | None = None,
-        recovery: RecoveryPolicy | None = None,
     ) -> None:
         self.problem = problem
         self.solver = solver if solver is not None else DistributedUFCSolver()
         self.view, self.scaled_inputs = self.solver.scaled_context(problem)
         self.faults = faults
-        self.recovery = recovery if recovery is not None else RecoveryPolicy()
         if faults is not None and network is None:
             from repro.faults.network import FaultyNetwork
 
-            network = FaultyNetwork(faults, self.recovery.retransmit)
+            network = FaultyNetwork(faults)
         self.network = network if network is not None else SimulatedNetwork()
         view, inputs = self.view, self.scaled_inputs
         strategy = problem.strategy
@@ -318,8 +339,7 @@ class DistributedRuntime:
         self._a_view = a_v.copy()
         # Damping survives restores: derive eps from the restart count
         # rather than the (restored) agent state.
-        rec = self.recovery
-        eps = max(rec.min_eps, self.solver.eps * rec.damping**restarts)
+        eps = max(MIN_EPS, self.solver.eps * DAMPING**restarts)
         for agent in (*self.frontends, *self.datacenters):
             agent.eps = eps
 
@@ -436,7 +456,6 @@ class DistributedRuntime:
         """Rounds under injected faults, with recovery and degradation."""
         view, inputs = self.view, self.scaled_inputs
         injector = self.faults
-        rec = self.recovery
         net = self.network
         arrival_scale = max(1.0, float(inputs.arrivals.max(initial=0.0)))
         power_scale = max(
@@ -504,20 +523,20 @@ class DistributedRuntime:
                     growth_streak = 0
                     prev_metric = math.inf
                 elif (
-                    it > rec.watchdog_warmup
-                    and metric > prev_metric * rec.growth_factor
+                    it > WATCHDOG_WARMUP
+                    and metric > prev_metric * GROWTH_FACTOR
                 ):
                     growth_streak += 1
                     prev_metric = metric
                 else:
                     growth_streak = 0
                     prev_metric = metric
-            if blown or growth_streak >= rec.watchdog_window:
+            if blown or growth_streak >= WATCHDOG_WINDOW:
                 reason = (
                     "non-finite residual" if blown
                     else f"{growth_streak} consecutive growing rounds"
                 )
-                if restarts < rec.max_restarts:
+                if restarts < MAX_RESTARTS:
                     restarts += 1
                     self._restore_fleet(checkpoint, restarts)
                     if hasattr(net, "reset_in_flight"):
@@ -540,11 +559,11 @@ class DistributedRuntime:
                     "watchdog_exhausted",
                     it,
                     "fleet",
-                    f"{reason}; restart budget ({rec.max_restarts}) spent",
+                    f"{reason}; restart budget ({MAX_RESTARTS}) spent",
                 )
                 degraded = True
                 break
-            if growth_streak == 0 and it % rec.checkpoint_every == 0:
+            if growth_streak == 0 and it % CHECKPOINT_EVERY == 0:
                 checkpoint = self._take_checkpoint(it)
             if not crashed and max(
                 coupling_rel, power_rel, change_rel

@@ -58,7 +58,7 @@ import time
 import traceback
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.core.problem import UFCProblem
 from repro.engine.protocol import SlotResult, SlotSolver
@@ -240,12 +240,16 @@ def _slot_outcome(
     ``degraded`` whenever a fallback solver produced it or the solver
     reported a degraded completion.  The result's
     :attr:`~SlotResult.qp` is detached here, so no outcome keeps a
-    slot's QP alive.
+    slot's QP alive.  A structured-lane result is certified against
+    the reduced QP in its ``extras["structured_qp"]``, the layout its
+    multipliers are in.
     """
     extras = result.extras or {}
     qp = getattr(result, "qp", None)
     if qp is not None:
         result.qp = None
+    else:
+        qp = extras.get("structured_qp")
     certificate = None
     if certifier is not None:
         certificate = certifier.certify(
@@ -601,7 +605,8 @@ class HorizonEngine:
             :class:`~repro.obs.certify.CertificationContext`; passing a
             context (anything with a ``certify(problem, allocation, *,
             duals, solver, slot, qp)`` method, ``qp`` being the QP the
-            solver built or None) customizes thresholds.  Certification
+            solver built — the reduced ``StructuredSlotQP`` on the
+            structured lane — or None) customizes thresholds.  Certification
             never changes solutions — it reads them after the solver is
             done.
         metrics: optional :class:`~repro.obs.MetricsRegistry`; each run
@@ -791,6 +796,7 @@ class HorizonEngine:
         problems: Sequence[UFCProblem],
         warm_start: bool = False,
         batch: bool | None = None,
+        context: Mapping[str, Any] | None = None,
     ) -> list[SlotOutcome]:
         """Solve every problem; outcomes are returned in input order.
 
@@ -804,6 +810,11 @@ class HorizonEngine:
                 (see :meth:`_plan_batch`); True forces it (raising
                 when the solver has no ``solve_batch``); False forces
                 the scalar per-slot path.
+            context: recorded data for the ledger header's ``context``
+                (the :class:`~repro.sim.Simulator` stamps its run
+                recipe there); used only when ``ledger`` is a
+                directory — a :class:`~repro.obs.RunLedger` instance
+                keeps its own context.
 
         Raises:
             ValueError: for warm-start or batch requests the solver
@@ -812,7 +823,7 @@ class HorizonEngine:
         problems = list(problems)
         start = time.perf_counter()
         batched = self._plan_batch(batch, warm_start)
-        ledger = self._open_ledger()
+        ledger = self._open_ledger(context)
         self._run_ledger = ledger
         try:
             with ExitStack() as stack:
@@ -867,24 +878,33 @@ class HorizonEngine:
 
     # -- observability plumbing ----------------------------------------------
 
-    def _open_ledger(self) -> RunLedger | None:
+    def _open_ledger(
+        self, context: Mapping[str, Any] | None
+    ) -> RunLedger | None:
         """Materialize this run's ledger from the ``ledger`` setting.
 
-        A directory gets a fresh ledger per run; a
-        :class:`~repro.obs.RunLedger` instance is used as-is (and is
-        therefore single-use — the engine finalizes or abandons it).
+        A directory gets a fresh ledger per run, its header carrying
+        ``context``; a :class:`~repro.obs.RunLedger` instance is used
+        as-is (and is therefore single-use — the engine finalizes or
+        abandons it).
         """
         if self.ledger is None:
             return None
         if isinstance(self.ledger, RunLedger):
             return self.ledger
-        return RunLedger(self.ledger)
+        return RunLedger(self.ledger, context=context)
 
-    def _ledger_config(self, batched: bool) -> dict[str, Any]:
-        """The run's engine configuration, JSON-ready, for the header."""
+    @property
+    def client_name(self) -> str | None:
+        """The ``client`` setting as the ledger records it: a registry
+        name as given, an instance by its display name."""
         client = self.client
         if client is not None and not isinstance(client, str):
             client = getattr(client, "name", type(client).__name__)
+        return client
+
+    def _ledger_config(self, batched: bool) -> dict[str, Any]:
+        """The run's engine configuration, JSON-ready, for the header."""
         return {
             "solver": self.solver.name,
             "workers": self.workers,
@@ -893,7 +913,7 @@ class HorizonEngine:
             "certify": self.certifier is not None,
             "fallback": list(self.fallback),
             "supervised": self.supervision is not None,
-            "client": client,
+            "client": self.client_name,
             "max_pending": self.max_pending,
             "store": self.store is not None,
             "batched": batched,

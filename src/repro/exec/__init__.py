@@ -14,7 +14,7 @@ can stay a policy layer:
   sweeps and chaos runs warm-start from disk;
 - :mod:`repro.exec.supervisor` — :class:`FleetSupervisor`, the
   self-healing wrapper: lost/straggling tasks are resubmitted or
-  hedged under a :class:`RetryBudget`, faulty workers quarantined,
+  hedged under a bounded retry budget, faulty workers quarantined,
   lost loopback workers respawned;
 - :mod:`repro.exec.pmap` — :func:`parallel_map`, the sweep drivers'
   order-preserving map over the same clients.
@@ -39,7 +39,6 @@ from repro.exec.store import ResultStore, problem_digest, problem_digests
 from repro.exec.supervisor import (
     FleetStats,
     FleetSupervisor,
-    RetryBudget,
     SupervisorConfig,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "FleetSupervisor",
     "InProcessClient",
     "MultiprocessingClient",
-    "RetryBudget",
     "SocketClient",
     "SupervisorConfig",
     "BatchScheduler",

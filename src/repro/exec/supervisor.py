@@ -9,19 +9,19 @@ submit/wait_next/discard surface, so the batch scheduler and engine
 use it transparently, and adds four behaviors:
 
 - **Resubmission.**  A task whose worker died is resubmitted to the
-  surviving fleet under a bounded :class:`RetryBudget` — per-task
-  attempt cap, exponential backoff, and a per-run retry ceiling.  Only
+  surviving fleet under a bounded retry budget — per-task attempt cap,
+  exponential backoff, and a per-run retry ceiling.  Only
   when the budget is exhausted does the failure propagate (with the
   supervisor's task id attached, so the scheduler can still absorb it
   per-task).
 - **Straggler hedging.**  Once enough attempts have completed to
   estimate a latency quantile, a task in flight longer than
-  ``quantile * hedge_multiplier`` is speculatively duplicated on
+  ``quantile * HEDGE_MULTIPLIER`` is speculatively duplicated on
   another worker; the first completed attempt wins and the loser is
   discarded.  Task functions are deterministic, so hedging never
   changes results — only tail latency.
 - **Worker quarantine.**  A worker that loses tasks repeatedly
-  (``quarantine_after`` times) is retired from the rotation,
+  (``QUARANTINE_AFTER`` times) is retired from the rotation,
   circuit-breaker style.
 - **Respawn.**  When the wrapped client can grow its fleet back
   (:meth:`~repro.exec.clients.SocketClient.respawn_workers`), lost
@@ -37,7 +37,7 @@ pre-supervision code path.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.exec.clients import WorkerLostError
@@ -45,104 +45,58 @@ from repro.exec.clients import WorkerLostError
 __all__ = [
     "FleetStats",
     "FleetSupervisor",
-    "RetryBudget",
     "SupervisorConfig",
 ]
 
 
-@dataclass(frozen=True)
-class RetryBudget:
-    """How hard the supervisor tries before letting a task fail.
+#: Total submissions per task, first try included.
+MAX_ATTEMPTS = 3
+#: Pause before a task's first resubmission, in seconds.
+BACKOFF_S = 0.05
+#: Growth factor of the pause per further resubmission.
+BACKOFF_MULTIPLIER = 2.0
+#: Ceiling on resubmissions across a whole run, so a poisoned horizon
+#: cannot retry forever.
+MAX_RETRIES_RUN = 64
+#: Completed-attempt latency quantile the straggler deadline derives
+#: from; a task is a straggler once its attempt has been in flight
+#: ``quantile * HEDGE_MULTIPLIER`` seconds.
+HEDGE_QUANTILE = 0.99
+HEDGE_MULTIPLIER = 3.0
+#: Completed attempts required before the quantile is trusted (no
+#: hedging before that).
+HEDGE_MIN_SAMPLES = 8
+#: Ceiling on hedges across a whole run.
+MAX_HEDGES_RUN = 16
+#: Task losses a single worker may cause before it is retired from the
+#: rotation.
+QUARANTINE_AFTER = 3
+#: Idle workers are pinged this often, in seconds.
+HEARTBEAT_S = 5.0
 
-    Args:
-        max_attempts: total submissions per task (first try included).
-        backoff_s: pause before the first resubmission.
-        backoff_multiplier: growth factor per further resubmission.
-        max_retries_run: ceiling on resubmissions across the whole run
-            — a poisoned horizon cannot retry forever.
-    """
 
-    max_attempts: int = 3
-    backoff_s: float = 0.05
-    backoff_multiplier: float = 2.0
-    max_retries_run: int = 64
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_s < 0:
-            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError(
-                f"backoff_multiplier must be >= 1, got {self.backoff_multiplier}"
-            )
-        if self.max_retries_run < 0:
-            raise ValueError(
-                f"max_retries_run must be >= 0, got {self.max_retries_run}"
-            )
-
-    def backoff_for(self, resubmission: int) -> float:
-        """Backoff before the ``resubmission``-th resubmission (1-based)."""
-        return self.backoff_s * self.backoff_multiplier ** max(0, resubmission - 1)
+def backoff_for(resubmission: int) -> float:
+    """Backoff before the ``resubmission``-th resubmission (1-based)."""
+    return BACKOFF_S * BACKOFF_MULTIPLIER ** max(0, resubmission - 1)
 
 
 @dataclass(frozen=True)
 class SupervisorConfig:
     """Fleet supervision policy.
 
+    Retries, hedging, quarantine and heartbeats always run, with the
+    module constants above; only respawning varies per run.
+
     Args:
-        retry: the resubmission budget.
-        hedging: speculatively duplicate stragglers.
-        hedge_quantile: completed-attempt latency quantile the straggler
-            deadline derives from.
-        hedge_multiplier: a task is a straggler once its attempt has
-            been in flight ``quantile * multiplier`` seconds.
-        hedge_min_samples: completed attempts required before the
-            quantile is trusted (no hedging before that).
-        max_hedges_run: ceiling on hedges across the whole run.
-        quarantine_after: task losses a single worker may cause
-            before it is retired from the rotation; 0 disables
-            quarantine.
-        heartbeat_s: ping idle workers this often (None disables).
         respawn: replace lost workers when the client can
             (``respawn_workers``).
         max_respawns: ceiling on replacement workers per run.
     """
 
-    retry: RetryBudget = field(default_factory=RetryBudget)
-    hedging: bool = True
-    hedge_quantile: float = 0.99
-    hedge_multiplier: float = 3.0
-    hedge_min_samples: int = 8
-    max_hedges_run: int = 16
-    quarantine_after: int = 3
-    heartbeat_s: float | None = 5.0
     respawn: bool = False
     max_respawns: int = 2
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.hedge_quantile <= 1.0:
-            raise ValueError(
-                f"hedge_quantile must be in (0, 1], got {self.hedge_quantile}"
-            )
-        if self.hedge_multiplier <= 0:
-            raise ValueError(
-                f"hedge_multiplier must be > 0, got {self.hedge_multiplier}"
-            )
-        if self.hedge_min_samples < 1:
-            raise ValueError(
-                f"hedge_min_samples must be >= 1, got {self.hedge_min_samples}"
-            )
-        if self.max_hedges_run < 0:
-            raise ValueError(
-                f"max_hedges_run must be >= 0, got {self.max_hedges_run}"
-            )
-        if self.quarantine_after < 0:
-            raise ValueError(
-                f"quarantine_after must be >= 0, got {self.quarantine_after}"
-            )
-        if self.heartbeat_s is not None and self.heartbeat_s <= 0:
-            raise ValueError(f"heartbeat_s must be > 0, got {self.heartbeat_s}")
         if self.max_respawns < 0:
             raise ValueError(f"max_respawns must be >= 0, got {self.max_respawns}")
 
@@ -263,11 +217,7 @@ class FleetSupervisor:
         self._fleet_target = int(getattr(client, "workers", 1))
         self._last_workers = self._fleet_target
         self._next_outer = 0
-        self._heartbeat_due = (
-            time.monotonic() + self.config.heartbeat_s
-            if self.config.heartbeat_s is not None
-            else None
-        )
+        self._heartbeat_due = time.monotonic() + HEARTBEAT_S
         self._set_liveness_gauge()
 
     # -- ExecutionClient surface ---------------------------------------------
@@ -319,8 +269,8 @@ class FleetSupervisor:
                 return self._pop_ready()
             wake = self._next_wake(now)
             if caller_deadline is not None:
-                wake = caller_deadline if wake is None else min(wake, caller_deadline)
-            inner_timeout = None if wake is None else max(0.0, wake - now)
+                wake = min(wake, caller_deadline)
+            inner_timeout = max(0.0, wake - now)
             try:
                 got = self.inner.wait_next(timeout_s=inner_timeout)
             except Exception as exc:  # noqa: BLE001 - triaged below
@@ -479,9 +429,9 @@ class FleetSupervisor:
         raise exc
 
     def _may_retry(self, state: _TaskState) -> bool:
-        if state.attempts >= self.config.retry.max_attempts:
+        if state.attempts >= MAX_ATTEMPTS:
             return False
-        if self.stats.resubmissions >= self.config.retry.max_retries_run:
+        if self.stats.resubmissions >= MAX_RETRIES_RUN:
             return False
         if self.workers < 1 and not self._can_respawn():
             return False
@@ -489,9 +439,7 @@ class FleetSupervisor:
 
     def _schedule_retry(self, state: _TaskState, reason: str) -> None:
         resubmission = state.attempts  # 1-based: first retry after attempt 1
-        state.retry_at = time.monotonic() + self.config.retry.backoff_for(
-            resubmission
-        )
+        state.retry_at = time.monotonic() + backoff_for(resubmission)
         self.stats.resubmissions += 1
         self._count("repro_exec_resubmits_total", reason=reason)
 
@@ -522,18 +470,12 @@ class FleetSupervisor:
     # -- hedging --------------------------------------------------------------
 
     def _straggler_deadline_s(self) -> float | None:
-        if (
-            not self.config.hedging
-            or len(self._durations) < self.config.hedge_min_samples
-        ):
+        if len(self._durations) < HEDGE_MIN_SAMPLES:
             return None
-        return (
-            _quantile(self._durations, self.config.hedge_quantile)
-            * self.config.hedge_multiplier
-        )
+        return _quantile(self._durations, HEDGE_QUANTILE) * HEDGE_MULTIPLIER
 
     def _launch_hedges(self, now: float) -> None:
-        if self.stats.hedges_launched >= self.config.max_hedges_run:
+        if self.stats.hedges_launched >= MAX_HEDGES_RUN:
             return
         threshold = self._straggler_deadline_s()
         if threshold is None:
@@ -549,7 +491,7 @@ class FleetSupervisor:
             state.hedged = True
             self.stats.hedges_launched += 1
             self._launch_attempt(state, hedge=True)
-            if self.stats.hedges_launched >= self.config.max_hedges_run:
+            if self.stats.hedges_launched >= MAX_HEDGES_RUN:
                 return
 
     # -- fleet health ---------------------------------------------------------
@@ -559,9 +501,8 @@ class FleetSupervisor:
             return
         self._worker_faults[worker] = self._worker_faults.get(worker, 0) + 1
         if (
-            self.config.quarantine_after > 0
-            and worker not in self._quarantined
-            and self._worker_faults[worker] >= self.config.quarantine_after
+            worker not in self._quarantined
+            and self._worker_faults[worker] >= QUARANTINE_AFTER
         ):
             probe = getattr(self.inner, "quarantine_worker", None)
             if probe is not None and probe(worker):
@@ -590,13 +531,13 @@ class FleetSupervisor:
             self._note_worker_change(revival=True)
 
     def _heartbeat(self, now: float) -> None:
-        if self._heartbeat_due is None or now < self._heartbeat_due:
+        if now < self._heartbeat_due:
             return
-        self._heartbeat_due = now + float(self.config.heartbeat_s or 0.0)
+        self._heartbeat_due = now + HEARTBEAT_S
         probe = getattr(self.inner, "check_liveness", None)
         if probe is None:
             return
-        dropped = probe(timeout_s=min(1.0, float(self.config.heartbeat_s or 1.0)))
+        dropped = probe(timeout_s=min(1.0, HEARTBEAT_S))
         if dropped:
             self._note_worker_change()
             self._maybe_respawn()
@@ -622,20 +563,18 @@ class FleetSupervisor:
         ]
         return min(dues) if dues else None
 
-    def _next_wake(self, now: float) -> float | None:
-        """When housekeeping next needs the loop back, or None."""
-        candidates: list[float] = []
+    def _next_wake(self, now: float) -> float:
+        """When housekeeping next needs the loop back."""
+        candidates = [self._heartbeat_due]
         retry = self._earliest_retry()
         if retry is not None:
             candidates.append(retry)
-        if self._heartbeat_due is not None:
-            candidates.append(self._heartbeat_due)
         threshold = self._straggler_deadline_s()
         if threshold is not None:
             for state in self._tasks.values():
                 if len(state.live) == 1 and not state.hedged:
                     candidates.append(state.live[0].submitted_at + threshold)
-        return min(candidates) if candidates else None
+        return min(candidates)
 
     def _record_lineage(
         self, state: _TaskState, outcome: str, winner_hedge: bool

@@ -9,6 +9,7 @@ run so regenerating every figure costs one simulation.
 from __future__ import annotations
 
 from repro.core.model import CloudModel
+from repro.engine.horizon import HorizonEngine
 from repro.sim.results import StrategyComparison
 from repro.sim.simulator import Simulator, build_model
 from repro.traces.datasets import TraceBundle, default_bundle
@@ -57,7 +58,8 @@ def cached_comparison(
     key = (hours, seed)
     if key not in _COMPARISON_CACHE:
         bundle, model = evaluation_setup(hours=hours, seed=seed)
-        _COMPARISON_CACHE[key] = Simulator(model, bundle).compare_strategies(
-            workers=workers
-        )
+        engine = HorizonEngine(workers=workers)
+        _COMPARISON_CACHE[key] = Simulator(
+            model, bundle, engine
+        ).compare_strategies()
     return _COMPARISON_CACHE[key]

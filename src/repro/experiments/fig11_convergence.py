@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.admg.solver import DistributedUFCSolver
 from repro.core.strategies import HYBRID
+from repro.engine.horizon import HorizonEngine
 from repro.experiments.common import evaluation_setup
 from repro.sim.metrics import iteration_cdf
 from repro.sim.simulator import Simulator
@@ -59,8 +60,8 @@ def run_fig11(
     """
     bundle, model = evaluation_setup(hours=hours, seed=seed)
     solver = DistributedUFCSolver(rho=rho, tol=tol, max_iter=max_iter)
-    sim = Simulator(model, bundle, solver=solver, workers=workers)
-    result = sim.run(HYBRID)
+    engine = HorizonEngine(solver, workers=workers)
+    result = Simulator(model, bundle, engine).run(HYBRID)
     counts, fractions = iteration_cdf(result.iterations)
     return Fig11Result(
         iterations=result.iterations,

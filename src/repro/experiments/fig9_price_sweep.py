@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.model import CloudModel
+from repro.engine.horizon import HorizonEngine
 from repro.core.strategies import GRID, HYBRID
 from repro.exec import parallel_map
 from repro.experiments.common import evaluation_setup
@@ -70,7 +71,8 @@ def run_fig9(
     points concurrently; the result is identical at any worker count.
     """
     bundle, model = evaluation_setup(hours=hours, seed=seed)
-    grid_result = Simulator(model, bundle, workers=workers).run(GRID)
+    engine = HorizonEngine(workers=workers)
+    grid_result = Simulator(model, bundle, engine).run(GRID)
     points = parallel_map(
         partial(
             _price_point, bundle=bundle, model=model, grid_ufc=grid_result.ufc

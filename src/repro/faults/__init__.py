@@ -20,8 +20,6 @@ from repro.faults.plan import (
     FaultInjector,
     FaultPlan,
     PartitionSpec,
-    RecoveryPolicy,
-    RetransmitPolicy,
 )
 from repro.faults.scenarios import SCENARIOS, available_scenarios, scenario_spec
 
@@ -36,8 +34,6 @@ __all__ = [
     "FaultPlan",
     "FaultyNetwork",
     "PartitionSpec",
-    "RecoveryPolicy",
-    "RetransmitPolicy",
     "available_scenarios",
     "run_chaos",
     "run_worker_churn",

@@ -30,7 +30,7 @@ from typing import Any, Mapping
 
 from repro.core.strategies import HYBRID, Strategy
 from repro.engine.horizon import HorizonEngine
-from repro.faults.plan import FaultPlan, RecoveryPolicy
+from repro.faults.plan import FaultPlan
 from repro.faults.solver import ChaosDistributedSolver
 from repro.obs.metrics import MetricsRegistry
 
@@ -185,7 +185,6 @@ def run_chaos(
     hours: int = 24,
     seed: int = 2014,
     strategy: Strategy = HYBRID,
-    recovery: RecoveryPolicy | None = None,
     fallback: tuple[str, ...] = DEFAULT_FALLBACK,
     metrics: MetricsRegistry | None = None,
 ) -> ChaosReport:
@@ -196,7 +195,6 @@ def run_chaos(
         hours: horizon length (slots of the default bundle).
         seed: trace-bundle seed (the *fault* seed lives in the plan).
         strategy: power-sourcing strategy for every slot.
-        recovery: runtime recovery budgets (defaults per the docs).
         fallback: engine fallback chain for slots whose fault-injected
             run completes degraded; empty disables escalation (the
             degraded-but-feasible distributed result is kept).
@@ -208,7 +206,6 @@ def run_chaos(
     from repro.traces.datasets import default_bundle
 
     plan = FaultPlan.from_spec(scenario)
-    recovery = recovery if recovery is not None else RecoveryPolicy()
     fallback = tuple(fallback)
     registry = metrics if metrics is not None else MetricsRegistry()
     bundle = default_bundle(hours=hours, seed=seed)
@@ -216,9 +213,7 @@ def run_chaos(
     sim = Simulator(model, bundle)
     problems = [sim.problem_for_slot(t, strategy) for t in range(bundle.hours)]
 
-    chaos_solver = ChaosDistributedSolver(
-        plan, recovery=recovery, escalate_degraded=bool(fallback)
-    )
+    chaos_solver = ChaosDistributedSolver(plan, escalate_degraded=bool(fallback))
     engine = HorizonEngine(
         chaos_solver,
         workers=1,

@@ -31,7 +31,7 @@ from typing import Any, Mapping
 from repro.core.strategies import HYBRID, Strategy
 from repro.engine.horizon import HorizonEngine
 from repro.engine.registry import create_solver
-from repro.exec import RetryBudget, SocketClient, SupervisorConfig
+from repro.exec import SocketClient, SupervisorConfig
 from repro.exec.store import problem_digest, problem_digests
 from repro.obs.metrics import MetricsRegistry
 
@@ -252,9 +252,7 @@ def run_worker_churn(
             metrics=registry,
             ledger=ledger,
             supervision=SupervisorConfig(
-                retry=RetryBudget(max_attempts=3),
-                respawn=respawn,
-                max_respawns=max(2, kills),
+                respawn=respawn, max_respawns=max(2, kills)
             ),
         )
         start = time.perf_counter()

@@ -3,9 +3,9 @@
 :class:`FaultyNetwork` extends the reliable
 :class:`~repro.distributed.messages.SimulatedNetwork` with the fault
 taxonomy of a :class:`~repro.faults.plan.FaultInjector`: per-attempt
-drops retried under an explicit
-:class:`~repro.faults.plan.RetransmitPolicy` budget (exponential
-backoff is *accounted* in ``simulated_backoff_s``, never slept),
+drops retried under a budget of :data:`RETRANSMIT_ATTEMPTS` attempts
+(exponential backoff is *accounted* in ``simulated_backoff_s``, never
+slept, so chaos runs stay fast and deterministic),
 one-round delivery delays, payload corruption and duplication, and
 partition cuts.  Every attempt — dropped, delayed, duplicated or
 landed — bills the message/float/byte counters exactly once, matching
@@ -13,9 +13,9 @@ the audited :class:`~repro.distributed.messages.LossyNetwork`
 semantics.
 
 Unlike ``LossyNetwork``'s unbudgeted resend loop, a send here can
-*fail*: after ``max_attempts`` drops (or on a partition cut, which no
-retry can cross) the coordinator is told so and the receiver proceeds
-on its stale view of that pair.
+*fail*: after :data:`RETRANSMIT_ATTEMPTS` drops (or on a partition
+cut, which no retry can cross) the coordinator is told so and the
+receiver proceeds on its stale view of that pair.
 """
 
 from __future__ import annotations
@@ -24,9 +24,16 @@ import dataclasses
 from collections import deque
 
 from repro.distributed.messages import Message, SimulatedNetwork
-from repro.faults.plan import FaultInjector, RetransmitPolicy
+from repro.faults.plan import FaultInjector
 
 __all__ = ["FaultyNetwork"]
+
+#: Total transmission attempts per message, first try included.
+RETRANSMIT_ATTEMPTS = 4
+#: Simulated wait before the first retransmission, in seconds; each
+#: further retry waits ``RETRANSMIT_BACKOFF_FACTOR`` times longer.
+RETRANSMIT_BACKOFF_S = 0.05
+RETRANSMIT_BACKOFF_FACTOR = 2.0
 
 
 def _corrupt_payload(message: Message, injector: FaultInjector) -> Message:
@@ -52,14 +59,9 @@ class FaultyNetwork(SimulatedNetwork):
         simulated_backoff_s: summed virtual backoff wait (never slept).
     """
 
-    def __init__(
-        self,
-        injector: FaultInjector,
-        retransmit: RetransmitPolicy | None = None,
-    ) -> None:
+    def __init__(self, injector: FaultInjector) -> None:
         super().__init__()
         self.injector = injector
-        self.retransmit = retransmit if retransmit is not None else RetransmitPolicy()
         self.round = 0
         self.retransmits = 0
         self.sends_failed = 0
@@ -106,7 +108,6 @@ class FaultyNetwork(SimulatedNetwork):
     def send(self, message: Message) -> bool:  # type: ignore[override]
         """Transmit with the retry budget; False when the send failed."""
         injector = self.injector
-        policy = self.retransmit
         link = f"{message.sender}->{message.receiver}"
         if injector.cut(message.sender, message.receiver, self.round):
             # A partition is not a lossy link: no number of retries
@@ -115,16 +116,16 @@ class FaultyNetwork(SimulatedNetwork):
             injector.record("partition", self.round, link)
             self.sends_failed += 1
             return False
-        backoff = policy.backoff_base_s
-        for attempt in range(1, policy.max_attempts + 1):
+        backoff = RETRANSMIT_BACKOFF_S
+        for attempt in range(1, RETRANSMIT_ATTEMPTS + 1):
             self._bill(message)
             fate = injector.attempt()
             if fate == "drop":
                 injector.count("drop")
-                if attempt < policy.max_attempts:
+                if attempt < RETRANSMIT_ATTEMPTS:
                     self.retransmits += 1
                     self.simulated_backoff_s += backoff
-                    backoff *= policy.backoff_factor
+                    backoff *= RETRANSMIT_BACKOFF_FACTOR
                 continue
             delivered = message
             if injector.corrupts():
@@ -146,7 +147,7 @@ class FaultyNetwork(SimulatedNetwork):
             "send_failed",
             self.round,
             link,
-            f"budget of {policy.max_attempts} attempts exhausted",
+            f"budget of {RETRANSMIT_ATTEMPTS} attempts exhausted",
         )
         self.sends_failed += 1
         return False

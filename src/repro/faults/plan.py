@@ -23,7 +23,7 @@ cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
 import numpy as np
@@ -31,8 +31,6 @@ import numpy as np
 __all__ = [
     "CrashSpec",
     "PartitionSpec",
-    "RetransmitPolicy",
-    "RecoveryPolicy",
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",
@@ -113,87 +111,6 @@ class PartitionSpec:
         if not self.start <= round_ < self.stop:
             return False
         return (sender in self.isolate) != (receiver in self.isolate)
-
-
-@dataclass(frozen=True)
-class RetransmitPolicy:
-    """Budgeted at-least-once delivery with exponential backoff.
-
-    A sender keeps retransmitting a dropped message up to
-    ``max_attempts`` total attempts; each retry waits
-    ``backoff_base_s * backoff_factor**k`` (*simulated* — accounted,
-    never slept, so chaos runs stay fast and deterministic).  When the
-    budget is exhausted the send *fails* and the receiver proceeds on
-    its stale view — unlike the unbudgeted
-    :class:`~repro.distributed.messages.LossyNetwork` resend loop,
-    which retries forever at zero cost.
-    """
-
-    max_attempts: int = 4
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base_s < 0 or self.backoff_factor < 1.0:
-            raise ValueError(
-                "backoff needs base >= 0 and factor >= 1, got "
-                f"{self.backoff_base_s}/{self.backoff_factor}"
-            )
-
-
-@dataclass(frozen=True)
-class RecoveryPolicy:
-    """Checkpoint / watchdog / degradation knobs for the runtime.
-
-    Attributes:
-        checkpoint_every: snapshot the fleet every k healthy rounds.
-        watchdog_window: trip after this many *consecutive* rounds of
-            growing residual (NaN/Inf trips immediately).
-        watchdog_warmup: rounds to ignore before growth counting starts
-            (the first iterations climb out of the zero start).
-        growth_factor: a round only counts toward the growth streak
-            when its residual exceeds the previous round's by this
-            factor — plain packet loss makes residuals *oscillate*,
-            and the watchdog must not mistake that for divergence.
-            Growth tracking is also suspended while any agent is
-            crashed (a half-fleet cannot be expected to contract).
-        damping: multiply every agent's Gaussian back-substitution step
-            ``eps`` by this on each watchdog restart.
-        min_eps: floor for the damped step (ADM-G theory wants
-            ``eps > 0.5``).
-        max_restarts: watchdog restarts before the runtime stops
-            restoring and completes degraded.
-        retransmit: the per-message retry budget.
-    """
-
-    checkpoint_every: int = 1
-    watchdog_window: int = 4
-    watchdog_warmup: int = 10
-    growth_factor: float = 1.2
-    damping: float = 0.9
-    min_eps: float = 0.55
-    max_restarts: int = 3
-    retransmit: RetransmitPolicy = field(default_factory=RetransmitPolicy)
-
-    def __post_init__(self) -> None:
-        if self.checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
-            )
-        if self.watchdog_window < 1:
-            raise ValueError(
-                f"watchdog_window must be >= 1, got {self.watchdog_window}"
-            )
-        if self.growth_factor < 1.0:
-            raise ValueError(
-                f"growth_factor must be >= 1, got {self.growth_factor}"
-            )
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
-        if self.max_restarts < 0:
-            raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
 
 
 @dataclass(frozen=True)

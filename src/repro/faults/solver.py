@@ -24,7 +24,7 @@ from typing import Any
 from repro.core.problem import UFCProblem
 from repro.distributed.coordinator import DistributedRun, DistributedRuntime
 from repro.engine.protocol import SlotResult
-from repro.faults.plan import FaultInjector, FaultPlan, RecoveryPolicy
+from repro.faults.plan import FaultInjector, FaultPlan
 
 __all__ = ["ChaosDistributedSolver", "DegradedRunError"]
 
@@ -47,7 +47,6 @@ class ChaosDistributedSolver:
 
     Args:
         plan: fault plan, spec dict, or shipped scenario name.
-        recovery: checkpoint/watchdog/retransmit budgets.
         solver: ADM-G hyper-parameters (defaults to the paper's).
         escalate_degraded: raise :class:`DegradedRunError` on a
             degraded completion so an engine fallback chain can rescue
@@ -66,12 +65,10 @@ class ChaosDistributedSolver:
     def __init__(
         self,
         plan: FaultPlan | str | dict,
-        recovery: RecoveryPolicy | None = None,
         solver: Any | None = None,
         escalate_degraded: bool = False,
     ) -> None:
         self.plan = FaultPlan.from_spec(plan)
-        self.recovery = recovery if recovery is not None else RecoveryPolicy()
         self.solver = solver
         self.escalate_degraded = bool(escalate_degraded)
         self.injectors: list[FaultInjector] = []
@@ -98,7 +95,6 @@ class ChaosDistributedSolver:
             problem,
             solver=self.solver,
             faults=injector,
-            recovery=self.recovery,
         )
         run = runtime.run()
         self.runs.append(run)

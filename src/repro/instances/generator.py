@@ -37,17 +37,9 @@ from repro.core.model import CloudModel, Datacenter, FrontEnd
 from repro.core.problem import SlotInputs, UFCProblem
 from repro.core.strategies import HYBRID, Strategy
 from repro.costs.latency import latency_matrix_from_distances
-from repro.traces.fuelmix import (
-    BUILTIN_MIX_REGIONS,
-    REGION_FUEL_MIXES,
-    carbon_rate_series_from_rng,
-)
-from repro.traces.geography import BUILTIN_CITIES, CITY_COORDINATES
-from repro.traces.prices import (
-    BUILTIN_PRICE_REGIONS,
-    REGION_PRICE_PRESETS,
-    lmp_series_from_rng,
-)
+from repro.traces.fuelmix import REGION_FUEL_MIXES, carbon_rate_series_from_rng
+from repro.traces.geography import CITY_COORDINATES
+from repro.traces.prices import REGION_PRICE_PRESETS, lmp_series_from_rng
 from repro.traces.workload import workload_matrix
 
 __all__ = ["ScaleSpec", "ScaleInstance", "generate_instance"]
@@ -168,9 +160,7 @@ def _scatter_sites(
     count: int, rng: np.random.Generator, jitter_deg: float = 2.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lat, lon, utc_offset) for ``count`` sites around metro anchors."""
-    # Only the library's own cities: a scenario that registered more
-    # must not change what a spec generates.
-    anchors = [CITY_COORDINATES[name] for name in BUILTIN_CITIES]
+    anchors = list(CITY_COORDINATES.values())
     idx = rng.integers(0, len(anchors), size=count)
     lat = np.array([anchors[i].lat for i in idx]) + rng.normal(0.0, jitter_deg, count)
     lon = np.array([anchors[i].lon for i in idx]) + rng.normal(0.0, jitter_deg, count)
@@ -274,8 +264,8 @@ def generate_instance(spec: ScaleSpec) -> ScaleInstance:
 
     # Per-datacenter price/carbon: cycle the regional archetypes with
     # jittered parameters, one independent child stream per site.
-    price_names = sorted(BUILTIN_PRICE_REGIONS)
-    mix_names = sorted(BUILTIN_MIX_REGIONS)
+    price_names = sorted(REGION_PRICE_PRESETS)
+    mix_names = sorted(REGION_FUEL_MIXES)
     prices = np.empty((hours, n))
     carbon = np.empty((hours, n))
     archetypes = []

@@ -48,6 +48,7 @@ from repro.core.compiled import CompiledQPStructure
 from repro.core.model import SiteArrays
 from repro.core.problem import QPForm, UFCProblem
 from repro.core.solution import Allocation
+from repro.optim.kkt import StructuredSlotQP
 
 __all__ = [
     "Certificate",
@@ -414,7 +415,7 @@ def _certify(
 
 
 def certify_structured_solution(
-    sqp,
+    sqp: StructuredSlotQP,
     problem: UFCProblem,
     allocation: Allocation,
     *,
@@ -551,16 +552,30 @@ class CertificationContext:
         duals: tuple[np.ndarray, np.ndarray] | None = None,
         solver: str = "",
         slot: int = -1,
-        qp: QPForm | None = None,
+        qp: QPForm | StructuredSlotQP | None = None,
         ufc: float | None = None,
     ) -> Certificate:
         """Certify one slot through the shared structure cache.
 
         ``qp`` is the slot's QP when the caller already built it (at
         the default workload scale, as the producing solver does); it
-        is compiled from the cached structure otherwise.  ``ufc`` is
-        the allocation's UFC when the caller already computed it.
+        is compiled from the cached structure otherwise.  A
+        :class:`~repro.optim.kkt.StructuredSlotQP` is certified by
+        :func:`certify_structured_solution`, with no dense QP built.
+        ``ufc`` is the allocation's UFC when the caller already
+        computed it.
         """
+        if isinstance(qp, StructuredSlotQP):
+            return certify_structured_solution(
+                qp,
+                problem,
+                allocation,
+                duals=duals,
+                solver=solver,
+                slot=slot,
+                feas_tol=self.feas_tol,
+                kkt_tol=self.kkt_tol,
+            )
         start = time.perf_counter()
         structure = self._structure_for(problem)
         return _certify(

@@ -25,8 +25,8 @@ the centralized interior-point solvers it is checked against:
   slot's KKT point, with a cold solve as its fallback.
 - :mod:`repro.optim.batch` — :func:`solve_qp_batch`, the
   interior-point loop over a batch of QPs sharing one constraint
-  structure (one in-place LAPACK LU per instance and iteration), plus row-wise
-  simplex projection and batched rank-one QP solves.
+  structure (one in-place LAPACK LU per instance and iteration), plus
+  batched rank-one QP solves.
 - :mod:`repro.optim.kkt` — the block-sparse representation of the UFC
   QP (:class:`StructuredSlotQP`) and :func:`solve_structured_qp`, the
   interior-point loop over the block-arrowhead Newton system (block
@@ -39,7 +39,6 @@ the centralized interior-point solvers it is checked against:
 
 from repro.optim.batch import (
     BatchIPQPResult,
-    project_simplex_batch,
     solve_capped_rank_one_qp_batch,
     solve_qp_batch,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "minimize_qp_simplex",
     "project_box",
     "project_simplex",
-    "project_simplex_batch",
     "prox_nonneg",
     "solve_capped_rank_one_qp",
     "solve_capped_rank_one_qp_batch",

@@ -16,14 +16,13 @@ whole stack pays it once per iteration.  This module provides
   ``centralized-batch`` engine lane (:mod:`repro.engine.batch`) solves
   its cold anchors, one slot per day of each strategy's horizon, as
   one such stack and walks the slots between them by active set;
-- :func:`project_simplex_batch` — row-wise simplex projection over
-  ``(T, M)`` matrices (each row bit-identical to the scalar call);
 - :func:`solve_capped_rank_one_qp_batch` — the ADM-G per-datacenter
   ``a``-minimization solved for T slots at once with a vectorized
   sort-based support sweep (bit-identical to the scalar solver per row).
 
-The projections and the rank-one sweep replicate the scalar kernels'
-arithmetic per row.  The interior-point route does not: its Newton
+The rank-one sweep replicates the scalar kernel's arithmetic per row
+(its row-wise simplex projections are
+:func:`~repro.optim.simplex.project_simplex` on a 2-D batch).  The interior-point route does not: its Newton
 solves and coordinate-form equilibration sweeps go through batched
 BLAS calls that round differently from the scalar matvecs, so batched
 IPQP solutions agree with the scalar path to solver tolerance rather
@@ -56,7 +55,6 @@ from repro.optim.simplex import project_simplex
 __all__ = [
     "BatchIPQPResult",
     "solve_qp_batch",
-    "project_simplex_batch",
     "solve_capped_rank_one_qp_batch",
 ]
 
@@ -104,22 +102,6 @@ class BatchIPQPResult:
             converged=bool(self.converged[t]),
             gap=float(self.gap[t]),
         )
-
-
-def project_simplex_batch(
-    v: np.ndarray, total: float | np.ndarray = 1.0
-) -> np.ndarray:
-    """Row-wise simplex projection of a ``(T, n)`` batch.
-
-    Each row is projected onto ``{x >= 0, sum(x) = total}`` with the
-    exact arithmetic of the 1-D :func:`~repro.optim.simplex.project_simplex`
-    (bit-identical per row); ``total`` may be a scalar or a (T,) vector
-    of per-row totals.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 2:
-        raise ValueError(f"expected a 2-d batch, got shape {v.shape}")
-    return project_simplex(v, total)
 
 
 def solve_capped_rank_one_qp_batch(

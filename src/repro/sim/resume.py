@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.strategies import ALL_STRATEGIES, Strategy
+from repro.engine.horizon import HorizonEngine
 from repro.obs import RunLedger, load_run, resolve_run
 from repro.sim.simulator import Simulator, build_model
 from repro.traces.datasets import default_bundle
@@ -95,7 +96,6 @@ def resume_run(
     ledger_dir: str | os.PathLike[str] = ".",
     *,
     store: str | os.PathLike[str] | None = None,
-    workers: int | None = None,
     supervision: object | None = None,
 ) -> ResumeReport:
     """Finish the interrupted run ``ref`` and finalize a fresh ledger.
@@ -109,7 +109,6 @@ def resume_run(
             the store moved).  Without a store — from the recipe or
             here — every slot re-solves; the run still finishes, it
             just does the work again.
-        workers: override the recipe's worker count.
         supervision: optional fleet-supervision policy for the resume
             run (see :class:`~repro.exec.SupervisorConfig`).
 
@@ -154,25 +153,23 @@ def resume_run(
     ledger = RunLedger(
         root, run_id=run_id, context={**recipe, "resumed_from": run.run_id}
     )
-    sim = Simulator(
-        model,
-        bundle,
-        solver=recipe["solver"],
-        workers=int(recipe.get("workers") or 1) if workers is None else workers,
+    engine = HorizonEngine(
+        recipe["solver"],
+        workers=int(recipe.get("workers") or 1),
+        certify=bool(recipe.get("certify")),
+        supervision=supervision,
         client=recipe.get("client"),
         max_pending=recipe.get("max_pending"),
         store=store_path,
         ledger=ledger,
-        certify=bool(recipe.get("certify")),
-        supervision=supervision,
     )
+    sim = Simulator(model, bundle, engine)
     problems = [
         sim.problem_for_slot(t, strategy)
         for strategy in strategies
         for t in range(hours)
     ]
-    engine = sim._engine(workers)
-    outcomes = engine.run(problems)
+    engine.run(problems)
     summary = engine.last_summary
     return ResumeReport(
         resumed_from=run.run_id,

@@ -5,8 +5,9 @@ Replays a trace bundle slot by slot: each hourly slot yields a
 optimizes; interactive workloads cannot be deferred, so slots are
 independent (the paper's observation that decisions decouple across
 slots) and the simulator is a straightforward map over the horizon —
-executed through :class:`~repro.engine.horizon.HorizonEngine`, which
-adds compiled-structure caching and an optional process pool.
+executed through the :class:`~repro.engine.horizon.HorizonEngine` it
+is given, which adds compiled-structure caching and an optional
+process pool.
 """
 
 from __future__ import annotations
@@ -21,10 +22,7 @@ from repro.core.strategies import FUEL_CELL, GRID, HYBRID, Strategy
 from repro.costs.carbon import EmissionCostFunction
 from repro.costs.latency import LatencyUtility
 from repro.engine.horizon import HorizonEngine, SlotOutcome
-from repro.engine.protocol import SlotResult, SlotSolver
-from repro.engine.registry import create_solver
-from repro.exec import ExecutionClient, ResultStore
-from repro.obs import RunLedger
+from repro.engine.protocol import SlotResult
 from repro.sim.results import SimulationResult, StrategyComparison
 from repro.traces.datasets import TraceBundle
 
@@ -61,65 +59,24 @@ def build_model(
 
 
 class Simulator:
-    """Replay a bundle under a strategy with a chosen solver.
+    """Replay a bundle under a strategy through a horizon engine.
 
     Args:
         model: the static cloud model.
         bundle: aligned traces (must match the model's M and N).
-        solver: a solver specification resolved by the engine registry
-            — a name (``"centralized"`` (default), ``"distributed"``,
-            ``"dual-subgradient"``, ``"nearest"``, ``"cheapest-power"``,
-            ``"proportional"``), a pre-built solver instance, or any
-            :class:`~repro.engine.protocol.SlotSolver`.
-        workers: default worker processes for :meth:`run` /
-            :meth:`compare_strategies`; 1 solves in-process.  The
-            engine clamps the count to usable CPUs and falls back to
-            serial when a pool cannot help — see
-            :meth:`~repro.engine.horizon.HorizonEngine.plan_workers`.
-        oversubscribe: let the engine run more workers than usable
-            CPUs (measurement/testing aid; off by default).
-        certify: audit every slot's solution a posteriori (see
-            :class:`~repro.engine.horizon.HorizonEngine`); certificates
-            land on the result as ``certificates`` and aggregate into
-            ``horizon_summary``.  Off by default — solutions are
-            bit-identical either way.
-        metrics: optional :class:`~repro.obs.MetricsRegistry` the
-            engine records every run into.
-        client: execution backend every run solves through — a
-            registry name (``"in-process"``, ``"mp"``, ``"socket"``)
-            or an :class:`~repro.exec.ExecutionClient` instance; None
-            (default) keeps the classic workers-driven serial/pool
-            choice.  See :class:`~repro.engine.horizon.HorizonEngine`.
-        max_pending: cap on in-flight slot batches (pipelined
-            submission); None keeps every batch in flight.
-        store: optional persistent result store (a
-            :class:`~repro.exec.ResultStore` or directory path);
-            repeated runs resolve unchanged slots from disk.
-        ledger: optional run-ledger directory (or
-            :class:`~repro.obs.RunLedger`); every run persists its
-            header, per-slot outcome stream and summary as a JSONL
-            manifest that ``repro top`` / ``repro runs`` consume.
-        supervision: fleet supervision policy (a
-            :class:`~repro.exec.SupervisorConfig`, or True for the
-            defaults); lost or straggling slots are resubmitted/hedged
-            to surviving workers instead of failing the run.  Only
-            takes effect with an asynchronous client.
+        engine: the :class:`~repro.engine.horizon.HorizonEngine` every
+            run solves through; its settings (solver, workers, client,
+            store, ledger, certification, supervision, ...) are the
+            run's.  None (default) builds ``HorizonEngine()``: the
+            centralized solver, in-process.  Results are bit-identical
+            at any worker count and on every client.
     """
 
     def __init__(
         self,
         model: CloudModel,
         bundle: TraceBundle,
-        solver: str | SlotSolver | object = "centralized",
-        workers: int = 1,
-        oversubscribe: bool = False,
-        certify: bool | object = False,
-        metrics: object | None = None,
-        client: str | ExecutionClient | None = None,
-        max_pending: int | None = None,
-        store: ResultStore | str | None = None,
-        ledger: object | None = None,
-        supervision: object | None = None,
+        engine: HorizonEngine | None = None,
     ) -> None:
         if model.num_datacenters != bundle.num_datacenters:
             raise ValueError(
@@ -133,16 +90,7 @@ class Simulator:
             )
         self.model = model
         self.bundle = bundle
-        self.solver: SlotSolver = create_solver(solver)
-        self.workers = int(workers)
-        self.oversubscribe = bool(oversubscribe)
-        self.certify = certify
-        self.metrics = metrics
-        self.client = client
-        self.max_pending = max_pending
-        self.store = store
-        self.ledger = ledger
-        self.supervision = supervision
+        self.engine = HorizonEngine() if engine is None else engine
 
     def problem_for_slot(self, t: int, strategy: Strategy) -> UFCProblem:
         """The slot-``t`` UFC problem under ``strategy``."""
@@ -167,57 +115,26 @@ class Simulator:
 
         These are the coordinates ``repro resume`` needs to rebuild an
         interrupted run's exact problem set: the bundle generator's
-        inputs, the strategy block order, and the solver/store wiring.
-        Non-registry solvers and pre-built clients record their display
-        name — such runs are reproducible only by the code that built
-        them, and resume refuses them with a clear error.
+        inputs, the strategy block order, and the engine's solver and
+        store wiring.  Non-registry solvers and pre-built clients
+        record their display name — such runs are reproducible only by
+        the code that built them, and resume refuses them with a clear
+        error.
         """
-        store = self.store
-        if store is not None and not isinstance(store, str):
-            store = str(getattr(store, "root", store))
-        client = self.client
-        if client is not None and not isinstance(client, str):
-            client = getattr(client, "name", type(client).__name__)
+        engine = self.engine
         return {
             "kind": "simulate" if len(strategies) == 1 else "compare",
             "hours": horizon,
             "seed": self.bundle.seed,
             "strategies": [s.name for s in strategies],
-            "solver": self.solver.name,
-            "workers": self.workers,
-            "client": client,
-            "max_pending": self.max_pending,
-            "store": store,
-            "certify": bool(self.certify),
-            "supervised": self.supervision is not None,
+            "solver": engine.solver.name,
+            "workers": engine.workers,
+            "client": engine.client_name,
+            "max_pending": engine.max_pending,
+            "store": None if engine.store is None else str(engine.store.root),
+            "certify": engine.certifier is not None,
+            "supervised": engine.supervision is not None,
         }
-
-    def _run_ledger(
-        self, strategies: Sequence[Strategy], horizon: int
-    ) -> RunLedger | None:
-        """Materialize this run's ledger, stamping the resume recipe.
-
-        A pre-built :class:`~repro.obs.RunLedger` is used as-is (its
-        own context wins); a directory path gets a fresh per-run ledger
-        carrying the recipe.
-        """
-        if self.ledger is None or isinstance(self.ledger, RunLedger):
-            return self.ledger
-        return RunLedger(self.ledger, context=self._recipe(strategies, horizon))
-
-    def _engine(self, workers: int | None) -> HorizonEngine:
-        return HorizonEngine(
-            self.solver,
-            workers=self.workers if workers is None else int(workers),
-            oversubscribe=self.oversubscribe,
-            certify=self.certify,
-            metrics=self.metrics,
-            client=self.client,
-            max_pending=self.max_pending,
-            store=self.store,
-            ledger=self.ledger,
-            supervision=self.supervision,
-        )
 
     def _collect(
         self,
@@ -276,40 +193,29 @@ class Simulator:
             certificates=tuple(certs) if any(c is not None for c in certs) else None,
         )
 
-    def run(
-        self,
-        strategy: Strategy,
-        hours: int | None = None,
-        workers: int | None = None,
-    ) -> SimulationResult:
+    def run(self, strategy: Strategy, hours: int | None = None) -> SimulationResult:
         """Simulate ``hours`` slots (default: the whole bundle).
 
-        ``workers`` overrides the simulator-wide worker count for this
-        run; results are identical (bit-for-bit) at any worker count.
         The engine's :class:`~repro.obs.HorizonSummary` is attached to
         the result as ``horizon_summary``.
         """
         horizon = self._horizon(hours)
         problems = [self.problem_for_slot(t, strategy) for t in range(horizon)]
-        engine = self._engine(workers)
-        engine.ledger = self._run_ledger((strategy,), horizon)
-        outcomes = engine.run(problems)
+        outcomes = self.engine.run(
+            problems, context=self._recipe((strategy,), horizon)
+        )
         result = self._collect(strategy, problems, outcomes)
-        result.horizon_summary = engine.last_summary
+        result.horizon_summary = self.engine.last_summary
         return result
 
-    def compare_strategies(
-        self,
-        hours: int | None = None,
-        workers: int | None = None,
-    ) -> StrategyComparison:
+    def compare_strategies(self, hours: int | None = None) -> StrategyComparison:
         """Run Grid, Fuel cell and Hybrid on the same horizon.
 
         All three strategies share one engine pass: each strategy's
-        compiled structure is built once, and with ``workers > 1`` the
-        pool draws from the full ``3 x T`` slot set.  The shared
-        pass's :class:`~repro.obs.HorizonSummary` is attached to all
-        three results.
+        compiled structure is built once, and a pool draws from the
+        full ``3 x T`` slot set.  The shared pass's
+        :class:`~repro.obs.HorizonSummary` is attached to all three
+        results.
         """
         strategies = (GRID, FUEL_CELL, HYBRID)
         horizon = self._horizon(hours)
@@ -318,16 +224,16 @@ class Simulator:
             for strategy in strategies
             for t in range(horizon)
         ]
-        engine = self._engine(workers)
-        engine.ledger = self._run_ledger(strategies, horizon)
-        outcomes = engine.run(problems)
+        outcomes = self.engine.run(
+            problems, context=self._recipe(strategies, horizon)
+        )
         results = {}
         for k, strategy in enumerate(strategies):
             block = slice(k * horizon, (k + 1) * horizon)
             results[strategy.name] = self._collect(
                 strategy, problems[block], outcomes[block]
             )
-            results[strategy.name].horizon_summary = engine.last_summary
+            results[strategy.name].horizon_summary = self.engine.last_summary
         return StrategyComparison(
             grid=results[GRID.name],
             fuel_cell=results[FUEL_CELL.name],

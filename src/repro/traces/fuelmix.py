@@ -17,6 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.costs.carbon import FUEL_CARBON_RATES_G_PER_KWH, carbon_intensity
+from repro.traces.geography import CITY_COORDINATES, City
 
 __all__ = [
     "REGION_FUEL_MIXES",
@@ -42,26 +43,21 @@ REGION_FUEL_MIXES: Mapping[str, Mapping[str, float]] = {
     "pittsburgh": {"coal": 0.52, "gas": 0.21, "nuclear": 0.24, "hydro": 0.03},
 }
 
-#: The regions defined above; a scenario may register more in the table.
-BUILTIN_MIX_REGIONS: tuple[str, ...] = tuple(REGION_FUEL_MIXES)
-
-_REGION_UTC_OFFSET = {
-    "calgary": -7,
-    "san_jose": -8,
-    "dallas": -6,
-    "pittsburgh": -5,
-}
-
 
 def fuel_mix_series(
     region: str,
     hours: int = 168,
     seed: int = 2014,
     mixes: Mapping[str, Mapping[str, float]] = REGION_FUEL_MIXES,
+    cities: Mapping[str, City] = CITY_COORDINATES,
 ) -> list[dict[str, float]]:
     """Hourly generation mix for ``region``: a list of ``hours`` dicts of
     per-fuel generation shares (they need not sum to exactly 1 — only the
     proportions matter for Eq. (1)).
+
+    ``mixes`` holds the base mix and ``cities`` the site (its UTC offset
+    phases the day; a region missing from it runs on UTC) of every
+    region a scenario uses.
 
     Wind output is modulated up at night, solar follows a daytime bell,
     and dispatchable gas absorbs the residual so that intermittent
@@ -72,7 +68,7 @@ def fuel_mix_series(
     if region not in mixes:
         raise KeyError(f"unknown region {region!r}; known: {sorted(mixes)}")
     base = dict(mixes[region])
-    offset = _REGION_UTC_OFFSET.get(region, 0)
+    offset = cities[region].utc_offset if region in cities else 0
     # zlib.crc32 is stable across processes (str hash() is salted).
     rng = np.random.default_rng((seed * 31 + zlib.crc32(region.encode())) & 0x7FFFFFFF)
     return fuel_mix_series_from_rng(base, hours, rng, utc_offset=offset)

@@ -66,9 +66,6 @@ CITY_COORDINATES: Mapping[str, City] = {
     "minneapolis": City("Minneapolis", 44.98, -93.27, -6),
 }
 
-#: The cities defined above; a scenario may register more in the table.
-BUILTIN_CITIES: tuple[str, ...] = tuple(CITY_COORDINATES)
-
 DATACENTER_CITIES: tuple[str, ...] = ("calgary", "san_jose", "dallas", "pittsburgh")
 
 FRONTEND_CITIES: tuple[str, ...] = (

@@ -101,9 +101,6 @@ REGION_PRICE_PRESETS: Mapping[str, RegionPricePreset] = {
     ),
 }
 
-#: The regions defined above; a scenario may register more in the table.
-BUILTIN_PRICE_REGIONS: tuple[str, ...] = tuple(REGION_PRICE_PRESETS)
-
 
 def lmp_series(
     region: str,

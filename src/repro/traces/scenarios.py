@@ -5,20 +5,21 @@ the library is not hard-wired to it: a European deployment and a
 2020s-style renewable-heavy grid, each a complete
 :class:`~repro.traces.datasets.TraceBundle` buildable with one call.
 
-Scenario presets extend the module-level tables in
+Scenario presets are tables of their own, handed to the generators in
 :mod:`repro.traces.geography`, :mod:`repro.traces.prices` and
-:mod:`repro.traces.fuelmix` rather than forking the generators.
+:mod:`repro.traces.fuelmix`; the library's tables stay as shipped.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.costs.carbon import carbon_intensity
 from repro.costs.latency import latency_matrix_from_distances
 from repro.traces.datasets import TraceBundle
-from repro.traces.fuelmix import carbon_rate_series
-from repro.traces.geography import CITY_COORDINATES, City, distance_matrix
-from repro.traces.prices import REGION_PRICE_PRESETS, RegionPricePreset, lmp_series
+from repro.traces.fuelmix import fuel_mix_series
+from repro.traces.geography import City, distance_matrix
+from repro.traces.prices import RegionPricePreset, lmp_series
 from repro.traces.workload import workload_matrix
 
 __all__ = ["EUROPE_DATACENTERS", "EUROPE_FRONTENDS", "europe_bundle",
@@ -84,19 +85,6 @@ _RENEWABLE_MIXES: dict[str, dict[str, float]] = {
 }
 
 
-def _register_europe() -> None:
-    """Idempotently extend the global tables with the Europe presets."""
-    for name, city in _EUROPE_CITIES.items():
-        CITY_COORDINATES.setdefault(name, city)  # type: ignore[attr-defined]
-    for name, preset in _EUROPE_PRICES.items():
-        REGION_PRICE_PRESETS.setdefault(name, preset)  # type: ignore[attr-defined]
-    from repro.traces.fuelmix import REGION_FUEL_MIXES, _REGION_UTC_OFFSET
-
-    for name, mix in _EUROPE_MIXES.items():
-        REGION_FUEL_MIXES.setdefault(name, mix)  # type: ignore[attr-defined]
-        _REGION_UTC_OFFSET.setdefault(name, _EUROPE_CITIES[name].utc_offset)
-
-
 def europe_bundle(hours: int = 168, seed: int = 2014) -> TraceBundle:
     """A European deployment: 4 datacenters, 6 front-end metros.
 
@@ -104,7 +92,6 @@ def europe_bundle(hours: int = 168, seed: int = 2014) -> TraceBundle:
     Dublin gas-priced — a different diversity pattern from the paper's
     North-American sites, exercising the same code paths end to end.
     """
-    _register_europe()
     rng = np.random.default_rng(seed)
     capacities = rng.uniform(1.7e4, 2.3e4, size=len(EUROPE_DATACENTERS))
     offsets = np.array([_EUROPE_CITIES[c].utc_offset for c in EUROPE_FRONTENDS])
@@ -116,12 +103,26 @@ def europe_bundle(hours: int = 168, seed: int = 2014) -> TraceBundle:
         frontend_utc_offsets=offsets,
     )
     prices = np.column_stack(
-        [lmp_series(r, hours=hours, seed=seed) for r in EUROPE_DATACENTERS]
+        [
+            lmp_series(r, hours=hours, seed=seed, presets=_EUROPE_PRICES)
+            for r in EUROPE_DATACENTERS
+        ]
     )
     carbon = np.column_stack(
-        [carbon_rate_series(r, hours=hours, seed=seed) for r in EUROPE_DATACENTERS]
+        [
+            [
+                carbon_intensity(mix)
+                for mix in fuel_mix_series(
+                    r, hours=hours, seed=seed, mixes=_EUROPE_MIXES,
+                    cities=_EUROPE_CITIES,
+                )
+            ]
+            for r in EUROPE_DATACENTERS
+        ]
     )
-    distances = distance_matrix(EUROPE_FRONTENDS, EUROPE_DATACENTERS)
+    distances = distance_matrix(
+        EUROPE_FRONTENDS, EUROPE_DATACENTERS, cities=_EUROPE_CITIES
+    )
     return TraceBundle(
         regions=EUROPE_DATACENTERS,
         frontends=EUROPE_FRONTENDS,
@@ -143,8 +144,6 @@ def renewable_heavy_bundle(hours: int = 168, seed: int = 2014) -> TraceBundle:
     policy effect.
     """
     from repro.traces.datasets import default_bundle
-    from repro.costs.carbon import carbon_intensity
-    from repro.traces.fuelmix import fuel_mix_series
 
     base = default_bundle(hours=hours, seed=seed)
     carbon = np.empty_like(base.carbon_rates)

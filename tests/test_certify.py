@@ -24,6 +24,7 @@ from repro.obs.certify import (
     certify_solution,
 )
 from repro.sim.simulator import Simulator, build_model
+from repro.traces.datasets import default_bundle
 
 
 @pytest.fixture()
@@ -181,7 +182,9 @@ class TestEngineCertification:
         self, small_model, small_bundle
     ):
         sim_plain = Simulator(small_model, small_bundle)
-        sim_cert = Simulator(small_model, small_bundle, certify=True)
+        sim_cert = Simulator(
+            small_model, small_bundle, HorizonEngine(certify=True)
+        )
         plain = sim_plain.run(HYBRID, hours=6)
         certified = sim_cert.run(HYBRID, hours=6)
         assert plain.certificates is None
@@ -195,12 +198,14 @@ class TestEngineCertification:
         assert "certification" in summary.format_table()
 
     def test_serial_and_pool_certificates_agree(self, small_model, small_bundle):
-        sim = Simulator(small_model, small_bundle, certify=True)
-        serial = sim.run(GRID, hours=6, workers=1)
+        sim = Simulator(small_model, small_bundle, HorizonEngine(certify=True))
+        serial = sim.run(GRID, hours=6)
         sim_pool = Simulator(
-            small_model, small_bundle, certify=True, oversubscribe=True
+            small_model,
+            small_bundle,
+            HorizonEngine(certify=True, workers=2, oversubscribe=True),
         )
-        pooled = sim_pool.run(GRID, hours=6, workers=2)
+        pooled = sim_pool.run(GRID, hours=6)
         for a, b in zip(serial.certificates, pooled.certificates):
             assert a.kkt_residual == b.kkt_residual
             assert a.worst_violation == b.worst_violation
@@ -209,7 +214,7 @@ class TestEngineCertification:
     def test_suspect_slots_are_flagged(self, small_model, small_bundle):
         # An impossible KKT gate marks every slot suspect.
         certifier = CertificationContext(kkt_tol=1e-18)
-        sim = Simulator(small_model, small_bundle, certify=certifier)
+        sim = Simulator(small_model, small_bundle, HorizonEngine(certify=certifier))
         result = sim.run(HYBRID, hours=4)
         assert all(not c.ok for c in result.certificates)
         summary = result.horizon_summary
@@ -218,7 +223,9 @@ class TestEngineCertification:
 
     def test_engine_records_metrics(self, small_model, small_bundle):
         metrics = MetricsRegistry()
-        sim = Simulator(small_model, small_bundle, certify=True, metrics=metrics)
+        sim = Simulator(
+            small_model, small_bundle, HorizonEngine(certify=True, metrics=metrics)
+        )
         sim.run(HYBRID, hours=4)
         by_name = {}
         for name, labels, value in metrics.samples():
@@ -230,7 +237,9 @@ class TestEngineCertification:
 
     def test_warm_path_certifies(self, small_model, small_bundle):
         sim = Simulator(
-            small_model, small_bundle, solver="centralized-warm", certify=True,
+            small_model,
+            small_bundle,
+            HorizonEngine("centralized-warm", certify=True),
         )
         result = sim.run(HYBRID, hours=3)
         assert len(result.certificates) == 3
@@ -285,6 +294,28 @@ class TestSolverQPReuse:
             assert self._without_time(outcome.certificate) == self._without_time(
                 fresh
             )
+
+    def test_structured_lane_certifies_against_its_reduced_qp(self, tmp_path):
+        # The structured solver's multipliers are in the reduced layout;
+        # read against a dense QP's rows they fail and an NNLS fit
+        # replaces them.  Fresh and stored slots alike keep them.
+        bundle = default_bundle(hours=4, seed=2014)
+        sim = Simulator(build_model(bundle), bundle)
+        problems = [
+            sim.problem_for_slot(t, strategy)
+            for strategy in ALL_STRATEGIES
+            for t in range(4)
+        ]
+        engine = HorizonEngine(
+            "centralized-structured", certify=True, store=tmp_path
+        )
+        fresh = engine.run(problems)
+        stored = engine.run(problems)
+        assert engine.last_summary.store_hits == len(problems)
+        for outcome in fresh + stored:
+            assert outcome.certificate.dual_source == "solver"
+            assert outcome.certificate.ok
+        assert engine.certifier._structures == []  # no dense QP compiled
 
     def test_qp_never_pickled(self, slot_problem):
         result = create_solver("centralized").solve(slot_problem)

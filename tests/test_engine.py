@@ -190,11 +190,13 @@ class TestSerialVsProcessEquality:
     def test_centralized_week(self, week_bundle, week_model):
         # oversubscribe forces a real process pool even on 1-CPU CI
         # (the guarded default would fall back to serial there).
-        sim = Simulator(
-            week_model, week_bundle, solver="centralized", oversubscribe=True
-        )
-        serial = sim.compare_strategies(workers=1)
-        pooled = sim.compare_strategies(workers=3)
+        def comparison(workers):
+            engine = HorizonEngine(
+                "centralized", workers=workers, oversubscribe=True
+            )
+            return Simulator(week_model, week_bundle, engine).compare_strategies()
+
+        serial, pooled = comparison(1), comparison(3)
         for field in ("grid", "fuel_cell", "hybrid"):
             _assert_results_equal(getattr(serial, field), getattr(pooled, field))
 
@@ -203,29 +205,30 @@ class TestSerialVsProcessEquality:
         # iteration cap keeps this full-week test fast; Fig. 11 tests
         # cover converged ADM-G behavior.
         solver = DistributedUFCSolver(max_iter=8)
-        sim = Simulator(week_model, week_bundle, solver=solver, oversubscribe=True)
-        serial = sim.compare_strategies(workers=1)
-        pooled = sim.compare_strategies(workers=3)
+
+        def comparison(workers):
+            engine = HorizonEngine(solver, workers=workers, oversubscribe=True)
+            return Simulator(week_model, week_bundle, engine).compare_strategies()
+
+        serial, pooled = comparison(1), comparison(3)
         for field in ("grid", "fuel_cell", "hybrid"):
             _assert_results_equal(getattr(serial, field), getattr(pooled, field))
 
     def test_heuristic_day(self, week_bundle, week_model):
-        sim = Simulator(
-            week_model, week_bundle, solver="nearest", oversubscribe=True
-        )
-        _assert_results_equal(
-            sim.run(HYBRID, hours=24, workers=1),
-            sim.run(HYBRID, hours=24, workers=2),
-        )
+        def day(workers):
+            engine = HorizonEngine("nearest", workers=workers, oversubscribe=True)
+            return Simulator(week_model, week_bundle, engine).run(HYBRID, hours=24)
+
+        _assert_results_equal(day(1), day(2))
 
     def test_clamped_pool_equals_serial(self, week_bundle, week_model):
         # The default (guarded) policy: whatever executor it picks on
         # this machine, the results match the serial reference.
-        sim = Simulator(week_model, week_bundle, solver="nearest")
-        _assert_results_equal(
-            sim.run(HYBRID, hours=24, workers=1),
-            sim.run(HYBRID, hours=24, workers=4),
-        )
+        def day(workers):
+            engine = HorizonEngine("nearest", workers=workers)
+            return Simulator(week_model, week_bundle, engine).run(HYBRID, hours=24)
+
+        _assert_results_equal(day(1), day(4))
 
     def test_cached_equals_cold(self, week_bundle, week_model):
         # The engine's compiled-structure cache against the per-slot
@@ -273,7 +276,7 @@ class TestPoisonedSlot:
     def test_failure_is_captured_per_slot(self, week_bundle, week_model, workers):
         poison_index = 7
         solver = _TrippingSolver(week_bundle.slot(poison_index)["arrivals"])
-        sim = Simulator(week_model, week_bundle, solver=solver)
+        sim = Simulator(week_model, week_bundle)
         problems = [sim.problem_for_slot(t, HYBRID) for t in range(12)]
         outcomes = HorizonEngine(solver, workers=workers, oversubscribe=True).run(
             problems
@@ -297,7 +300,7 @@ class TestPoisonedSlot:
     def test_simulator_surfaces_failed_slot(self, week_bundle, week_model):
         poison_index = 3
         solver = _TrippingSolver(week_bundle.slot(poison_index)["arrivals"])
-        sim = Simulator(week_model, week_bundle, solver=solver)
+        sim = Simulator(week_model, week_bundle, HorizonEngine(solver))
         with pytest.raises(RuntimeError, match=r"slot 3"):
             sim.run(HYBRID, hours=6)
 
@@ -380,8 +383,8 @@ class TestPoolPolicy:
     def test_decision_is_recorded_not_silent(
         self, week_bundle, week_model, tmp_path
     ):
-        sim = Simulator(week_model, week_bundle, solver="nearest", ledger=tmp_path)
-        result = sim.run(HYBRID, hours=4, workers=64)
+        engine = HorizonEngine("nearest", workers=64, ledger=tmp_path)
+        result = Simulator(week_model, week_bundle, engine).run(HYBRID, hours=4)
         summary = result.horizon_summary
         (run,) = list_runs(tmp_path)
         assert run.summary["workers_requested"] == summary.workers_requested == 64

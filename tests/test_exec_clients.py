@@ -333,15 +333,6 @@ class TestParallelMapMigration:
         assert parallel_map(_square, items, workers=2) == [
             x * x for x in items
         ]
-        assert parallel_map(
-            _square, items, workers=2, client="mp", max_pending=2
-        ) == [x * x for x in items]
-
-    def test_named_client_is_closed_instance_stays_open(self):
-        client = InProcessClient()
-        assert parallel_map(_square, [1, 2], client=client) == [1, 4]
-        assert client.submit(_square, 5) is not None  # still usable
-        client.close()
 
     def test_engine_reexport_is_the_exec_map(self):
         from repro.engine import parallel_map as engine_map

@@ -17,12 +17,9 @@ import pytest
 
 from repro.core.strategies import HYBRID
 from repro.engine import HorizonEngine
-from repro.exec import (
-    RetryBudget,
-    SocketClient,
-    SupervisorConfig,
-)
+from repro.exec import SocketClient, SupervisorConfig
 from repro.exec.store import problem_digest
+from repro.exec.supervisor import BACKOFF_MULTIPLIER, BACKOFF_S, backoff_for
 from repro.faults.churn import WorkerChurnSolver, run_worker_churn
 from repro.obs import MetricsRegistry
 from repro.obs.ledger import load_run
@@ -48,20 +45,14 @@ def _square(x):
 
 class TestRetryPolicy:
     def test_backoff_grows_geometrically(self):
-        budget = RetryBudget(backoff_s=0.1, backoff_multiplier=2.0)
-        assert budget.backoff_for(1) == pytest.approx(0.1)
-        assert budget.backoff_for(2) == pytest.approx(0.2)
-        assert budget.backoff_for(3) == pytest.approx(0.4)
+        assert backoff_for(1) == pytest.approx(BACKOFF_S)
+        assert backoff_for(2) == pytest.approx(BACKOFF_S * BACKOFF_MULTIPLIER)
+        assert backoff_for(3) == pytest.approx(BACKOFF_S * BACKOFF_MULTIPLIER**2)
 
     def test_budget_validation(self):
+        # The respawn budget is the one supervision limit a run sets.
         with pytest.raises(ValueError):
-            RetryBudget(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryBudget(backoff_multiplier=0.5)
-        with pytest.raises(ValueError):
-            SupervisorConfig(hedge_quantile=1.5)
-        with pytest.raises(ValueError):
-            SupervisorConfig(hedge_min_samples=0)
+            SupervisorConfig(max_respawns=-1)
 
 
 class TestResubmission:
@@ -201,9 +192,7 @@ class TestHedging:
                 client=client,
                 chunk_size=1,
                 ledger=tmp_path,
-                supervision=SupervisorConfig(
-                    hedge_min_samples=8, hedge_multiplier=3.0
-                ),
+                supervision=SupervisorConfig(),
             )
             outcomes = engine.run(problems)
         finally:

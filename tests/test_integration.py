@@ -15,6 +15,7 @@ from repro import (
     DistributedUFCSolver,
     GRID,
     HYBRID,
+    HorizonEngine,
     Simulator,
     build_model,
     default_bundle,
@@ -106,7 +107,7 @@ class TestSolverAgreementEndToEnd:
         bundle = default_bundle(hours=6)
         model = build_model(bundle)
         dist = Simulator(
-            model, bundle, solver=DistributedUFCSolver(rho=0.3, tol=1e-3)
+            model, bundle, HorizonEngine(DistributedUFCSolver(rho=0.3, tol=1e-3))
         ).run(HYBRID)
         cent = Simulator(model, bundle).run(HYBRID)
         assert dist.converged.all()

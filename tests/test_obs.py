@@ -77,7 +77,7 @@ class TestEngineTelemetry:
         assert all("cache_hit" in s for s in serial + pool)
 
     def test_run_and_decision_events(self, bundle, model, tmp_path):
-        sim = Simulator(model, bundle, ledger=tmp_path)
+        sim = Simulator(model, bundle, HorizonEngine(ledger=tmp_path))
         result = sim.run(HYBRID, hours=6)
         summary = result.horizon_summary
         (path,) = tmp_path.glob("*.jsonl")
@@ -94,7 +94,9 @@ class TestEngineTelemetry:
         # Recording the run (ledger, metrics) only observes it.
         plain = Simulator(model, bundle).run(HYBRID)
         observed = Simulator(
-            model, bundle, ledger=tmp_path, metrics=MetricsRegistry()
+            model,
+            bundle,
+            HorizonEngine(ledger=tmp_path, metrics=MetricsRegistry()),
         ).run(HYBRID)
         for field in ("ufc", "energy_cost", "utility", "iterations"):
             assert (getattr(plain, field) == getattr(observed, field)).all()

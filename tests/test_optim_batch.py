@@ -1,9 +1,8 @@
 """Tests for repro.optim.batch: batched kernels against the scalar solvers.
 
-Two kinds of guarantee are exercised here.  The closed-form kernels
-(``project_simplex_batch``, ``solve_capped_rank_one_qp_batch``) promise
-*bit-identical* rows versus the scalar calls — those tests use
-``np.array_equal``.  The batched interior-point solver promises scalar
+Two kinds of guarantee are exercised here.  The closed-form kernel
+(``solve_capped_rank_one_qp_batch``) promises *bit-identical* rows
+versus the scalar call — those tests use ``np.array_equal``.  The batched interior-point solver promises scalar
 *semantics* (same convergence test, same tolerances) but iterates all
 instances of one shared constraint structure jointly, so its tests
 compare solutions to the scalar solver within solver tolerance and
@@ -17,13 +16,11 @@ import pytest
 
 from repro.optim.batch import (
     BatchIPQPResult,
-    project_simplex_batch,
     solve_capped_rank_one_qp_batch,
     solve_qp_batch,
 )
 from repro.optim.ipqp import QPKernel, solve_qp
 from repro.optim.rank_one import solve_capped_rank_one_qp
-from repro.optim.simplex import project_simplex
 
 
 def _random_qp(rng, n, p, m, scale=1.0):
@@ -37,27 +34,6 @@ def _random_qp(rng, n, p, m, scale=1.0):
     G = rng.normal(size=(m, n)) if m else None
     h = G @ x0 + rng.uniform(0.5, 2.0, size=m) if m else None
     return P, q, A, b, G, h
-
-
-class TestProjectSimplexBatch:
-    def test_rows_bit_identical_to_scalar(self):
-        rng = np.random.default_rng(0)
-        v = rng.normal(size=(16, 7)) * 10
-        totals = rng.uniform(0.0, 5.0, size=16)
-        out = project_simplex_batch(v, totals)
-        for r in range(16):
-            assert np.array_equal(out[r], project_simplex(v[r], totals[r]))
-
-    def test_scalar_total_broadcasts(self):
-        rng = np.random.default_rng(1)
-        v = rng.normal(size=(5, 4))
-        out = project_simplex_batch(v, 2.0)
-        for r in range(5):
-            assert np.array_equal(out[r], project_simplex(v[r], 2.0))
-
-    def test_1d_input_rejected(self):
-        with pytest.raises(ValueError):
-            project_simplex_batch(np.zeros(3), 1.0)
 
 
 class TestCappedRankOneBatch:

@@ -24,6 +24,7 @@ it.  A regression of that kind shows only in wall clock and peak RSS.
 from __future__ import annotations
 
 import cProfile
+import gc
 import pstats
 import tracemalloc
 
@@ -39,9 +40,9 @@ SLOTS = 24
 
 #: Per-slot budgets over the plain engine: (Python calls, retained
 #: blocks).  Measured on CPython 3.11 over this 24-slot Hybrid run:
-#: obs-on (metrics registry + run ledger) 185.1 calls and 5.75 blocks,
-#: an armed-idle fallback chain 0.25 and 0, synchronous supervision 0
-#: and 0.  The ``resilience-idle`` id names the armed-idle chain.
+#: obs-on (metrics registry + run ledger) 181.5 calls and 6.1 blocks,
+#: an armed-idle fallback chain 0.25 and 0.08, synchronous supervision
+#: 0 and 0.  The ``resilience-idle`` id names the armed-idle chain.
 BUDGETS = {
     "obs-on": (205, 9),
     "resilience-idle": (1, 1),
@@ -78,6 +79,12 @@ def _counts(engine: HorizonEngine, problems) -> tuple[int, int]:
     engine.run(problems)
     profiler.disable()
     calls = pstats.Stats(profiler).total_calls
+    # Free the earlier runs' cyclic garbage first.  Left for the
+    # collector to find mid-run, it keeps small objects off CPython's
+    # free lists, so the traced run allocates fresh blocks for them and
+    # the count depends on which tests ran before (3.96 extra blocks
+    # per slot for the armed-idle chain in one order, 0.08 in another).
+    gc.collect()
     tracemalloc.start()
     try:
         outcomes = engine.run(problems)

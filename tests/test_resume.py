@@ -16,6 +16,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.strategies import HYBRID
+from repro.engine import HorizonEngine
 from repro.exec import ResultStore
 from repro.obs.ledger import load_run
 from repro.sim import resume_run
@@ -34,9 +35,7 @@ def finished(small_model, small_bundle, tmp_path_factory):
     sim = Simulator(
         small_model,
         small_bundle,
-        solver="centralized",
-        store=str(store),
-        ledger=str(ledgers),
+        HorizonEngine("centralized", store=str(store), ledger=str(ledgers)),
     )
     sim.run(HYBRID)
     (path,) = ledgers.glob("*.jsonl")

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.strategies import HYBRID
 from repro.sim.simulator import Simulator, build_model
+from repro.traces import fuelmix, geography, prices
 from repro.traces.datasets import default_bundle
 from repro.traces.scenarios import (
     EUROPE_DATACENTERS,
@@ -64,6 +67,33 @@ class TestEuropeBundle:
         after = default_bundle(hours=6)
         np.testing.assert_array_equal(before.prices, after.prices)
         np.testing.assert_array_equal(before.carbon_rates, after.carbon_rates)
+
+    def test_leaves_the_library_tables_unchanged(self):
+        tables = (
+            geography.CITY_COORDINATES,
+            prices.REGION_PRICE_PRESETS,
+            fuelmix.REGION_FUEL_MIXES,
+        )
+        before = [dict(table) for table in tables]
+        europe_bundle(hours=6)
+        assert [dict(table) for table in tables] == before
+
+    def test_arrays_match_the_recorded_digest(self):
+        # Recorded when the scenario still registered its sites into the
+        # library tables; building from its own tables changes no number.
+        bundle = europe_bundle(hours=48, seed=7)
+        digest = hashlib.sha256()
+        for array in (
+            bundle.arrivals,
+            bundle.prices,
+            bundle.carbon_rates,
+            bundle.latency_ms,
+            bundle.capacities,
+        ):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest() == (
+            "8595f0cf08d0e27ab09485d9de3c7d492ab09fc5507c226feb42a2d562904ca7"
+        )
 
 
 class TestRenewableHeavyBundle:

@@ -8,6 +8,7 @@ import pytest
 from repro.admg.solver import DistributedUFCSolver
 from repro.core.centralized import CentralizedSolver
 from repro.core.strategies import FUEL_CELL, GRID, HYBRID
+from repro.engine import HorizonEngine
 from repro.sim.metrics import (
     average_improvement,
     improvement_series,
@@ -114,14 +115,16 @@ class TestSimulator:
         sim = Simulator(
             small_model,
             small_bundle,
-            solver=DistributedUFCSolver(rho=0.3, tol=6e-3),
+            HorizonEngine(DistributedUFCSolver(rho=0.3, tol=6e-3)),
         )
         result = sim.run(HYBRID, hours=3)
         assert (result.iterations > 10).all()
         assert result.converged.all()
 
     def test_solver_objects_accepted(self, small_model, small_bundle):
-        sim = Simulator(small_model, small_bundle, solver=CentralizedSolver())
+        sim = Simulator(
+            small_model, small_bundle, HorizonEngine(CentralizedSolver())
+        )
         result = sim.run(GRID, hours=2)
         assert result.hours == 2
 
@@ -133,7 +136,9 @@ class TestSimulator:
         assert "utilization" in text
 
     def test_warm_start_mode_runs(self, small_model, small_bundle):
-        sim = Simulator(small_model, small_bundle, solver="centralized-warm")
+        sim = Simulator(
+            small_model, small_bundle, HorizonEngine("centralized-warm")
+        )
         result = sim.run(HYBRID, hours=3)
         assert result.converged.all()
         # The walked later slots take fewer steps than the cold anchor.
